@@ -1,0 +1,192 @@
+"""Comparator controllers: shortest-path, greedy queue-aware, random,
+and reduced variants of the learned policy (frozen source budget,
+relay processing disabled)."""
+from __future__ import annotations
+
+import heapq
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .agent import PolicyController
+from .constellation import NUM_PORTS, GraphSnapshot
+from .policy import JointAction, PolicyParams
+from .semantic import BUDGET_SET, MODE_FORWARD
+from .simcore import DecisionView
+
+BASELINE_KINDS = (
+    "shortest_path",
+    "greedy_queue",
+    "random",
+    "policy_no_source_c",
+    "policy_no_relay",
+)
+
+
+@dataclass(frozen=True)
+class BaselineSpec:
+    kind: str
+    fixed_budget: int | None = None
+    fixed_relay: int | None = None
+
+    def __post_init__(self):
+        if self.kind not in BASELINE_KINDS:
+            raise ValueError(f"kind must be one of {BASELINE_KINDS}")
+        if self.fixed_budget is not None and self.fixed_budget not in BUDGET_SET:
+            raise ValueError(f"fixed_budget must be in {BUDGET_SET}")
+        if self.fixed_relay is not None and self.fixed_relay not in (0, 1):
+            raise ValueError("fixed_relay must be 0 or 1")
+
+
+def dijkstra_to(snapshot: GraphSnapshot, dst: int) -> dict[int, float]:
+    """Distance-to-destination (km) over the available directed edges."""
+    in_edges: dict[int, list] = {}
+    for e in snapshot.available_edges():
+        in_edges.setdefault(e.dst, []).append(e)
+    dist = {dst: 0.0}
+    heap = [(0.0, dst)]
+    while heap:
+        d, node = heapq.heappop(heap)
+        if d > dist.get(node, math.inf):
+            continue
+        for e in in_edges.get(node, []):
+            nd = d + e.distance_km
+            if nd < dist.get(e.src, math.inf) - 1e-12:
+                dist[e.src] = nd
+                heapq.heappush(heap, (nd, e.src))
+    return dist
+
+
+def shortest_path_next_hop(snapshot: GraphSnapshot, current: int, dst: int) -> int | None:
+    """Port of the first hop of a minimum-propagation-delay path, or None.
+
+    Recomputed on the given snapshot; ties break toward the lowest
+    neighbor node index.
+    """
+    if current == dst:
+        raise ValueError("already at the destination")
+    dist = dijkstra_to(snapshot, dst)
+    best: tuple[float, int, int] | None = None
+    for p in range(NUM_PORTS):
+        e = snapshot.edge(current, p)
+        if e is None or not e.available or e.dst not in dist:
+            continue
+        cand = (e.distance_km + dist[e.dst], e.dst, p)
+        if best is None or cand < best:
+            best = cand
+    return best[2] if best else None
+
+
+class _FixedSemantics:
+    """Mixin providing the frozen budget/relay part of a baseline action."""
+
+    def __init__(self, spec: BaselineSpec):
+        self.spec = spec
+        budget = spec.fixed_budget if spec.fixed_budget is not None else 128
+        self._budget_idx = BUDGET_SET.index(budget)
+        self._relay = spec.fixed_relay if spec.fixed_relay is not None else MODE_FORWARD
+
+    def _joint(self, hop: int) -> JointAction:
+        return JointAction(hop=hop, budget_idx=self._budget_idx, relay=self._relay)
+
+
+class ShortestPathController(_FixedSemantics):
+    def decide(self, view: DecisionView) -> JointAction:
+        port = shortest_path_next_hop(view.snapshot, view.node, view.session.dst)
+        if port is None:
+            # Destination unreachable on this snapshot; fall back to any
+            # open port rather than inventing a drop the engine cannot see.
+            port = int(np.flatnonzero(view.mask)[0])
+        return self._joint(port)
+
+
+class GreedyQueueController(_FixedSemantics):
+    """Pick the open port minimizing residual distance plus queue pressure.
+
+    Already-visited neighbors are avoided while a fresh one exists;
+    distance-greedy rules ping-pong on a torus otherwise.
+    """
+
+    queue_weight = 1.0
+
+    def decide(self, view: DecisionView) -> JointAction:
+        here = view.snapshot.distance_km(view.node, view.session.dst)
+        visited = set(view.session.hop_trace)
+        best: tuple[float, int, int] | None = None
+        best_fresh: tuple[float, int, int] | None = None
+        for p in range(NUM_PORTS):
+            e = view.snapshot.edge(view.node, p)
+            if e is None or not e.available:
+                continue
+            progress = view.snapshot.distance_km(e.dst, view.session.dst) / max(here, 1e-9)
+            score = progress + self.queue_weight * float(view.occupancy[view.node, p]) / view.q_max
+            cand = (score, e.dst, p)
+            if best is None or cand < best:
+                best = cand
+            if e.dst not in visited and (best_fresh is None or cand < best_fresh):
+                best_fresh = cand
+        pick = best_fresh if best_fresh is not None else best
+        return self._joint(pick[2])
+
+
+class RandomController(_FixedSemantics):
+    def __init__(self, spec: BaselineSpec, rng: np.random.Generator):
+        super().__init__(spec)
+        self.rng = rng
+
+    def decide(self, view: DecisionView) -> JointAction:
+        open_ports = np.flatnonzero(view.mask)
+        port = int(open_ports[self.rng.integers(len(open_ports))])
+        return self._joint(port)
+
+
+class NoSourceCPolicyController(PolicyController):
+    """Learned policy with the source budget pinned to the maximum."""
+
+    def adjust_action(self, view: DecisionView, action: JointAction) -> JointAction:
+        if view.is_source:
+            return JointAction(hop=action.hop, budget_idx=BUDGET_SET.index(128),
+                               relay=action.relay)
+        return action
+
+
+class NoRelayPolicyController(PolicyController):
+    """Learned policy with relay processing disabled everywhere.
+
+    An optional pinned source budget supports the fixed-C variant.
+    """
+
+    def __init__(self, *args, fixed_budget: int | None = None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._budget_idx = None if fixed_budget is None else BUDGET_SET.index(fixed_budget)
+
+    def adjust_action(self, view: DecisionView, action: JointAction) -> JointAction:
+        budget_idx = action.budget_idx
+        if view.is_source and self._budget_idx is not None:
+            budget_idx = self._budget_idx
+        return JointAction(hop=action.hop, budget_idx=budget_idx, relay=MODE_FORWARD)
+
+
+def make_baseline_controller(spec: BaselineSpec, rng: np.random.Generator,
+                             params: PolicyParams | None = None,
+                             greedy: bool = True):
+    """Instantiate the controller for a baseline spec.
+
+    Policy-derived variants need checkpoint parameters; the heuristic
+    kinds ignore them.
+    """
+    if spec.kind == "shortest_path":
+        return ShortestPathController(spec)
+    if spec.kind == "greedy_queue":
+        return GreedyQueueController(spec)
+    if spec.kind == "random":
+        return RandomController(spec, rng)
+    if params is None:
+        raise ValueError(f"baseline {spec.kind} requires policy parameters")
+    if spec.kind == "policy_no_source_c":
+        return NoSourceCPolicyController(params, rng=rng, greedy=greedy)
+    if spec.kind == "policy_no_relay":
+        return NoRelayPolicyController(params, rng=rng, greedy=greedy,
+                                       fixed_budget=spec.fixed_budget)
+    raise ValueError(f"unhandled baseline kind {spec.kind}")
