@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import policy as pol
+from . import gat, policy as pol
 from .constellation import NUM_PORTS
 from .gat import SubgraphInput
 from .policy import JointAction, PolicyParams
@@ -227,9 +227,9 @@ def compute_gae(rewards: np.ndarray, values: np.ndarray, dones: np.ndarray,
     return adv, adv + values
 
 
-def clipped_surrogate(ratio: float, advantage: float, eps: float) -> float:
-    """The per-sample clipped objective term."""
-    return min(ratio * advantage, float(np.clip(ratio, 1.0 - eps, 1.0 + eps)) * advantage)
+def clipped_surrogate(ratio, advantage, eps: float):
+    """The clipped objective term, per sample (scalars or arrays)."""
+    return np.minimum(ratio * advantage, np.clip(ratio, 1.0 - eps, 1.0 + eps) * advantage)
 
 
 # ----------------------------------------------------------------------
@@ -250,80 +250,106 @@ class PpoHyper:
 
 
 @dataclass
-class _Sample:
-    tr: Transition
-    advantage: float
-    ret: float
-    old_logp: float
+class RolloutBatch:
+    """Buffered decisions stacked into arrays, one row per decision.
+
+    Indexing with a slice or an index array gathers a sub-batch.
+    """
+    states: pol.StateBatch
+    actions: np.ndarray     # (N, 3) hop, budget index, relay
+    old_logp: np.ndarray    # (N,) behaviour joint log-prob
+    advantage: np.ndarray   # (N,) GAE advantage, normalized over the buffer
+    ret: np.ndarray         # (N,) GAE return
+
+    def __len__(self) -> int:
+        return len(self.old_logp)
+
+    def __getitem__(self, idx) -> "RolloutBatch":
+        return RolloutBatch(self.states[idx], self.actions[idx], self.old_logp[idx],
+                            self.advantage[idx], self.ret[idx])
 
 
-def _flatten_buffer(buffer: RolloutBuffer, hyper: PpoHyper) -> list[_Sample]:
-    samples: list[_Sample] = []
-    all_adv = []
-    per_segment = []
-    for seg in buffer.segments:
+def stack_buffer(buffer: RolloutBuffer, hyper: PpoHyper) -> RolloutBatch:
+    """GAE per segment, then every transition stacked into one batch.
+
+    Raises ``FloatingPointError`` on a non-finite advantage or return.
+    """
+    adv_parts, ret_parts = [], []
+    for k, seg in enumerate(buffer.segments):
         rewards = np.array([t.reward for t in seg.transitions], dtype=float)
         values = np.array([t.value for t in seg.transitions], dtype=float)
         dones = np.array([t.done for t in seg.transitions], dtype=bool)
         adv, ret = compute_gae(rewards, values, dones, hyper.gamma, hyper.gae_lambda,
                                seg.bootstrap_value)
-        per_segment.append((seg, adv, ret))
-        all_adv.append(adv)
-    flat = np.concatenate(all_adv)
-    mean, std = float(flat.mean()), float(flat.std())
+        if not (np.isfinite(adv).all() and np.isfinite(ret).all()):
+            raise FloatingPointError(
+                f"non-finite advantage or return in trajectory segment {k}; "
+                "check its rewards, values and bootstrap value")
+        adv_parts.append(adv)
+        ret_parts.append(ret)
+    adv, ret = np.concatenate(adv_parts), np.concatenate(ret_parts)
+    mean, std = float(adv.mean()), float(adv.std())
     scale = std if std > 1e-8 else 1.0
-    for seg, adv, ret in per_segment:
-        for i, tr in enumerate(seg.transitions):
-            samples.append(_Sample(
-                tr=tr,
-                advantage=(float(adv[i]) - mean) / scale,
-                ret=float(ret[i]),
-                old_logp=float(tr.log_probs.sum()),
-            ))
-    return samples
+
+    transitions = [t for seg in buffer.segments for t in seg.transitions]
+    features, member_mask = gat.pad_subgraphs([t.subgraph for t in transitions])
+    states = pol.StateBatch(
+        obs=np.stack([t.obs for t in transitions]), features=features,
+        member_mask=member_mask, hop_mask=np.stack([t.mask for t in transitions]))
+    actions = np.array([(t.action.hop, t.action.budget_idx, t.action.relay)
+                        for t in transitions])
+    old_logp = np.stack([t.log_probs for t in transitions]).sum(axis=1)
+    return RolloutBatch(states, actions, old_logp, (adv - mean) / scale, ret)
 
 
-def _sample_loss(params: PolicyParams, s: _Sample, hyper: PpoHyper,
-                 want_grads: bool):
-    """Per-sample PPO loss and, optionally, head-logit/value gradients."""
-    fwd = pol.forward(params, s.tr.obs, s.tr.subgraph, s.tr.mask)
-    a = s.tr.action
-    logp = pol.action_log_prob(fwd, a)
-    ratio = math.exp(logp - s.old_logp)
-    surr1 = ratio * s.advantage
-    surr2 = float(np.clip(ratio, 1.0 - hyper.clip_ratio, 1.0 + hyper.clip_ratio)) * s.advantage
-    entropy = pol.joint_entropy(fwd)
-    v_err = fwd.value - s.ret
-    loss = -min(surr1, surr2) + hyper.value_coef * v_err**2 - hyper.entropy_coef * entropy
-    if not want_grads:
-        return loss, ratio, entropy, None, None
-    g_logp = -s.advantage * ratio if surr1 <= surr2 else 0.0
-    chosen = {"hop": a.hop, "budget": a.budget_idx, "relay": a.relay}
+@dataclass
+class _LossTerms:
+    """Per-sample pieces of the PPO loss on one batch."""
+    fwd: pol.PolicyForward
+    ratio: np.ndarray      # new over behaviour probability of the taken action
+    surr: np.ndarray       # clipped surrogate
+    entropy: np.ndarray    # joint entropy of the three heads
+    v_err: np.ndarray      # value minus return
+
+    def mean_loss(self, hyper: PpoHyper) -> float:
+        return float(np.mean(-self.surr + hyper.value_coef * self.v_err**2
+                             - hyper.entropy_coef * self.entropy))
+
+
+def _loss_terms(params: PolicyParams, batch: RolloutBatch, hyper: PpoHyper) -> _LossTerms:
+    fwd = pol.forward(params, batch.states)
+    ratio = np.exp(pol.action_log_prob(fwd, batch.actions) - batch.old_logp)
+    return _LossTerms(fwd, ratio, clipped_surrogate(ratio, batch.advantage, hyper.clip_ratio),
+                      pol.joint_entropy(fwd), fwd.value - batch.ret)
+
+
+def _mean_grads(params: PolicyParams, batch: RolloutBatch, hyper: PpoHyper,
+                terms: _LossTerms) -> PolicyParams:
+    """Gradient of the mean loss: one backward pass over the whole batch."""
+    adv, ratio, fwd = batch.advantage, terms.ratio, terms.fwd
+    # The surrogate's gradient flows only where the unclipped term is the minimum.
+    unclipped = ratio * adv <= np.clip(ratio, 1.0 - hyper.clip_ratio, 1.0 + hyper.clip_ratio) * adv
+    g_logp = np.where(unclipped, -adv * ratio, 0.0)
     d_logits = {}
-    for head, idx in chosen.items():
-        d = g_logp * pol.grad_log_prob_logits(fwd.probs[head], idx)
-        d -= hyper.entropy_coef * pol.grad_entropy_logits(fwd.probs[head], fwd.log_probs[head])
+    for col, head in enumerate(pol.HEADS):
+        log_probs, probs = fwd.head(head)
+        d = g_logp[:, None] * pol.grad_log_prob_logits(probs, batch.actions[:, col])
+        d -= hyper.entropy_coef * pol.grad_entropy_logits(probs, log_probs)
         d_logits[head] = d
-    d_value = 2.0 * hyper.value_coef * v_err
-    return loss, ratio, entropy, (fwd, d_logits), d_value
+    grads = pol.backward(params, fwd, d_logits, 2.0 * hyper.value_coef * terms.v_err)
+    grads.flat /= len(batch)
+    return grads
 
 
-def ppo_loss(params: PolicyParams, samples: list[_Sample], hyper: PpoHyper) -> float:
-    return float(np.mean([_sample_loss(params, s, hyper, False)[0] for s in samples]))
+def ppo_loss(params: PolicyParams, batch: RolloutBatch, hyper: PpoHyper) -> float:
+    return _loss_terms(params, batch, hyper).mean_loss(hyper)
 
 
-def ppo_loss_grads(params: PolicyParams, samples: list[_Sample],
+def ppo_loss_grads(params: PolicyParams, batch: RolloutBatch,
                    hyper: PpoHyper) -> tuple[float, PolicyParams]:
-    total = pol.zeros_like_params(params)
-    acc = total.to_vector()
-    losses = []
-    for s in samples:
-        loss, _, _, (fwd, d_logits), d_value = _sample_loss(params, s, hyper, True)
-        g = pol.backward(params, fwd, d_logits, d_value)
-        acc += g.to_vector()
-        losses.append(loss)
-    acc /= len(samples)
-    return float(np.mean(losses)), params.from_vector(acc)
+    """Mean loss over the batch and its gradient."""
+    terms = _loss_terms(params, batch, hyper)
+    return terms.mean_loss(hyper), _mean_grads(params, batch, hyper, terms)
 
 
 @dataclass
@@ -338,47 +364,58 @@ class UpdateStats:
 
 def ppo_update(buffer: RolloutBuffer, params: PolicyParams, optimizer: pol.Adam,
                hyper: PpoHyper, rng: np.random.Generator) -> tuple[PolicyParams, UpdateStats]:
-    """Clipped-surrogate update over the buffered rollouts; clears the buffer."""
+    """Clipped-surrogate update over the buffered rollouts; clears the buffer.
+
+    Each minibatch is one batched forward, one backward and one optimizer
+    step.  A non-finite parameter, advantage, return, ratio or gradient
+    raises ``FloatingPointError`` before it can reach an optimizer step;
+    ``params`` itself is never modified.
+    """
     if len(buffer) == 0:
         raise ValueError("empty rollout buffer")
-    samples = _flatten_buffer(buffer, hyper)
-    n = len(samples)
+    block = params.nonfinite_block()
+    if block is not None:
+        raise FloatingPointError(f"non-finite parameter block {block!r} before the update")
+    batch = stack_buffer(buffer, hyper)
+    n = len(batch)
 
     # Behavior log-probs must match the pre-update policy exactly.
-    initial_dev = 0.0
-    for s in samples:
-        fwd = pol.forward(params, s.tr.obs, s.tr.subgraph, s.tr.mask)
-        ratio = math.exp(pol.action_log_prob(fwd, s.tr.action) - s.old_logp)
-        initial_dev = max(initial_dev, abs(ratio - 1.0))
+    ratio = _loss_terms(params, batch, hyper).ratio
+    _check_ratio(ratio, "initial ratio check")
+    initial_dev = float(np.max(np.abs(ratio - 1.0)))
 
-    pol_losses, val_losses, entropies, ratios = [], [], [], []
-    for _ in range(hyper.epochs):
+    parts = []  # per minibatch: surrogate, value error, entropy, ratio
+    for epoch in range(hyper.epochs):
         order = rng.permutation(n)
-        for start in range(0, n, hyper.minibatch_size):
-            batch = [samples[i] for i in order[start:start + hyper.minibatch_size]]
-            acc = pol.zeros_like_params(params).to_vector()
-            for s in batch:
-                loss, ratio, entropy, (fwd, d_logits), d_value = _sample_loss(
-                    params, s, hyper, True)
-                g = pol.backward(params, fwd, d_logits, d_value)
-                acc += g.to_vector()
-                ratios.append(ratio)
-                entropies.append(entropy)
-                pol_losses.append(-clipped_surrogate(ratio, s.advantage, hyper.clip_ratio))
-                val_losses.append((fwd.value - s.ret) ** 2)
-            acc /= len(batch)
-            grads = params.from_vector(acc)
+        for k, start in enumerate(range(0, n, hyper.minibatch_size)):
+            mb = batch[order[start:start + hyper.minibatch_size]]
+            terms = _loss_terms(params, mb, hyper)
+            _check_ratio(terms.ratio, f"epoch {epoch}, minibatch {k}")
+            grads = _mean_grads(params, mb, hyper, terms)
+            block = grads.nonfinite_block()
+            if block is not None:
+                raise FloatingPointError(
+                    f"non-finite gradient in parameter block {block!r} "
+                    f"at epoch {epoch}, minibatch {k}")
             params = optimizer.step(params, grads, hyper.max_grad_norm)
+            parts.append((terms.surr, terms.v_err, terms.entropy, terms.ratio))
     buffer.clear()
+    surr, v_err, entropy, ratio = (np.concatenate(p) for p in zip(*parts))
     stats = UpdateStats(
         n_samples=n,
-        policy_loss=float(np.mean(pol_losses)),
-        value_loss=float(np.mean(val_losses)),
-        entropy=float(np.mean(entropies)),
+        policy_loss=float(np.mean(-surr)),
+        value_loss=float(np.mean(v_err**2)),
+        entropy=float(np.mean(entropy)),
         initial_ratio_max_dev=initial_dev,
-        mean_ratio=float(np.mean(ratios)),
+        mean_ratio=float(np.mean(ratio)),
     )
     return params, stats
+
+
+def _check_ratio(ratio: np.ndarray, where: str) -> None:
+    bad = np.flatnonzero(~np.isfinite(ratio))
+    if bad.size:
+        raise FloatingPointError(f"non-finite probability ratio at {where}, sample {bad[0]}")
 
 
 # ----------------------------------------------------------------------

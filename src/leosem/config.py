@@ -91,6 +91,20 @@ class PpoSettings:
     max_grad_norm: float = 0.5
     episodes: int = 300
 
+    def __post_init__(self):
+        for name in ("minibatch_size", "epochs", "horizon", "trunk_width", "gat_hidden"):
+            if not getattr(self, name) >= 1:
+                raise ConfigError(f"{name} must be >= 1")
+        for name in ("learning_rate", "clip_ratio", "max_grad_norm"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be > 0")
+        for name in ("gamma", "gae_lambda"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ConfigError(f"{name} must be in [0, 1]")
+        for name in ("entropy_coef", "value_coef", "episodes"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name} must be >= 0")
+
 
 @dataclass(frozen=True)
 class ObjectiveConfig:
@@ -177,7 +191,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             raise ConfigError(f"section {name} must be a mapping")
         kwargs[name] = _build_section(cls, section, name)
     seed = data.get("seed", 0)
-    if not isinstance(seed, int):
+    if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigError("seed must be an integer")
     return ExperimentConfig(seed=seed, **kwargs)
 

@@ -318,6 +318,17 @@ def _open_trace(out: pathlib.Path, enabled: bool):
     return write, fh
 
 
+def load_policy(cfg: ExperimentConfig, checkpoint) -> PolicyParams:
+    """Load a checkpoint and check that ``cfg`` implies its network shape."""
+    params, _ = pol.load_checkpoint(checkpoint)
+    expect = make_policy_config(cfg)
+    if params.cfg != expect:
+        raise ValueError(
+            f"checkpoint/config mismatch: checkpoint built for {params.cfg}, "
+            f"config implies {expect}")
+    return params
+
+
 def cmd_train(cfg: ExperimentConfig, out_dir, episodes: int | None = None,
               trace: bool = False) -> TrainResult:
     out = pathlib.Path(out_dir)
@@ -350,13 +361,8 @@ def cmd_eval(cfg: ExperimentConfig, checkpoint, out_dir, episodes: int,
     params = None
     ckpt_hash = None
     if checkpoint is not None:
-        params, _ = pol.load_checkpoint(checkpoint)
+        params = load_policy(cfg, checkpoint)
         ckpt_hash = _sha256(checkpoint)
-        expect = make_policy_config(cfg)
-        if params.cfg != expect:
-            raise ValueError(
-                f"checkpoint/config mismatch: checkpoint built for {params.cfg}, "
-                f"config implies {expect}")
     spec = None
     if baseline_kind is not None:
         spec = BaselineSpec(kind=baseline_kind, fixed_budget=fixed_budget)
@@ -383,7 +389,7 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, values: list[float], checkpoint,
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_config(cfg, out / "config.yaml")
-    params, _ = pol.load_checkpoint(checkpoint)
+    params = load_policy(cfg, checkpoint)
     rows = sweep(cfg, axis, values, params, episodes)
     metrics.write_rows_csv(out / "sweep.csv", SWEEP_COLUMNS, rows)
     _write_run_info(out, cfg, command="sweep", axis=axis, values=list(values),

@@ -6,12 +6,17 @@ raw local observation, a two-layer tanh trunk with three categorical heads
 hop head is masked by port availability; masked entries carry exactly zero
 probability.  Everything is numpy with hand-written gradients so the full
 training loss can be verified against finite differences.
+
+``forward`` and ``backward`` work on a batch of B states whose attention
+subgraphs are zero-padded to a common member count; acting at decision time
+is the B=1 case.  Parameters and gradients live in one flat vector.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +29,13 @@ CHECKPOINT_FORMAT_VERSION = 1
 NUM_PORTS = 4
 NUM_BUDGETS = len(BUDGET_SET)
 NUM_RELAY = 2
+# Head order of the per-head log-probs and of a (B, 3) action array.
+HEADS = ("hop", "budget", "relay")
+HEAD_SIZES = (NUM_PORTS, NUM_BUDGETS, NUM_RELAY)
+# The heads sit side by side in one row of logits / log-probs / probs.
+HEAD_OFFSETS = np.array([0, NUM_PORTS, NUM_PORTS + NUM_BUDGETS])
+HEAD_COLUMNS = {head: slice(int(o), int(o) + n)
+                for head, o, n in zip(HEADS, HEAD_OFFSETS, HEAD_SIZES)}
 
 
 @dataclass(frozen=True)
@@ -53,10 +65,31 @@ class PolicyConfig:
         return self.obs_dim + self.gat_hidden
 
 
-@dataclass
+def param_shapes(cfg: PolicyConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter array by name, in flat-vector order.
+
+    The names are also the checkpoint's archive member names.
+    """
+    d, s, h = cfg.trunk_width, cfg.state_dim, cfg.gat_hidden
+    return {
+        "gat_w": (cfg.obs_dim, h), "gat_attn": (2 * h,),
+        "w1": (s, d), "b1": (d,), "w2": (d, d), "b2": (d,),
+        "w_hop": (d, NUM_PORTS), "b_hop": (NUM_PORTS,),
+        "w_bud": (d, NUM_BUDGETS), "b_bud": (NUM_BUDGETS,),
+        "w_rel": (d, NUM_RELAY), "b_rel": (NUM_RELAY,),
+        "w_val": (d, 1), "b_val": (1,),
+    }
+
+
 class PolicyParams:
-    cfg: PolicyConfig
-    gat: GatParams
+    """All network parameters in one flat float64 vector.
+
+    ``arrays`` maps each name of ``param_shapes`` to a view into ``flat``;
+    the same views are attributes (``w1``, ``b1``, ...) and ``gat`` holds
+    the attention layer's two.  Writing through a view writes the vector.
+    Gradients use the same container.
+    """
+
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
@@ -70,43 +103,43 @@ class PolicyParams:
     w_val: np.ndarray
     b_val: np.ndarray
 
-    def _arrays(self) -> list[np.ndarray]:
-        return [
-            self.gat.w, self.gat.attn,
-            self.w1, self.b1, self.w2, self.b2,
-            self.w_hop, self.b_hop, self.w_bud, self.b_bud,
-            self.w_rel, self.b_rel, self.w_val, self.b_val,
-        ]
+    def __init__(self, cfg: PolicyConfig, flat: np.ndarray | None = None):
+        shapes = param_shapes(cfg)
+        size = sum(math.prod(shape) for shape in shapes.values())
+        if flat is None:
+            flat = np.zeros(size)
+        elif flat.shape != (size,) or flat.dtype != np.float64:
+            raise ValueError(f"parameter vector size mismatch: got {flat.dtype} "
+                             f"{flat.shape}, expected float64 ({size},)")
+        self.cfg = cfg
+        self.flat = flat
+        self.arrays: dict[str, np.ndarray] = {}
+        pos = 0
+        for name, shape in shapes.items():
+            n = math.prod(shape)
+            self.arrays[name] = view = flat[pos:pos + n].reshape(shape)
+            setattr(self, name, view)
+            pos += n
+        self.gat = GatParams(self.arrays["gat_w"], self.arrays["gat_attn"], cfg.leaky_slope)
 
     def to_vector(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self._arrays()])
+        return self.flat.copy()
 
     def from_vector(self, vec: np.ndarray) -> "PolicyParams":
-        out = zeros_like_params(self)
-        pos = 0
-        for src, dst in zip(self._arrays(), out._arrays()):
-            n = src.size
-            dst[...] = vec[pos:pos + n].reshape(src.shape)
-            pos += n
-        if pos != vec.size:
-            raise ValueError("parameter vector size mismatch")
-        return out
+        return PolicyParams(self.cfg, np.array(vec, dtype=np.float64))
 
     def copy(self) -> "PolicyParams":
-        return self.from_vector(self.to_vector())
+        return PolicyParams(self.cfg, self.flat.copy())
+
+    def nonfinite_block(self) -> str | None:
+        """Name of the first array holding a NaN or an infinity, if any."""
+        if np.isfinite(self.flat).all():
+            return None
+        return next(name for name, a in self.arrays.items() if not np.isfinite(a).all())
 
 
 def zeros_like_params(p: PolicyParams) -> PolicyParams:
-    return PolicyParams(
-        cfg=p.cfg,
-        gat=GatParams(np.zeros_like(p.gat.w), np.zeros_like(p.gat.attn), p.gat.leaky_slope),
-        w1=np.zeros_like(p.w1), b1=np.zeros_like(p.b1),
-        w2=np.zeros_like(p.w2), b2=np.zeros_like(p.b2),
-        w_hop=np.zeros_like(p.w_hop), b_hop=np.zeros_like(p.b_hop),
-        w_bud=np.zeros_like(p.w_bud), b_bud=np.zeros_like(p.b_bud),
-        w_rel=np.zeros_like(p.w_rel), b_rel=np.zeros_like(p.b_rel),
-        w_val=np.zeros_like(p.w_val), b_val=np.zeros_like(p.b_val),
-    )
+    return PolicyParams(p.cfg)
 
 
 def init_policy_params(rng: np.random.Generator, cfg: PolicyConfig) -> PolicyParams:
@@ -117,75 +150,97 @@ def init_policy_params(rng: np.random.Generator, cfg: PolicyConfig) -> PolicyPar
     d = cfg.trunk_width
     s = cfg.state_dim
     hs = cfg.head_init_scale
-    return PolicyParams(
-        cfg=cfg,
-        gat=gat.init_gat_params(rng, cfg.obs_dim, cfg.gat_hidden, cfg.leaky_slope),
-        w1=glorot(s, d), b1=np.zeros(d),
-        w2=glorot(d, d), b2=np.zeros(d),
-        w_hop=glorot(d, NUM_PORTS, hs), b_hop=np.zeros(NUM_PORTS),
-        w_bud=glorot(d, NUM_BUDGETS, hs), b_bud=np.zeros(NUM_BUDGETS),
-        w_rel=glorot(d, NUM_RELAY, hs), b_rel=np.zeros(NUM_RELAY),
-        w_val=glorot(d, 1), b_val=np.zeros(1),
-    )
+    params = PolicyParams(cfg)  # biases start at zero
+    g = gat.init_gat_params(rng, cfg.obs_dim, cfg.gat_hidden, cfg.leaky_slope)
+    params.gat.w[...] = g.w
+    params.gat.attn[...] = g.attn
+    params.w1[...] = glorot(s, d)
+    params.w2[...] = glorot(d, d)
+    params.w_hop[...] = glorot(d, NUM_PORTS, hs)
+    params.w_bud[...] = glorot(d, NUM_BUDGETS, hs)
+    params.w_rel[...] = glorot(d, NUM_RELAY, hs)
+    params.w_val[...] = glorot(d, 1)
+    return params
 
 
-def masked_log_softmax(logits: np.ndarray, mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(log_probs, probs) with masked entries at -inf / exactly 0."""
-    if mask is None:
-        mask = np.ones(logits.shape, dtype=bool)
-    if not mask.any():
+@functools.cache
+def _segments(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """First column of each segment, and the segment of each column."""
+    return np.cumsum((0,) + sizes[:-1]), np.repeat(np.arange(len(sizes)), sizes)
+
+
+def masked_log_softmax(logits: np.ndarray, mask: np.ndarray | None = None,
+                       sizes: tuple[int, ...] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(log_probs, probs) over the last axis, masked entries at -inf / exactly 0.
+
+    With ``sizes`` the last axis holds consecutive categorical heads of those
+    sizes, each normalized on its own.  Every head needs an unmasked entry.
+    """
+    starts, head_of = _segments(sizes or (logits.shape[-1],))
+    if mask is not None:
+        logits = np.where(mask, logits, -np.inf)
+    m = np.maximum.reduceat(logits, starts, axis=-1)
+    if (m == -np.inf).any():
         raise ValueError("at least one action must be unmasked")
-    logp = np.full(logits.shape, -np.inf)
-    live = logits[mask]
-    m = live.max()
-    lse = m + math.log(np.exp(live - m).sum())
-    logp[mask] = logits[mask] - lse
-    probs = np.zeros(logits.shape)
-    probs[mask] = np.exp(logp[mask])
-    return logp, probs
+    lse = m + np.log(np.add.reduceat(np.exp(logits - m[..., head_of]), starts, axis=-1))
+    logp = logits - lse[..., head_of]
+    return logp, np.exp(logp)
 
 
-def categorical_entropy(probs: np.ndarray) -> float:
-    live = probs[probs > 0]
-    return float(-(live * np.log(live)).sum())
+def categorical_entropy(probs: np.ndarray) -> np.ndarray:
+    """Entropy over the last axis; zero-probability entries add nothing."""
+    return -(probs * np.log(np.where(probs > 0, probs, 1.0))).sum(axis=-1)
+
+
+@dataclass
+class StateBatch:
+    """B decision states: observation, padded attention subgraph, hop mask."""
+    obs: np.ndarray                  # (B, obs_dim)
+    features: np.ndarray             # (B, M, obs_dim) subgraph rows, center first
+    member_mask: np.ndarray | None   # (B, M) live members; None when none is padded
+    hop_mask: np.ndarray             # (B, NUM_PORTS) available ports
+
+    def __len__(self) -> int:
+        return self.obs.shape[0]
+
+    def __getitem__(self, idx) -> "StateBatch":
+        return StateBatch(self.obs[idx], self.features[idx],
+                          None if self.member_mask is None else self.member_mask[idx],
+                          self.hop_mask[idx])
 
 
 @dataclass
 class PolicyForward:
-    """Everything the backward pass and the PPO loss need from one state."""
-    state: np.ndarray
-    t1: np.ndarray
-    t2: np.ndarray
+    """Everything the backward pass and the PPO loss need from B states."""
+    state: np.ndarray       # (B, state_dim) [obs || embedding]
+    t1: np.ndarray          # (B, trunk_width)
+    t2: np.ndarray          # (B, trunk_width)
     gat_cache: GatCache
-    logits: dict[str, np.ndarray]
-    log_probs: dict[str, np.ndarray]
-    probs: dict[str, np.ndarray]
-    mask: np.ndarray
-    value: float
+    log_probs: np.ndarray   # (B, sum(HEAD_SIZES)) heads side by side, -inf where masked
+    probs: np.ndarray       # (B, sum(HEAD_SIZES)), 0 where masked
+    value: np.ndarray       # (B,)
+
+    def head(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """(log_probs, probs) of one head, (B, K) views."""
+        cols = HEAD_COLUMNS[name]
+        return self.log_probs[:, cols], self.probs[:, cols]
 
 
-def forward(params: PolicyParams, obs: np.ndarray, subgraph: SubgraphInput,
-            mask: np.ndarray) -> PolicyForward:
-    emb, cache = gat.forward(subgraph, params.gat)
-    s = np.concatenate([obs, emb])
-    t1 = np.tanh(s @ params.w1 + params.b1)
-    t2 = np.tanh(t1 @ params.w2 + params.b2)
-    logits = {
-        "hop": t2 @ params.w_hop + params.b_hop,
-        "budget": t2 @ params.w_bud + params.b_bud,
-        "relay": t2 @ params.w_rel + params.b_rel,
-    }
-    masks = {"hop": np.asarray(mask, dtype=bool), "budget": None, "relay": None}
-    log_probs, probs = {}, {}
-    for head, lg in logits.items():
-        lp, pr = masked_log_softmax(lg, masks[head])
-        log_probs[head] = lp
-        probs[head] = pr
-    value = float((t2 @ params.w_val + params.b_val)[0])
-    return PolicyForward(
-        state=s, t1=t1, t2=t2, gat_cache=cache, logits=logits,
-        log_probs=log_probs, probs=probs, mask=masks["hop"], value=value,
-    )
+def forward(params: PolicyParams, states: StateBatch) -> PolicyForward:
+    emb, cache = gat.forward(params.gat, states.features, states.member_mask)
+    s = np.concatenate([states.obs, emb], axis=1)
+    # np.dot rather than @: same product, less call overhead at B=1 (acting).
+    t1 = np.tanh(np.dot(s, params.w1) + params.b1)
+    t2 = np.tanh(np.dot(t1, params.w2) + params.b2)
+    # All heads and the value in one product: columns hop | budget | relay | value.
+    out = (np.dot(t2, np.concatenate([params.w_hop, params.w_bud, params.w_rel, params.w_val],
+                                     axis=1))
+           + np.concatenate([params.b_hop, params.b_bud, params.b_rel, params.b_val]))
+    mask = np.concatenate(
+        [states.hop_mask, np.ones((len(states), NUM_BUDGETS + NUM_RELAY), dtype=bool)], axis=1)
+    log_probs, probs = masked_log_softmax(out[:, :-1], mask, HEAD_SIZES)
+    return PolicyForward(state=s, t1=t1, t2=t2, gat_cache=cache,
+                         log_probs=log_probs, probs=probs, value=out[:, -1])
 
 
 def sample_categorical(rng: np.random.Generator, probs: np.ndarray) -> int:
@@ -199,73 +254,66 @@ def act(params: PolicyParams, obs: np.ndarray, subgraph: SubgraphInput,
         greedy: bool = False) -> tuple[JointAction, np.ndarray, float]:
     """Pick a joint action; returns (action, per-head log-probs, value).
 
-    Sampling mode needs an rng; greedy mode takes the argmax of each head
-    (ties resolved to the lowest index).
+    The B=1 case of ``forward``.  Sampling mode needs an rng; greedy mode
+    takes the argmax of each head (ties resolved to the lowest index).
     """
-    fwd = forward(params, obs, subgraph, mask)
+    if rng is None and not greedy:
+        raise ValueError("sampling mode requires an rng")
+    fwd = forward(params, StateBatch(obs[None], subgraph.features[None], None,
+                                     np.asarray(mask, dtype=bool)[None]))
     if greedy:
-        hop = int(np.argmax(fwd.probs["hop"]))
-        bud = int(np.argmax(fwd.probs["budget"]))
-        rel = int(np.argmax(fwd.probs["relay"]))
+        # max() keeps the first of equal entries: ties go to the lowest index.
+        row = fwd.probs[0].tolist()
+        choice = [max(range(c.start, c.stop), key=row.__getitem__) - c.start
+                  for c in HEAD_COLUMNS.values()]
     else:
-        if rng is None:
-            raise ValueError("sampling mode requires an rng")
-        hop = sample_categorical(rng, fwd.probs["hop"])
-        bud = sample_categorical(rng, fwd.probs["budget"])
-        rel = sample_categorical(rng, fwd.probs["relay"])
-    action = JointAction(hop=hop, budget_idx=bud, relay=rel)
-    logps = np.array([
-        fwd.log_probs["hop"][hop],
-        fwd.log_probs["budget"][bud],
-        fwd.log_probs["relay"][rel],
-    ])
-    return action, logps, fwd.value
+        choice = [sample_categorical(rng, fwd.probs[0, c]) for c in HEAD_COLUMNS.values()]
+    logps = fwd.log_probs[0, HEAD_OFFSETS + choice]
+    return JointAction(*choice), logps, float(fwd.value[0])
 
 
-def action_log_prob(fwd: PolicyForward, action: JointAction) -> float:
-    return float(
-        fwd.log_probs["hop"][action.hop]
-        + fwd.log_probs["budget"][action.budget_idx]
-        + fwd.log_probs["relay"][action.relay]
-    )
+def action_log_prob(fwd: PolicyForward, actions: np.ndarray) -> np.ndarray:
+    """Joint log-prob of (B, 3) actions [hop, budget index, relay]."""
+    rows = np.arange(len(actions))[:, None]
+    return fwd.log_probs[rows, actions + HEAD_OFFSETS].sum(axis=1)
 
 
-def joint_entropy(fwd: PolicyForward) -> float:
-    return (
-        categorical_entropy(fwd.probs["hop"])
-        + categorical_entropy(fwd.probs["budget"])
-        + categorical_entropy(fwd.probs["relay"])
-    )
+def joint_entropy(fwd: PolicyForward) -> np.ndarray:
+    """Sum of the three heads' entropies."""
+    return categorical_entropy(fwd.probs)
 
 
 def backward(params: PolicyParams, fwd: PolicyForward,
-             d_logits: dict[str, np.ndarray], d_value: float) -> PolicyParams:
-    """Backpropagate head-logit and value gradients into a grads container."""
+             d_logits: dict[str, np.ndarray], d_value: np.ndarray) -> PolicyParams:
+    """Backpropagate (B, K) head-logit and (B,) value gradients.
+
+    Returns the gradient summed over the batch, in a parameter container.
+    """
     g = zeros_like_params(params)
-    g.w_hop[...] = np.outer(fwd.t2, d_logits["hop"])
-    g.b_hop[...] = d_logits["hop"]
-    g.w_bud[...] = np.outer(fwd.t2, d_logits["budget"])
-    g.b_bud[...] = d_logits["budget"]
-    g.w_rel[...] = np.outer(fwd.t2, d_logits["relay"])
-    g.b_rel[...] = d_logits["relay"]
-    g.w_val[...] = (fwd.t2 * d_value)[:, None]
-    g.b_val[...] = d_value
+    d_hop, d_bud, d_rel = d_logits["hop"], d_logits["budget"], d_logits["relay"]
+    t2T = fwd.t2.T
+    g.w_hop[...] = t2T @ d_hop
+    g.b_hop[...] = d_hop.sum(axis=0)
+    g.w_bud[...] = t2T @ d_bud
+    g.b_bud[...] = d_bud.sum(axis=0)
+    g.w_rel[...] = t2T @ d_rel
+    g.b_rel[...] = d_rel.sum(axis=0)
+    g.w_val[...] = t2T @ d_value[:, None]
+    g.b_val[...] = d_value.sum()
 
     dt2 = (
-        params.w_hop @ d_logits["hop"]
-        + params.w_bud @ d_logits["budget"]
-        + params.w_rel @ d_logits["relay"]
-        + params.w_val[:, 0] * d_value
+        d_hop @ params.w_hop.T
+        + d_bud @ params.w_bud.T
+        + d_rel @ params.w_rel.T
+        + d_value[:, None] * params.w_val[:, 0]
     )
     dpre2 = dt2 * (1.0 - fwd.t2**2)
-    g.w2[...] = np.outer(fwd.t1, dpre2)
-    g.b2[...] = dpre2
-    dt1 = params.w2 @ dpre2
-    dpre1 = dt1 * (1.0 - fwd.t1**2)
-    g.w1[...] = np.outer(fwd.state, dpre1)
-    g.b1[...] = dpre1
-    ds = params.w1 @ dpre1
-    d_emb = ds[params.cfg.obs_dim:]
+    g.w2[...] = fwd.t1.T @ dpre2
+    g.b2[...] = dpre2.sum(axis=0)
+    dpre1 = (dpre2 @ params.w2.T) * (1.0 - fwd.t1**2)
+    g.w1[...] = fwd.state.T @ dpre1
+    g.b1[...] = dpre1.sum(axis=0)
+    d_emb = dpre1 @ params.w1[params.cfg.obs_dim:].T
     gg: GatGrads = gat.backward(params.gat, fwd.gat_cache, d_emb)
     g.gat.w[...] = gg.w
     g.gat.attn[...] = gg.attn
@@ -273,17 +321,15 @@ def backward(params: PolicyParams, fwd: PolicyForward,
 
 
 def grad_entropy_logits(probs: np.ndarray, log_probs: np.ndarray) -> np.ndarray:
-    """d(entropy)/d(logits) for a (possibly masked) categorical head."""
+    """d(entropy)/d(logits) over the last axis of a (possibly masked) head."""
     ent = categorical_entropy(probs)
-    out = np.zeros_like(probs)
-    live = probs > 0
-    out[live] = -probs[live] * (log_probs[live] + ent)
-    return out
+    return -probs * (np.where(probs > 0, log_probs, 0.0) + ent[..., None])
 
 
-def grad_log_prob_logits(probs: np.ndarray, action: int) -> np.ndarray:
-    out = -probs.copy()
-    out[action] += 1.0
+def grad_log_prob_logits(probs: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """d(log p[action])/d(logits) for (B, K) probs and (B,) actions."""
+    out = -probs
+    out[np.arange(len(actions)), actions] += 1.0
     return out
 
 
@@ -302,7 +348,8 @@ class Adam:
 
     def step(self, params: PolicyParams, grads: PolicyParams,
              max_grad_norm: float | None = 0.5) -> PolicyParams:
-        g = grads.to_vector()
+        """Return the stepped parameters; ``params`` itself is left as it was."""
+        g = grads.flat
         if max_grad_norm is not None:
             norm = float(np.linalg.norm(g))
             if norm > max_grad_norm and norm > 0:
@@ -311,12 +358,13 @@ class Adam:
             self.m = np.zeros_like(g)
             self.v = np.zeros_like(g)
         self.t += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * g
-        self.v = self.beta2 * self.v + (1 - self.beta2) * g * g
+        self.m *= self.beta1
+        self.m += (1 - self.beta1) * g
+        self.v *= self.beta2
+        self.v += (1 - self.beta2) * g * g
         mhat = self.m / (1 - self.beta1**self.t)
         vhat = self.v / (1 - self.beta2**self.t)
-        vec = params.to_vector() - self.lr * mhat / (np.sqrt(vhat) + self.eps)
-        return params.from_vector(vec)
+        return PolicyParams(params.cfg, params.flat - self.lr * mhat / (np.sqrt(vhat) + self.eps))
 
 
 def save_checkpoint(path, params: PolicyParams, hyper: dict | None = None,
@@ -334,16 +382,16 @@ def save_checkpoint(path, params: PolicyParams, hyper: dict | None = None,
     np.savez_compressed(
         path,
         meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8),
-        gat_w=params.gat.w, gat_attn=params.gat.attn,
-        w1=params.w1, b1=params.b1, w2=params.w2, b2=params.b2,
-        w_hop=params.w_hop, b_hop=params.b_hop,
-        w_bud=params.w_bud, b_bud=params.b_bud,
-        w_rel=params.w_rel, b_rel=params.b_rel,
-        w_val=params.w_val, b_val=params.b_val,
+        **params.arrays,
     )
 
 
 def load_checkpoint(path) -> tuple[PolicyParams, dict]:
+    """Load parameters and metadata, checking every array's shape.
+
+    The shapes must be those of the ``PolicyConfig`` the metadata describes;
+    a missing or misshapen array raises ``ValueError`` naming it.
+    """
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"].tobytes()).decode())
         if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
@@ -358,14 +406,13 @@ def load_checkpoint(path) -> tuple[PolicyParams, dict]:
             leaky_slope=float(meta["leaky_slope"]),
             head_init_scale=float(meta["head_init_scale"]),
         )
-        params = PolicyParams(
-            cfg=cfg,
-            gat=GatParams(data["gat_w"].copy(), data["gat_attn"].copy(), cfg.leaky_slope),
-            w1=data["w1"].copy(), b1=data["b1"].copy(),
-            w2=data["w2"].copy(), b2=data["b2"].copy(),
-            w_hop=data["w_hop"].copy(), b_hop=data["b_hop"].copy(),
-            w_bud=data["w_bud"].copy(), b_bud=data["b_bud"].copy(),
-            w_rel=data["w_rel"].copy(), b_rel=data["b_rel"].copy(),
-            w_val=data["w_val"].copy(), b_val=data["b_val"].copy(),
-        )
+        params = PolicyParams(cfg)
+        for name, view in params.arrays.items():
+            if name not in data.files:
+                raise ValueError(f"checkpoint has no array {name!r}")
+            arr = data[name]
+            if arr.shape != view.shape:
+                raise ValueError(f"checkpoint array {name!r} has shape {arr.shape}, "
+                                 f"expected {view.shape} for {cfg}")
+            view[...] = arr
     return params, meta

@@ -149,7 +149,7 @@ def test_criterion_04_gat_correctness():
 
     def fd_grads(inp, params, g, h=1e-5):
         def loss(p):
-            return float(g @ gat.embed(inp, p))
+            return float(g @ gat.forward(p, inp.features[None])[0][0])
 
         dw = np.zeros_like(params.w)
         for idx in np.ndindex(params.w.shape):
@@ -170,17 +170,17 @@ def test_criterion_04_gat_correctness():
         m = int(rng.integers(1, 6))
         params = init_gat_params(rng, 5, 6)
         inp = SubgraphInput(features=rng.normal(size=(m, 5)))
-        _, cache = gat.forward(inp, params)
+        _, cache = gat.forward(params, inp.features[None])
         if np.any(np.abs(cache.scores) < 1e-3):
             continue  # keep finite differences away from the LeakyReLU kink
         checked += 1
-        assert abs(cache.alpha.sum() - 1.0) < 1e-12
+        assert abs(cache.alpha[0].sum() - 1.0) < 1e-12
         o_alpha, o_out = oracle(inp, params)
-        assert np.max(np.abs(cache.alpha - o_alpha)) < 1e-10
-        assert np.max(np.abs(cache.out - o_out)) < 1e-10
+        assert np.max(np.abs(cache.alpha[0] - o_alpha)) < 1e-10
+        assert np.max(np.abs(cache.out[0] - o_out)) < 1e-10
 
         g = rng.normal(size=6)
-        grads = gat.backward(params, cache, g)
+        grads = gat.backward(params, cache, g[None])
         fd_w, fd_a = fd_grads(inp, params, g)
         for analytic, fd in ((grads.w, fd_w), (grads.attn, fd_a)):
             scale = max(np.max(np.abs(analytic)), np.max(np.abs(fd)), 1e-8)
@@ -226,7 +226,7 @@ def test_criterion_05_ppo_mechanics():
     params = init_policy_params(rng, s_cfg)
     buffer = _policy_rollout_buffer(params, s_cfg, rng, n=32, seg_len=8)
     hyper = PpoHyper(minibatch_size=16, epochs=2, learning_rate=1e-3)
-    samples = agent._flatten_buffer(buffer, hyper)
+    samples = agent.stack_buffer(buffer, hyper)
 
     # analytic gradient of the full loss vs central finite differences
     loss0, grads = ppo_loss_grads(params, samples[:12], hyper)

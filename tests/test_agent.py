@@ -1,7 +1,6 @@
-import math
-
 import numpy as np
 import pytest
+import reference_policy
 
 from leosem import agent
 from leosem import policy as pol
@@ -301,7 +300,7 @@ def test_full_loss_gradient_matches_finite_differences():
     params = init_policy_params(rng, S_CFG)
     buffer = synth_buffer(params, rng, n=12)
     hyper = PpoHyper(minibatch_size=12, epochs=1)
-    samples = agent._flatten_buffer(buffer, hyper)
+    samples = agent.stack_buffer(buffer, hyper)
     _fd_check(params, samples, hyper, tol=1e-3)
 
 
@@ -312,15 +311,12 @@ def test_full_loss_gradient_with_clipped_ratios():
     params = init_policy_params(rng, S_CFG)
     buffer = synth_buffer(params, rng, n=12)
     hyper = PpoHyper(minibatch_size=12, epochs=1, clip_ratio=0.2)
-    samples = agent._flatten_buffer(buffer, hyper)
+    samples = agent.stack_buffer(buffer, hyper)
     vec = params.to_vector()
     vec = vec + rng.normal(scale=0.05, size=vec.size)
     moved = params.from_vector(vec)
-    ratios = []
-    for s in samples:
-        fwd = pol.forward(moved, s.tr.obs, s.tr.subgraph, s.tr.mask)
-        ratios.append(math.exp(pol.action_log_prob(fwd, s.tr.action) - s.old_logp))
-    ratios = np.array(ratios)
+    fwd = pol.forward(moved, samples.states)
+    ratios = np.exp(pol.action_log_prob(fwd, samples.actions) - samples.old_logp)
     assert np.any((ratios < 0.8) | (ratios > 1.2)), "want some clipped samples"
     # keep a safe margin from the clip kink so finite differences are valid
     assert np.min(np.abs(np.stack([ratios - 0.8, ratios - 1.2]))) > 1e-3
@@ -355,3 +351,81 @@ def test_policy_controller_closes_trajectories():
         assert all(t.reward is not None for t in seg.transitions)
     assert set(tracker.session_returns) <= {o.session_id for o in engine.outcomes} \
         | {s.session_id for s in engine.unresolved_sessions()}
+
+
+def mixed_rollouts(params, rng, n=40):
+    """Buffer whose subgraphs have 1-5 members and whose hop masks vary."""
+    buffer = RolloutBuffer()
+    transitions = []
+    for i in range(n):
+        obs = rng.normal(size=S_CFG.obs_dim)
+        sub = SubgraphInput(features=rng.normal(size=(1 + i % 5, S_CFG.obs_dim)))
+        mask = rng.random(4) < 0.5
+        mask[rng.integers(4)] = True
+        action, logps, value = pol.act(params, obs, sub, mask, rng=rng)
+        transitions.append(Transition(obs=obs, subgraph=sub, mask=mask, action=action,
+                                      log_probs=logps, value=value,
+                                      reward=float(rng.normal()), done=i % 8 == 7))
+        if transitions[-1].done:
+            buffer.add(TrajectorySegment(transitions=transitions))
+            transitions = []
+    return buffer
+
+
+def test_batched_loss_and_gradient_match_per_sample_reference():
+    rng = np.random.default_rng(6)
+    params = init_policy_params(rng, S_CFG)
+    hyper = PpoHyper(clip_ratio=0.2)
+    batch = agent.stack_buffer(mixed_rollouts(params, rng), hyper)
+    assert batch.states.member_mask.sum(axis=1).tolist() == [1, 2, 3, 4, 5] * 8
+    # Move away from the behaviour policy so that some ratios clip.
+    moved = params.from_vector(params.to_vector() + rng.normal(scale=0.05, size=params.flat.size))
+    fwd = pol.forward(moved, batch.states)
+    ratios = np.exp(pol.action_log_prob(fwd, batch.actions) - batch.old_logp)
+    assert np.any((ratios < 0.8) | (ratios > 1.2)) and np.any(np.abs(ratios - 1) < 0.2)
+    for p in (params, moved):
+        loss, grads = ppo_loss_grads(p, batch, hyper)
+        ref_loss, ref_grads = reference_policy.loss_and_grads(p, batch, hyper)
+        scale = float(np.max(np.abs(ref_grads)))
+        assert np.max(np.abs(grads.flat - ref_grads)) <= 1e-12 * scale
+        assert abs(loss - ref_loss) <= 1e-12 * max(abs(ref_loss), 1.0)
+
+
+def test_nan_reward_raises_before_any_step():
+    rng = np.random.default_rng(7)
+    params = init_policy_params(rng, S_CFG)
+    buffer = synth_buffer(params, rng, n=16)
+    buffer.segments[1].transitions[2].reward = float("nan")
+    before = params.to_vector()
+    opt = pol.Adam(lr=1e-3)
+    with pytest.raises(FloatingPointError, match="advantage or return in trajectory segment 1"):
+        ppo_update(buffer, params, opt, PpoHyper(minibatch_size=8, epochs=2), rng)
+    assert opt.t == 0
+    assert np.array_equal(params.to_vector(), before)
+
+
+def test_inf_parameter_raises_before_any_step():
+    rng = np.random.default_rng(8)
+    params = init_policy_params(rng, S_CFG)
+    buffer = synth_buffer(params, rng, n=16)
+    params.w1[3, 2] = np.inf
+    before = params.to_vector()
+    opt = pol.Adam(lr=1e-3)
+    with pytest.raises(FloatingPointError, match="block 'w1'"):
+        ppo_update(buffer, params, opt, PpoHyper(minibatch_size=8, epochs=2), rng)
+    assert opt.t == 0
+    assert np.array_equal(params.to_vector(), before, equal_nan=True)
+
+
+def test_nonfinite_gradient_named_by_epoch_minibatch_and_block():
+    # Finite parameters whose value head is large enough for the backward
+    # pass to overflow: the guard stops the update at the first minibatch.
+    rng = np.random.default_rng(9)
+    params = init_policy_params(rng, S_CFG)
+    buffer = synth_buffer(params, rng, n=16)
+    params.w_val[...] = 1e300
+    opt = pol.Adam(lr=1e-3)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            FloatingPointError, match=r"block '\w+' at epoch 0, minibatch 0"):
+        ppo_update(buffer, params, opt, PpoHyper(minibatch_size=8, epochs=2), rng)
+    assert opt.t == 0

@@ -68,8 +68,27 @@ def test_budget_gain_keys_coerced_to_int():
 
 
 def test_seed_must_be_int():
-    with pytest.raises(ConfigError):
-        config_from_dict({"seed": "abc"})
+    for bad in ("abc", True):
+        with pytest.raises(ConfigError):
+            config_from_dict({"seed": bad})
+
+
+@pytest.mark.parametrize("name, value", [
+    ("minibatch_size", 0), ("epochs", 0), ("horizon", 0), ("trunk_width", 0),
+    ("gat_hidden", 0), ("learning_rate", 0.0), ("clip_ratio", 0.0),
+    ("max_grad_norm", -0.5), ("gamma", 1.01), ("gae_lambda", -0.1),
+    ("entropy_coef", -0.05), ("value_coef", -0.5), ("episodes", -1),
+    ("learning_rate", float("nan")),
+])
+def test_ppo_settings_out_of_range_rejected_by_name(name, value):
+    with pytest.raises(ConfigError, match=f"ppo: {name} must be"):
+        config_from_dict({"ppo": {name: value}})
+
+
+def test_ppo_settings_range_ends_accepted():
+    cfg = config_from_dict({"ppo": {"gamma": 0.0, "gae_lambda": 1.0, "entropy_coef": 0.0,
+                                    "value_coef": 0.0, "episodes": 0, "minibatch_size": 1}})
+    assert cfg.ppo.gamma == 0.0 and cfg.ppo.minibatch_size == 1
 
 
 def test_partial_overrides_keep_other_defaults():

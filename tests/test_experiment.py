@@ -129,6 +129,15 @@ def test_cmd_eval_checkpoint_config_mismatch(tmp_path):
         cmd_eval(narrow, t_out / "checkpoint.npz", tmp_path / "e", episodes=1)
 
 
+def test_cmd_sweep_checkpoint_config_mismatch(tmp_path):
+    cfg = fast_cfg(seed=31)
+    t_out = tmp_path / "t"
+    cmd_train(cfg, t_out, episodes=0)
+    wide = dataclasses.replace(cfg, ppo=dataclasses.replace(cfg.ppo, gat_hidden=32))
+    with pytest.raises(ValueError, match="mismatch"):
+        cmd_sweep(wide, "snr", [0.0], t_out / "checkpoint.npz", tmp_path / "s", episodes=1)
+
+
 def test_objective_degenerates_to_normalized_delay(tmp_path):
     cfg = fast_cfg(seed=31)
     cfg = dataclasses.replace(cfg, objective=dataclasses.replace(

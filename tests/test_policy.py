@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import reference_policy
 
 from leosem import policy as pol
 from leosem.gat import SubgraphInput
@@ -16,6 +17,10 @@ def rand_state(rng, members=3):
     sub = SubgraphInput(features=rng.normal(size=(members, CFG.obs_dim)))
     mask = np.array([True, True, False, True])
     return obs, sub, mask
+
+
+def one_state(obs, sub, mask):
+    return pol.StateBatch(obs[None], sub.features[None], None, mask[None])
 
 
 def test_masked_probs_sum_to_one_and_masked_zero():
@@ -46,12 +51,12 @@ def test_head_probabilities_normalized():
     rng = np.random.default_rng(1)
     params = init_policy_params(rng, CFG)
     obs, sub, mask = rand_state(rng)
-    fwd = pol.forward(params, obs, sub, mask)
+    fwd = pol.forward(params, one_state(obs, sub, mask))
     for head in ("hop", "budget", "relay"):
-        live = fwd.probs[head]
+        live = fwd.head(head)[1][0]
         assert live.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(live >= 0)
-    assert np.all(fwd.probs["hop"][~fwd.mask] == 0.0)
+    assert np.all(fwd.head("hop")[1][0][~mask] == 0.0)
 
 
 def test_sampling_reproducible_under_seed():
@@ -87,11 +92,11 @@ def test_joint_log_prob_is_head_sum():
     rng = np.random.default_rng(5)
     params = init_policy_params(rng, CFG)
     obs, sub, mask = rand_state(rng)
-    fwd = pol.forward(params, obs, sub, mask)
-    action = JointAction(hop=1, budget_idx=2, relay=0)
-    expected = (fwd.log_probs["hop"][1] + fwd.log_probs["budget"][2]
-                + fwd.log_probs["relay"][0])
-    assert pol.action_log_prob(fwd, action) == pytest.approx(expected, abs=1e-15)
+    fwd = pol.forward(params, one_state(obs, sub, mask))
+    expected = (fwd.head("hop")[0][0, 1] + fwd.head("budget")[0][0, 2]
+                + fwd.head("relay")[0][0, 0])
+    assert pol.action_log_prob(fwd, np.array([[1, 2, 0]]))[0] == pytest.approx(
+        expected, abs=1e-15)
 
 
 def test_entropy_bounds():
@@ -99,9 +104,9 @@ def test_entropy_bounds():
     params = init_policy_params(rng, CFG)
     for _ in range(20):
         obs, sub, mask = rand_state(rng)
-        fwd = pol.forward(params, obs, sub, mask)
+        fwd = pol.forward(params, one_state(obs, sub, mask))
         for head, k in (("hop", 4), ("budget", 3), ("relay", 2)):
-            h = pol.categorical_entropy(fwd.probs[head])
+            h = pol.categorical_entropy(fwd.head(head)[1][0])
             assert 0.0 <= h <= math.log(k) + 1e-12
 
 
@@ -163,4 +168,35 @@ def test_checkpoint_version_mismatch(tmp_path):
     data["meta"] = _np.frombuffer(json.dumps(meta).encode(), dtype=_np.uint8)
     _np.savez(path, **data)
     with pytest.raises(ValueError):
+        load_checkpoint(path)
+
+
+def test_act_matches_per_sample_reference():
+    rng = np.random.default_rng(12)
+    params = init_policy_params(rng, CFG)
+    for i in range(20):
+        obs, sub, _ = rand_state(rng, members=1 + i % 5)
+        mask = rng.random(4) < 0.5
+        mask[i % 4] = True
+        ref = reference_policy.policy_forward(params, obs, sub.features, mask)
+        for greedy in (True, False):
+            action, logps, value = pol.act(params, obs, sub, mask,
+                                           rng=np.random.default_rng(i), greedy=greedy)
+            chosen = (action.hop, action.budget_idx, action.relay)
+            expect = [ref["log_probs"][head][a] for head, a in zip(pol.HEADS, chosen)]
+            assert np.max(np.abs(logps - expect)) <= 1e-12
+            assert abs(value - ref["value"]) <= 1e-12
+            if greedy:
+                assert chosen == tuple(int(np.argmax(ref["probs"][head])) for head in pol.HEADS)
+
+
+def test_checkpoint_with_reshaped_array_rejected(tmp_path):
+    rng = np.random.default_rng(13)
+    params = init_policy_params(rng, CFG)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, params)
+    data = dict(np.load(path))
+    data["w1"] = data["w1"].T
+    np.savez(path, **data)
+    with pytest.raises(ValueError, match=r"array 'w1' has shape \(12, 16\), expected \(16, 12\)"):
         load_checkpoint(path)
