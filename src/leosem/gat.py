@@ -151,7 +151,8 @@ def backward(params: GatParams, cache: GatCache, grad_out: np.ndarray) -> GatGra
 
 
 def _elu(x: np.ndarray) -> np.ndarray:
-    return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
+    # expm1(x) >= x, so the maximum picks x above 0 and expm1(x) below.
+    return np.maximum(x, np.expm1(np.minimum(x, 0.0)))
 
 
 def _elu_grad(x: np.ndarray) -> np.ndarray:

@@ -259,16 +259,15 @@ def act(params: PolicyParams, obs: np.ndarray, subgraph: SubgraphInput,
     """
     if rng is None and not greedy:
         raise ValueError("sampling mode requires an rng")
-    fwd = forward(params, StateBatch(obs[None], subgraph.features[None], None,
-                                     np.asarray(mask, dtype=bool)[None]))
+    fwd = forward(params, StateBatch(obs[None], subgraph.features[None], None, mask[None]))
     if greedy:
-        # max() keeps the first of equal entries: ties go to the lowest index.
         row = fwd.probs[0].tolist()
-        choice = [max(range(c.start, c.stop), key=row.__getitem__) - c.start
-                  for c in HEAD_COLUMNS.values()]
+        # list.index finds the first of equal maxima: ties go to the lowest index.
+        choice = [row[c].index(max(row[c])) for c in HEAD_COLUMNS.values()]
     else:
         choice = [sample_categorical(rng, fwd.probs[0, c]) for c in HEAD_COLUMNS.values()]
-    logps = fwd.log_probs[0, HEAD_OFFSETS + choice]
+    logp_row = fwd.log_probs[0].tolist()
+    logps = np.array([logp_row[c.start + a] for c, a in zip(HEAD_COLUMNS.values(), choice)])
     return JointAction(*choice), logps, float(fwd.value[0])
 
 
