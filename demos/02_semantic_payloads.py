@@ -8,7 +8,7 @@ demonstrates loading a measured (snr, C) -> quality calibration table.
 import pathlib
 
 from leosem import QualityProxyConfig, SemanticState, packetize, quality
-from leosem.semantic import BUDGET_SET, CalibrationTable, record_hop, relay_process
+from leosem.semantic import BUDGET_SET, record_hop, relay_process
 
 cfg = QualityProxyConfig()
 
@@ -40,8 +40,7 @@ for snr in (-5, 0, 3, 6, 10, 15):
     print(f"  {snr:+6d}  " + "  ".join(f"{q:.3f}" for q in row))
 
 cal_path = pathlib.Path(__file__).parent / "data" / "calibration_example.csv"
-table = CalibrationTable.from_csv(cal_path)
-cal_cfg = QualityProxyConfig(calibration=table)
+cal_cfg = QualityProxyConfig(calibration_table=str(cal_path))
 print(f"\nwith the example calibration table ({cal_path.name}):")
 for snr in (-2, 4, 12):
     s = SemanticState(session_id=0, budget_c=96, min_link_snr_db=snr)

@@ -124,6 +124,7 @@ def observe(view: DecisionView) -> tuple[np.ndarray, SubgraphInput, np.ndarray]:
 
 @dataclass(frozen=True)
 class RewardConfig:
+    """Reward weights; the ``reward`` section of an experiment config."""
     w_hop: float = 1.0
     w_delay: float = 0.2
     w_queue: float = 0.2
@@ -236,7 +237,8 @@ def clipped_surrogate(ratio, advantage, eps: float):
 # PPO update
 
 @dataclass(frozen=True)
-class PpoHyper:
+class PpoSettings:
+    """PPO and network-width settings; the ``ppo`` section of an experiment config."""
     learning_rate: float = 5e-5
     gamma: float = 0.99
     gae_lambda: float = 0.95
@@ -246,7 +248,24 @@ class PpoHyper:
     minibatch_size: int = 128
     entropy_coef: float = 0.05
     value_coef: float = 0.5
+    trunk_width: int = 128
+    gat_hidden: int = 64
     max_grad_norm: float = 0.5
+    episodes: int = 300
+
+    def __post_init__(self):
+        for name in ("minibatch_size", "epochs", "horizon", "trunk_width", "gat_hidden"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("learning_rate", "clip_ratio", "max_grad_norm"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
+        for name in ("gamma", "gae_lambda"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must be in [0, 1]")
+        for name in ("entropy_coef", "value_coef", "episodes"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass
@@ -269,7 +288,7 @@ class RolloutBatch:
                             self.advantage[idx], self.ret[idx])
 
 
-def stack_buffer(buffer: RolloutBuffer, hyper: PpoHyper) -> RolloutBatch:
+def stack_buffer(buffer: RolloutBuffer, hyper: PpoSettings) -> RolloutBatch:
     """GAE per segment, then every transition stacked into one batch.
 
     Raises ``FloatingPointError`` on a non-finite advantage or return.
@@ -311,19 +330,19 @@ class _LossTerms:
     entropy: np.ndarray    # joint entropy of the three heads
     v_err: np.ndarray      # value minus return
 
-    def mean_loss(self, hyper: PpoHyper) -> float:
+    def mean_loss(self, hyper: PpoSettings) -> float:
         return float(np.mean(-self.surr + hyper.value_coef * self.v_err**2
                              - hyper.entropy_coef * self.entropy))
 
 
-def _loss_terms(params: PolicyParams, batch: RolloutBatch, hyper: PpoHyper) -> _LossTerms:
+def _loss_terms(params: PolicyParams, batch: RolloutBatch, hyper: PpoSettings) -> _LossTerms:
     fwd = pol.forward(params, batch.states)
     ratio = np.exp(pol.action_log_prob(fwd, batch.actions) - batch.old_logp)
     return _LossTerms(fwd, ratio, clipped_surrogate(ratio, batch.advantage, hyper.clip_ratio),
                       pol.joint_entropy(fwd), fwd.value - batch.ret)
 
 
-def _mean_grads(params: PolicyParams, batch: RolloutBatch, hyper: PpoHyper,
+def _mean_grads(params: PolicyParams, batch: RolloutBatch, hyper: PpoSettings,
                 terms: _LossTerms) -> PolicyParams:
     """Gradient of the mean loss: one backward pass over the whole batch."""
     adv, ratio, fwd = batch.advantage, terms.ratio, terms.fwd
@@ -341,12 +360,12 @@ def _mean_grads(params: PolicyParams, batch: RolloutBatch, hyper: PpoHyper,
     return grads
 
 
-def ppo_loss(params: PolicyParams, batch: RolloutBatch, hyper: PpoHyper) -> float:
+def ppo_loss(params: PolicyParams, batch: RolloutBatch, hyper: PpoSettings) -> float:
     return _loss_terms(params, batch, hyper).mean_loss(hyper)
 
 
 def ppo_loss_grads(params: PolicyParams, batch: RolloutBatch,
-                   hyper: PpoHyper) -> tuple[float, PolicyParams]:
+                   hyper: PpoSettings) -> tuple[float, PolicyParams]:
     """Mean loss over the batch and its gradient."""
     terms = _loss_terms(params, batch, hyper)
     return terms.mean_loss(hyper), _mean_grads(params, batch, hyper, terms)
@@ -363,7 +382,7 @@ class UpdateStats:
 
 
 def ppo_update(buffer: RolloutBuffer, params: PolicyParams, optimizer: pol.Adam,
-               hyper: PpoHyper, rng: np.random.Generator) -> tuple[PolicyParams, UpdateStats]:
+               hyper: PpoSettings, rng: np.random.Generator) -> tuple[PolicyParams, UpdateStats]:
     """Clipped-surrogate update over the buffered rollouts; clears the buffer.
 
     Each minibatch is one batched forward, one backward and one optimizer

@@ -40,15 +40,6 @@ class ChannelConfig:
             raise ValueError("bandwidth_hz must be > 0")
 
 
-@dataclass(frozen=True)
-class LinkState:
-    edge: tuple[int, int]
-    jitter_db: float
-    snr_db: float
-    rate_bps: float
-    available: bool
-
-
 def link_rate(snr_db: float | np.ndarray, bandwidth_hz: float) -> float | np.ndarray:
     """Shannon capacity in bits/second for an SNR given in dB."""
     return bandwidth_hz * np.log2(1.0 + 10.0 ** (np.asarray(snr_db, dtype=float) / 10.0))
@@ -129,15 +120,3 @@ class ChannelModel:
         self._ensure_time(time_s)
         idx = [self._edge_pos[(e[0], e[1])] for e in edges]
         return self.available[idx]
-
-    def link_state(self, edge: tuple[int, int], distance_km: float, time_s: float) -> LinkState:
-        self._ensure_time(time_s)
-        k = self._edge_pos[edge]
-        snr = self.link_snr(edge, distance_km, time_s)
-        return LinkState(
-            edge=edge,
-            jitter_db=float(self.jitter_db[k]),
-            snr_db=snr,
-            rate_bps=float(link_rate(snr, self.cfg.bandwidth_hz)),
-            available=bool(self.available[k]),
-        )

@@ -1,8 +1,11 @@
 """Experiment configuration: defaults, strict YAML parsing, round-trip.
 
-Field names carry explicit units.  Unknown keys are rejected with the
-full key path so typos surface immediately, and parse -> serialize ->
-parse is the identity.
+Each YAML section is the dataclass its module uses (``proxy`` is
+``semantic.QualityProxyConfig``, ``reward`` is ``agent.RewardConfig``, ...),
+so loading validates everything the run will use.  Field names carry
+explicit units.  Unknown keys, values of the wrong type and out-of-range
+values are rejected with a ``ConfigError`` naming the section, and
+parse -> serialize -> parse is the identity.
 """
 from __future__ import annotations
 
@@ -12,8 +15,10 @@ from dataclasses import dataclass, field, fields
 
 import yaml
 
+from .agent import PpoSettings, RewardConfig
 from .channel import ChannelConfig
 from .constellation import ConstellationConfig
+from .semantic import QualityProxyConfig
 from .simcore import C0_KM_S
 
 
@@ -38,70 +43,14 @@ class SimulationConfig:
     flow_min_grid_hops: int = 1
 
     def __post_init__(self):
-        if self.slot_length_s <= 0:
-            raise ConfigError("slot_length_s must be > 0")
-        if self.q_max_packets < 1:
-            raise ConfigError("q_max_packets must be >= 1")
-        if self.ttl_hops < 1:
-            raise ConfigError("ttl_hops must be >= 1")
-        if self.num_flows < 0:
-            raise ConfigError("num_flows must be >= 0")
-
-
-@dataclass(frozen=True)
-class ProxyConfig:
-    snr_midpoint_db: float = 3.0
-    snr_slope_per_db: float = 0.3
-    budget_gain: dict[int, float] = field(
-        default_factory=lambda: {64: 0.80, 96: 0.92, 128: 1.0})
-    per_hop_distortion: float = 0.05
-    requant_penalty: float = 0.05
-    relay_recovery: float = 0.5
-    noise_floor: float = 0.25
-    noise_span: float = 1.75
-    noise_slope_per_db: float = 0.25
-    base_latent_bytes: int = 1_117_200
-    calibration_table: str | None = None
-
-
-@dataclass(frozen=True)
-class RewardSettings:
-    w_hop: float = 1.0
-    w_delay: float = 0.2
-    w_queue: float = 0.2
-    w_loop: float = 1.0
-    r_succ: float = 10.0
-    r_fail: float = 5.0
-    beta_sem: float = 1.0
-
-
-@dataclass(frozen=True)
-class PpoSettings:
-    learning_rate: float = 5e-5
-    gamma: float = 0.99
-    gae_lambda: float = 0.95
-    horizon: int = 256
-    clip_ratio: float = 0.2
-    epochs: int = 4
-    minibatch_size: int = 128
-    entropy_coef: float = 0.05
-    value_coef: float = 0.5
-    trunk_width: int = 128
-    gat_hidden: int = 64
-    max_grad_norm: float = 0.5
-    episodes: int = 300
-
-    def __post_init__(self):
-        for name in ("minibatch_size", "epochs", "horizon", "trunk_width", "gat_hidden"):
-            if not getattr(self, name) >= 1:
-                raise ConfigError(f"{name} must be >= 1")
-        for name in ("learning_rate", "clip_ratio", "max_grad_norm"):
+        for name in ("slot_length_s", "episode_length_s"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be > 0")
-        for name in ("gamma", "gae_lambda"):
-            if not 0 <= getattr(self, name) <= 1:
-                raise ConfigError(f"{name} must be in [0, 1]")
-        for name in ("entropy_coef", "value_coef", "episodes"):
+        for name in ("q_max_packets", "ttl_hops", "chunk_bytes"):
+            if not getattr(self, name) >= 1:
+                raise ConfigError(f"{name} must be >= 1")
+        for name in ("num_flows", "sessions_per_flow", "frame_interval_s",
+                     "relay_proc_delay_s", "session_latent_bytes", "flow_min_grid_hops"):
             if not getattr(self, name) >= 0:
                 raise ConfigError(f"{name} must be >= 0")
 
@@ -124,8 +73,8 @@ class ExperimentConfig:
     constellation: ConstellationConfig = field(default_factory=ConstellationConfig)
     channel: ChannelConfig = field(default_factory=ChannelConfig)
     simulation: SimulationConfig = field(default_factory=SimulationConfig)
-    proxy: ProxyConfig = field(default_factory=ProxyConfig)
-    reward: RewardSettings = field(default_factory=RewardSettings)
+    proxy: QualityProxyConfig = field(default_factory=QualityProxyConfig)
+    reward: RewardConfig = field(default_factory=RewardConfig)
     ppo: PpoSettings = field(default_factory=PpoSettings)
     objective: ObjectiveConfig = field(default_factory=ObjectiveConfig)
     seed: int = 0
@@ -154,27 +103,60 @@ _SECTION_TYPES = {
     "constellation": ConstellationConfig,
     "channel": ChannelConfig,
     "simulation": SimulationConfig,
-    "proxy": ProxyConfig,
-    "reward": RewardSettings,
+    "proxy": QualityProxyConfig,
+    "reward": RewardConfig,
     "ppo": PpoSettings,
     "objective": ObjectiveConfig,
 }
 
 
+def _is_finite_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _checked(name: str, annotation: str, value):
+    """``value`` checked against the field annotation; raises ``ValueError``
+    naming the field.  ``budget_gain`` keys given as strings become ints."""
+    if value is None and annotation.endswith("| None"):
+        return value
+    kind = annotation.split("|")[0].strip()
+    if kind == "int":
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    elif kind == "float":
+        if not _is_finite_number(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+    elif kind == "str":
+        if not isinstance(value, str):
+            raise ValueError(f"{name} must be a string, got {value!r}")
+    elif kind == "dict[int, float]":
+        if not isinstance(value, dict):
+            raise ValueError(f"{name} must be a mapping, got {value!r}")
+        out = {}
+        for key, gain in value.items():
+            if isinstance(key, str) and key.strip().isdecimal():
+                key = int(key)
+            _checked(f"{name} key", "int", key)
+            out[key] = _checked(f"{name}[{key}]", "float", gain)
+        return out
+    return value
+
+
 def _build_section(cls, data: dict, path: str):
-    known = {f.name: f for f in fields(cls)}
+    known = {f.name: f.type for f in fields(cls)}
     unknown = set(data) - set(known)
     if unknown:
-        raise ConfigError(f"unknown field(s) at {path}: {sorted(unknown)}; "
+        raise ConfigError(f"unknown field(s) at {path}: {sorted(unknown, key=str)}; "
                           f"expected a subset of {sorted(known)}")
-    kwargs = {}
-    for name, value in data.items():
-        if name == "budget_gain" and isinstance(value, dict):
-            value = {int(k): float(v) for k, v in value.items()}
-        kwargs[name] = value
     try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
+        return cls(**{name: _checked(name, known[name], value)
+                      for name, value in data.items()})
+    except (TypeError, ValueError, OSError) as exc:
         raise ConfigError(f"invalid section {path}: {exc}") from exc
 
 
@@ -183,7 +165,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError("top-level config must be a mapping")
     unknown = set(data) - set(_SECTION_TYPES) - {"seed"}
     if unknown:
-        raise ConfigError(f"unknown top-level field(s): {sorted(unknown)}")
+        raise ConfigError(f"unknown top-level field(s): {sorted(unknown, key=str)}")
     kwargs = {}
     for name, cls in _SECTION_TYPES.items():
         section = data.get(name, {})

@@ -102,9 +102,6 @@ class GraphSnapshot:
     def available_edges(self) -> list[Edge]:
         return [e for e in self.edges if e.available]
 
-    def out_edges(self, node: int) -> list[Edge]:
-        return [e for e in self.edges if e.src == node]
-
     def edge(self, node: int, port: int) -> Edge | None:
         return self._by_src_port.get((node, port))
 

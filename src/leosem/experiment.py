@@ -16,15 +16,14 @@ import pathlib
 import numpy as np
 
 from . import metrics, policy as pol
-from .agent import (FEATURE_DIM, PolicyController, PpoHyper, RewardConfig,
-                    RewardTracker, RolloutBuffer, ppo_update)
+from .agent import (FEATURE_DIM, PolicyController, PpoSettings, RewardTracker,
+                    RolloutBuffer, ppo_update)
 from .baselines import BaselineSpec, make_baseline_controller
 from .channel import ChannelModel
 from .config import ExperimentConfig, save_config
 from .constellation import build_constellation, grid_hop_distance
 from .metrics import MetricsBundle, SessionRecord, aggregate
 from .policy import PolicyConfig, PolicyParams
-from .semantic import CalibrationTable, QualityProxyConfig
 from .simcore import ActiveSession, Engine
 
 # Stream tags for seed derivation.
@@ -56,40 +55,10 @@ def stream_rng(*parts: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(list(parts)))
 
 
-def make_proxy_config(cfg: ExperimentConfig) -> QualityProxyConfig:
-    p = cfg.proxy
-    table = CalibrationTable.from_csv(p.calibration_table) if p.calibration_table else None
-    return QualityProxyConfig(
-        snr_midpoint_db=p.snr_midpoint_db,
-        snr_slope_per_db=p.snr_slope_per_db,
-        budget_gain=dict(p.budget_gain),
-        per_hop_distortion=p.per_hop_distortion,
-        requant_penalty=p.requant_penalty,
-        relay_recovery=p.relay_recovery,
-        noise_floor=p.noise_floor,
-        noise_span=p.noise_span,
-        noise_slope_per_db=p.noise_slope_per_db,
-        base_latent_bytes=p.base_latent_bytes,
-        chunk_bytes=cfg.simulation.chunk_bytes,
-        calibration=table,
-    )
-
-
-def make_reward_config(cfg: ExperimentConfig) -> RewardConfig:
-    r = cfg.reward
-    return RewardConfig(w_hop=r.w_hop, w_delay=r.w_delay, w_queue=r.w_queue,
-                        w_loop=r.w_loop, r_succ=r.r_succ, r_fail=r.r_fail,
-                        beta_sem=r.beta_sem)
-
-
-def make_ppo_hyper(cfg: ExperimentConfig) -> PpoHyper:
-    p = cfg.ppo
-    return PpoHyper(
-        learning_rate=p.learning_rate, gamma=p.gamma, gae_lambda=p.gae_lambda,
-        horizon=p.horizon, clip_ratio=p.clip_ratio, epochs=p.epochs,
-        minibatch_size=p.minibatch_size, entropy_coef=p.entropy_coef,
-        value_coef=p.value_coef, max_grad_norm=p.max_grad_norm,
-    )
+def make_ppo_hyper(cfg: ExperimentConfig) -> PpoSettings:
+    # The ppo section is the update's settings; kept for the checkpoint
+    # rebuild script under perfbench/, which imports it by this name.
+    return cfg.ppo
 
 
 def make_policy_config(cfg: ExperimentConfig) -> PolicyConfig:
@@ -124,8 +93,9 @@ def run_episode(cfg: ExperimentConfig, episode: int, controller, hooks,
     channel = ChannelModel(channel_cfg, constellation.edge_index,
                            cfg.simulation.slot_length_s)
     engine = Engine(
-        constellation, channel, controller, make_proxy_config(cfg),
+        constellation, channel, controller, cfg.proxy,
         slot_length_s=cfg.simulation.slot_length_s,
+        chunk_bytes=cfg.simulation.chunk_bytes,
         q_max=cfg.simulation.q_max_packets,
         ttl_hops=cfg.simulation.ttl_hops,
         relay_proc_delay_s=cfg.simulation.relay_proc_delay_s,
@@ -177,11 +147,9 @@ def train(cfg: ExperimentConfig, episodes: int | None = None,
           trace=None) -> TrainResult:
     """Rollout/update loop over seeded episodes with a shared policy."""
     episodes = cfg.ppo.episodes if episodes is None else episodes
-    hyper = make_ppo_hyper(cfg)
-    reward_cfg = make_reward_config(cfg)
     params = pol.init_policy_params(
         stream_rng(cfg.seed, _STREAM_POLICY_INIT), make_policy_config(cfg))
-    optimizer = pol.Adam(lr=hyper.learning_rate)
+    optimizer = pol.Adam(lr=cfg.ppo.learning_rate)
     buffer = RolloutBuffer()
     action_rng = stream_rng(cfg.seed, _STREAM_ACTIONS)
     shuffle_rng = stream_rng(cfg.seed, _STREAM_MINIBATCH)
@@ -194,7 +162,7 @@ def train(cfg: ExperimentConfig, episodes: int | None = None,
 
     for ep in range(episodes):
         controller = PolicyController(params, rng=action_rng, greedy=False, buffer=buffer)
-        tracker = RewardTracker(reward_cfg, cfg.simulation.slot_length_s,
+        tracker = RewardTracker(cfg.reward, cfg.simulation.slot_length_s,
                                 sink=controller.record_reward)
         engine = run_episode(cfg, ep, controller, [tracker], trace=trace)
         controller.finalize_truncated()
@@ -202,8 +170,8 @@ def train(cfg: ExperimentConfig, episodes: int | None = None,
         all_records.extend(records)
 
         transitions = sum(r.decision_count for r in records)
-        if len(buffer) >= hyper.horizon:
-            params, last_stats = ppo_update(buffer, params, optimizer, hyper, shuffle_rng)
+        if len(buffer) >= cfg.ppo.horizon:
+            params, last_stats = ppo_update(buffer, params, optimizer, cfg.ppo, shuffle_rng)
             updates += 1
 
         ep_bundle = aggregate(records, delay_scale, cfg.objective.lambda_delay,
@@ -238,7 +206,6 @@ def evaluate(cfg: ExperimentConfig, params: PolicyParams | None, episodes: int,
              collect_queue_log: bool = False
              ) -> tuple[MetricsBundle, list[SessionRecord], list[Engine]]:
     """Greedy evaluation (or a baseline run) over paired seeded episodes."""
-    reward_cfg = make_reward_config(cfg)
     records: list[SessionRecord] = []
     engines: list[Engine] = []
     for ep in range(episodes):
@@ -249,7 +216,7 @@ def evaluate(cfg: ExperimentConfig, params: PolicyParams | None, episodes: int,
         else:
             controller = make_baseline_controller(
                 baseline, stream_rng(cfg.seed, _STREAM_BASELINE, ep), params=params)
-        tracker = RewardTracker(reward_cfg, cfg.simulation.slot_length_s)
+        tracker = RewardTracker(cfg.reward, cfg.simulation.slot_length_s)
         engine = run_episode(cfg, ep, controller, [tracker], trace=trace,
                              collect_queue_log=collect_queue_log)
         records.extend(_episode_records(ep, engine, tracker))
@@ -342,7 +309,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir, episodes: int | None = None,
             trace_fh.close()
     ckpt = out / "checkpoint.npz"
     pol.save_checkpoint(ckpt, result.params,
-                        hyper=dataclasses.asdict(make_ppo_hyper(cfg)), seed=cfg.seed)
+                        hyper=dataclasses.asdict(cfg.ppo), seed=cfg.seed)
     metrics.write_rows_csv(out / "curve.csv", CURVE_COLUMNS, result.curve)
     metrics.write_sessions_csv(out / "sessions.csv", result.records)
     metrics.write_metrics_json(out / "metrics.json", result.bundle)

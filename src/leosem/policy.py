@@ -21,12 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gat
+from .constellation import NUM_PORTS
 from .gat import GatCache, GatGrads, GatParams, SubgraphInput
 from .semantic import BUDGET_SET
 
 CHECKPOINT_FORMAT_VERSION = 1
 
-NUM_PORTS = 4
 NUM_BUDGETS = len(BUDGET_SET)
 NUM_RELAY = 2
 # Head order of the per-head log-probs and of a (B, 3) action array.

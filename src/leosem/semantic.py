@@ -73,6 +73,8 @@ class CalibrationTable:
                 )
             for row in reader:
                 points[(float(row["snr_db"]), float(row["channel_c"]))] = float(row["quality"])
+        if not points:
+            raise ValueError(f"calibration table {path} has no rows")
         snrs = np.array(sorted({k[0] for k in points}))
         buds = np.array(sorted({k[1] for k in points}))
         values = np.empty((len(snrs), len(buds)))
@@ -111,6 +113,11 @@ class CalibrationTable:
 
 @dataclass(frozen=True)
 class QualityProxyConfig:
+    """Quality-proxy parameters; the ``proxy`` section of an experiment config.
+
+    ``calibration_table`` is the path of a measured (snr, C) -> quality CSV
+    (see ``CalibrationTable``); it is read once, on construction.
+    """
     snr_midpoint_db: float = 3.0
     snr_slope_per_db: float = 0.3
     budget_gain: dict[int, float] = field(
@@ -123,16 +130,22 @@ class QualityProxyConfig:
     noise_span: float = 1.75
     noise_slope_per_db: float = 0.25
     base_latent_bytes: int = DEFAULT_BASE_LATENT_BYTES
-    chunk_bytes: int = DEFAULT_CHUNK_BYTES
-    calibration: CalibrationTable | None = None
+    calibration_table: str | None = None
 
     def __post_init__(self):
-        gains = [self.budget_gain[c] for c in sorted(self.budget_gain)]
+        if sorted(self.budget_gain) != list(BUDGET_SET):
+            raise ValueError(f"budget_gain keys must be exactly {list(BUDGET_SET)}")
+        gains = [self.budget_gain[c] for c in BUDGET_SET]
         if any(b - a < 0 for a, b in zip(gains, gains[1:])):
             raise ValueError("budget_gain must be nondecreasing in C")
         for name in ("per_hop_distortion", "requant_penalty"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        table = None
+        if self.calibration_table is not None:
+            table = CalibrationTable.from_csv(self.calibration_table)
+        # Not a field: equality, asdict and the YAML see only the path.
+        object.__setattr__(self, "calibration", table)
 
 
 @dataclass(frozen=True)

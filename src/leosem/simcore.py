@@ -225,7 +225,6 @@ class DecisionView:
     ttl_max: int
     constellation: Constellation
     is_source: bool
-    chunk_bytes: int = 1200
 
 
 class SimHooks:
@@ -270,7 +269,9 @@ class Engine:
     def __init__(self, constellation: Constellation, channel: ChannelModel,
                  controller, proxy_cfg: QualityProxyConfig,
                  slot_length_s: float = 0.1, q_max: int = 600, ttl_hops: int = 16,
-                 relay_proc_delay_s: float = 0.005, hooks: list[SimHooks] | None = None,
+                 relay_proc_delay_s: float = 0.005,
+                 chunk_bytes: int = semantic.DEFAULT_CHUNK_BYTES,
+                 hooks: list[SimHooks] | None = None,
                  trace=None, collect_queue_log: bool = False):
         self.constellation = constellation
         self.channel = channel
@@ -280,6 +281,7 @@ class Engine:
         self.q_max = q_max
         self.ttl_hops = ttl_hops
         self.relay_proc_delay_s = relay_proc_delay_s
+        self.chunk_bytes = chunk_bytes
         self.hooks = hooks or []
         self.trace = trace
         self.collect_queue_log = collect_queue_log
@@ -439,7 +441,6 @@ class Engine:
             snapshot=self.snapshot, mask=mask, occupancy=self.occupancy,
             q_max=self.q_max, ttl_max=self.ttl_hops,
             constellation=self.constellation, is_source=session.decision_count == 0,
-            chunk_bytes=self.proxy_cfg.chunk_bytes,
         )
         action: JointAction = self.controller.decide(view)
         if not mask[action.hop]:
@@ -454,7 +455,7 @@ class Engine:
             session.sem = semantic.SemanticState(
                 session_id=session.session_id, budget_c=action.budget_c)
             plan = semantic.packetize(
-                session.latent_bytes, action.budget_c, self.proxy_cfg.chunk_bytes)
+                session.latent_bytes, action.budget_c, self.chunk_bytes)
             session.chunks = [
                 Packet(
                     packet_id=next(self._next_packet_id), session_id=session.session_id,
@@ -496,7 +497,7 @@ class Engine:
     def _apply_prune(self, session: ActiveSession) -> None:
         """Re-pack the payload after a budget change; surplus chunks are shed."""
         plan = semantic.packetize(
-            session.latent_bytes, session.sem.budget_c, self.proxy_cfg.chunk_bytes)
+            session.latent_bytes, session.sem.budget_c, self.chunk_bytes)
         keep = plan.num_chunks
         if keep >= len(session.chunks):
             return

@@ -14,7 +14,7 @@ import pytest
 
 from leosem import agent, gat
 from leosem import policy as pol
-from leosem.agent import (PpoHyper, clipped_surrogate, observe, ppo_loss,
+from leosem.agent import (PpoSettings, clipped_surrogate, observe, ppo_loss,
                           ppo_loss_grads, ppo_update)
 from leosem.baselines import BaselineSpec
 from leosem.channel import ChannelConfig, ChannelModel
@@ -23,8 +23,8 @@ from leosem.constellation import ConstellationConfig, build_constellation
 from leosem.experiment import cmd_eval, cmd_train, evaluate, sweep, train
 from leosem.gat import SubgraphInput, init_gat_params
 from leosem.policy import JointAction, PolicyConfig, init_policy_params
-from leosem.semantic import (BUDGET_SET, QualityProxyConfig, SemanticState,
-                             packetize, quality)
+from leosem.semantic import (BUDGET_SET, DEFAULT_CHUNK_BYTES, QualityProxyConfig,
+                             SemanticState, packetize, quality)
 from leosem.simcore import Engine, step_queue
 
 
@@ -225,7 +225,7 @@ def test_criterion_05_ppo_mechanics():
     rng = np.random.default_rng(5)
     params = init_policy_params(rng, s_cfg)
     buffer = _policy_rollout_buffer(params, s_cfg, rng, n=32, seg_len=8)
-    hyper = PpoHyper(minibatch_size=16, epochs=2, learning_rate=1e-3)
+    hyper = PpoSettings(minibatch_size=16, epochs=2, learning_rate=1e-3)
     samples = agent.stack_buffer(buffer, hyper)
 
     # analytic gradient of the full loss vs central finite differences
@@ -353,7 +353,7 @@ def test_criterion_10_determinism(tmp_path):
 def test_criterion_11_payload_anchoring():
     t0 = time.time()
     proxy = QualityProxyConfig()
-    assert packetize(proxy.base_latent_bytes, 128, proxy.chunk_bytes).num_chunks == 931
-    assert packetize(proxy.base_latent_bytes, 64, proxy.chunk_bytes).num_chunks == 466
+    assert packetize(proxy.base_latent_bytes, 128, DEFAULT_CHUNK_BYTES).num_chunks == 931
+    assert packetize(proxy.base_latent_bytes, 64, DEFAULT_CHUNK_BYTES).num_chunks == 466
     assert time.time() - t0 < 1.0
     _report(11, "C=128 -> 931 chunks, C=64 -> 466 chunks", t0)

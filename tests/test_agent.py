@@ -4,7 +4,7 @@ import reference_policy
 
 from leosem import agent
 from leosem import policy as pol
-from leosem.agent import (FEATURE_DIM, PolicyController, PpoHyper, RewardConfig,
+from leosem.agent import (FEATURE_DIM, PolicyController, PpoSettings, RewardConfig,
                           RewardTracker, RolloutBuffer, TrajectorySegment,
                           Transition, clipped_surrogate, compute_gae, observe,
                           ppo_loss, ppo_loss_grads, ppo_update, progress_reward,
@@ -252,7 +252,7 @@ def test_first_epoch_ratios_are_one():
     rng = np.random.default_rng(0)
     params = init_policy_params(rng, S_CFG)
     buffer = synth_buffer(params, rng, n=24)
-    hyper = PpoHyper(minibatch_size=8, epochs=2, learning_rate=1e-3)
+    hyper = PpoSettings(minibatch_size=8, epochs=2, learning_rate=1e-3)
     _, stats = ppo_update(buffer, params, pol.Adam(lr=hyper.learning_rate),
                           hyper, rng)
     assert stats.initial_ratio_max_dev <= 1e-6
@@ -265,7 +265,7 @@ def test_update_moves_parameters():
     params = init_policy_params(rng, S_CFG)
     buffer = synth_buffer(params, rng, n=16)
     new_params, _ = ppo_update(buffer, params, pol.Adam(lr=1e-3),
-                               PpoHyper(minibatch_size=8, epochs=2,
+                               PpoSettings(minibatch_size=8, epochs=2,
                                         learning_rate=1e-3), rng)
     assert not np.array_equal(new_params.to_vector(), params.to_vector())
 
@@ -274,7 +274,7 @@ def test_empty_buffer_rejected():
     rng = np.random.default_rng(2)
     params = init_policy_params(rng, S_CFG)
     with pytest.raises(ValueError):
-        ppo_update(RolloutBuffer(), params, pol.Adam(), PpoHyper(), rng)
+        ppo_update(RolloutBuffer(), params, pol.Adam(), PpoSettings(), rng)
 
 
 def _fd_check(params, samples, hyper, tol):
@@ -299,7 +299,7 @@ def test_full_loss_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
     params = init_policy_params(rng, S_CFG)
     buffer = synth_buffer(params, rng, n=12)
-    hyper = PpoHyper(minibatch_size=12, epochs=1)
+    hyper = PpoSettings(minibatch_size=12, epochs=1)
     samples = agent.stack_buffer(buffer, hyper)
     _fd_check(params, samples, hyper, tol=1e-3)
 
@@ -310,7 +310,7 @@ def test_full_loss_gradient_with_clipped_ratios():
     rng = np.random.default_rng(4)
     params = init_policy_params(rng, S_CFG)
     buffer = synth_buffer(params, rng, n=12)
-    hyper = PpoHyper(minibatch_size=12, epochs=1, clip_ratio=0.2)
+    hyper = PpoSettings(minibatch_size=12, epochs=1, clip_ratio=0.2)
     samples = agent.stack_buffer(buffer, hyper)
     vec = params.to_vector()
     vec = vec + rng.normal(scale=0.05, size=vec.size)
@@ -375,7 +375,7 @@ def mixed_rollouts(params, rng, n=40):
 def test_batched_loss_and_gradient_match_per_sample_reference():
     rng = np.random.default_rng(6)
     params = init_policy_params(rng, S_CFG)
-    hyper = PpoHyper(clip_ratio=0.2)
+    hyper = PpoSettings(clip_ratio=0.2)
     batch = agent.stack_buffer(mixed_rollouts(params, rng), hyper)
     assert batch.states.member_mask.sum(axis=1).tolist() == [1, 2, 3, 4, 5] * 8
     # Move away from the behaviour policy so that some ratios clip.
@@ -399,7 +399,7 @@ def test_nan_reward_raises_before_any_step():
     before = params.to_vector()
     opt = pol.Adam(lr=1e-3)
     with pytest.raises(FloatingPointError, match="advantage or return in trajectory segment 1"):
-        ppo_update(buffer, params, opt, PpoHyper(minibatch_size=8, epochs=2), rng)
+        ppo_update(buffer, params, opt, PpoSettings(minibatch_size=8, epochs=2), rng)
     assert opt.t == 0
     assert np.array_equal(params.to_vector(), before)
 
@@ -412,7 +412,7 @@ def test_inf_parameter_raises_before_any_step():
     before = params.to_vector()
     opt = pol.Adam(lr=1e-3)
     with pytest.raises(FloatingPointError, match="block 'w1'"):
-        ppo_update(buffer, params, opt, PpoHyper(minibatch_size=8, epochs=2), rng)
+        ppo_update(buffer, params, opt, PpoSettings(minibatch_size=8, epochs=2), rng)
     assert opt.t == 0
     assert np.array_equal(params.to_vector(), before, equal_nan=True)
 
@@ -427,5 +427,5 @@ def test_nonfinite_gradient_named_by_epoch_minibatch_and_block():
     opt = pol.Adam(lr=1e-3)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             FloatingPointError, match=r"block '\w+' at epoch 0, minibatch 0"):
-        ppo_update(buffer, params, opt, PpoHyper(minibatch_size=8, epochs=2), rng)
+        ppo_update(buffer, params, opt, PpoSettings(minibatch_size=8, epochs=2), rng)
     assert opt.t == 0

@@ -9,7 +9,7 @@ from leosem.baselines import BaselineSpec
 from leosem.cli import main as cli_main
 from leosem.config import load_config, tiny_config
 from leosem.experiment import (cmd_eval, cmd_sweep, cmd_train, evaluate,
-                               sample_flows, train)
+                               run_episode, sample_flows, stream_rng, train)
 from leosem.metrics import objective_value, read_sessions_csv
 
 
@@ -31,6 +31,19 @@ def test_sample_flows_respects_distance_floor():
         for src, dst in sample_flows(cfg, rng):
             assert src != dst
             assert grid_hop_distance(cfg.constellation, src, dst) >= 2
+
+
+@pytest.mark.parametrize("chunk_bytes, chunks", [(1200, 30), (600, 60)])
+def test_engine_packetizes_with_simulation_chunk_bytes(chunk_bytes, chunks):
+    from leosem.baselines import make_baseline_controller
+    cfg = fast_cfg(seed=2, chunk_bytes=chunk_bytes)
+    controller = make_baseline_controller(BaselineSpec(kind="shortest_path"),
+                                          stream_rng(0))
+    engine = run_episode(cfg, 0, controller, [])
+    assert engine.chunk_bytes == chunk_bytes
+    created = {s.chunks_created for s in engine.sessions.values()} - {0}
+    # 36 000 latent bytes at the full budget of 128.
+    assert created == {chunks}
 
 
 def test_train_produces_curve_and_learnable_params():

@@ -192,7 +192,7 @@ def test_calibration_table_lookup(tmp_path):
 def test_calibration_replaces_parametric_factors(tmp_path):
     path = tmp_path / "cal.csv"
     path.write_text(CAL_CSV)
-    cfg = QualityProxyConfig(calibration=CalibrationTable.from_csv(path))
+    cfg = QualityProxyConfig(calibration_table=str(path))
     state = make_state(min_link_snr_db=15.0, budget_c=128, accum_distortion=0.0)
     assert quality(state, cfg) == pytest.approx(0.9)
     # distortion and requantization still apply on top
@@ -213,6 +213,13 @@ def test_calibration_bad_header_rejected(tmp_path):
     path = tmp_path / "cal.csv"
     path.write_text("snr,c,q\n1,64,0.5\n")
     with pytest.raises(ValueError):
+        CalibrationTable.from_csv(path)
+
+
+def test_calibration_without_rows_rejected(tmp_path):
+    path = tmp_path / "cal.csv"
+    path.write_text("snr_db,channel_c,quality\n")
+    with pytest.raises(ValueError, match="no rows"):
         CalibrationTable.from_csv(path)
 
 
