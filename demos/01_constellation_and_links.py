@@ -26,16 +26,19 @@ for port, neighbor in sorted(con.ports[0].items()):
     names = {0: "intra +", 1: "intra -", 2: "plane +", 3: "plane -"}
     print(f"  port {port} ({names[port]}) -> sat {neighbor}")
 
-# Attach a channel and look at a few snapshots.
+# Attach a channel and look at a few snapshots.  A snapshot is a set of
+# (satellite, port) arrays: neighbor id (-1 if the port is absent),
+# availability, distance, SNR and Shannon rate.
 channel = ChannelModel(ChannelConfig(seed=7), con.edge_index, slot_length_s=0.1)
 for slot in (0, 5, 10):
     snap = con.snapshot(slot * 0.1, channel)
-    up = snap.available_edges()
-    dists = [e.distance_km for e in up]
-    snrs = [e.snr_db for e in up]
-    print(f"\nslot {slot}: {len(up)}/{len(snap.edges)} links up, "
-          f"distance {min(dists):.0f}..{max(dists):.0f} km, "
-          f"SNR {min(snrs):.1f}..{max(snrs):.1f} dB")
+    up = snap.avail
+    dists, snrs = snap.dist_km[up], snap.snr_db[up]
+    print(f"\nslot {slot}: {up.sum()}/{(snap.dst >= 0).sum()} links up, "
+          f"distance {dists.min():.0f}..{dists.max():.0f} km, "
+          f"SNR {snrs.min():.1f}..{snrs.max():.1f} dB")
+    print(f"  sat 0 ports: neighbor {snap.dst[0].tolist()}, up {up[0].tolist()}, "
+          f"rate {np.round(snap.rate_bps[0] / 1e6, 2).tolist()} Mbit/s")
 
 print("\nShannon rate at a few SNRs (1 MHz):")
 for snr in (-5, 0, 5, 10, 15):

@@ -27,6 +27,10 @@ or [-1, 1]:
 
 Ports that are absent or currently unavailable contribute zeroed link
 features plus a zero mask bit.
+
+The session-independent part of every node's row ([4:13] and the unit
+position vectors) is built once per snapshot and cached on it; a decision
+gathers its members' rows and fills in the live part.
 """
 from __future__ import annotations
 
@@ -50,48 +54,10 @@ SEM_BLOCK_DIM = NUM_PORTS + 3
 FEATURE_DIM = NET_BLOCK_DIM + PKT_BLOCK_DIM + SEM_BLOCK_DIM
 
 
-def _snr_norm(snr_db: float) -> float:
-    return float(np.clip((snr_db - SNR_NORM_LO_DB) / (SNR_NORM_HI_DB - SNR_NORM_LO_DB), 0.0, 1.0))
-
-
-def node_features(view: DecisionView, node: int) -> np.ndarray:
-    """The fixed-layout feature vector for one node, session context included."""
-    session = view.session
-    snap = view.snapshot
-    out = np.zeros(FEATURE_DIM)
-    visited = set(session.hop_trace)
-
-    degree = 0
-    for p in range(NUM_PORTS):
-        edge = snap.edge(node, p)
-        occ = float(view.occupancy[node, p]) / view.q_max if edge is not None else 0.0
-        out[p] = occ
-        out[NET_BLOCK_DIM + 4 + p] = occ
-        if edge is not None and edge.dst in visited:
-            out[NET_BLOCK_DIM + 8 + p] = 1.0
-        if edge is not None and edge.available:
-            degree += 1
-            out[NUM_PORTS + p] = 1.0
-            out[2 * NUM_PORTS + p] = _snr_norm(edge.snr_db)
-            bottleneck = min(session.sem.min_link_snr_db, edge.snr_db)
-            out[NET_BLOCK_DIM + PKT_BLOCK_DIM + p] = _snr_norm(bottleneck)
-    out[12] = degree / NUM_PORTS
-
-    pos = snap.positions
-    u = pos[node] / np.linalg.norm(pos[node])
-    v = pos[session.dst] / np.linalg.norm(pos[session.dst])
-    out[13] = math.acos(float(np.clip(u @ v, -1.0, 1.0))) / math.pi
-    cfg = view.constellation.cfg
-    p_n, s_n = view.constellation.plane_slot(node)
-    p_d, s_d = view.constellation.plane_slot(session.dst)
-    out[14] = _wrap_delta(p_d - p_n, cfg.num_planes)
-    out[15] = _wrap_delta(s_d - s_n, cfg.sats_per_plane)
-    out[16] = session.ttl_remaining / view.ttl_max
-
-    out[29] = session.sem.budget_c / 128.0
-    out[30] = 1.0 - math.exp(-session.sem.accum_distortion)
-    out[31] = min(1.0, session.sem.hops_since_process / view.ttl_max)
-    return out
+def _snr_norm(snr_db):
+    """SNR (dB, scalar or array) mapped onto [0, 1]; NaN stays NaN."""
+    x = (snr_db - SNR_NORM_LO_DB) / (SNR_NORM_HI_DB - SNR_NORM_LO_DB)
+    return np.minimum(np.maximum(x, 0.0), 1.0)
 
 
 def _wrap_delta(raw: int, n: int) -> float:
@@ -103,20 +69,90 @@ def _wrap_delta(raw: int, n: int) -> float:
     return d / max(n // 2, 1)
 
 
+@dataclass
+class _SlotRows:
+    """The session-independent observation of every node for one snapshot."""
+    rows: np.ndarray              # (N, FEATURE_DIM): [4:13] filled, zeros elsewhere
+    unit: np.ndarray              # (N, 3) unit position vectors
+    dst: list[list[int]]          # per node and port, the neighbor (-1: no port)
+    avail: list[list[bool]]
+
+
+def _slot_rows(view: DecisionView) -> _SlotRows:
+    """The snapshot's ``_SlotRows``, built on first use and kept on the snapshot."""
+    snap = view.snapshot
+    if snap.obs_rows is None:
+        avail = snap.avail
+        rows = np.zeros((len(avail), FEATURE_DIM))
+        rows[:, NUM_PORTS:2 * NUM_PORTS] = avail
+        rows[:, 2 * NUM_PORTS:3 * NUM_PORTS] = np.where(avail, _snr_norm(snap.snr_db), 0.0)
+        rows[:, 3 * NUM_PORTS] = avail.sum(axis=1) / NUM_PORTS
+        pos = snap.positions
+        snap.obs_rows = _SlotRows(
+            rows=rows,
+            # sqrt of vecdot rounds exactly like a per-vector np.linalg.norm.
+            unit=pos / np.sqrt(np.vecdot(pos, pos))[:, None],
+            dst=snap.dst.tolist(), avail=avail.tolist(),
+        )
+    return snap.obs_rows
+
+
+def _feature_rows(view: DecisionView, members: list[int]) -> np.ndarray:
+    """(M, FEATURE_DIM) feature rows of ``members``, session context included.
+
+    Gathers each member's row from the snapshot's ``_SlotRows`` and fills in
+    the live part: queue occupancy, revisit flags, bottleneck SNR, the
+    offset to the destination, TTL, budget and distortion.
+    """
+    session = view.session
+    sem = session.sem
+    base = _slot_rows(view)
+    idx = np.array(members)
+    out = base.rows[idx]
+    # Absent ports have no queue, so their occupancy stays 0.
+    occ = view.occupancy[idx] / view.q_max
+    out[:, 0:NUM_PORTS] = occ
+    out[:, NET_BLOCK_DIM + 4:NET_BLOCK_DIM + 8] = occ
+    visited = set(session.hop_trace)
+    out[:, NET_BLOCK_DIM + 8:NET_BLOCK_DIM + 12] = [
+        [d in visited for d in base.dst[m]] for m in members]
+    # The normalisation is monotone, so the bottleneck's norm is the minimum
+    # of the two norms; unavailable ports stay 0.
+    sem_at = NET_BLOCK_DIM + PKT_BLOCK_DIM
+    np.minimum(out[:, 2 * NUM_PORTS:3 * NUM_PORTS], _snr_norm(sem.min_link_snr_db),
+               out=out[:, sem_at:sem_at + NUM_PORTS])
+
+    cos = np.vecdot(base.unit[idx], base.unit[session.dst]).tolist()
+    cfg = view.constellation.cfg
+    p_d, s_d = divmod(session.dst, cfg.sats_per_plane)
+    ttl = session.ttl_remaining / view.ttl_max
+    rows = []
+    for m, c in zip(members, cos):
+        p_m, s_m = divmod(m, cfg.sats_per_plane)
+        rows.append([math.acos(min(max(c, -1.0), 1.0)) / math.pi,
+                     _wrap_delta(p_d - p_m, cfg.num_planes),
+                     _wrap_delta(s_d - s_m, cfg.sats_per_plane), ttl])
+    out[:, 13:17] = rows
+    out[:, 29:32] = (sem.budget_c / 128.0, 1.0 - math.exp(-sem.accum_distortion),
+                     min(1.0, sem.hops_since_process / view.ttl_max))
+    return out
+
+
+def node_features(view: DecisionView, node: int) -> np.ndarray:
+    """The fixed-layout feature vector for one node, session context included."""
+    return _feature_rows(view, [node])[0]
+
+
 def observe(view: DecisionView) -> tuple[np.ndarray, SubgraphInput, np.ndarray]:
     """Center observation, attention subgraph and hop mask for one decision."""
     if view.session.node != view.node:
         raise ValueError("session is not held at the observed node")
-    center = node_features(view, view.node)
-    rows = [center]
-    members = [view.node]
-    for p in range(NUM_PORTS):
-        edge = view.snapshot.edge(view.node, p)
-        if edge is not None and edge.available:
-            rows.append(node_features(view, edge.dst))
-            members.append(edge.dst)
-    subgraph = SubgraphInput(features=np.stack(rows), members=tuple(members))
-    return center, subgraph, view.mask.copy()
+    base = _slot_rows(view)
+    members = [view.node] + [d for d, up in zip(base.dst[view.node], base.avail[view.node])
+                             if up]
+    features = _feature_rows(view, members)
+    subgraph = SubgraphInput(features=features, members=tuple(members))
+    return features[0].copy(), subgraph, view.mask.copy()
 
 
 # ----------------------------------------------------------------------
@@ -398,10 +434,13 @@ def ppo_update(buffer: RolloutBuffer, params: PolicyParams, optimizer: pol.Adam,
     batch = stack_buffer(buffer, hyper)
     n = len(batch)
 
-    # Behavior log-probs must match the pre-update policy exactly.
-    ratio = _loss_terms(params, batch, hyper).ratio
-    _check_ratio(ratio, "initial ratio check")
-    initial_dev = float(np.max(np.abs(ratio - 1.0)))
+    # Behavior log-probs must match the pre-update policy exactly.  Checked
+    # a minibatch at a time, so no forward cache of the whole buffer is held.
+    initial_dev = 0.0
+    for start in range(0, n, hyper.minibatch_size):
+        ratio = _loss_terms(params, batch[start:start + hyper.minibatch_size], hyper).ratio
+        _check_ratio(ratio, "initial ratio check", offset=start)
+        initial_dev = max(initial_dev, float(np.max(np.abs(ratio - 1.0))))
 
     parts = []  # per minibatch: surrogate, value error, entropy, ratio
     for epoch in range(hyper.epochs):
@@ -431,10 +470,11 @@ def ppo_update(buffer: RolloutBuffer, params: PolicyParams, optimizer: pol.Adam,
     return params, stats
 
 
-def _check_ratio(ratio: np.ndarray, where: str) -> None:
+def _check_ratio(ratio: np.ndarray, where: str, offset: int = 0) -> None:
     bad = np.flatnonzero(~np.isfinite(ratio))
     if bad.size:
-        raise FloatingPointError(f"non-finite probability ratio at {where}, sample {bad[0]}")
+        raise FloatingPointError(
+            f"non-finite probability ratio at {where}, sample {offset + bad[0]}")
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agent import PolicyController
-from .constellation import NUM_PORTS, GraphSnapshot
+from .constellation import GraphSnapshot
 from .policy import JointAction, PolicyParams
 from .semantic import BUDGET_SET, MODE_FORWARD
 from .simcore import DecisionView
@@ -41,20 +41,18 @@ class BaselineSpec:
 
 def dijkstra_to(snapshot: GraphSnapshot, dst: int) -> dict[int, float]:
     """Distance-to-destination (km) over the available directed edges."""
-    in_edges: dict[int, list] = {}
-    for e in snapshot.available_edges():
-        in_edges.setdefault(e.dst, []).append(e)
+    in_edges = snapshot.in_edges()
     dist = {dst: 0.0}
     heap = [(0.0, dst)]
     while heap:
         d, node = heapq.heappop(heap)
         if d > dist.get(node, math.inf):
             continue
-        for e in in_edges.get(node, []):
-            nd = d + e.distance_km
-            if nd < dist.get(e.src, math.inf) - 1e-12:
-                dist[e.src] = nd
-                heapq.heappush(heap, (nd, e.src))
+        for src, km in in_edges[node]:
+            nd = d + km
+            if nd < dist.get(src, math.inf) - 1e-12:
+                dist[src] = nd
+                heapq.heappush(heap, (nd, src))
     return dist
 
 
@@ -68,11 +66,12 @@ def shortest_path_next_hop(snapshot: GraphSnapshot, current: int, dst: int) -> i
         raise ValueError("already at the destination")
     dist = dijkstra_to(snapshot, dst)
     best: tuple[float, int, int] | None = None
-    for p in range(NUM_PORTS):
-        e = snapshot.edge(current, p)
-        if e is None or not e.available or e.dst not in dist:
+    for p, (nxt, up, km) in enumerate(zip(snapshot.dst[current].tolist(),
+                                          snapshot.avail[current].tolist(),
+                                          snapshot.dist_km[current].tolist())):
+        if not up or nxt not in dist:
             continue
-        cand = (e.distance_km + dist[e.dst], e.dst, p)
+        cand = (km + dist[nxt], nxt, p)
         if best is None or cand < best:
             best = cand
     return best[2] if best else None
@@ -111,20 +110,21 @@ class GreedyQueueController(_FixedSemantics):
     queue_weight = 1.0
 
     def decide(self, view: DecisionView) -> JointAction:
-        here = view.snapshot.distance_km(view.node, view.session.dst)
+        snap = view.snapshot
+        here = snap.distance_km(view.node, view.session.dst)
         visited = set(view.session.hop_trace)
         best: tuple[float, int, int] | None = None
         best_fresh: tuple[float, int, int] | None = None
-        for p in range(NUM_PORTS):
-            e = view.snapshot.edge(view.node, p)
-            if e is None or not e.available:
+        for p, (nxt, up) in enumerate(zip(snap.dst[view.node].tolist(),
+                                          snap.avail[view.node].tolist())):
+            if not up:
                 continue
-            progress = view.snapshot.distance_km(e.dst, view.session.dst) / max(here, 1e-9)
+            progress = snap.distance_km(nxt, view.session.dst) / max(here, 1e-9)
             score = progress + self.queue_weight * float(view.occupancy[view.node, p]) / view.q_max
-            cand = (score, e.dst, p)
+            cand = (score, nxt, p)
             if best is None or cand < best:
                 best = cand
-            if e.dst not in visited and (best_fresh is None or cand < best_fresh):
+            if nxt not in visited and (best_fresh is None or cand < best_fresh):
                 best_fresh = cand
         pick = best_fresh if best_fresh is not None else best
         return self._joint(pick[2])

@@ -38,6 +38,8 @@ class ChannelConfig:
             raise ValueError("failure_rate must be in [0, 1]")
         if self.bandwidth_hz <= 0:
             raise ValueError("bandwidth_hz must be > 0")
+        if not self.reference_distance_km > 0:
+            raise ValueError("reference_distance_km must be > 0")
 
 
 def link_rate(snr_db: float | np.ndarray, bandwidth_hz: float) -> float | np.ndarray:
@@ -115,8 +117,12 @@ class ChannelModel:
     def rate_array(self, snr_db: np.ndarray) -> np.ndarray:
         return link_rate(snr_db, self.cfg.bandwidth_hz)
 
+    def availability(self, time_s: float) -> np.ndarray:
+        """Availability flags for this slot in edge-list order (read-only)."""
+        self._ensure_time(time_s)
+        return self.available
+
     def sample_failures(self, edges, time_s: float) -> np.ndarray:
         """Availability flags for this slot, aligned to the requested edges."""
-        self._ensure_time(time_s)
         idx = [self._edge_pos[(e[0], e[1])] for e in edges]
-        return self.available[idx]
+        return self.availability(time_s)[idx]

@@ -66,6 +66,8 @@ class ObjectiveConfig:
             raise ConfigError("objective weights must be >= 0")
         if abs(self.lambda_delay + self.lambda_semantic - 1.0) > 1e-9:
             raise ConfigError("lambda_delay + lambda_semantic must equal 1")
+        if self.delay_scale_s is not None and not self.delay_scale_s > 0:
+            raise ConfigError("delay_scale_s must be > 0")
 
 
 @dataclass(frozen=True)

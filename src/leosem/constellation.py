@@ -83,36 +83,61 @@ class Edge:
 
 @dataclass
 class GraphSnapshot:
-    """The constellation graph at one time slot.
+    """The constellation graph at one time slot, as (N, NUM_PORTS) arrays.
 
-    ``edges`` lists every +Grid neighbor pair with its availability flag;
-    the active edge set (what routing may use) is the available subset.
+    Row ``node``, column ``port`` describes the directed link leaving that
+    port: ``dst`` is the neighbor (-1 where the port does not exist on this
+    shell), ``avail`` says whether routing may use it this slot (False for
+    an absent port), and ``dist_km``, ``snr_db`` and ``rate_bps`` carry its
+    geometry and channel state (NaN for an absent port; SNR and rate are
+    NaN throughout a snapshot built without a channel).  The arrays are
+    shared with whoever reads the snapshot and must not be written to.
     """
     time_s: float
     slot: int
-    nodes: list[int]
-    edges: list[Edge]
     positions: np.ndarray  # (N, 3) km
-    _by_src_port: dict[tuple[int, int], Edge] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        if not self._by_src_port:
-            self._by_src_port = {(e.src, e.port): e for e in self.edges}
-
-    def available_edges(self) -> list[Edge]:
-        return [e for e in self.edges if e.available]
+    dst: np.ndarray        # (N, NUM_PORTS) int64
+    avail: np.ndarray      # (N, NUM_PORTS) bool
+    dist_km: np.ndarray    # (N, NUM_PORTS)
+    snr_db: np.ndarray     # (N, NUM_PORTS)
+    rate_bps: np.ndarray   # (N, NUM_PORTS)
+    # Per-slot observation rows, built by the agent on first use.
+    obs_rows: object = field(default=None, repr=False, compare=False)
+    _in_edges: list | None = field(default=None, repr=False, compare=False)
 
     def edge(self, node: int, port: int) -> Edge | None:
-        return self._by_src_port.get((node, port))
+        """One link as an ``Edge`` (built on demand), or None if the port is absent."""
+        dst = int(self.dst[node, port])
+        if dst < 0:
+            return None
+        return Edge(src=node, dst=dst, port=port,
+                    distance_km=float(self.dist_km[node, port]),
+                    available=bool(self.avail[node, port]),
+                    snr_db=float(self.snr_db[node, port]),
+                    rate_bps=float(self.rate_bps[node, port]))
+
+    def available_edges(self) -> list[Edge]:
+        """Every usable link as an ``Edge``, in (node, port) order."""
+        return [self.edge(int(node), int(port)) for node, port in np.argwhere(self.avail)]
 
     def port_mask(self, node: int) -> np.ndarray:
         """Boolean (NUM_PORTS,) availability mask for a node."""
-        mask = np.zeros(NUM_PORTS, dtype=bool)
-        for port in range(NUM_PORTS):
-            e = self._by_src_port.get((node, port))
-            if e is not None and e.available:
-                mask[port] = True
-        return mask
+        return self.avail[node].copy()
+
+    def in_edges(self) -> list[list[tuple[int, float]]]:
+        """Per node, the (src, distance_km) of every usable link into it.
+
+        Sources appear in (src, port) order; built on first use and kept
+        for the slot.
+        """
+        if self._in_edges is None:
+            rev: list[list[tuple[int, float]]] = [[] for _ in range(len(self.dst))]
+            src, port = np.nonzero(self.avail)
+            for s, d, km in zip(src.tolist(), self.dst[src, port].tolist(),
+                                self.dist_km[src, port].tolist()):
+                rev[d].append((s, km))
+            self._in_edges = rev
+        return self._in_edges
 
     def distance_km(self, a: int, b: int) -> float:
         return float(np.linalg.norm(self.positions[a] - self.positions[b]))
@@ -141,6 +166,12 @@ class Constellation:
             for node in range(cfg.num_sats)
             for port, dst in sorted(self.ports[node].items())
         ]
+        edges = np.array(self.edge_index, dtype=np.int64).reshape(-1, 3)
+        self._edge_src, self._edge_dst = edges[:, 0], edges[:, 1]
+        # Position of each edge in a flattened (N, NUM_PORTS) table.
+        self._edge_cell = edges[:, 0] * NUM_PORTS + edges[:, 2]
+        self._port_dst = self._scatter(self._edge_dst, -1)
+        self._port_dst.flags.writeable = False
 
     def _build_port_table(self) -> list[dict[int, int]]:
         cfg = self.cfg
@@ -187,47 +218,44 @@ class Constellation:
         xyz = self.positions_at(time_s)[sat_id]
         return SatPosition(sat_id=sat_id, xyz=xyz, time_s=time_s)
 
+    def _scatter(self, per_edge: np.ndarray, fill) -> np.ndarray:
+        """Per-edge values (edge_index order) laid out as (N, NUM_PORTS)."""
+        out = np.full(self.cfg.num_sats * NUM_PORTS, fill, dtype=per_edge.dtype)
+        out[self._edge_cell] = per_edge
+        return out.reshape(self.cfg.num_sats, NUM_PORTS)
+
     def snapshot(self, time_s: float, channel=None) -> GraphSnapshot:
         """Build the connectivity graph for the slot containing ``time_s``.
 
         Without a channel every grid link is up and carries no SNR/rate
         annotation; with one, availability, SNR and Shannon rate come from
         the channel's per-slot state (the channel is advanced as needed).
+        The channel must have been built on ``edge_index``.
         """
         if time_s < 0:
             raise ValueError("time_s must be >= 0")
         positions = self.positions_at(time_s)
-        dists = np.array(
-            [np.linalg.norm(positions[a] - positions[b]) for a, b, _ in self.edge_index]
-        )
+        delta = positions[self._edge_src] - positions[self._edge_dst]
+        # sqrt of vecdot rounds exactly like a per-vector np.linalg.norm.
+        dists = np.sqrt(np.vecdot(delta, delta))
         if channel is not None:
             slot = channel.slot_of(time_s)
-            avail = channel.sample_failures(self.edge_index, time_s)
+            avail = channel.availability(time_s)
             snrs = channel.link_snr_array(dists, time_s)
             rates = channel.rate_array(snrs)
         else:
             slot = 0
-            avail = np.ones(len(self.edge_index), dtype=bool)
-            snrs = np.full(len(self.edge_index), math.nan)
-            rates = np.full(len(self.edge_index), math.nan)
-        edges = [
-            Edge(
-                src=a,
-                dst=b,
-                port=port,
-                distance_km=float(dists[k]),
-                available=bool(avail[k]),
-                snr_db=float(snrs[k]),
-                rate_bps=float(rates[k]),
-            )
-            for k, (a, b, port) in enumerate(self.edge_index)
-        ]
+            avail = np.ones(len(dists), dtype=bool)
+            snrs = rates = np.full(len(dists), math.nan)
         return GraphSnapshot(
             time_s=time_s,
             slot=slot,
-            nodes=list(range(self.cfg.num_sats)),
-            edges=edges,
             positions=positions,
+            dst=self._port_dst,
+            avail=self._scatter(avail, False),
+            dist_km=self._scatter(dists, math.nan),
+            snr_db=self._scatter(snrs, math.nan),
+            rate_bps=self._scatter(rates, math.nan),
         )
 
 

@@ -138,9 +138,11 @@ class QualityProxyConfig:
         gains = [self.budget_gain[c] for c in BUDGET_SET]
         if any(b - a < 0 for a, b in zip(gains, gains[1:])):
             raise ValueError("budget_gain must be nondecreasing in C")
-        for name in ("per_hop_distortion", "requant_penalty"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        if self.per_hop_distortion < 0:
+            raise ValueError("per_hop_distortion must be >= 0")
+        for name in ("requant_penalty", "relay_recovery"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must be in [0, 1]")
         table = None
         if self.calibration_table is not None:
             table = CalibrationTable.from_csv(self.calibration_table)

@@ -1,12 +1,13 @@
 """Deterministic discrete-event engine for store-and-forward sessions.
 
-A session's payload travels as one group of fixed-size chunks; every hop
-the holding node asks a controller for a joint decision (port, budget,
-relay mode), the chunks enter the chosen send queue together, wait for
-the port, transmit at the slot's Shannon rate and arrive after the
-propagation delay.  Queues are FIFO per port with a hard packet capacity;
-a group only begins service in a slot after the one it was enqueued in,
-which makes slot-binned queue counts obey
+A session's payload travels as one group of fixed-size chunks, held as a
+chunk count and a byte total; every hop the holding node asks a
+controller for a joint decision (port, budget, relay mode), the chunks
+enter the chosen send queue together, wait for the port, transmit at the
+slot's Shannon rate and arrive after the propagation delay.  Queues are
+FIFO per port with a hard packet capacity; a group only begins service
+in a slot after the one it was enqueued in, which makes slot-binned
+queue counts obey
 
     q[t+1] = min(max(q[t] - departures, 0) + arrivals, q_max)
 
@@ -67,6 +68,7 @@ def transmission_delay(payload_bytes: int, rate_bps: float) -> float:
 
 @dataclass
 class Packet:
+    """One standalone chunk for the raw ``Engine.enqueue`` surface."""
     packet_id: int
     session_id: int
     src: int
@@ -75,7 +77,6 @@ class Packet:
     ttl_hops: int
     created_s: float
     hop_trace: list[int]
-    sem_meta: SemanticState | None = None
 
     def __post_init__(self):
         if self.size_bytes <= 0:
@@ -132,20 +133,13 @@ def end_to_end_delay(outcome: SessionOutcome) -> float:
 @dataclass
 class _Burst:
     session: "ActiveSession | None"
-    chunks: list[Packet]
+    num_chunks: int
+    total_bytes: int
     enqueue_s: float = 0.0
     enqueue_slot: int = -1
     service_start_s: float | None = None
     frozen_prop_s: float = 0.0
     frozen_snr_db: float = 0.0
-
-    @property
-    def num_chunks(self) -> int:
-        return len(self.chunks)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(p.size_bytes for p in self.chunks)
 
 
 class PortQueue:
@@ -189,7 +183,8 @@ class ActiveSession:
     ttl_remaining: int
     sem: SemanticState
     node: int = -1
-    chunks: list[Packet] = field(default_factory=list)
+    num_chunks: int = 0      # chunks the payload occupies now
+    payload_bytes: int = 0   # their byte total
     hop_trace: list[int] = field(default_factory=list)
     hop_records: list[HopDelayRecord] = field(default_factory=list)
     decision_count: int = 0
@@ -302,7 +297,6 @@ class Engine:
 
         self.sessions: dict[int, ActiveSession] = {}
         self._next_session_id = itertools.count()
-        self._next_packet_id = itertools.count()
         self.outcomes: list[SessionOutcome] = []
         self.counters = EngineCounters()
         self.sessions_resolved = 0
@@ -445,7 +439,7 @@ class Engine:
         action: JointAction = self.controller.decide(view)
         if not mask[action.hop]:
             raise ValueError(f"controller picked masked port {action.hop} at node {node}")
-        edge = self.snapshot.edge(node, action.hop)
+        next_node = int(self.snapshot.dst[node, action.hop])
         is_source = session.decision_count == 0
         decision_index = session.decision_count
         session.decision_count += 1
@@ -456,17 +450,9 @@ class Engine:
                 session_id=session.session_id, budget_c=action.budget_c)
             plan = semantic.packetize(
                 session.latent_bytes, action.budget_c, self.chunk_bytes)
-            session.chunks = [
-                Packet(
-                    packet_id=next(self._next_packet_id), session_id=session.session_id,
-                    src=session.src, dst=session.dst, size_bytes=size,
-                    ttl_hops=session.ttl_remaining, created_s=self.now_s,
-                    hop_trace=session.hop_trace, sem_meta=session.sem,
-                )
-                for size in plan.chunk_sizes
-            ]
-            session.chunks_created = len(session.chunks)
-            self.counters.chunks_created += len(session.chunks)
+            session.num_chunks = session.chunks_created = plan.num_chunks
+            session.payload_bytes = plan.payload_bytes
+            self.counters.chunks_created += plan.num_chunks
         elif action.relay == semantic.MODE_PROCESS:
             session.sem = semantic.relay_process(
                 session.sem, semantic.MODE_PROCESS, action.budget_c, self.proxy_cfg)
@@ -475,16 +461,16 @@ class Engine:
             self._apply_prune(session)
 
         self._emit("decision", session=session.session_id, node=node, port=int(action.hop),
-                   next=edge.dst, budget=action.budget_c, relay=int(action.relay),
+                   next=next_node, budget=action.budget_c, relay=int(action.relay),
                    source=is_source)
 
         session.pending = {
             "decision_index": decision_index,
             "port": int(action.hop),
-            "next_node": edge.dst,
+            "next_node": next_node,
             "prev_dist_km": self.snapshot.distance_km(node, session.dst),
             "queue_frac": float(self.occupancy[node, action.hop]) / self.q_max,
-            "revisited": edge.dst in session.hop_trace,
+            "revisited": next_node in session.hop_trace,
             "decision_s": self.now_s,
             "proc_s": proc_s,
         }
@@ -499,13 +485,11 @@ class Engine:
         plan = semantic.packetize(
             session.latent_bytes, session.sem.budget_c, self.chunk_bytes)
         keep = plan.num_chunks
-        if keep >= len(session.chunks):
+        if keep >= session.num_chunks:
             return
-        shed = len(session.chunks) - keep
-        session.chunks = session.chunks[:keep]
-        for packet, size in zip(session.chunks, plan.chunk_sizes):
-            packet.size_bytes = size
-            packet.sem_meta = session.sem
+        shed = session.num_chunks - keep
+        session.num_chunks = keep
+        session.payload_bytes = plan.payload_bytes
         self.counters.chunks_dropped += shed
         self.counters.drop_causes[DROP_PRUNED] += shed
         self._emit("prune", session=session.session_id, shed=shed, keep=keep,
@@ -515,7 +499,8 @@ class Engine:
         session = self.sessions[sid]
         node = session.node
         queue = self.queues[(node, port)]
-        burst = _Burst(session=session, chunks=session.chunks,
+        burst = _Burst(session=session, num_chunks=session.num_chunks,
+                       total_bytes=session.payload_bytes,
                        enqueue_s=self.now_s, enqueue_slot=self.slot)
         if not queue.push(burst):
             p = session.pending
@@ -544,16 +529,17 @@ class Engine:
             return
         if burst.enqueue_slot >= self.slot:
             return  # groups only serve from the slot after they joined
-        edge = self.snapshot.edge(node, port)
-        if edge is None or not edge.available:
+        snap = self.snapshot
+        if not snap.avail[node, port]:
             return  # stalled; re-checked at the next slot boundary
         queue.pop()
         self.occupancy[node, port] -= burst.num_chunks
         self._slot_departures[node, port] += burst.num_chunks
         burst.service_start_s = self.now_s
-        burst.frozen_prop_s = propagation_delay(edge.distance_km)
-        burst.frozen_snr_db = edge.snr_db
-        tx_s = transmission_delay(burst.total_bytes, edge.rate_bps) if burst.total_bytes else 0.0
+        burst.frozen_prop_s = propagation_delay(float(snap.dist_km[node, port]))
+        burst.frozen_snr_db = float(snap.snr_db[node, port])
+        tx_s = transmission_delay(burst.total_bytes, float(snap.rate_bps[node, port])) \
+            if burst.total_bytes else 0.0
         self._busy[key] = True
         self._emit("service_start", session=burst.session.session_id if burst.session else None,
                    node=node, port=port, tx_s=round(tx_s, 9))
@@ -568,8 +554,7 @@ class Engine:
         session = burst.session
         if session is None or session.resolved:
             # Background traffic from the raw enqueue API just drains here.
-            if burst.chunks:
-                self.counters.chunks_delivered += len(burst.chunks)
+            self.counters.chunks_delivered += burst.num_chunks
             return
         p = session.pending
         session.pending = None
@@ -584,9 +569,6 @@ class Engine:
         session.ttl_remaining -= 1
         session.node = node
         session.hop_trace.append(node)
-        for chunk in session.chunks:
-            chunk.ttl_hops = session.ttl_remaining
-            chunk.sem_meta = session.sem
         m = HopMeasurements(
             decision_index=p["decision_index"], prev_dist_km=p["prev_dist_km"],
             new_dist_km=self.snapshot.distance_km(node, session.dst),
@@ -607,7 +589,7 @@ class Engine:
     def _deliver(self, session: ActiveSession, m: HopMeasurements | None) -> None:
         session.resolved = True
         self.sessions_resolved += 1
-        self.counters.chunks_delivered += len(session.chunks)
+        self.counters.chunks_delivered += session.num_chunks
         delay = self.now_s - session.spawn_s
         outcome = SessionOutcome(
             session_id=session.session_id, delivered=True, end_to_end_delay_s=delay,
@@ -629,8 +611,8 @@ class Engine:
               measurements: HopMeasurements | None) -> None:
         session.resolved = True
         self.sessions_resolved += 1
-        shed = len(session.chunks)
-        session.chunks = []
+        shed = session.num_chunks
+        session.num_chunks = session.payload_bytes = 0
         self.counters.chunks_dropped += shed
         self.counters.drop_causes[cause] += shed
         outcome = SessionOutcome(
@@ -660,8 +642,8 @@ class Engine:
         if key not in self.queues:
             raise KeyError(f"no port {port} on node {node}")
         self.counters.chunks_created += 1
-        burst = _Burst(session=None, chunks=[packet], enqueue_s=self.now_s,
-                       enqueue_slot=self.slot)
+        burst = _Burst(session=None, num_chunks=1, total_bytes=packet.size_bytes,
+                       enqueue_s=self.now_s, enqueue_slot=self.slot)
         if not self.queues[key].push(burst):
             self.counters.chunks_dropped += 1
             self.counters.drop_causes[DROP_OVERFLOW] += 1
@@ -676,7 +658,7 @@ class Engine:
     # accounting
 
     def in_flight_chunks(self) -> int:
-        return sum(len(s.chunks) for s in self.sessions.values() if not s.resolved) \
+        return sum(s.num_chunks for s in self.sessions.values() if not s.resolved) \
             + self._background_in_flight()
 
     def _background_in_flight(self) -> int:

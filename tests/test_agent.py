@@ -404,6 +404,20 @@ def test_nan_reward_raises_before_any_step():
     assert np.array_equal(params.to_vector(), before)
 
 
+def test_nonfinite_initial_ratio_named_by_buffer_sample():
+    # The initial check runs a minibatch at a time but names the sample by
+    # its place in the whole buffer.
+    rng = np.random.default_rng(6)
+    params = init_policy_params(rng, S_CFG)
+    buffer = synth_buffer(params, rng, n=16)
+    flat = [t for seg in buffer.segments for t in seg.transitions]
+    flat[11].log_probs = np.array([np.nan, 0.0, 0.0])
+    opt = pol.Adam(lr=1e-3)
+    with pytest.raises(FloatingPointError, match="initial ratio check, sample 11"):
+        ppo_update(buffer, params, opt, PpoSettings(minibatch_size=8, epochs=2), rng)
+    assert opt.t == 0
+
+
 def test_inf_parameter_raises_before_any_step():
     rng = np.random.default_rng(8)
     params = init_policy_params(rng, S_CFG)

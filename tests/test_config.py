@@ -142,6 +142,14 @@ def test_sections_are_the_domain_classes():
     ("proxy", "budget_gain", {64: "high", 96: 0.9, 128: 1.0}),
     ("proxy", "per_hop_distortion", -0.1),
     ("proxy", "calibration_table", 7),
+    ("proxy", "requant_penalty", 1.5),
+    ("proxy", "requant_penalty", -0.1),
+    ("proxy", "relay_recovery", 1.01),
+    ("proxy", "relay_recovery", -0.5),
+    ("objective", "delay_scale_s", 0),
+    ("objective", "delay_scale_s", -2.0),
+    ("channel", "reference_distance_km", -1),
+    ("channel", "reference_distance_km", 0.0),
     ("simulation", "episode_length_s", -1),
     ("simulation", "episode_length_s", 0.0),
     ("simulation", "frame_interval_s", -0.5),
@@ -226,6 +234,7 @@ _EXPERIMENT = st.builds(
                         frame_interval_s=st.floats(0.0, 1e3)),
     proxy=_section(QualityProxyConfig, budget_gain=_budget_gain(),
                    snr_midpoint_db=st.floats(-50.0, 50.0),
+                   requant_penalty=_UNIT, relay_recovery=_UNIT,
                    calibration_table=st.sampled_from([None, str(CALIBRATION_CSV)])),
     reward=_section(RewardConfig, w_delay=st.floats(0.0, 10.0)),
     ppo=_section(PpoSettings, gamma=_UNIT, gae_lambda=_UNIT,

@@ -20,7 +20,8 @@ def test_single_satellite_degenerate():
     con = build_constellation(ConstellationConfig(num_planes=1, sats_per_plane=1))
     assert con.cfg.num_sats == 1
     snap = con.snapshot(0.0)
-    assert snap.edges == []
+    assert snap.dst.shape == (1, 4) and (snap.dst == -1).all()
+    assert snap.available_edges() == []
 
 
 def test_two_by_two_adjacency_by_hand():
@@ -93,7 +94,8 @@ def test_snapshot_four_ports_everywhere_no_failures():
 def test_snapshot_distance_symmetry_exact():
     con = build_constellation(ConstellationConfig(num_planes=4, sats_per_plane=5))
     snap = con.snapshot(42.0)
-    dist = {(e.src, e.dst): e.distance_km for e in snap.edges}
+    dist = {(e.src, e.dst): e.distance_km for e in snap.available_edges()}
+    assert len(dist) == 4 * 5 * 4
     for (a, b), d in dist.items():
         assert dist[(b, a)] == d  # exactly symmetric
 
@@ -103,7 +105,8 @@ def test_snapshot_all_links_failed_empty_edge_set():
     ch = ChannelModel(ChannelConfig(failure_rate=1.0, seed=1), con.edge_index)
     snap = con.snapshot(0.0, ch)
     assert snap.available_edges() == []
-    assert len(snap.edges) == 9 * 4
+    assert (snap.dst >= 0).sum() == 9 * 4
+    assert not snap.avail.any()
 
 
 def test_snapshot_repeat_call_identical():
@@ -111,8 +114,8 @@ def test_snapshot_repeat_call_identical():
     ch = ChannelModel(ChannelConfig(failure_rate=0.05, seed=7), con.edge_index)
     s1 = con.snapshot(0.5, ch)
     s2 = con.snapshot(0.5, ch)
-    assert [(e.src, e.dst, e.available, e.snr_db) for e in s1.edges] == \
-           [(e.src, e.dst, e.available, e.snr_db) for e in s2.edges]
+    for name in ("dst", "avail", "dist_km", "snr_db", "rate_bps"):
+        assert getattr(s1, name).tobytes() == getattr(s2, name).tobytes()
 
 
 def _strongly_connected(con) -> bool:

@@ -238,6 +238,33 @@ def test_relay_prune_sheds_chunks_and_keeps_conservation():
     assert procs.count(0.005) == 1
 
 
+def test_prune_tracks_chunk_count_and_byte_total():
+    # 12 000 bytes at C=128 -> 10 chunks; a relay to C=64 keeps 5 (6 000 bytes).
+    events = []
+    ctl = ScriptedController(port=0, budget_idx=2, relay_at_decision=1, relay_budget_idx=0)
+    engine = build_engine(1, 5, ctl, ttl=8, trace=events.append)
+    sid = engine.add_session(0, 2, spawn_s=0.0, latent_bytes=12_000)
+    engine.run(30.0)
+    session = engine.sessions[sid]
+    assert (session.chunks_created, session.num_chunks, session.payload_bytes) == (10, 5, 6000)
+    # Equal links on the quiet ring: the pruned payload transmits in half the time.
+    tx_s = [e["tx_s"] for e in events if e["ev"] == "service_start"]
+    assert len(tx_s) == 2 and tx_s[1] == pytest.approx(tx_s[0] / 2, abs=2e-9)
+
+
+def test_relay_without_shed_keeps_byte_total():
+    # 1 200 bytes is one chunk at any budget: re-quantizing to C=96 sheds
+    # nothing, so the payload keeps its 1 200 bytes and its one chunk.
+    ctl = ScriptedController(port=0, budget_idx=2, relay_at_decision=1, relay_budget_idx=1)
+    engine = build_engine(1, 5, ctl, ttl=8)
+    sid = engine.add_session(0, 2, spawn_s=0.0, latent_bytes=1200)
+    engine.run(30.0)
+    session = engine.sessions[sid]
+    assert engine.outcomes[0].delivered and engine.outcomes[0].final_budget == 96
+    assert (session.num_chunks, session.payload_bytes) == (1, 1200)
+    assert engine.counters.drop_causes[DROP_PRUNED] == 0
+
+
 def test_relay_forward_mode_keeps_chunks():
     engine = build_engine(1, 5, ScriptedController(port=0, relay=0), ttl=8)
     engine.add_session(0, 2, spawn_s=0.0, latent_bytes=12_000)
