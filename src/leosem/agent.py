@@ -97,16 +97,15 @@ def _slot_rows(view: DecisionView) -> _SlotRows:
     return snap.obs_rows
 
 
-def _feature_rows(view: DecisionView, members: list[int]) -> np.ndarray:
+def _feature_rows(view: DecisionView, base: _SlotRows, members: list[int]) -> np.ndarray:
     """(M, FEATURE_DIM) feature rows of ``members``, session context included.
 
-    Gathers each member's row from the snapshot's ``_SlotRows`` and fills in
-    the live part: queue occupancy, revisit flags, bottleneck SNR, the
-    offset to the destination, TTL, budget and distortion.
+    Gathers each member's row from the snapshot's ``_SlotRows`` (``base``)
+    and fills in the live part: queue occupancy, revisit flags, bottleneck
+    SNR, the offset to the destination, TTL, budget and distortion.
     """
     session = view.session
     sem = session.sem
-    base = _slot_rows(view)
     idx = np.array(members)
     out = base.rows[idx]
     # Absent ports have no queue, so their occupancy stays 0.
@@ -140,19 +139,22 @@ def _feature_rows(view: DecisionView, members: list[int]) -> np.ndarray:
 
 def node_features(view: DecisionView, node: int) -> np.ndarray:
     """The fixed-layout feature vector for one node, session context included."""
-    return _feature_rows(view, [node])[0]
+    return _feature_rows(view, _slot_rows(view), [node])[0]
 
 
 def observe(view: DecisionView) -> tuple[np.ndarray, SubgraphInput, np.ndarray]:
-    """Center observation, attention subgraph and hop mask for one decision."""
+    """Center observation, attention subgraph and hop mask for one decision.
+
+    The mask is ``view.mask`` itself, the engine's copy of the node's row.
+    """
     if view.session.node != view.node:
         raise ValueError("session is not held at the observed node")
     base = _slot_rows(view)
     members = [view.node] + [d for d, up in zip(base.dst[view.node], base.avail[view.node])
                              if up]
-    features = _feature_rows(view, members)
+    features = _feature_rows(view, base, members)
     subgraph = SubgraphInput(features=features, members=tuple(members))
-    return features[0].copy(), subgraph, view.mask.copy()
+    return features[0].copy(), subgraph, view.mask
 
 
 # ----------------------------------------------------------------------
@@ -528,10 +530,10 @@ class RewardTracker(SimHooks):
 class PolicyController:
     """Drives the engine with the policy and collects rewarded transitions.
 
-    In sampling mode every decision is stored per session; rewards arrive
-    through ``record_reward`` (wired to a RewardTracker sink) and finished
-    trajectories move into the rollout buffer.  In greedy mode transitions
-    are still tracked but typically no buffer is attached.
+    With a rollout buffer attached every decision is stored per session;
+    rewards arrive through ``record_reward`` (wired to a RewardTracker sink)
+    and finished trajectories move into the buffer.  Without one (greedy
+    evaluation, baseline variants) no transition is kept.
     """
 
     def __init__(self, params: PolicyParams, rng: np.random.Generator | None = None,
@@ -547,10 +549,11 @@ class PolicyController:
         action, logps, value = pol.act(
             self.params, obs, subgraph, mask, rng=self.rng, greedy=self.greedy)
         action = self.adjust_action(view, action)
-        self.trajectories.setdefault(view.session.session_id, []).append(Transition(
-            obs=obs, subgraph=subgraph, mask=mask, action=action,
-            log_probs=logps, value=value,
-        ))
+        if self.buffer is not None:
+            self.trajectories.setdefault(view.session.session_id, []).append(Transition(
+                obs=obs, subgraph=subgraph, mask=mask, action=action,
+                log_probs=logps, value=value,
+            ))
         return action
 
     def adjust_action(self, view: DecisionView, action: JointAction) -> JointAction:
@@ -568,18 +571,16 @@ class PolicyController:
             self._finish_session(sid)
 
     def _finish_session(self, sid: int) -> None:
-        traj = self.trajectories.pop(sid, None)
-        if traj and self.buffer is not None:
-            assert all(t.reward is not None for t in traj)
-            self.buffer.add(TrajectorySegment(transitions=traj, bootstrap_value=0.0))
+        traj = self.trajectories.pop(sid)
+        assert all(t.reward is not None for t in traj)
+        self.buffer.add(TrajectorySegment(transitions=traj, bootstrap_value=0.0))
 
     def finalize_truncated(self) -> None:
         """Close out sessions cut off by the episode horizon."""
-        for sid, traj in list(self.trajectories.items()):
+        for traj in self.trajectories.values():
             for tr in traj:
                 if tr.reward is None:
                     tr.reward = 0.0
-            if self.buffer is not None and traj:
-                self.buffer.add(TrajectorySegment(
-                    transitions=traj, bootstrap_value=traj[-1].value))
-            del self.trajectories[sid]
+            self.buffer.add(TrajectorySegment(
+                transitions=traj, bootstrap_value=traj[-1].value))
+        self.trajectories.clear()

@@ -17,6 +17,13 @@ def _load(args):
     return cfg
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_common(sub, needs_out=True):
     sub.add_argument("--config", help="experiment config YAML (defaults otherwise)")
     sub.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -33,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = subs.add_parser("train", help="run the training loop")
     _add_common(p_train)
-    p_train.add_argument("--episodes", type=int, default=None,
+    p_train.add_argument("--episodes", type=_non_negative_int, default=None,
                          help="training episodes (default: config ppo.episodes)")
     p_train.add_argument("--trace", action="store_true",
                          help="write a JSON-lines event trace")
@@ -41,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = subs.add_parser("eval", help="greedy evaluation of a checkpoint")
     _add_common(p_eval)
     p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--episodes", type=int, default=20)
+    p_eval.add_argument("--episodes", type=_non_negative_int, default=20)
     p_eval.add_argument("--trace", action="store_true")
 
     p_sweep = subs.add_parser("sweep", help="SNR or load sweep of a checkpoint")
@@ -50,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--axis", required=True, choices=["snr", "load"])
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated axis values, e.g. -5,0,5,10,15")
-    p_sweep.add_argument("--episodes", type=int, default=20)
+    p_sweep.add_argument("--episodes", type=_non_negative_int, default=20)
 
     p_base = subs.add_parser("baseline", help="run a comparator policy")
     _add_common(p_base)
@@ -59,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="required for policy-derived variants")
     p_base.add_argument("--fixed-budget", type=int, default=None,
                         choices=[64, 96, 128])
-    p_base.add_argument("--episodes", type=int, default=20)
+    p_base.add_argument("--episodes", type=_non_negative_int, default=20)
     p_base.add_argument("--trace", action="store_true")
     return parser
 

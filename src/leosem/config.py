@@ -81,6 +81,14 @@ class ExperimentConfig:
     objective: ObjectiveConfig = field(default_factory=ObjectiveConfig)
     seed: int = 0
 
+    def __post_init__(self):
+        if self.simulation.num_flows >= 1 and self.constellation.num_sats < 2:
+            raise ConfigError(
+                f"invalid section simulation: num_flows = {self.simulation.num_flows} needs "
+                f"at least 2 satellites for distinct flow endpoints, but section "
+                f"constellation has num_planes x sats_per_plane = "
+                f"{self.constellation.num_sats}")
+
     def delay_scale_s(self) -> float:
         """Objective normalizer: a TTL-bound worst-case delay estimate.
 

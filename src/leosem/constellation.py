@@ -104,6 +104,8 @@ class GraphSnapshot:
     # Per-slot observation rows, built by the agent on first use.
     obs_rows: object = field(default=None, repr=False, compare=False)
     _in_edges: list | None = field(default=None, repr=False, compare=False)
+    # Per destination, the distances of every node to it; built on first use.
+    _dist_to: dict = field(default_factory=dict, repr=False, compare=False)
 
     def edge(self, node: int, port: int) -> Edge | None:
         """One link as an ``Edge`` (built on demand), or None if the port is absent."""
@@ -140,7 +142,13 @@ class GraphSnapshot:
         return self._in_edges
 
     def distance_km(self, a: int, b: int) -> float:
-        return float(np.linalg.norm(self.positions[a] - self.positions[b]))
+        """Straight-line distance between two nodes, from a row kept per ``b``."""
+        row = self._dist_to.get(b)
+        if row is None:
+            d = self.positions - self.positions[b]
+            # sqrt of vecdot rounds exactly like a per-vector np.linalg.norm.
+            row = self._dist_to[b] = np.sqrt(np.vecdot(d, d)).tolist()
+        return row[a]
 
 
 class Constellation:

@@ -67,7 +67,11 @@ def make_policy_config(cfg: ExperimentConfig) -> PolicyConfig:
 
 
 def sample_flows(cfg: ExperimentConfig, rng: np.random.Generator) -> list[tuple[int, int]]:
+    """``num_flows`` (src, dst) pairs with src != dst; needs 2 or more satellites."""
     n = cfg.constellation.num_sats
+    if cfg.simulation.num_flows and n < 2:
+        raise ValueError(f"cannot sample {cfg.simulation.num_flows} flow(s) with distinct "
+                         f"endpoints on a shell of {n} satellite(s)")
     min_hops = cfg.simulation.flow_min_grid_hops
     flows = []
     for _ in range(cfg.simulation.num_flows):
@@ -134,6 +138,11 @@ def _truncated_record(episode: int, s: ActiveSession, tracker: RewardTracker) ->
     )
 
 
+def _check_episodes(episodes: int) -> None:
+    if episodes < 0:
+        raise ValueError(f"episodes must be >= 0, got {episodes}")
+
+
 class TrainResult:
     def __init__(self, params: PolicyParams, curve: list[dict],
                  records: list[SessionRecord], bundle: MetricsBundle):
@@ -147,6 +156,7 @@ def train(cfg: ExperimentConfig, episodes: int | None = None,
           trace=None) -> TrainResult:
     """Rollout/update loop over seeded episodes with a shared policy."""
     episodes = cfg.ppo.episodes if episodes is None else episodes
+    _check_episodes(episodes)
     params = pol.init_policy_params(
         stream_rng(cfg.seed, _STREAM_POLICY_INIT), make_policy_config(cfg))
     optimizer = pol.Adam(lr=cfg.ppo.learning_rate)
@@ -206,6 +216,7 @@ def evaluate(cfg: ExperimentConfig, params: PolicyParams | None, episodes: int,
              collect_queue_log: bool = False
              ) -> tuple[MetricsBundle, list[SessionRecord], list[Engine]]:
     """Greedy evaluation (or a baseline run) over paired seeded episodes."""
+    _check_episodes(episodes)
     records: list[SessionRecord] = []
     engines: list[Engine] = []
     for ep in range(episodes):
@@ -231,6 +242,7 @@ def sweep(cfg: ExperimentConfig, axis: str, values: list[float],
     """Vary base SNR or concurrent load and evaluate each setting."""
     if axis not in ("snr", "load"):
         raise ValueError("axis must be 'snr' or 'load'")
+    _check_episodes(episodes)
     rows = []
     for value in values:
         if axis == "snr":

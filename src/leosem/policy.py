@@ -13,7 +13,9 @@ is the B=1 case.  Parameters and gradients live in one flat vector.
 """
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -243,10 +245,15 @@ def forward(params: PolicyParams, states: StateBatch) -> PolicyForward:
                          log_probs=log_probs, probs=probs, value=out[:, -1])
 
 
-def sample_categorical(rng: np.random.Generator, probs: np.ndarray) -> int:
+def sample_categorical(rng: np.random.Generator, probs) -> int:
+    """Inverse-CDF draw from a sequence of probabilities, with one uniform.
+
+    The running sums are sequential, as ``np.cumsum`` forms them, and the
+    bisection matches ``np.searchsorted(..., side="right")``.
+    """
     u = rng.random()
-    cum = np.cumsum(probs)
-    return int(min(np.searchsorted(cum, u, side="right"), len(probs) - 1))
+    cum = list(itertools.accumulate(probs))
+    return min(bisect.bisect_right(cum, u), len(cum) - 1)
 
 
 def act(params: PolicyParams, obs: np.ndarray, subgraph: SubgraphInput,
@@ -260,12 +267,12 @@ def act(params: PolicyParams, obs: np.ndarray, subgraph: SubgraphInput,
     if rng is None and not greedy:
         raise ValueError("sampling mode requires an rng")
     fwd = forward(params, StateBatch(obs[None], subgraph.features[None], None, mask[None]))
+    row = fwd.probs[0].tolist()
     if greedy:
-        row = fwd.probs[0].tolist()
         # list.index finds the first of equal maxima: ties go to the lowest index.
         choice = [row[c].index(max(row[c])) for c in HEAD_COLUMNS.values()]
     else:
-        choice = [sample_categorical(rng, fwd.probs[0, c]) for c in HEAD_COLUMNS.values()]
+        choice = [sample_categorical(rng, row[c]) for c in HEAD_COLUMNS.values()]
     logp_row = fwd.log_probs[0].tolist()
     logps = np.array([logp_row[c.start + a] for c, a in zip(HEAD_COLUMNS.values(), choice)])
     return JointAction(*choice), logps, float(fwd.value[0])

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -191,11 +191,13 @@ def noise_factor(link_snr_db: float, cfg: QualityProxyConfig) -> float:
 
 def record_hop(state: SemanticState, link_snr_db: float, cfg: QualityProxyConfig) -> SemanticState:
     """Account one traversed link: distortion grows, min-SNR tracks."""
-    return replace(
-        state,
-        accum_distortion=state.accum_distortion + cfg.per_hop_distortion * noise_factor(link_snr_db, cfg),
-        min_link_snr_db=min(state.min_link_snr_db, link_snr_db),
+    return SemanticState(
+        session_id=state.session_id,
+        budget_c=state.budget_c,
         hops_since_process=state.hops_since_process + 1,
+        accum_distortion=state.accum_distortion + cfg.per_hop_distortion * noise_factor(link_snr_db, cfg),
+        quant_penalties=state.quant_penalties,
+        min_link_snr_db=min(state.min_link_snr_db, link_snr_db),
     )
 
 
@@ -213,12 +215,13 @@ def relay_process(state: SemanticState, mode: int, budget_c: int, cfg: QualityPr
         raise ValueError(f"budget_c must be one of {BUDGET_SET}")
     if mode == MODE_FORWARD:
         return state
-    return replace(
-        state,
+    return SemanticState(
+        session_id=state.session_id,
         budget_c=min(budget_c, state.budget_c),
         hops_since_process=0,
         accum_distortion=state.accum_distortion * cfg.relay_recovery,
         quant_penalties=state.quant_penalties + 1,
+        min_link_snr_db=state.min_link_snr_db,
     )
 
 

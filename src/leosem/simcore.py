@@ -293,7 +293,7 @@ class Engine:
         self.slot = 0
         self._heap: list = []
         self._seq = itertools.count()
-        self.snapshot = constellation.snapshot(0.0, channel)
+        self._snapshot: GraphSnapshot | None = None
 
         self.sessions: dict[int, ActiveSession] = {}
         self._next_session_id = itertools.count()
@@ -301,6 +301,8 @@ class Engine:
         self.counters = EngineCounters()
         self.sessions_resolved = 0
 
+        # Per-slot queue-law counts; only the queue log reads them, so they
+        # are reset at slot boundaries only while it is collected.
         self.queue_log: list[QueueLawRow] = []
         self._slot_arrivals = np.zeros((n, NUM_PORTS), dtype=np.int64)
         self._slot_departures = np.zeros((n, NUM_PORTS), dtype=np.int64)
@@ -381,15 +383,28 @@ class Engine:
     # ------------------------------------------------------------------
     # slot boundary
 
+    @property
+    def snapshot(self) -> GraphSnapshot:
+        """The graph of the current slot, built on its first read in the slot.
+
+        That read advances the channel to the slot; slots nobody reads are
+        never built.  The channel still draws every slot in order, so each
+        snapshot holds the same values as one built at the slot boundary.
+        """
+        if self._snapshot is None:
+            self.channel.advance_to_slot(self.slot)
+            self._snapshot = self.constellation.snapshot(
+                self.slot * self.slot_length_s, self.channel)
+        return self._snapshot
+
     def _on_slot(self, slot: int) -> None:
         if self.collect_queue_log:
             self._flush_slot_rows()
+            self._slot_arrivals[...] = 0
+            self._slot_departures[...] = 0
+            self._q_at_slot_start = self.occupancy.copy()
         self.slot = slot
-        self.channel.advance_to_slot(slot)
-        self.snapshot = self.constellation.snapshot(slot * self.slot_length_s, self.channel)
-        self._slot_arrivals[...] = 0
-        self._slot_departures[...] = 0
-        self._q_at_slot_start = self.occupancy.copy()
+        self._snapshot = None
         self._emit("slot", slot=slot)
         for key, q in self.queues.items():
             if q.entries and not self._busy[key]:
@@ -424,7 +439,8 @@ class Engine:
 
     def _decide(self, session: ActiveSession) -> None:
         node = session.node
-        mask = self.snapshot.port_mask(node)
+        snap = self.snapshot
+        mask = snap.port_mask(node)
         if not mask.any():
             self._fail(session, DROP_NO_LINK,
                        penalty_index=session.decision_count - 1 if session.decision_count else None,
@@ -432,14 +448,14 @@ class Engine:
             return
         view = DecisionView(
             time_s=self.now_s, slot=self.slot, node=node, session=session,
-            snapshot=self.snapshot, mask=mask, occupancy=self.occupancy,
+            snapshot=snap, mask=mask, occupancy=self.occupancy,
             q_max=self.q_max, ttl_max=self.ttl_hops,
             constellation=self.constellation, is_source=session.decision_count == 0,
         )
         action: JointAction = self.controller.decide(view)
         if not mask[action.hop]:
             raise ValueError(f"controller picked masked port {action.hop} at node {node}")
-        next_node = int(self.snapshot.dst[node, action.hop])
+        next_node = int(snap.dst[node, action.hop])
         is_source = session.decision_count == 0
         decision_index = session.decision_count
         session.decision_count += 1
@@ -468,7 +484,7 @@ class Engine:
             "decision_index": decision_index,
             "port": int(action.hop),
             "next_node": next_node,
-            "prev_dist_km": self.snapshot.distance_km(node, session.dst),
+            "prev_dist_km": snap.distance_km(node, session.dst),
             "queue_frac": float(self.occupancy[node, action.hop]) / self.q_max,
             "revisited": next_node in session.hop_trace,
             "decision_s": self.now_s,

@@ -164,12 +164,29 @@ def test_sections_are_the_domain_classes():
     ("simulation", "episode_length_s", math.inf),
     ("channel", "base_snr_db", "25 dB"),
     ("ppo", "learning_rate", None),
+    # Flows need two distinct endpoints, which a one-satellite shell lacks.
+    pytest.param("simulation", "num_flows", 1, marks=pytest.mark.sections(
+        constellation={"num_planes": 1, "sats_per_plane": 1})),
 ])
-def test_bad_value_fails_at_load_naming_section_and_field(tmp_path, section, name, value):
+def test_bad_value_fails_at_load_naming_section_and_field(request, tmp_path, section, name,
+                                                          value):
+    data = {section: {name: value}}
+    marker = request.node.get_closest_marker("sections")
+    if marker is not None:
+        data.update(marker.kwargs)
     path = tmp_path / "bad.yaml"
-    path.write_text(yaml.safe_dump({section: {name: value}}))
+    path.write_text(yaml.safe_dump(data))
     with pytest.raises(ConfigError, match=f"section {section}: .*{name}"):
         load_config(path)
+
+
+def test_one_satellite_shell_loads_without_flows_and_names_both_sections():
+    shell = {"num_planes": 1, "sats_per_plane": 1}
+    with pytest.raises(ConfigError, match="num_flows = 2 .*section constellation.* = 1"):
+        config_from_dict({"constellation": shell})
+    cfg = config_from_dict({"constellation": shell, "simulation": {"num_flows": 0}})
+    bundle, _, _ = evaluate(cfg, None, 1, baseline=BaselineSpec(kind="shortest_path"))
+    assert bundle.sessions == 0
 
 
 def test_missing_calibration_table_fails_at_load(tmp_path):
@@ -222,31 +239,35 @@ def _objective(draw):
                            delay_scale_s=draw(st.none() | _POSITIVE))
 
 
-_EXPERIMENT = st.builds(
-    ExperimentConfig,
-    constellation=_section(ConstellationConfig,
-                           inclination_deg=st.floats(0.0, 180.0),
-                           phasing_factor=st.integers(-5, 5)),
-    channel=_section(ChannelConfig, failure_rate=_UNIT,
-                     seed=st.integers(0, 2**63)),
-    simulation=_section(SimulationConfig,
-                        num_flows=st.integers(0, 50),
-                        frame_interval_s=st.floats(0.0, 1e3)),
-    proxy=_section(QualityProxyConfig, budget_gain=_budget_gain(),
-                   snr_midpoint_db=st.floats(-50.0, 50.0),
-                   requant_penalty=_UNIT, relay_recovery=_UNIT,
-                   calibration_table=st.sampled_from([None, str(CALIBRATION_CSV)])),
-    reward=_section(RewardConfig, w_delay=st.floats(0.0, 10.0)),
-    ppo=_section(PpoSettings, gamma=_UNIT, gae_lambda=_UNIT,
-                 entropy_coef=st.floats(0.0, 1.0)),
-    objective=_objective(),
-    seed=st.integers(0, 2**31),
-)
+@st.composite
+def _experiment(draw):
+    shell = draw(_section(ConstellationConfig, inclination_deg=st.floats(0.0, 180.0),
+                          phasing_factor=st.integers(-5, 5)))
+    # A one-satellite shell has no two distinct flow endpoints.
+    max_flows = 50 if shell.num_sats >= 2 else 0
+    return draw(st.builds(
+        ExperimentConfig,
+        constellation=st.just(shell),
+        channel=_section(ChannelConfig, failure_rate=_UNIT,
+                         seed=st.integers(0, 2**63)),
+        simulation=_section(SimulationConfig,
+                            num_flows=st.integers(0, max_flows),
+                            frame_interval_s=st.floats(0.0, 1e3)),
+        proxy=_section(QualityProxyConfig, budget_gain=_budget_gain(),
+                       snr_midpoint_db=st.floats(-50.0, 50.0),
+                       requant_penalty=_UNIT, relay_recovery=_UNIT,
+                       calibration_table=st.sampled_from([None, str(CALIBRATION_CSV)])),
+        reward=_section(RewardConfig, w_delay=st.floats(0.0, 10.0)),
+        ppo=_section(PpoSettings, gamma=_UNIT, gae_lambda=_UNIT,
+                     entropy_coef=st.floats(0.0, 1.0)),
+        objective=_objective(),
+        seed=st.integers(0, 2**31),
+    ))
 
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(cfg=_EXPERIMENT)
+@given(cfg=_experiment())
 def test_any_valid_config_roundtrips_byte_identically(tmp_path, cfg):
     first, second = tmp_path / "first.yaml", tmp_path / "second.yaml"
     save_config(cfg, first)

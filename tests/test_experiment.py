@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,9 +8,10 @@ import pytest
 from leosem import policy as pol
 from leosem.baselines import BaselineSpec
 from leosem.cli import main as cli_main
-from leosem.config import load_config, tiny_config
+from leosem.config import SimulationConfig, load_config, tiny_config
+from leosem.constellation import ConstellationConfig
 from leosem.experiment import (cmd_eval, cmd_sweep, cmd_train, evaluate,
-                               run_episode, sample_flows, stream_rng, train)
+                               run_episode, sample_flows, stream_rng, sweep, train)
 from leosem.metrics import objective_value, read_sessions_csv
 
 
@@ -31,6 +33,17 @@ def test_sample_flows_respects_distance_floor():
         for src, dst in sample_flows(cfg, rng):
             assert src != dst
             assert grid_hop_distance(cfg.constellation, src, dst) >= 2
+
+
+def test_sample_flows_refuses_a_one_satellite_shell():
+    # The config refuses this pair, so hand the sampler the two sections directly.
+    shell = SimpleNamespace(constellation=ConstellationConfig(num_planes=1, sats_per_plane=1),
+                            simulation=SimulationConfig(num_flows=1))
+    with pytest.raises(ValueError, match="1 flow.*1 satellite"):
+        sample_flows(shell, np.random.default_rng(0))
+    no_flows = SimpleNamespace(constellation=shell.constellation,
+                               simulation=SimulationConfig(num_flows=0))
+    assert sample_flows(no_flows, np.random.default_rng(0)) == []
 
 
 @pytest.mark.parametrize("chunk_bytes, chunks", [(1200, 30), (600, 60)])
@@ -219,3 +232,38 @@ def test_cli_seed_override(tmp_path):
               "--episodes", "0", "--seed", "77"])
     info = json.loads((out / "run.json").read_text())
     assert info["seed"] == 77
+
+
+def test_negative_episode_counts_rejected(tmp_path):
+    cfg = fast_cfg(seed=21)
+    cmd_train(cfg, tmp_path / "t", episodes=0)
+    params = pol.load_checkpoint(tmp_path / "t" / "checkpoint.npz")[0]
+    with pytest.raises(ValueError, match="episodes must be >= 0, got -2"):
+        train(cfg, episodes=-2)
+    with pytest.raises(ValueError, match="episodes must be >= 0, got -1"):
+        train(dataclasses.replace(cfg, ppo=dataclasses.replace(cfg.ppo, episodes=0)),
+              episodes=-1)
+    with pytest.raises(ValueError, match="episodes must be >= 0"):
+        evaluate(cfg, params, -1)
+    with pytest.raises(ValueError, match="episodes must be >= 0"):
+        evaluate(cfg, None, -3, baseline=BaselineSpec(kind="shortest_path"))
+    with pytest.raises(ValueError, match="episodes must be >= 0"):
+        sweep(cfg, "snr", [0.0], params, -1)
+    with pytest.raises(ValueError, match="episodes must be >= 0"):
+        cmd_train(cfg, tmp_path / "neg", episodes=-2)
+    assert not (tmp_path / "neg" / "checkpoint.npz").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["train"],
+    ["eval", "--checkpoint", "c.npz"],
+    ["sweep", "--checkpoint", "c.npz", "--axis", "snr", "--values", "0"],
+    ["baseline", "--baseline-kind", "shortest_path"],
+])
+def test_cli_rejects_negative_episodes(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        cli_main(command[:1] + ["--out", str(out), "--episodes", "-2"] + command[1:])
+    assert exc.value.code == 2
+    assert "--episodes: must be >= 0, got -2" in capsys.readouterr().err
+    assert not out.exists()
