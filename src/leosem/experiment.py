@@ -310,6 +310,7 @@ def load_policy(cfg: ExperimentConfig, checkpoint) -> PolicyParams:
 
 def cmd_train(cfg: ExperimentConfig, out_dir, episodes: int | None = None,
               trace: bool = False) -> TrainResult:
+    _check_episodes(cfg.ppo.episodes if episodes is None else episodes)
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_config(cfg, out / "config.yaml")
@@ -334,6 +335,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir, episodes: int | None = None,
 def cmd_eval(cfg: ExperimentConfig, checkpoint, out_dir, episodes: int,
              baseline_kind: str | None = None, fixed_budget: int | None = None,
              trace: bool = False) -> MetricsBundle:
+    _check_episodes(episodes)
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_config(cfg, out / "config.yaml")
@@ -365,6 +367,7 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, values: list[float], checkpoint,
         raise ValueError("axis must be 'snr' or 'load'")
     if not values:
         raise ValueError("sweep needs at least one value")
+    _check_episodes(episodes)
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_config(cfg, out / "config.yaml")

@@ -251,7 +251,12 @@ def test_negative_episode_counts_rejected(tmp_path):
         sweep(cfg, "snr", [0.0], params, -1)
     with pytest.raises(ValueError, match="episodes must be >= 0"):
         cmd_train(cfg, tmp_path / "neg", episodes=-2)
-    assert not (tmp_path / "neg" / "checkpoint.npz").exists()
+    with pytest.raises(ValueError, match="episodes must be >= 0"):
+        cmd_eval(cfg, tmp_path / "t" / "checkpoint.npz", tmp_path / "neg", episodes=-1)
+    with pytest.raises(ValueError, match="episodes must be >= 0"):
+        cmd_sweep(cfg, "load", [1.0], tmp_path / "t" / "checkpoint.npz", tmp_path / "neg",
+                  episodes=-1)
+    assert not (tmp_path / "neg").exists()
 
 
 @pytest.mark.parametrize("command", [
