@@ -39,37 +39,57 @@ class BaselineSpec:
             raise ValueError("fixed_relay must be 0 or 1")
 
 
-def dijkstra_to(snapshot: GraphSnapshot, dst: int) -> dict[int, float]:
-    """Distance-to-destination (km) over the available directed edges."""
+def dijkstra_to(snapshot: GraphSnapshot, dst: int,
+                targets: set[int] | None = None) -> dict[int, float]:
+    """Distance-to-destination (km) over the available directed edges.
+
+    With ``targets``, the search stops once every target has been settled
+    (popped with its final label) and the result may also hold tentative
+    labels of other nodes; a target missing from it is unreachable.  A
+    settled label never changes afterwards, so each target's distance is
+    the one the full search gives, bit for bit.
+    """
     in_edges = snapshot.in_edges()
+    pop, push = heapq.heappop, heapq.heappush
+    # ``label`` is the working copy of ``dist`` that the loop reads; the
+    # dict is the result, holding labelled nodes in the order they got one.
+    label = [math.inf] * len(in_edges)
+    label[dst] = 0.0
     dist = {dst: 0.0}
     heap = [(0.0, dst)]
+    left = None if targets is None else set(targets)
     while heap:
-        d, node = heapq.heappop(heap)
-        if d > dist.get(node, math.inf):
+        d, node = pop(heap)
+        if d > label[node]:
             continue
+        if left is not None and node in left:
+            left.remove(node)
+            if not left:
+                break
         for src, km in in_edges[node]:
             nd = d + km
-            if nd < dist.get(src, math.inf) - 1e-12:
-                dist[src] = nd
-                heapq.heappush(heap, (nd, src))
+            if nd < label[src] - 1e-12:
+                label[src] = dist[src] = nd
+                push(heap, (nd, src))
     return dist
 
 
 def shortest_path_next_hop(snapshot: GraphSnapshot, current: int, dst: int) -> int | None:
     """Port of the first hop of a minimum-propagation-delay path, or None.
 
-    Recomputed on the given snapshot; ties break toward the lowest
+    Recomputed on the given snapshot; the search stops once the distances
+    of the open neighbors are settled.  Ties break toward the lowest
     neighbor node index.
     """
     if current == dst:
         raise ValueError("already at the destination")
-    dist = dijkstra_to(snapshot, dst)
+    open_ports = [(p, nxt, km) for p, (nxt, up, km) in enumerate(zip(
+        snapshot.dst[current].tolist(), snapshot.avail[current].tolist(),
+        snapshot.dist_km[current].tolist())) if up]
+    dist = dijkstra_to(snapshot, dst, {nxt for _, nxt, _ in open_ports})
     best: tuple[float, int, int] | None = None
-    for p, (nxt, up, km) in enumerate(zip(snapshot.dst[current].tolist(),
-                                          snapshot.avail[current].tolist(),
-                                          snapshot.dist_km[current].tolist())):
-        if not up or nxt not in dist:
+    for p, nxt, km in open_ports:
+        if nxt not in dist:
             continue
         cand = (km + dist[nxt], nxt, p)
         if best is None or cand < best:

@@ -10,7 +10,7 @@ slot-by-slot, so a fixed seed reproduces every draw bit-for-bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,6 +28,9 @@ class ChannelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if self.fast_std_db < 0:
             raise ValueError("fast_std_db must be >= 0")
         if self.jitter_amplitude_db < 0:

@@ -237,20 +237,36 @@ def evaluate(cfg: ExperimentConfig, params: PolicyParams | None, episodes: int,
     return bundle, records, engines
 
 
+def _sweep_configs(cfg: ExperimentConfig, axis: str,
+                   values: list[float]) -> list[ExperimentConfig]:
+    """One config per sweep value, each checked by its dataclasses.
+
+    ``snr`` offsets the base SNR by the value; ``load`` sets the number of
+    flows, which must be a whole number.
+    """
+    if axis not in ("snr", "load"):
+        raise ValueError("axis must be 'snr' or 'load'")
+    configs = []
+    for value in values:
+        if axis == "snr":
+            configs.append(dataclasses.replace(cfg, channel=dataclasses.replace(
+                cfg.channel, base_snr_db=cfg.channel.base_snr_db + value)))
+        elif not float(value).is_integer():
+            raise ValueError(f"load values are flow counts and must be whole numbers, "
+                             f"got {value}")
+        else:
+            configs.append(dataclasses.replace(cfg, simulation=dataclasses.replace(
+                cfg.simulation, num_flows=int(value))))
+    return configs
+
+
 def sweep(cfg: ExperimentConfig, axis: str, values: list[float],
           params: PolicyParams, episodes: int) -> list[dict]:
     """Vary base SNR or concurrent load and evaluate each setting."""
-    if axis not in ("snr", "load"):
-        raise ValueError("axis must be 'snr' or 'load'")
+    varied_configs = _sweep_configs(cfg, axis, values)
     _check_episodes(episodes)
     rows = []
-    for value in values:
-        if axis == "snr":
-            varied = dataclasses.replace(cfg, channel=dataclasses.replace(
-                cfg.channel, base_snr_db=cfg.channel.base_snr_db + value))
-        else:
-            varied = dataclasses.replace(cfg, simulation=dataclasses.replace(
-                cfg.simulation, num_flows=int(value)))
+    for value, varied in zip(values, varied_configs):
         bundle, _, _ = evaluate(varied, params, episodes)
         rows.append({
             "axis": axis,
@@ -336,9 +352,6 @@ def cmd_eval(cfg: ExperimentConfig, checkpoint, out_dir, episodes: int,
              baseline_kind: str | None = None, fixed_budget: int | None = None,
              trace: bool = False) -> MetricsBundle:
     _check_episodes(episodes)
-    out = pathlib.Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_config(cfg, out / "config.yaml")
     params = None
     ckpt_hash = None
     if checkpoint is not None:
@@ -347,6 +360,9 @@ def cmd_eval(cfg: ExperimentConfig, checkpoint, out_dir, episodes: int,
     spec = None
     if baseline_kind is not None:
         spec = BaselineSpec(kind=baseline_kind, fixed_budget=fixed_budget)
+    out = pathlib.Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    save_config(cfg, out / "config.yaml")
     trace_write, trace_fh = _open_trace(out, trace)
     try:
         bundle, records, _ = evaluate(cfg, params, episodes, baseline=spec,
@@ -363,15 +379,14 @@ def cmd_eval(cfg: ExperimentConfig, checkpoint, out_dir, episodes: int,
 
 def cmd_sweep(cfg: ExperimentConfig, axis: str, values: list[float], checkpoint,
               out_dir, episodes: int) -> list[dict]:
-    if axis not in ("snr", "load"):
-        raise ValueError("axis must be 'snr' or 'load'")
     if not values:
         raise ValueError("sweep needs at least one value")
+    _sweep_configs(cfg, axis, values)
     _check_episodes(episodes)
+    params = load_policy(cfg, checkpoint)
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_config(cfg, out / "config.yaml")
-    params = load_policy(cfg, checkpoint)
     rows = sweep(cfg, axis, values, params, episodes)
     metrics.write_rows_csv(out / "sweep.csv", SWEEP_COLUMNS, rows)
     _write_run_info(out, cfg, command="sweep", axis=axis, values=list(values),

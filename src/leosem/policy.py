@@ -18,6 +18,7 @@ import functools
 import itertools
 import json
 import math
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -263,11 +264,15 @@ def act(params: PolicyParams, obs: np.ndarray, subgraph: SubgraphInput,
 
     The B=1 case of ``forward``.  Sampling mode needs an rng; greedy mode
     takes the argmax of each head (ties resolved to the lowest index).
+    Non-finite probabilities raise ``FloatingPointError`` before any choice.
     """
     if rng is None and not greedy:
         raise ValueError("sampling mode requires an rng")
     fwd = forward(params, StateBatch(obs[None], subgraph.features[None], None, mask[None]))
     row = fwd.probs[0].tolist()
+    if not math.isfinite(sum(row)):
+        raise FloatingPointError(
+            f"non-finite action probabilities {row}; check the parameters and observation")
     if greedy:
         # list.index finds the first of equal maxima: ties go to the lowest index.
         choice = [row[c].index(max(row[c])) for c in HEAD_COLUMNS.values()]
@@ -396,9 +401,15 @@ def load_checkpoint(path) -> tuple[PolicyParams, dict]:
     """Load parameters and metadata, checking every array's shape.
 
     The shapes must be those of the ``PolicyConfig`` the metadata describes;
-    a missing or misshapen array raises ``ValueError`` naming it.
+    a missing or misshapen array, or one holding a non-finite value, raises
+    ``ValueError`` naming it, and so does a file that is not a readable
+    archive, naming the path.
     """
-    with np.load(path) as data:
+    try:
+        archive = np.load(path)
+    except zipfile.BadZipFile as exc:
+        raise ValueError(f"checkpoint {path} is not a readable .npz archive: {exc}") from exc
+    with archive as data:
         meta = json.loads(bytes(data["meta"].tobytes()).decode())
         if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
             raise ValueError(
@@ -421,4 +432,7 @@ def load_checkpoint(path) -> tuple[PolicyParams, dict]:
                 raise ValueError(f"checkpoint array {name!r} has shape {arr.shape}, "
                                  f"expected {view.shape} for {cfg}")
             view[...] = arr
+    bad = params.nonfinite_block()
+    if bad is not None:
+        raise ValueError(f"checkpoint array {bad!r} holds a non-finite value")
     return params, meta

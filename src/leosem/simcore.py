@@ -288,6 +288,10 @@ class Engine:
                 self.queues[(node, port)] = PortQueue(node, port, q_max)
         self.occupancy = np.zeros((n, NUM_PORTS), dtype=np.int64)
         self._busy: dict[tuple[int, int], bool] = {k: False for k in self.queues}
+        # Idle queues whose head group could not start: it joined in the
+        # current slot or its link is down.  Only these restart at a slot
+        # boundary.
+        self._waiting: set[tuple[int, int]] = set()
 
         self.now_s = 0.0
         self.slot = 0
@@ -302,7 +306,7 @@ class Engine:
         self.sessions_resolved = 0
 
         # Per-slot queue-law counts; only the queue log reads them, so they
-        # are reset at slot boundaries only while it is collected.
+        # are kept only while it is collected.
         self.queue_log: list[QueueLawRow] = []
         self._slot_arrivals = np.zeros((n, NUM_PORTS), dtype=np.int64)
         self._slot_departures = np.zeros((n, NUM_PORTS), dtype=np.int64)
@@ -406,9 +410,10 @@ class Engine:
         self.slot = slot
         self._snapshot = None
         self._emit("slot", slot=slot)
-        for key, q in self.queues.items():
-            if q.entries and not self._busy[key]:
-                self._try_start(key)
+        # Sorted (node, port) is the order of ``self.queues``, so service
+        # starts get the same sequence numbers as a walk over every queue.
+        for key in sorted(self._waiting):
+            self._try_start(key)
         self._push((slot + 1) * self.slot_length_s, _EV_SLOT, ("slot", slot + 1))
 
     def _flush_slot_rows(self) -> None:
@@ -531,7 +536,8 @@ class Engine:
                        measurements=m)
             return
         self.occupancy[node, port] += burst.num_chunks
-        self._slot_arrivals[node, port] += burst.num_chunks
+        if self.collect_queue_log:
+            self._slot_arrivals[node, port] += burst.num_chunks
         self._emit("enqueue", session=sid, node=node, port=port, chunks=burst.num_chunks)
         key = (node, port)
         if not self._busy[key]:
@@ -542,15 +548,20 @@ class Engine:
         queue = self.queues[key]
         burst = queue.head()
         if burst is None or self._busy[key]:
+            self._waiting.discard(key)
             return
         if burst.enqueue_slot >= self.slot:
+            self._waiting.add(key)
             return  # groups only serve from the slot after they joined
         snap = self.snapshot
         if not snap.avail[node, port]:
+            self._waiting.add(key)
             return  # stalled; re-checked at the next slot boundary
+        self._waiting.discard(key)
         queue.pop()
         self.occupancy[node, port] -= burst.num_chunks
-        self._slot_departures[node, port] += burst.num_chunks
+        if self.collect_queue_log:
+            self._slot_departures[node, port] += burst.num_chunks
         burst.service_start_s = self.now_s
         burst.frozen_prop_s = propagation_delay(float(snap.dist_km[node, port]))
         burst.frozen_snr_db = float(snap.snr_db[node, port])
@@ -665,7 +676,8 @@ class Engine:
             self.counters.drop_causes[DROP_OVERFLOW] += 1
             return "overflow"
         self.occupancy[node, port] += 1
-        self._slot_arrivals[node, port] += 1
+        if self.collect_queue_log:
+            self._slot_arrivals[node, port] += 1
         if not self._busy[key]:
             self._try_start(key)
         return "accepted"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -7,9 +8,9 @@ from leosem.baselines import (BaselineSpec, GreedyQueueController,
                               ShortestPathController, dijkstra_to,
                               make_baseline_controller, shortest_path_next_hop)
 from leosem.channel import ChannelConfig, ChannelModel
-from leosem.config import tiny_config
+from leosem.config import ExperimentConfig, SimulationConfig, default_config, tiny_config
 from leosem.constellation import ConstellationConfig, build_constellation
-from leosem.experiment import evaluate
+from leosem.experiment import evaluate, run_episode
 from leosem.policy import PolicyConfig, init_policy_params
 from leosem.simcore import DROP_NO_LINK
 
@@ -92,6 +93,73 @@ def test_dijkstra_symmetric_costs():
     dist = dijkstra_to(snap, 4)
     assert dist[4] == 0.0
     assert all(v > 0 for k, v in dist.items() if k != 4)
+
+
+class EarlyExitChecker(ShortestPathController):
+    """Shortest-path routing that checks each decision against the full search."""
+
+    def __init__(self):
+        super().__init__(BaselineSpec(kind="shortest_path"))
+        self.decisions = 0
+        self.stopped_early = 0
+
+    def decide(self, view):
+        snap, node, dst = view.snapshot, view.node, view.session.dst
+        full = dijkstra_to(snap, dst)
+        row = [(p, int(snap.dst[node, p]), float(snap.dist_km[node, p]))
+               for p in range(len(view.mask)) if snap.avail[node, p]]
+        targets = {nxt for _, nxt, _ in row}
+        early = dijkstra_to(snap, dst, targets)
+        for nxt in targets:
+            if nxt in full:
+                assert np.float64(early.get(nxt, np.nan)).tobytes() == \
+                    np.float64(full[nxt]).tobytes()
+            else:
+                assert nxt not in early
+        best = min(((km + full[nxt], nxt, p) for p, nxt, km in row if nxt in full),
+                   default=None)
+        assert shortest_path_next_hop(snap, node, dst) == (best[2] if best else None)
+        self.decisions += 1
+        self.stopped_early += len(early) < len(full)
+        return super().decide(view)
+
+
+def busy_config(seed):
+    """The default 10x7 shell with 20 flows x 5 sessions every 2 s."""
+    cfg = default_config()
+    return dataclasses.replace(cfg, seed=seed, simulation=dataclasses.replace(
+        cfg.simulation, num_flows=20, sessions_per_flow=5, frame_interval_s=2.0))
+
+
+def test_early_exit_matches_full_search_on_busy_episodes():
+    checker = EarlyExitChecker()
+    for seed in (1, 2, 3):
+        assert run_episode(busy_config(seed), 0, checker, hooks=[]).conservation_ok()
+    assert checker.decisions > 1200
+    assert checker.stopped_early > 0.9 * checker.decisions
+
+
+@pytest.mark.parametrize("planes, sats", [(1, 2), (2, 3), (4, 2), (3, 3)])
+def test_early_exit_matches_full_search_on_degenerate_shells(planes, sats):
+    checker = EarlyExitChecker()
+    for episode in range(3):
+        cfg = ExperimentConfig(
+            constellation=ConstellationConfig(num_planes=planes, sats_per_plane=sats),
+            channel=ChannelConfig(failure_rate=0.3),
+            simulation=SimulationConfig(episode_length_s=20.0, num_flows=3,
+                                        sessions_per_flow=4, frame_interval_s=1.5,
+                                        ttl_hops=6, session_latent_bytes=12_000),
+            seed=planes * 10 + sats)
+        run_episode(cfg, episode, checker, hooks=[])
+    assert checker.decisions >= 20
+    assert checker.stopped_early > 0
+
+
+def test_early_exit_with_an_unreachable_target_searches_everything():
+    _, snap = snapshot_for(planes=4, sats=5, failure=0.7, seed=3)
+    full = dijkstra_to(snap, 0)
+    missing = next(node for node in range(20) if node not in full)
+    assert dijkstra_to(snap, 0, {missing}) == full
 
 
 def test_spec_validation():

@@ -1,0 +1,57 @@
+"""The paired-run summary of ``tools/bench_pairs.py``: wins, ties and the gain rule."""
+import importlib.util
+import pathlib
+
+import pytest
+
+_PATH = pathlib.Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+RATE = {"name": "episodes_per_s", "unit": "1/s", "better": "higher"}
+DELAY = {"name": "mean_delay_s", "unit": "s", "better": "lower"}
+
+
+def pairs(base, change, name):
+    return [{"base": {"metrics": {name: b}}, "change": {"metrics": {name: c}}}
+            for b, c in zip(base, change)]
+
+
+def test_ties_count_for_neither_side():
+    out = bench_pairs.compare(pairs([1.0, 2.0, 3.0], [1.0, 2.5, 2.0], "episodes_per_s"),
+                              [RATE])["episodes_per_s"]
+    assert out["change_wins"] == 1 and out["pairs"] == 3
+    assert not out["gain_rule_met"]
+
+
+def test_lower_is_better_flips_the_sign():
+    base = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]
+    faster = [x - 1.0 for x in base]
+    out = bench_pairs.compare(pairs(base, faster, "mean_delay_s"), [DELAY])["mean_delay_s"]
+    assert out["change_wins"] == 10 and out["gain_rule_met"]
+    out = bench_pairs.compare(pairs(base, faster, "episodes_per_s"),
+                              [RATE])["episodes_per_s"]
+    assert out["change_wins"] == 0 and not out["gain_rule_met"]
+
+
+@pytest.mark.parametrize("shift, wins, met", [
+    (1.0, 10, True),    # every pair won, median gap 1.0 > base IQR 0.175
+    (0.1, 10, False),   # every pair won, but the gap is inside the base's spread
+])
+def test_gain_rule_needs_the_gap_beyond_the_base_iqr(shift, wins, met):
+    base = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]
+    out = bench_pairs.compare(pairs(base, [x + shift for x in base], "episodes_per_s"),
+                              [RATE])["episodes_per_s"]
+    assert out["base"]["q3"] - out["base"]["q1"] == pytest.approx(0.175)
+    assert (out["change_wins"], out["gain_rule_met"]) == (wins, met)
+
+
+def test_gain_rule_needs_nine_tenths_of_the_pairs():
+    base = [10.0] * 10
+    change = [12.0] * 8 + [9.0] * 2
+    out = bench_pairs.compare(pairs(base, change, "episodes_per_s"), [RATE])["episodes_per_s"]
+    assert out["change_wins"] == 8 and not out["gain_rule_met"]
+    change = [12.0] * 9 + [9.0]
+    out = bench_pairs.compare(pairs(base, change, "episodes_per_s"), [RATE])["episodes_per_s"]
+    assert out["change_wins"] == 9 and out["gain_rule_met"]

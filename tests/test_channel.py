@@ -45,6 +45,17 @@ def test_nonpositive_distance_rejected():
         ch.link_snr((0, 1), 0.0, 0.0)
 
 
+FLOAT_FIELDS = ["fast_std_db", "jitter_amplitude_db", "correlation_horizon_s", "failure_rate",
+                "base_snr_db", "reference_distance_km", "pathloss_exponent", "bandwidth_hz"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_nonfinite_config_value_rejected(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ChannelConfig(**{name: value})
+
+
 def test_fast_noise_sample_std():
     ch = make_channel(fast_std_db=1.0)
     draws = []

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -272,3 +273,43 @@ def test_cli_rejects_negative_episodes(tmp_path, capsys, command):
     assert exc.value.code == 2
     assert "--episodes: must be >= 0, got -2" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sweep_refuses_a_fractional_load(tmp_path):
+    cfg = fast_cfg(seed=22)
+    cmd_train(cfg, tmp_path / "t", episodes=0)
+    params = pol.load_checkpoint(tmp_path / "t" / "checkpoint.npz")[0]
+    for value in (2.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="load values are flow counts"):
+            sweep(cfg, "load", [1.0, value], params, 1)
+
+
+@pytest.mark.parametrize("axis, value, error", [
+    ("load", -1.0, "num_flows must be >= 0"),
+    ("load", 2.5, "must be whole numbers"),
+    ("snr", math.nan, "base_snr_db must be finite"),
+])
+def test_cmd_sweep_checks_every_value_before_writing(tmp_path, axis, value, error):
+    cfg = fast_cfg(seed=23)
+    cmd_train(cfg, tmp_path / "t", episodes=0)
+    out = tmp_path / "s"
+    with pytest.raises(ValueError, match=error):
+        cmd_sweep(cfg, axis, [0.0, value], tmp_path / "t" / "checkpoint.npz", out, episodes=1)
+    assert not out.exists()
+
+
+def test_bad_checkpoint_fails_before_writing(tmp_path):
+    cfg = fast_cfg(seed=24)
+    cmd_train(cfg, tmp_path / "t", episodes=0)
+    ckpt = tmp_path / "t" / "checkpoint.npz"
+    data = dict(np.load(ckpt))
+    data["w1"][0, 0] = math.nan
+    np.savez(tmp_path / "nan.npz", **data)
+    (tmp_path / "cut.npz").write_bytes(ckpt.read_bytes()[:-50])
+    for bad, error in (("nan.npz", "'w1' holds a non-finite value"),
+                       ("cut.npz", "is not a readable .npz archive")):
+        with pytest.raises(ValueError, match=error):
+            cmd_eval(cfg, tmp_path / bad, tmp_path / "e", episodes=1)
+        with pytest.raises(ValueError, match=error):
+            cmd_sweep(cfg, "snr", [0.0], tmp_path / bad, tmp_path / "s", episodes=1)
+    assert not (tmp_path / "e").exists() and not (tmp_path / "s").exists()

@@ -1,5 +1,6 @@
 """The pay-per-use event loop against its eager form: slot state built on
-first read, cached distance rows and list-based sampling change no number."""
+first read, restarting only the waiting queues, cached distance rows and
+list-based sampling change no number."""
 import dataclasses
 
 import numpy as np
@@ -21,6 +22,24 @@ class EagerEngine(simcore.Engine):
     def _on_slot(self, slot: int) -> None:
         super()._on_slot(slot)
         assert self.snapshot.time_s == slot * self.slot_length_s
+
+
+class FullWalkEngine(simcore.Engine):
+    """Restarts idle queues by walking every queue at each slot boundary."""
+
+    def _on_slot(self, slot: int) -> None:
+        if self.collect_queue_log:
+            self._flush_slot_rows()
+            self._slot_arrivals[...] = 0
+            self._slot_departures[...] = 0
+            self._q_at_slot_start = self.occupancy.copy()
+        self.slot = slot
+        self._snapshot = None
+        self._emit("slot", slot=slot)
+        for key, q in self.queues.items():
+            if q.entries and not self._busy[key]:
+                self._try_start(key)
+        self._push((slot + 1) * self.slot_length_s, simcore._EV_SLOT, ("slot", slot + 1))
 
 
 def busy_config():
@@ -61,16 +80,33 @@ def test_lazy_slot_state_replays_the_eager_event_log(monkeypatch):
     assert len(lazy_builds) < 0.7 * len(eager_builds)
 
 
+def test_waiting_queues_replay_the_full_queue_walk(monkeypatch):
+    # The lossy shell stalls groups behind a service that ends in a slot
+    # where their link is down; only the slot-boundary restart moves them.
+    lossy = dataclasses.replace(tiny_config(0), channel=dataclasses.replace(
+        tiny_config(0).channel, failure_rate=0.3))
+    for cfg in (busy_config(), tiny_config(0), lossy):
+        events, engine, _ = traced_episode(monkeypatch, cfg, simcore.Engine)
+        walk_events, walk, _ = traced_episode(monkeypatch, cfg, FullWalkEngine)
+        assert events == walk_events
+        assert [dataclasses.asdict(o) for o in engine.outcomes] == \
+            [dataclasses.asdict(o) for o in walk.outcomes]
+        assert engine.counters == walk.counters
+        assert sum(e["ev"] == "service_start" for e in events) > 50
+        # Without a queue log the per-slot queue-law counts are never touched.
+        assert not engine._slot_arrivals.any() and not engine._slot_departures.any()
+
+
 def test_queue_log_matches_with_lazy_slot_state(monkeypatch):
     cfg = tiny_config(3)
     logs = []
-    for engine_cls in (simcore.Engine, EagerEngine):
+    for engine_cls in (simcore.Engine, EagerEngine, FullWalkEngine):
         monkeypatch.setattr(experiment, "Engine", engine_cls)
         _, _, engines = experiment.evaluate(
             cfg, None, 1, baseline=BaselineSpec(kind="shortest_path"),
             collect_queue_log=True)
         logs.append([dataclasses.astuple(row) for row in engines[0].queue_log])
-    assert logs[0] and logs[0] == logs[1]
+    assert logs[0] and logs[0] == logs[1] == logs[2]
 
 
 def test_distance_rows_match_per_pair_norm_bit_for_bit():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -200,3 +201,37 @@ def test_checkpoint_with_reshaped_array_rejected(tmp_path):
     np.savez(path, **data)
     with pytest.raises(ValueError, match=r"array 'w1' has shape \(12, 16\), expected \(16, 12\)"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name, value", [("w1", math.nan), ("b_val", -math.inf)])
+def test_checkpoint_with_nonfinite_array_rejected(tmp_path, name, value):
+    params = init_policy_params(np.random.default_rng(14), CFG)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, params)
+    data = dict(np.load(path))
+    data[name].flat[0] = value
+    np.savez(path, **data)
+    with pytest.raises(ValueError, match=f"array '{name}' holds a non-finite value"):
+        load_checkpoint(path)
+
+
+def test_truncated_checkpoint_rejected_naming_the_path(tmp_path):
+    params = init_policy_params(np.random.default_rng(15), CFG)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, params)
+    path.write_bytes(path.read_bytes()[:-100])
+    with pytest.raises(ValueError, match=f"checkpoint {re.escape(str(path))} is not a"):
+        load_checkpoint(path)
+
+
+def test_act_rejects_nonfinite_probabilities_before_choosing():
+    rng = np.random.default_rng(16)
+    params = init_policy_params(rng, CFG)
+    params.w1[0, 0] = math.nan
+    obs, sub, mask = rand_state(rng)
+    for greedy in (True, False):
+        action_rng = np.random.default_rng(0)
+        state = action_rng.bit_generator.state
+        with pytest.raises(FloatingPointError, match="non-finite action probabilities"):
+            pol.act(params, obs, sub, mask, rng=action_rng, greedy=greedy)
+        assert action_rng.bit_generator.state == state

@@ -9,10 +9,10 @@ the working tree.  For each seed it then runs ``python3 perfbench/run.py
 --workload W --seed S --seconds T --trace 0`` once in each tree, the side
 that goes first alternating from pair to pair, and writes
 ``BENCH_<label>.json``: the host line, both SHAs, every run's metrics, and
-per end-to-end metric each side's median and quartiles and the number of
-pairs the working tree won (ties count for neither side).  Run it once per
-workload with the same label: each run adds or replaces that workload's
-entry in the file.
+per end-to-end metric each side's median and quartiles, the number of
+pairs the working tree won (ties count for neither side) and
+``gain_rule_met``.  Run it once per workload with the same label: each run
+adds or replaces that workload's entry in the file.
 """
 from __future__ import annotations
 
@@ -67,15 +67,24 @@ def summarise(values: list[float]) -> dict:
 
 
 def compare(pairs: list[dict], metrics: list[dict]) -> dict:
+    """Per metric: both sides' median and quartiles, the pairs the change won
+    and ``gain_rule_met``.
+
+    A tie counts for neither side.  The gain rule is met when the change wins
+    at least 0.9 of the pairs and its median is better than the base's by
+    more than the base's interquartile range.
+    """
     out = {}
     for m in metrics:
         name, sign = m["name"], (1 if m["better"] == "higher" else -1)
         base = [p["base"]["metrics"][name] for p in pairs]
         change = [p["change"]["metrics"][name] for p in pairs]
-        out[name] = {"unit": m["unit"], "better": m["better"],
-                     "base": summarise(base), "change": summarise(change),
-                     "change_wins": sum(sign * (c - b) > 0 for b, c in zip(base, change)),
-                     "pairs": len(pairs)}
+        b, c = summarise(base), summarise(change)
+        wins = sum(sign * (y - x) > 0 for x, y in zip(base, change))
+        out[name] = {"unit": m["unit"], "better": m["better"], "base": b, "change": c,
+                     "change_wins": wins, "pairs": len(pairs),
+                     "gain_rule_met": wins >= 0.9 * len(pairs)
+                     and sign * (c["median"] - b["median"]) > b["q3"] - b["q1"]}
     return out
 
 
