@@ -34,8 +34,9 @@ gathers its members' rows and fills in the live part.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -67,6 +68,12 @@ def _wrap_delta(raw: int, n: int) -> float:
     if d > n / 2:
         d -= n
     return d / max(n // 2, 1)
+
+
+@functools.cache
+def _wrap_table(n: int) -> tuple[float, ...]:
+    """``_wrap_delta(r, n)`` for every residue ``r`` of ``n``."""
+    return tuple(_wrap_delta(r, n) for r in range(n))
 
 
 @dataclass
@@ -112,9 +119,11 @@ def _feature_rows(view: DecisionView, base: _SlotRows, members: list[int]) -> np
     occ = view.occupancy[idx] / view.q_max
     out[:, 0:NUM_PORTS] = occ
     out[:, NET_BLOCK_DIM + 4:NET_BLOCK_DIM + 8] = occ
-    visited = set(session.hop_trace)
-    out[:, NET_BLOCK_DIM + 8:NET_BLOCK_DIM + 12] = [
-        [d in visited for d in base.dst[m]] for m in members]
+    # Index -1 (an absent port) reads the False past the last node.
+    snap = view.snapshot
+    visited = np.zeros(len(snap.dst) + 1, dtype=bool)
+    visited[session.hop_trace] = True
+    out[:, NET_BLOCK_DIM + 8:NET_BLOCK_DIM + 12] = visited[snap.dst[idx]]
     # The normalisation is monotone, so the bottleneck's norm is the minimum
     # of the two norms; unavailable ports stay 0.
     sem_at = NET_BLOCK_DIM + PKT_BLOCK_DIM
@@ -122,16 +131,13 @@ def _feature_rows(view: DecisionView, base: _SlotRows, members: list[int]) -> np
                out=out[:, sem_at:sem_at + NUM_PORTS])
 
     cos = np.vecdot(base.unit[idx], base.unit[session.dst]).tolist()
-    cfg = view.constellation.cfg
-    p_d, s_d = divmod(session.dst, cfg.sats_per_plane)
-    ttl = session.ttl_remaining / view.ttl_max
-    rows = []
-    for m, c in zip(members, cos):
-        p_m, s_m = divmod(m, cfg.sats_per_plane)
-        rows.append([math.acos(min(max(c, -1.0), 1.0)) / math.pi,
-                     _wrap_delta(p_d - p_m, cfg.num_planes),
-                     _wrap_delta(s_d - s_m, cfg.sats_per_plane), ttl])
-    out[:, 13:17] = rows
+    out[:, 13] = [math.acos(min(max(c, -1.0), 1.0)) / math.pi for c in cos]
+    n_p, n_s = view.constellation.cfg.num_planes, view.constellation.cfg.sats_per_plane
+    p_d, s_d = divmod(session.dst, n_s)
+    wrap_p, wrap_s = _wrap_table(n_p), _wrap_table(n_s)
+    out[:, 14:16] = [(wrap_p[(p_d - m // n_s) % n_p], wrap_s[(s_d - m % n_s) % n_s])
+                     for m in members]
+    out[:, 16] = session.ttl_remaining / view.ttl_max
     out[:, 29:32] = (sem.budget_c / 128.0, 1.0 - math.exp(-sem.accum_distortion),
                      min(1.0, sem.hops_since_process / view.ttl_max))
     return out
@@ -172,6 +178,9 @@ class RewardConfig:
     beta_sem: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         for name in ("w_hop", "w_delay", "w_queue", "w_loop", "r_succ", "r_fail", "beta_sem"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -539,6 +548,7 @@ class PolicyController:
     def __init__(self, params: PolicyParams, rng: np.random.Generator | None = None,
                  greedy: bool = False, buffer: RolloutBuffer | None = None):
         self.params = params
+        self.actor = pol.Actor(params)
         self.rng = rng
         self.greedy = greedy
         self.buffer = buffer
@@ -547,7 +557,7 @@ class PolicyController:
     def decide(self, view: DecisionView) -> JointAction:
         obs, subgraph, mask = observe(view)
         action, logps, value = pol.act(
-            self.params, obs, subgraph, mask, rng=self.rng, greedy=self.greedy)
+            self.actor, obs, subgraph, mask, rng=self.rng, greedy=self.greedy)
         action = self.adjust_action(view, action)
         if self.buffer is not None:
             self.trajectories.setdefault(view.session.session_id, []).append(Transition(

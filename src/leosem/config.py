@@ -62,6 +62,10 @@ class ObjectiveConfig:
     delay_scale_s: float | None = None  # None -> derived worst-case bound
 
     def __post_init__(self):
+        for name in ("lambda_delay", "lambda_semantic", "delay_scale_s"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.lambda_delay < 0 or self.lambda_semantic < 0:
             raise ConfigError("objective weights must be >= 0")
         if abs(self.lambda_delay + self.lambda_semantic - 1.0) > 1e-9:

@@ -9,7 +9,7 @@ geometry (positions, distances) is pure deterministic math.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -36,6 +36,9 @@ class ConstellationConfig:
     mu_km3_s2: float = MU_EARTH_KM3_S2
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if self.num_planes < 1:
             raise ValueError("num_planes must be >= 1")
         if self.sats_per_plane < 1:

@@ -8,8 +8,10 @@ probability.  Everything is numpy with hand-written gradients so the full
 training loss can be verified against finite differences.
 
 ``forward`` and ``backward`` work on a batch of B states whose attention
-subgraphs are zero-padded to a common member count; acting at decision time
-is the B=1 case.  Parameters and gradients live in one flat vector.
+subgraphs are zero-padded to a common member count; the PPO update uses
+them.  Acting at decision time is ``act``: the same operations on one state,
+computed directly from an ``Actor`` built once per episode, with none of the
+batch scaffolding.  Parameters and gradients live in one flat vector.
 """
 from __future__ import annotations
 
@@ -172,6 +174,9 @@ def _segments(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return np.cumsum((0,) + sizes[:-1]), np.repeat(np.arange(len(sizes)), sizes)
 
 
+_HEAD_STARTS, _HEAD_OF = _segments(HEAD_SIZES)
+
+
 def masked_log_softmax(logits: np.ndarray, mask: np.ndarray | None = None,
                        sizes: tuple[int, ...] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(log_probs, probs) over the last axis, masked entries at -inf / exactly 0.
@@ -257,19 +262,63 @@ def sample_categorical(rng: np.random.Generator, probs) -> int:
     return min(bisect.bisect_right(cum, u), len(cum) - 1)
 
 
-def act(params: PolicyParams, obs: np.ndarray, subgraph: SubgraphInput,
+class Actor:
+    """What ``act`` reads of one parameter set, prepared once per episode.
+
+    Holds the four head matrices side by side (hop | budget | relay | value)
+    and their biases, the attention vector as an (H, 2) view whose columns
+    score the center and the member, and a (1, 9) mask row into which
+    ``act`` writes the hop mask on every call.  The projection and the trunk
+    are references to ``params``, not copies, so the parameters must not
+    change while an ``Actor`` is in use; ``Adam.step`` returns new ones.
+    """
+
+    def __init__(self, params: PolicyParams):
+        self.params = params
+        self.gat_w = params.gat.w
+        self.attn2 = params.gat.attn.reshape(2, params.gat.hidden_dim).T
+        self.leaky_slope = params.gat.leaky_slope
+        self.w1, self.b1, self.w2, self.b2 = params.w1, params.b1, params.w2, params.b2
+        self.w_head = np.concatenate([params.w_hop, params.w_bud, params.w_rel, params.w_val],
+                                     axis=1)
+        self.b_head = np.concatenate([params.b_hop, params.b_bud, params.b_rel, params.b_val])
+        self.mask = np.ones((1, sum(HEAD_SIZES)), dtype=bool)
+
+
+def act(actor: Actor, obs: np.ndarray, subgraph: SubgraphInput,
         mask: np.ndarray, rng: np.random.Generator | None = None,
         greedy: bool = False) -> tuple[JointAction, np.ndarray, float]:
     """Pick a joint action; returns (action, per-head log-probs, value).
 
-    The B=1 case of ``forward``.  Sampling mode needs an rng; greedy mode
-    takes the argmax of each head (ties resolved to the lowest index).
-    Non-finite probabilities raise ``FloatingPointError`` before any choice.
+    The one-state case of ``forward``, with the same operations in the same
+    order, so the same bits.  Sampling mode needs an rng; greedy mode takes
+    the argmax of each head (ties resolved to the lowest index).  Non-finite
+    probabilities raise ``FloatingPointError`` before any choice.
     """
     if rng is None and not greedy:
         raise ValueError("sampling mode requires an rng")
-    fwd = forward(params, StateBatch(obs[None], subgraph.features[None], None, mask[None]))
-    row = fwd.probs[0].tolist()
+    # Graph attention over the (M, F) subgraph, center in row 0.
+    z = subgraph.features @ actor.gat_w
+    za = z @ actor.attn2
+    scores = za[:1, 0] + za[:, 1]
+    scores = np.maximum(scores, actor.leaky_slope * scores)
+    exp = np.exp(scores - scores.max())
+    alpha = exp / exp.sum()
+    emb = gat._elu(alpha @ z)
+    # Trunk, then every head and the value in one product.
+    s = np.concatenate([obs, emb])[None]
+    t1 = np.tanh(np.dot(s, actor.w1) + actor.b1)
+    t2 = np.tanh(np.dot(t1, actor.w2) + actor.b2)
+    out = np.dot(t2, actor.w_head) + actor.b_head
+    # Log-softmax of each head, as ``masked_log_softmax`` computes it.
+    actor.mask[0, :NUM_PORTS] = mask
+    logits = np.where(actor.mask, out[:, :-1], -np.inf)
+    m = np.maximum.reduceat(logits, _HEAD_STARTS, axis=-1)
+    if (m == -np.inf).any():
+        raise ValueError("at least one action must be unmasked")
+    lse = m + np.log(np.add.reduceat(np.exp(logits - m[:, _HEAD_OF]), _HEAD_STARTS, axis=-1))
+    log_probs = logits - lse[:, _HEAD_OF]
+    row = np.exp(log_probs)[0].tolist()
     if not math.isfinite(sum(row)):
         raise FloatingPointError(
             f"non-finite action probabilities {row}; check the parameters and observation")
@@ -278,9 +327,9 @@ def act(params: PolicyParams, obs: np.ndarray, subgraph: SubgraphInput,
         choice = [row[c].index(max(row[c])) for c in HEAD_COLUMNS.values()]
     else:
         choice = [sample_categorical(rng, row[c]) for c in HEAD_COLUMNS.values()]
-    logp_row = fwd.log_probs[0].tolist()
+    logp_row = log_probs[0].tolist()
     logps = np.array([logp_row[c.start + a] for c, a in zip(HEAD_COLUMNS.values(), choice)])
-    return JointAction(*choice), logps, float(fwd.value[0])
+    return JointAction(*choice), logps, float(out[0, -1])
 
 
 def action_log_prob(fwd: PolicyForward, actions: np.ndarray) -> np.ndarray:
@@ -345,7 +394,11 @@ def grad_log_prob_logits(probs: np.ndarray, actions: np.ndarray) -> np.ndarray:
 
 
 class Adam:
-    """First/second-moment adaptive steps on the flat parameter vector."""
+    """First/second-moment adaptive steps on the flat parameter vector.
+
+    The moments and two scratch vectors are allocated on the first step and
+    reused; each step allocates only the new parameter vector.
+    """
 
     def __init__(self, lr: float = 5e-5, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
@@ -356,26 +409,36 @@ class Adam:
         self.t = 0
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None
+        self._scratch: tuple[np.ndarray, np.ndarray] | None = None
 
     def step(self, params: PolicyParams, grads: PolicyParams,
              max_grad_norm: float | None = 0.5) -> PolicyParams:
         """Return the stepped parameters; ``params`` itself is left as it was."""
         g = grads.flat
+        if self.m is None:
+            self.m, self.v = np.zeros_like(g), np.zeros_like(g)
+            self._scratch = np.empty_like(g), np.empty_like(g)
+        a, b = self._scratch
         if max_grad_norm is not None:
             norm = float(np.linalg.norm(g))
             if norm > max_grad_norm and norm > 0:
-                g = g * (max_grad_norm / norm)
-        if self.m is None:
-            self.m = np.zeros_like(g)
-            self.v = np.zeros_like(g)
+                g = np.multiply(g, max_grad_norm / norm, out=a)
         self.t += 1
+        # The operation order of m += (1-b1)*g, v += ((1-b2)*g)*g and
+        # (lr*mhat) / (sqrt(vhat)+eps), in the scratch vectors a and b.
         self.m *= self.beta1
-        self.m += (1 - self.beta1) * g
+        self.m += np.multiply(g, 1 - self.beta1, out=b)
         self.v *= self.beta2
-        self.v += (1 - self.beta2) * g * g
-        mhat = self.m / (1 - self.beta1**self.t)
-        vhat = self.v / (1 - self.beta2**self.t)
-        return PolicyParams(params.cfg, params.flat - self.lr * mhat / (np.sqrt(vhat) + self.eps))
+        np.multiply(g, 1 - self.beta2, out=b)
+        b *= g
+        self.v += b
+        mhat = np.divide(self.m, 1 - self.beta1**self.t, out=a)
+        mhat *= self.lr
+        vhat = np.divide(self.v, 1 - self.beta2**self.t, out=b)
+        np.sqrt(vhat, out=vhat)
+        vhat += self.eps
+        mhat /= vhat
+        return PolicyParams(params.cfg, params.flat - mhat)
 
 
 def save_checkpoint(path, params: PolicyParams, hyper: dict | None = None,

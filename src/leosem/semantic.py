@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -133,6 +133,9 @@ class QualityProxyConfig:
     calibration_table: str | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if sorted(self.budget_gain) != list(BUDGET_SET):
             raise ValueError(f"budget_gain keys must be exactly {list(BUDGET_SET)}")
         gains = [self.budget_gain[c] for c in BUDGET_SET]

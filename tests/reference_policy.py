@@ -3,6 +3,9 @@
 This is the loop implementation the batched code replaced: one subgraph,
 one state, one sample at a time, with the same arithmetic.  Tests compare
 the batched forward, gradients and loss against it.
+
+``act`` is the acting path the one-state ``policy.act`` replaced: the B=1
+case of the batched ``policy.forward``.  The two must agree bit for bit.
 """
 import math
 
@@ -139,3 +142,22 @@ def loss_and_grads(params, batch, hyper):
         losses.append(loss)
         grads.append(g)
     return float(np.mean(losses)), np.mean(grads, axis=0)
+
+
+def act(params, obs, subgraph, mask, rng=None, greedy=False):
+    """(action, per-head log-probs, value) through ``policy.forward`` on one state."""
+    if rng is None and not greedy:
+        raise ValueError("sampling mode requires an rng")
+    fwd = pol.forward(params, pol.StateBatch(obs[None], subgraph.features[None], None,
+                                             mask[None]))
+    row = fwd.probs[0].tolist()
+    if not math.isfinite(sum(row)):
+        raise FloatingPointError(f"non-finite action probabilities {row}")
+    columns = pol.HEAD_COLUMNS.values()
+    if greedy:
+        choice = [row[c].index(max(row[c])) for c in columns]
+    else:
+        choice = [pol.sample_categorical(rng, row[c]) for c in columns]
+    logp_row = fwd.log_probs[0].tolist()
+    logps = np.array([logp_row[c.start + a] for c, a in zip(columns, choice)])
+    return pol.JointAction(*choice), logps, float(fwd.value[0])

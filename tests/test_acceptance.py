@@ -201,7 +201,7 @@ def _policy_rollout_buffer(params, cfg, rng, n, seg_len):
         mask = np.zeros(4, dtype=bool)
         mask[rng.integers(4)] = True
         mask |= rng.random(4) < 0.7
-        action, logps, value = pol.act(params, obs, sub, mask, rng=rng)
+        action, logps, value = pol.act(pol.Actor(params), obs, sub, mask, rng=rng)
         transitions.append(Transition(
             obs=obs, subgraph=sub, mask=mask, action=action, log_probs=logps,
             value=value, reward=float(rng.normal()),

@@ -1,0 +1,77 @@
+"""The one-state ``policy.act`` against the B=1 batched path it replaced
+(``reference_policy.act``): at every decision of real episodes, the same
+action, log-prob bytes, value and generator state afterwards."""
+import dataclasses
+import pathlib
+
+import numpy as np
+import pytest
+import reference_policy as ref
+
+from leosem import experiment, policy as pol
+from leosem.config import default_config, tiny_config
+
+CHECKPOINT = (pathlib.Path(__file__).resolve().parent.parent
+              / "perfbench" / "data" / "eval_busy_policy.npz")
+
+
+class CheckedAct:
+    """Stands in for ``policy.act``: runs both paths and compares them."""
+
+    def __init__(self):
+        self.act = pol.act
+        self.calls = 0
+        self.actors = set()
+
+    def __call__(self, actor, obs, subgraph, mask, rng=None, greedy=False):
+        ref_rng = None
+        if rng is not None:
+            ref_rng = np.random.default_rng()
+            ref_rng.bit_generator.state = rng.bit_generator.state
+        expect = ref.act(actor.params, obs, subgraph, mask, rng=ref_rng, greedy=greedy)
+        got = self.act(actor, obs, subgraph, mask, rng=rng, greedy=greedy)
+        assert got[0] == expect[0]
+        assert got[1].tobytes() == expect[1].tobytes()
+        assert got[2].hex() == expect[2].hex()
+        if rng is not None:
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        self.calls += 1
+        self.actors.add(id(actor))
+        return got
+
+
+@pytest.fixture
+def checked_act(monkeypatch):
+    checked = CheckedAct()
+    monkeypatch.setattr(pol, "act", checked)
+    return checked
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_every_greedy_decision_of_a_busy_episode_matches(checked_act, seed):
+    cfg = default_config()
+    cfg = dataclasses.replace(cfg, seed=seed, simulation=dataclasses.replace(
+        cfg.simulation, num_flows=20, sessions_per_flow=5, frame_interval_s=2.0))
+    params, _ = pol.load_checkpoint(CHECKPOINT)
+    assert params.cfg == experiment.make_policy_config(cfg)
+    experiment.evaluate(cfg, params, episodes=1)
+    assert checked_act.calls > 1000
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_every_sampled_training_decision_matches(checked_act, seed):
+    result = experiment.train(tiny_config(seed), episodes=6)
+    assert checked_act.calls == sum(row["transitions"] for row in result.curve)
+    # Updates between episodes: later actors act on stepped parameters.
+    assert result.curve[-1]["updates"] >= 1
+    assert len(checked_act.actors) == 6
+
+
+def test_actor_reads_the_trunk_in_place():
+    cfg = pol.PolicyConfig(obs_dim=6, gat_hidden=4, trunk_width=8)
+    params = pol.init_policy_params(np.random.default_rng(0), cfg)
+    actor = pol.Actor(params)
+    for view in (actor.gat_w, actor.attn2, actor.w1, actor.b1, actor.w2, actor.b2):
+        assert np.shares_memory(view, params.flat)
+    assert actor.attn2[:, 0].tobytes() == params.gat.attn[:4].tobytes()
+    assert actor.attn2[:, 1].tobytes() == params.gat.attn[4:].tobytes()

@@ -234,7 +234,7 @@ def synth_buffer(params, rng, n=14, seg_len=7):
         mask = np.zeros(4, dtype=bool)
         mask[rng.integers(4)] = True
         mask |= rng.random(4) < 0.7
-        action, logps, value = pol.act(params, obs, sub, mask, rng=rng)
+        action, logps, value = pol.act(pol.Actor(params), obs, sub, mask, rng=rng)
         transitions.append(Transition(
             obs=obs, subgraph=sub, mask=mask, action=action, log_probs=logps,
             value=value, reward=float(rng.normal()), done=(i % seg_len == seg_len - 1),
@@ -362,7 +362,7 @@ def mixed_rollouts(params, rng, n=40):
         sub = SubgraphInput(features=rng.normal(size=(1 + i % 5, S_CFG.obs_dim)))
         mask = rng.random(4) < 0.5
         mask[rng.integers(4)] = True
-        action, logps, value = pol.act(params, obs, sub, mask, rng=rng)
+        action, logps, value = pol.act(pol.Actor(params), obs, sub, mask, rng=rng)
         transitions.append(Transition(obs=obs, subgraph=sub, mask=mask, action=action,
                                       log_probs=logps, value=value,
                                       reward=float(rng.normal()), done=i % 8 == 7))

@@ -1,5 +1,7 @@
-"""The paired-run summary of ``tools/bench_pairs.py``: wins, ties and the gain rule."""
+"""The paired-run summary of ``tools/bench_pairs.py``: wins, ties, the gain rule and
+whether the routing outcomes stayed identical."""
 import importlib.util
+import math
 import pathlib
 
 import pytest
@@ -55,3 +57,32 @@ def test_gain_rule_needs_nine_tenths_of_the_pairs():
     change = [12.0] * 9 + [9.0]
     out = bench_pairs.compare(pairs(base, change, "episodes_per_s"), [RATE])["episodes_per_s"]
     assert out["change_wins"] == 9 and out["gain_rule_met"]
+
+
+
+OUTCOME_METRICS = [{"name": name, "unit": "", "better": "higher"}
+                   for name in ("delivery_rate", "mean_quality", "mean_delay_s")]
+OUTCOMES = {"delivery_rate": 0.625, "mean_quality": 0.7, "mean_delay_s": 0.31}
+
+
+def outcome_pairs():
+    return [{"base": {"metrics": dict(OUTCOMES)}, "change": {"metrics": dict(OUTCOMES)}}
+            for _ in range(3)]
+
+
+def test_outcomes_identical_when_every_pair_is_equal():
+    out = bench_pairs.compare(outcome_pairs(), OUTCOME_METRICS)
+    assert out["outcomes_identical"] is True
+
+
+@pytest.mark.parametrize("name", list(OUTCOMES))
+def test_one_pair_off_in_the_last_bit_is_not_identical(name):
+    runs = outcome_pairs()
+    runs[-1]["change"]["metrics"][name] = math.nextafter(OUTCOMES[name], math.inf)
+    out = bench_pairs.compare(runs, OUTCOME_METRICS)
+    assert out["outcomes_identical"] is False
+
+
+def test_outcomes_identical_is_none_without_outcome_metrics():
+    out = bench_pairs.compare(pairs([1.0], [2.0], "episodes_per_s"), [RATE])
+    assert out["outcomes_identical"] is None

@@ -77,6 +77,41 @@ def test_objective_weights_must_sum_to_one():
         config_from_dict({"objective": {"lambda_delay": 0.7, "lambda_semantic": 0.5}})
 
 
+NONFINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("value", NONFINITE)
+@pytest.mark.parametrize("name", ["altitude_km", "inclination_deg", "earth_radius_km",
+                                  "mu_km3_s2"])
+def test_nonfinite_constellation_value_rejected(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ConstellationConfig(**{name: value})
+
+
+@pytest.mark.parametrize("value", NONFINITE)
+@pytest.mark.parametrize("name", ["snr_midpoint_db", "snr_slope_per_db", "per_hop_distortion",
+                                  "requant_penalty", "relay_recovery", "noise_floor",
+                                  "noise_span", "noise_slope_per_db"])
+def test_nonfinite_proxy_value_rejected(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        QualityProxyConfig(**{name: value})
+
+
+@pytest.mark.parametrize("value", NONFINITE)
+@pytest.mark.parametrize("name", ["w_hop", "w_delay", "w_queue", "w_loop", "r_succ", "r_fail",
+                                  "beta_sem"])
+def test_nonfinite_reward_value_rejected(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        RewardConfig(**{name: value})
+
+
+@pytest.mark.parametrize("value", NONFINITE)
+@pytest.mark.parametrize("name", ["lambda_delay", "lambda_semantic", "delay_scale_s"])
+def test_nonfinite_objective_value_rejected(name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        ObjectiveConfig(**{name: value})
+
+
 def test_budget_gain_keys_coerced_to_int():
     cfg = config_from_dict({"proxy": {"budget_gain": {"64": 0.5, "96": 0.7, "128": 0.9}}})
     assert cfg.proxy.budget_gain == {64: 0.5, 96: 0.7, 128: 0.9}

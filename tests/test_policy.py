@@ -43,7 +43,7 @@ def test_single_open_port_forced():
     params = init_policy_params(rng, CFG)
     obs, sub, _ = rand_state(rng)
     mask = np.array([False, False, True, False])
-    action, logps, _ = pol.act(params, obs, sub, mask, rng=rng)
+    action, logps, _ = pol.act(pol.Actor(params), obs, sub, mask, rng=rng)
     assert action.hop == 2
     assert logps[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -64,8 +64,8 @@ def test_sampling_reproducible_under_seed():
     rng = np.random.default_rng(2)
     params = init_policy_params(rng, CFG)
     obs, sub, mask = rand_state(rng)
-    a1 = pol.act(params, obs, sub, mask, rng=np.random.default_rng(99))
-    a2 = pol.act(params, obs, sub, mask, rng=np.random.default_rng(99))
+    a1 = pol.act(pol.Actor(params), obs, sub, mask, rng=np.random.default_rng(99))
+    a2 = pol.act(pol.Actor(params), obs, sub, mask, rng=np.random.default_rng(99))
     assert a1[0] == a2[0]
     assert np.array_equal(a1[1], a2[1])
 
@@ -77,7 +77,7 @@ def test_greedy_mode_needs_no_rng_and_breaks_ties_low():
     params.w_hop[...] = 0.0
     params.b_hop[...] = 0.0
     obs, sub, mask = rand_state(rng)
-    action, _, _ = pol.act(params, obs, sub, mask, greedy=True)
+    action, _, _ = pol.act(pol.Actor(params), obs, sub, mask, greedy=True)
     assert action.hop == int(np.flatnonzero(mask)[0])
 
 
@@ -86,7 +86,7 @@ def test_sampling_mode_requires_rng():
     params = init_policy_params(rng, CFG)
     obs, sub, mask = rand_state(rng)
     with pytest.raises(ValueError):
-        pol.act(params, obs, sub, mask)
+        pol.act(pol.Actor(params), obs, sub, mask)
 
 
 def test_joint_log_prob_is_head_sum():
@@ -143,6 +143,46 @@ def test_grad_norm_clipping():
     assert np.linalg.norm(opt.m) <= 0.5 * (1 - opt.beta1) + 1e-9
 
 
+class FormulaAdam:
+    """The Adam step written as one expression per line, a fresh array each."""
+
+    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m = self.v = 0.0
+
+    def step(self, flat, g, max_grad_norm):
+        if max_grad_norm is not None:
+            norm = float(np.linalg.norm(g))
+            if norm > max_grad_norm and norm > 0:
+                g = g * (max_grad_norm / norm)
+        self.t += 1
+        self.m = self.m * self.beta1 + (1 - self.beta1) * g
+        self.v = self.v * self.beta2 + (1 - self.beta2) * g * g
+        mhat = self.m / (1 - self.beta1**self.t)
+        vhat = self.v / (1 - self.beta2**self.t)
+        return flat - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+
+
+@pytest.mark.parametrize("max_grad_norm", [0.5, None])
+def test_adam_steps_match_the_formula_bit_for_bit(max_grad_norm):
+    rng = np.random.default_rng(17)
+    params = init_policy_params(rng, CFG)
+    opt, formula = Adam(lr=1e-3), FormulaAdam(lr=1e-3)
+    flat = params.flat.copy()
+    for k in range(20):
+        grads = pol.zeros_like_params(params)
+        # Norms from about 0.03 to 3: clipping engages on some steps only.
+        grads.flat[...] = rng.normal(scale=10.0 ** rng.uniform(-3, -1), size=flat.shape)
+        before, grads_before = params.flat.copy(), grads.flat.copy()
+        stepped = opt.step(params, grads, max_grad_norm)
+        flat = formula.step(flat, grads_before, max_grad_norm)
+        assert stepped.flat.tobytes() == flat.tobytes(), f"step {k}"
+        assert params.flat.tobytes() == before.tobytes()
+        assert grads.flat.tobytes() == grads_before.tobytes()
+        params = stepped
+
+
 def test_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(10)
     params = init_policy_params(rng, CFG)
@@ -181,7 +221,7 @@ def test_act_matches_per_sample_reference():
         mask[i % 4] = True
         ref = reference_policy.policy_forward(params, obs, sub.features, mask)
         for greedy in (True, False):
-            action, logps, value = pol.act(params, obs, sub, mask,
+            action, logps, value = pol.act(pol.Actor(params), obs, sub, mask,
                                            rng=np.random.default_rng(i), greedy=greedy)
             chosen = (action.hop, action.budget_idx, action.relay)
             expect = [ref["log_probs"][head][a] for head, a in zip(pol.HEADS, chosen)]
@@ -233,5 +273,5 @@ def test_act_rejects_nonfinite_probabilities_before_choosing():
         action_rng = np.random.default_rng(0)
         state = action_rng.bit_generator.state
         with pytest.raises(FloatingPointError, match="non-finite action probabilities"):
-            pol.act(params, obs, sub, mask, rng=action_rng, greedy=greedy)
+            pol.act(pol.Actor(params), obs, sub, mask, rng=action_rng, greedy=greedy)
         assert action_rng.bit_generator.state == state

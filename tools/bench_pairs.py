@@ -11,7 +11,8 @@ that goes first alternating from pair to pair, and writes
 ``BENCH_<label>.json``: the host line, both SHAs, every run's metrics, and
 per end-to-end metric each side's median and quartiles, the number of
 pairs the working tree won (ties count for neither side) and
-``gain_rule_met``.  Run it once per workload with the same label: each run
+``gain_rule_met``, and ``outcomes_identical``: whether the routing outcomes
+were equal in every pair.  Run it once per workload with the same label: each run
 adds or replaces that workload's entry in the file.
 """
 from __future__ import annotations
@@ -29,6 +30,8 @@ import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SHARED = ["perfbench", "BENCHMARK.json"]
+# Deterministic for a seed: a pure speed change leaves them equal in every pair.
+OUTCOMES = ("delivery_rate", "mean_quality", "mean_delay_s")
 
 
 def git(*args: str) -> bytes:
@@ -68,13 +71,18 @@ def summarise(values: list[float]) -> dict:
 
 def compare(pairs: list[dict], metrics: list[dict]) -> dict:
     """Per metric: both sides' median and quartiles, the pairs the change won
-    and ``gain_rule_met``.
+    and ``gain_rule_met``; and ``outcomes_identical``.
 
     A tie counts for neither side.  The gain rule is met when the change wins
     at least 0.9 of the pairs and its median is better than the base's by
-    more than the base's interquartile range.
+    more than the base's interquartile range.  ``outcomes_identical`` says
+    whether each outcome metric among ``metrics`` was equal in every pair
+    (None when there is none).
     """
-    out = {}
+    outcomes = [m["name"] for m in metrics if m["name"] in OUTCOMES]
+    out = {"outcomes_identical": all(
+        p["base"]["metrics"][name] == p["change"]["metrics"][name]
+        for p in pairs for name in outcomes) if outcomes else None}
     for m in metrics:
         name, sign = m["name"], (1 if m["better"] == "higher" else -1)
         base = [p["base"]["metrics"][name] for p in pairs]
