@@ -59,7 +59,6 @@ def test_gain_rule_needs_nine_tenths_of_the_pairs():
     assert out["change_wins"] == 9 and out["gain_rule_met"]
 
 
-
 OUTCOME_METRICS = [{"name": name, "unit": "", "better": "higher"}
                    for name in ("delivery_rate", "mean_quality", "mean_delay_s")]
 OUTCOMES = {"delivery_rate": 0.625, "mean_quality": 0.7, "mean_delay_s": 0.31}

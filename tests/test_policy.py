@@ -172,7 +172,7 @@ def test_adam_steps_match_the_formula_bit_for_bit(max_grad_norm):
     flat = params.flat.copy()
     for k in range(20):
         grads = pol.zeros_like_params(params)
-        # Norms from about 0.03 to 3: clipping engages on some steps only.
+        # Norms from about 0.02 to 2.4: clipping engages on some steps only.
         grads.flat[...] = rng.normal(scale=10.0 ** rng.uniform(-3, -1), size=flat.shape)
         before, grads_before = params.flat.copy(), grads.flat.copy()
         stepped = opt.step(params, grads, max_grad_norm)
