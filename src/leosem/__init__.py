@@ -8,7 +8,7 @@ from .constellation import (ConstellationConfig, Constellation, GraphSnapshot,
 from .policy import JointAction, PolicyConfig, load_checkpoint, save_checkpoint
 from .semantic import (BUDGET_SET, QualityProxyConfig, SemanticState, packetize,
                        quality, record_hop, relay_process)
-from .simcore import (Engine, HopDelayRecord, Packet, PortQueue, SessionOutcome,
+from .simcore import (Engine, HopDelayRecord, PortQueue, SessionOutcome,
                       end_to_end_delay, propagation_delay, step_queue,
                       transmission_delay)
 
@@ -25,7 +25,6 @@ __all__ = [
     "GraphSnapshot",
     "HopDelayRecord",
     "JointAction",
-    "Packet",
     "PolicyConfig",
     "PortQueue",
     "QualityProxyConfig",

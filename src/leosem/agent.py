@@ -148,8 +148,8 @@ def node_features(view: DecisionView, node: int) -> np.ndarray:
     return _feature_rows(view, _slot_rows(view), [node])[0]
 
 
-def observe(view: DecisionView) -> tuple[np.ndarray, SubgraphInput, np.ndarray]:
-    """Center observation, attention subgraph and hop mask for one decision.
+def observe(view: DecisionView) -> tuple[SubgraphInput, np.ndarray]:
+    """Attention subgraph (the center's row first) and hop mask for one decision.
 
     The mask is ``view.mask`` itself, the engine's copy of the node's row.
     """
@@ -160,7 +160,7 @@ def observe(view: DecisionView) -> tuple[np.ndarray, SubgraphInput, np.ndarray]:
                              if up]
     features = _feature_rows(view, base, members)
     subgraph = SubgraphInput(features=features, members=tuple(members))
-    return features[0].copy(), subgraph, view.mask
+    return subgraph, view.mask
 
 
 # ----------------------------------------------------------------------
@@ -219,7 +219,6 @@ def total_reward(event: str, shaping: float, quality: float | None, cfg: RewardC
 
 @dataclass
 class Transition:
-    obs: np.ndarray
     subgraph: SubgraphInput
     mask: np.ndarray
     action: JointAction
@@ -301,6 +300,9 @@ class PpoSettings:
     episodes: int = 300
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         for name in ("minibatch_size", "epochs", "horizon", "trunk_width", "gat_hidden"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -359,9 +361,8 @@ def stack_buffer(buffer: RolloutBuffer, hyper: PpoSettings) -> RolloutBatch:
 
     transitions = [t for seg in buffer.segments for t in seg.transitions]
     features, member_mask = gat.pad_subgraphs([t.subgraph for t in transitions])
-    states = pol.StateBatch(
-        obs=np.stack([t.obs for t in transitions]), features=features,
-        member_mask=member_mask, hop_mask=np.stack([t.mask for t in transitions]))
+    states = pol.StateBatch(features=features, member_mask=member_mask,
+                            hop_mask=np.stack([t.mask for t in transitions]))
     actions = np.array([(t.action.hop, t.action.budget_idx, t.action.relay)
                         for t in transitions])
     old_logp = np.stack([t.log_probs for t in transitions]).sum(axis=1)
@@ -555,14 +556,13 @@ class PolicyController:
         self.trajectories: dict[int, list[Transition]] = {}
 
     def decide(self, view: DecisionView) -> JointAction:
-        obs, subgraph, mask = observe(view)
+        subgraph, mask = observe(view)
         action, logps, value = pol.act(
-            self.actor, obs, subgraph, mask, rng=self.rng, greedy=self.greedy)
+            self.actor, subgraph, mask, rng=self.rng, greedy=self.greedy)
         action = self.adjust_action(view, action)
         if self.buffer is not None:
             self.trajectories.setdefault(view.session.session_id, []).append(Transition(
-                obs=obs, subgraph=subgraph, mask=mask, action=action,
-                log_probs=logps, value=value,
+                subgraph=subgraph, mask=mask, action=action, log_probs=logps, value=value,
             ))
         return action
 

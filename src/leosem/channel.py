@@ -65,7 +65,6 @@ class ChannelModel:
         self.cfg = cfg
         self.slot_length_s = slot_length_s
         self.edges = [(e[0], e[1]) for e in edges]
-        self._edge_pos = {e: k for k, e in enumerate(self.edges)}
         n = len(self.edges)
         self._rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
         # AR(1): rho chosen so autocorrelation at the horizon lag is e^-1.
@@ -99,14 +98,6 @@ class ChannelModel:
     def _ensure_time(self, time_s: float) -> None:
         self.advance_to_slot(self.slot_of(time_s))
 
-    def link_snr(self, edge: tuple[int, int], distance_km: float, time_s: float) -> float:
-        """SNR in dB for one link: pathloss baseline + jitter + fast noise."""
-        if distance_km <= 0:
-            raise ValueError("distance_km must be > 0")
-        self._ensure_time(time_s)
-        k = self._edge_pos[edge]
-        return float(self._pathloss_snr(distance_km) + self.jitter_db[k] + self.fast_db[k])
-
     def link_snr_array(self, distances_km: np.ndarray, time_s: float) -> np.ndarray:
         self._ensure_time(time_s)
         return self._pathloss_snr(np.asarray(distances_km)) + self.jitter_db + self.fast_db
@@ -124,8 +115,3 @@ class ChannelModel:
         """Availability flags for this slot in edge-list order (read-only)."""
         self._ensure_time(time_s)
         return self.available
-
-    def sample_failures(self, edges, time_s: float) -> np.ndarray:
-        """Availability flags for this slot, aligned to the requested edges."""
-        idx = [self._edge_pos[(e[0], e[1])] for e in edges]
-        return self.availability(time_s)[idx]

@@ -43,6 +43,9 @@ class SimulationConfig:
     flow_min_grid_hops: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         for name in ("slot_length_s", "episode_length_s"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be > 0")

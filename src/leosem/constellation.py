@@ -72,18 +72,6 @@ class SatPosition:
     time_s: float
 
 
-@dataclass(frozen=True)
-class Edge:
-    """One directed inter-satellite link at a given snapshot time."""
-    src: int
-    dst: int
-    port: int
-    distance_km: float
-    available: bool
-    snr_db: float = math.nan
-    rate_bps: float = math.nan
-
-
 @dataclass
 class GraphSnapshot:
     """The constellation graph at one time slot, as (N, NUM_PORTS) arrays.
@@ -109,21 +97,6 @@ class GraphSnapshot:
     _in_edges: list | None = field(default=None, repr=False, compare=False)
     # Per destination, the distances of every node to it; built on first use.
     _dist_to: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def edge(self, node: int, port: int) -> Edge | None:
-        """One link as an ``Edge`` (built on demand), or None if the port is absent."""
-        dst = int(self.dst[node, port])
-        if dst < 0:
-            return None
-        return Edge(src=node, dst=dst, port=port,
-                    distance_km=float(self.dist_km[node, port]),
-                    available=bool(self.avail[node, port]),
-                    snr_db=float(self.snr_db[node, port]),
-                    rate_bps=float(self.rate_bps[node, port]))
-
-    def available_edges(self) -> list[Edge]:
-        """Every usable link as an ``Edge``, in (node, port) order."""
-        return [self.edge(int(node), int(port)) for node, port in np.argwhere(self.avail)]
 
     def port_mask(self, node: int) -> np.ndarray:
         """Boolean (NUM_PORTS,) availability mask for a node."""
@@ -201,12 +174,6 @@ class Constellation:
                     ports[PORT_INTER_BWD] = ((pl - 1) % p) * s + sl
             table.append(ports)
         return table
-
-    def node_id(self, plane: int, slot: int) -> int:
-        return plane * self.cfg.sats_per_plane + slot
-
-    def plane_slot(self, node: int) -> tuple[int, int]:
-        return divmod(node, self.cfg.sats_per_plane)
 
     def positions_at(self, time_s: float) -> np.ndarray:
         """ECI positions (N, 3) in km at a given time."""

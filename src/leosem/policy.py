@@ -1,11 +1,12 @@
 """Shared actor-critic network over [observation || graph embedding].
 
 Architecture: a one-hop graph attention encoder feeds, together with the
-raw local observation, a two-layer tanh trunk with three categorical heads
-(next-hop port, semantic budget, relay mode) and a scalar value head.  The
-hop head is masked by port availability; masked entries carry exactly zero
-probability.  Everything is numpy with hand-written gradients so the full
-training loss can be verified against finite differences.
+raw local observation (the subgraph's center row), a two-layer tanh trunk
+with three categorical heads (next-hop port, semantic budget, relay mode)
+and a scalar value head.  The hop head is masked by port availability;
+masked entries carry exactly zero probability.  Everything is numpy with
+hand-written gradients so the full training loss can be verified against
+finite differences.
 
 ``forward`` and ``backward`` work on a batch of B states whose attention
 subgraphs are zero-padded to a common member count; the PPO update uses
@@ -202,17 +203,20 @@ def categorical_entropy(probs: np.ndarray) -> np.ndarray:
 
 @dataclass
 class StateBatch:
-    """B decision states: observation, padded attention subgraph, hop mask."""
-    obs: np.ndarray                  # (B, obs_dim)
+    """B decision states: padded attention subgraph, hop mask.
+
+    Each state's center row, ``features[:, 0]``, is also the trunk's
+    observation input.
+    """
     features: np.ndarray             # (B, M, obs_dim) subgraph rows, center first
     member_mask: np.ndarray | None   # (B, M) live members; None when none is padded
     hop_mask: np.ndarray             # (B, NUM_PORTS) available ports
 
     def __len__(self) -> int:
-        return self.obs.shape[0]
+        return self.features.shape[0]
 
     def __getitem__(self, idx) -> "StateBatch":
-        return StateBatch(self.obs[idx], self.features[idx],
+        return StateBatch(self.features[idx],
                           None if self.member_mask is None else self.member_mask[idx],
                           self.hop_mask[idx])
 
@@ -236,7 +240,7 @@ class PolicyForward:
 
 def forward(params: PolicyParams, states: StateBatch) -> PolicyForward:
     emb, cache = gat.forward(params.gat, states.features, states.member_mask)
-    s = np.concatenate([states.obs, emb], axis=1)
+    s = np.concatenate([states.features[:, 0], emb], axis=1)
     # np.dot rather than @: same product, less call overhead at B=1 (acting).
     t1 = np.tanh(np.dot(s, params.w1) + params.b1)
     t2 = np.tanh(np.dot(t1, params.w2) + params.b2)
@@ -285,8 +289,8 @@ class Actor:
         self.mask = np.ones((1, sum(HEAD_SIZES)), dtype=bool)
 
 
-def act(actor: Actor, obs: np.ndarray, subgraph: SubgraphInput,
-        mask: np.ndarray, rng: np.random.Generator | None = None,
+def act(actor: Actor, subgraph: SubgraphInput, mask: np.ndarray,
+        rng: np.random.Generator | None = None,
         greedy: bool = False) -> tuple[JointAction, np.ndarray, float]:
     """Pick a joint action; returns (action, per-head log-probs, value).
 
@@ -306,7 +310,7 @@ def act(actor: Actor, obs: np.ndarray, subgraph: SubgraphInput,
     alpha = exp / exp.sum()
     emb = gat._elu(alpha @ z)
     # Trunk, then every head and the value in one product.
-    s = np.concatenate([obs, emb])[None]
+    s = np.concatenate([subgraph.features[0], emb])[None]
     t1 = np.tanh(np.dot(s, actor.w1) + actor.b1)
     t2 = np.tanh(np.dot(t1, actor.w2) + actor.b2)
     out = np.dot(t2, actor.w_head) + actor.b_head

@@ -66,25 +66,6 @@ def transmission_delay(payload_bytes: int, rate_bps: float) -> float:
     return 8.0 * payload_bytes / rate_bps
 
 
-@dataclass
-class Packet:
-    """One standalone chunk for the raw ``Engine.enqueue`` surface."""
-    packet_id: int
-    session_id: int
-    src: int
-    dst: int
-    size_bytes: int
-    ttl_hops: int
-    created_s: float
-    hop_trace: list[int]
-
-    def __post_init__(self):
-        if self.size_bytes <= 0:
-            raise ValueError("size_bytes must be > 0")
-        if self.ttl_hops < 0:
-            raise ValueError("ttl_hops must be >= 0")
-
-
 @dataclass(frozen=True)
 class HopDelayRecord:
     prop_s: float
@@ -132,7 +113,7 @@ def end_to_end_delay(outcome: SessionOutcome) -> float:
 
 @dataclass
 class _Burst:
-    session: "ActiveSession | None"
+    session: ActiveSession
     num_chunks: int
     total_bytes: int
     enqueue_s: float = 0.0
@@ -422,8 +403,6 @@ class Engine:
         q0 = self._q_at_slot_start
         active = np.argwhere((arr > 0) | (dep > 0) | (q0 > 0))
         for node, port in active:
-            if (int(node), int(port)) not in self.queues:
-                continue
             self.queue_log.append(QueueLawRow(
                 slot=self.slot, node=int(node), port=int(port),
                 q_start=int(q0[node, port]), arrivals=int(arr[node, port]),
@@ -568,7 +547,7 @@ class Engine:
         tx_s = transmission_delay(burst.total_bytes, float(snap.rate_bps[node, port])) \
             if burst.total_bytes else 0.0
         self._busy[key] = True
-        self._emit("service_start", session=burst.session.session_id if burst.session else None,
+        self._emit("service_start", session=burst.session.session_id,
                    node=node, port=port, tx_s=round(tx_s, 9))
         self._push(self.now_s + tx_s, _EV_OTHER, ("service_end", key, burst))
 
@@ -579,10 +558,6 @@ class Engine:
 
     def _on_arrival(self, burst: _Burst) -> None:
         session = burst.session
-        if session is None or session.resolved:
-            # Background traffic from the raw enqueue API just drains here.
-            self.counters.chunks_delivered += burst.num_chunks
-            return
         p = session.pending
         session.pending = None
         node = p["next_node"]
@@ -657,50 +632,10 @@ class Engine:
             h.on_drop(session, penalty_index, measurements, outcome)
 
     # ------------------------------------------------------------------
-    # raw queue surface (background traffic / contract tests)
-
-    def enqueue(self, node: int, port: int, packet: Packet) -> str:
-        """Admit one standalone packet to a send queue.
-
-        Returns "accepted" or "overflow"; overflowed packets count as
-        dropped with the queue_overflow cause.
-        """
-        key = (node, port)
-        if key not in self.queues:
-            raise KeyError(f"no port {port} on node {node}")
-        self.counters.chunks_created += 1
-        burst = _Burst(session=None, num_chunks=1, total_bytes=packet.size_bytes,
-                       enqueue_s=self.now_s, enqueue_slot=self.slot)
-        if not self.queues[key].push(burst):
-            self.counters.chunks_dropped += 1
-            self.counters.drop_causes[DROP_OVERFLOW] += 1
-            return "overflow"
-        self.occupancy[node, port] += 1
-        if self.collect_queue_log:
-            self._slot_arrivals[node, port] += 1
-        if not self._busy[key]:
-            self._try_start(key)
-        return "accepted"
-
-    # ------------------------------------------------------------------
     # accounting
 
     def in_flight_chunks(self) -> int:
-        return sum(s.num_chunks for s in self.sessions.values() if not s.resolved) \
-            + self._background_in_flight()
-
-    def _background_in_flight(self) -> int:
-        n = 0
-        for q in self.queues.values():
-            for burst in q.entries:
-                if burst.session is None:
-                    n += burst.num_chunks
-        for _, _, _, item in self._heap:
-            if item[0] in ("service_end", "arrival"):
-                burst = item[2] if item[0] == "service_end" else item[1]
-                if burst.session is None:
-                    n += burst.num_chunks
-        return n
+        return sum(s.num_chunks for s in self.sessions.values() if not s.resolved)
 
     def conservation_ok(self) -> bool:
         c = self.counters

@@ -46,7 +46,8 @@ def snapshot(con, time_s, channel=None) -> RefSnapshot:
         [np.linalg.norm(positions[a] - positions[b]) for a, b, _ in con.edge_index]
     )
     if channel is not None:
-        avail = channel.sample_failures(con.edge_index, time_s)
+        # The channel is built on ``con.edge_index``: its arrays follow that order.
+        avail = channel.availability(time_s)
         snrs = channel.link_snr_array(dists, time_s)
         rates = channel.rate_array(snrs)
     else:
@@ -102,8 +103,8 @@ def node_features(view, snap: RefSnapshot, node):
     v = pos[session.dst] / np.linalg.norm(pos[session.dst])
     out[13] = math.acos(float(np.clip(u @ v, -1.0, 1.0))) / math.pi
     cfg = view.constellation.cfg
-    p_n, s_n = view.constellation.plane_slot(node)
-    p_d, s_d = view.constellation.plane_slot(session.dst)
+    p_n, s_n = divmod(node, cfg.sats_per_plane)
+    p_d, s_d = divmod(session.dst, cfg.sats_per_plane)
     out[14] = _wrap_delta(p_d - p_n, cfg.num_planes)
     out[15] = _wrap_delta(s_d - s_n, cfg.sats_per_plane)
     out[16] = session.ttl_remaining / view.ttl_max

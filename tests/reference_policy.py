@@ -136,7 +136,7 @@ def loss_and_grads(params, batch, hyper):
     for i in range(len(batch)):
         members = (int(states.member_mask[i].sum()) if states.member_mask is not None
                    else states.features.shape[1])
-        loss, g = sample_loss(params, states.obs[i], states.features[i, :members],
+        loss, g = sample_loss(params, states.features[i, 0], states.features[i, :members],
                               states.hop_mask[i], batch.actions[i], batch.old_logp[i],
                               batch.advantage[i], batch.ret[i], hyper)
         losses.append(loss)
@@ -144,12 +144,11 @@ def loss_and_grads(params, batch, hyper):
     return float(np.mean(losses)), np.mean(grads, axis=0)
 
 
-def act(params, obs, subgraph, mask, rng=None, greedy=False):
+def act(params, subgraph, mask, rng=None, greedy=False):
     """(action, per-head log-probs, value) through ``policy.forward`` on one state."""
     if rng is None and not greedy:
         raise ValueError("sampling mode requires an rng")
-    fwd = pol.forward(params, pol.StateBatch(obs[None], subgraph.features[None], None,
-                                             mask[None]))
+    fwd = pol.forward(params, pol.StateBatch(subgraph.features[None], None, mask[None]))
     row = fwd.probs[0].tolist()
     if not math.isfinite(sum(row)):
         raise FloatingPointError(f"non-finite action probabilities {row}")

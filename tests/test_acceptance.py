@@ -195,15 +195,14 @@ def _policy_rollout_buffer(params, cfg, rng, n, seg_len):
     buffer = RolloutBuffer()
     transitions = []
     for i in range(n):
-        obs = rng.normal(size=cfg.obs_dim)
         sub = SubgraphInput(features=rng.normal(size=(int(rng.integers(1, 5)),
                                                       cfg.obs_dim)))
         mask = np.zeros(4, dtype=bool)
         mask[rng.integers(4)] = True
         mask |= rng.random(4) < 0.7
-        action, logps, value = pol.act(pol.Actor(params), obs, sub, mask, rng=rng)
+        action, logps, value = pol.act(pol.Actor(params), sub, mask, rng=rng)
         transitions.append(Transition(
-            obs=obs, subgraph=sub, mask=mask, action=action, log_probs=logps,
+            subgraph=sub, mask=mask, action=action, log_probs=logps,
             value=value, reward=float(rng.normal()),
             done=(i % seg_len == seg_len - 1)))
         if transitions[-1].done:

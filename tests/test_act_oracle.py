@@ -23,13 +23,13 @@ class CheckedAct:
         self.calls = 0
         self.actors = set()
 
-    def __call__(self, actor, obs, subgraph, mask, rng=None, greedy=False):
+    def __call__(self, actor, subgraph, mask, rng=None, greedy=False):
         ref_rng = None
         if rng is not None:
             ref_rng = np.random.default_rng()
             ref_rng.bit_generator.state = rng.bit_generator.state
-        expect = ref.act(actor.params, obs, subgraph, mask, rng=ref_rng, greedy=greedy)
-        got = self.act(actor, obs, subgraph, mask, rng=rng, greedy=greedy)
+        expect = ref.act(actor.params, subgraph, mask, rng=ref_rng, greedy=greedy)
+        got = self.act(actor, subgraph, mask, rng=rng, greedy=greedy)
         assert got[0] == expect[0]
         assert got[1].tobytes() == expect[1].tobytes()
         assert got[2].hex() == expect[2].hex()

@@ -29,47 +29,45 @@ class ViewCapture:
         # observe twice against the same live state: must be identical
         self.last = observe(view)
         self.last_again = observe(view)
-        obs, subgraph, mask = self.last
+        subgraph, mask = self.last
         port = self.port if mask[self.port] else int(np.flatnonzero(mask)[0])
         return JointAction(hop=port, budget_idx=2, relay=0)
 
 
-def capture_view(failure_rate=0.0, seed=2, q_fill=None):
+def capture_view(failure_rate=0.0, seed=2, fill_chunks=0):
+    """The spawn decision of a session from node 0, with its observation.
+
+    With ``fill_chunks``, a session spawned just before it first parks that
+    many chunks on port 0 (groups that join in slot 0 wait for slot 1).
+    """
     con = build_constellation(ConstellationConfig(num_planes=3, sats_per_plane=3))
     ch = ChannelModel(ChannelConfig(fast_std_db=0.0, jitter_amplitude_db=0.0,
                                     failure_rate=failure_rate, seed=seed),
                       con.edge_index, 0.1)
     ctl = ViewCapture()
     engine = Engine(con, ch, ctl, QualityProxyConfig(), ttl_hops=8)
-    if q_fill:
-        pid = 10_000
-        for (node, port), occ in q_fill.items():
-            for _ in range(occ):
-                assert engine.enqueue(node, port, make_filler_packet(pid)) == "accepted"
-                pid += 1
+    if fill_chunks:
+        engine.add_session(0, 4, spawn_s=0.0, latent_bytes=engine.chunk_bytes * fill_chunks)
     engine.add_session(0, 4, spawn_s=0.0, latent_bytes=6000)
-    engine.run(0.05)  # just the spawn decision
-    return ctl, ctl.views[0]
-
-
-def make_filler_packet(pid):
-    from leosem.simcore import Packet
-    return Packet(packet_id=pid, session_id=-1, src=0, dst=1, size_bytes=1200,
-                  ttl_hops=8, created_s=0.0, hop_trace=[0])
+    engine.run(0.05)  # just the spawn decisions
+    if fill_chunks:
+        assert engine.occupancy[0, 0] == engine.queues[(0, 0)].occupancy == fill_chunks
+    return ctl, ctl.views[-1]
 
 
 # ---------------------------------------------------------------- observation
 
 def test_empty_queues_zero_queue_features():
     ctl, _ = capture_view()
-    obs, subgraph, _ = ctl.last
+    subgraph, _ = ctl.last
+    obs = subgraph.features[0]
     assert np.all(obs[0:4] == 0.0)
     assert np.all(obs[17:21] == 0.0)
     assert obs.shape == (FEATURE_DIM,)
 
 
 def test_full_queue_feature_is_one():
-    _, view = capture_view(q_fill={(0, 0): 600})
+    _, view = capture_view(fill_chunks=600)
     obs = agent.node_features(view, 0)
     assert obs[0] == pytest.approx(1.0)
     assert obs[17] == pytest.approx(1.0)
@@ -77,15 +75,16 @@ def test_full_queue_feature_is_one():
 
 def test_observation_deterministic():
     ctl, _ = capture_view()
-    (obs1, sub1, m1), (obs2, sub2, m2) = ctl.last, ctl.last_again
-    assert np.array_equal(obs1, obs2)
+    (sub1, m1), (sub2, m2) = ctl.last, ctl.last_again
     assert np.array_equal(sub1.features, sub2.features)
+    assert sub1.members == sub2.members
     assert np.array_equal(m1, m2)
 
 
 def test_observation_layout_fields():
     ctl, _ = capture_view()
-    obs, subgraph, mask = ctl.last
+    subgraph, mask = ctl.last
+    obs = subgraph.features[0]
     assert obs[16] == pytest.approx(1.0)           # full TTL at the source
     assert np.all(obs[21:25] == 0.0)               # nothing visited yet
     assert obs[29] == pytest.approx(1.0)           # default budget 128
@@ -113,7 +112,7 @@ def test_unavailable_ports_zeroed_and_masked():
     for p in range(4):
         if not mask[p]:
             assert feats[4 + p] == 0.0 and feats[8 + p] == 0.0 and feats[25 + p] == 0.0
-    obs, subgraph, obs_mask = ctl.last
+    subgraph, obs_mask = ctl.last
     assert np.array_equal(obs_mask, mask)
     assert subgraph.features.shape[0] == 1 + int(mask.sum())
 
@@ -128,13 +127,13 @@ def test_observe_rejects_wrong_holder():
 def test_revisit_flags_mark_trace_neighbors():
     _, view = capture_view()
     # pretend the payload came from the neighbor behind port 0
-    back = view.snapshot.edge(0, 0).dst
+    dst = view.snapshot.dst
+    back = int(dst[0, 0])
     view.session.hop_trace.append(back)
     feats = agent.node_features(view, 0)
     assert feats[21] == 1.0
     others = [feats[21 + p] for p in range(1, 4)
-              if view.snapshot.edge(0, p) is not None
-              and view.snapshot.edge(0, p).dst not in view.session.hop_trace]
+              if dst[0, p] >= 0 and dst[0, p] not in view.session.hop_trace]
     assert all(v == 0.0 for v in others)
 
 
@@ -228,15 +227,14 @@ def synth_buffer(params, rng, n=14, seg_len=7):
     buffer = RolloutBuffer()
     transitions = []
     for i in range(n):
-        obs = rng.normal(size=S_CFG.obs_dim)
         members = int(rng.integers(1, 5))
         sub = SubgraphInput(features=rng.normal(size=(members, S_CFG.obs_dim)))
         mask = np.zeros(4, dtype=bool)
         mask[rng.integers(4)] = True
         mask |= rng.random(4) < 0.7
-        action, logps, value = pol.act(pol.Actor(params), obs, sub, mask, rng=rng)
+        action, logps, value = pol.act(pol.Actor(params), sub, mask, rng=rng)
         transitions.append(Transition(
-            obs=obs, subgraph=sub, mask=mask, action=action, log_probs=logps,
+            subgraph=sub, mask=mask, action=action, log_probs=logps,
             value=value, reward=float(rng.normal()), done=(i % seg_len == seg_len - 1),
         ))
         if transitions[-1].done:
@@ -358,12 +356,11 @@ def mixed_rollouts(params, rng, n=40):
     buffer = RolloutBuffer()
     transitions = []
     for i in range(n):
-        obs = rng.normal(size=S_CFG.obs_dim)
         sub = SubgraphInput(features=rng.normal(size=(1 + i % 5, S_CFG.obs_dim)))
         mask = rng.random(4) < 0.5
         mask[rng.integers(4)] = True
-        action, logps, value = pol.act(pol.Actor(params), obs, sub, mask, rng=rng)
-        transitions.append(Transition(obs=obs, subgraph=sub, mask=mask, action=action,
+        action, logps, value = pol.act(pol.Actor(params), sub, mask, rng=rng)
+        transitions.append(Transition(subgraph=sub, mask=mask, action=action,
                                       log_probs=logps, value=value,
                                       reward=float(rng.normal()), done=i % 8 == 7))
         if transitions[-1].done:

@@ -25,8 +25,8 @@ def bfs_hops(snapshot, src, dst):
     frontier = {src}
     seen = {src}
     adj = {}
-    for e in snapshot.available_edges():
-        adj.setdefault(e.src, []).append(e.dst)
+    for a, p in np.argwhere(snapshot.avail):
+        adj.setdefault(int(a), []).append(int(snapshot.dst[a, p]))
     hops = 0
     while frontier:
         if dst in frontier:
@@ -52,7 +52,7 @@ def test_corner_to_corner_hop_count_matches_bfs():
         if node == dst:
             break
         port = shortest_path_next_hop(snap, node, dst)
-        node = snap.edge(node, port).dst
+        node = int(snap.dst[node, port])
         path.append(node)
     assert node == dst
     assert len(path) - 1 == bfs_hops(snap, src, dst) == 2
@@ -83,7 +83,7 @@ def test_next_hop_never_increases_hop_distance():
                 port = shortest_path_next_hop(snap, src, dst)
                 if port is None:
                     continue
-                nxt = snap.edge(src, port).dst
+                nxt = int(snap.dst[src, port])
                 d1 = bfs_hops(snap, nxt, dst)
                 assert d1 is not None and d1 <= d0
 

@@ -36,13 +36,8 @@ def test_rate_monotone_in_snr():
 def test_reference_distance_gives_base_snr():
     ch = make_channel(fast_std_db=0.0, jitter_amplitude_db=0.0, base_snr_db=25.0,
                       reference_distance_km=1000.0)
-    assert ch.link_snr((0, 1), 1000.0, 0.0) == pytest.approx(25.0, abs=1e-12)
-
-
-def test_nonpositive_distance_rejected():
-    ch = make_channel()
-    with pytest.raises(ValueError):
-        ch.link_snr((0, 1), 0.0, 0.0)
+    snr = ch.link_snr_array(np.full(len(EDGES), 1000.0), 0.0)
+    assert snr == pytest.approx([25.0] * len(EDGES), abs=1e-12)
 
 
 FLOAT_FIELDS = ["fast_std_db", "jitter_amplitude_db", "correlation_horizon_s", "failure_rate",
@@ -91,7 +86,7 @@ def test_failure_rate_zero_all_available():
     ch = make_channel(failure_rate=0.0)
     for slot in range(50):
         ch.advance_to_slot(slot)
-        assert ch.sample_failures(EDGES, slot * 0.1).all()
+        assert ch.availability(slot * 0.1).all()
 
 
 def test_failure_fraction_matches_rate():
@@ -99,7 +94,7 @@ def test_failure_fraction_matches_rate():
     down = total = 0
     for slot in range(25_000):
         ch.advance_to_slot(slot)
-        flags = ch.sample_failures(EDGES, slot * 0.1)
+        flags = ch.availability(slot * 0.1)
         down += int((~flags).sum())
         total += len(flags)
     assert total == 100_000
@@ -129,6 +124,5 @@ def test_pathloss_slope():
                       pathloss_exponent=2.0, base_snr_db=20.0,
                       reference_distance_km=1000.0)
     # Doubling the distance at exponent 2 costs 20*log10(2) ~ 6.02 dB.
-    s1 = ch.link_snr((0, 1), 1000.0, 0.0)
-    s2 = ch.link_snr((0, 1), 2000.0, 0.0)
+    s1, s2, _, _ = ch.link_snr_array(np.array([1000.0, 2000.0, 1000.0, 1000.0]), 0.0)
     assert s1 - s2 == pytest.approx(20.0 * math.log10(2.0), abs=1e-12)

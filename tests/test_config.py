@@ -112,6 +112,26 @@ def test_nonfinite_objective_value_rejected(name, value):
         ObjectiveConfig(**{name: value})
 
 
+@pytest.mark.parametrize("value", NONFINITE)
+@pytest.mark.parametrize("name", ["slot_length_s", "episode_length_s", "frame_interval_s",
+                                  "relay_proc_delay_s"])
+def test_nonfinite_simulation_value_rejected(name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        SimulationConfig(**{name: value})
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        dataclasses.replace(SimulationConfig(), **{name: value})
+
+
+@pytest.mark.parametrize("value", NONFINITE)
+@pytest.mark.parametrize("name", ["learning_rate", "gamma", "gae_lambda", "clip_ratio",
+                                  "entropy_coef", "value_coef", "max_grad_norm"])
+def test_nonfinite_ppo_value_rejected(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        PpoSettings(**{name: value})
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        dataclasses.replace(PpoSettings(), **{name: value})
+
+
 def test_budget_gain_keys_coerced_to_int():
     cfg = config_from_dict({"proxy": {"budget_gain": {"64": 0.5, "96": 0.7, "128": 0.9}}})
     assert cfg.proxy.budget_gain == {64: 0.5, 96: 0.7, 128: 0.9}

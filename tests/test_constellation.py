@@ -21,7 +21,7 @@ def test_single_satellite_degenerate():
     assert con.cfg.num_sats == 1
     snap = con.snapshot(0.0)
     assert snap.dst.shape == (1, 4) and (snap.dst == -1).all()
-    assert snap.available_edges() == []
+    assert not snap.avail.any()
 
 
 def test_two_by_two_adjacency_by_hand():
@@ -84,17 +84,15 @@ def test_position_errors():
 def test_snapshot_four_ports_everywhere_no_failures():
     con = build_constellation(ConstellationConfig(num_planes=10, sats_per_plane=7))
     snap = con.snapshot(17.3)
-    per_node = {}
-    for e in snap.available_edges():
-        per_node[e.src] = per_node.get(e.src, 0) + 1
-        assert e.src != e.dst
-    assert all(per_node[n] == 4 for n in range(70))
+    assert (snap.avail.sum(axis=1) == 4).all()
+    assert (snap.dst[snap.avail] != np.nonzero(snap.avail)[0]).all()  # no self-links
 
 
 def test_snapshot_distance_symmetry_exact():
     con = build_constellation(ConstellationConfig(num_planes=4, sats_per_plane=5))
     snap = con.snapshot(42.0)
-    dist = {(e.src, e.dst): e.distance_km for e in snap.available_edges()}
+    dist = {(int(a), int(snap.dst[a, p])): snap.dist_km[a, p]
+            for a, p in np.argwhere(snap.avail)}
     assert len(dist) == 4 * 5 * 4
     for (a, b), d in dist.items():
         assert dist[(b, a)] == d  # exactly symmetric
@@ -104,7 +102,6 @@ def test_snapshot_all_links_failed_empty_edge_set():
     con = build_constellation(ConstellationConfig(num_planes=3, sats_per_plane=3))
     ch = ChannelModel(ChannelConfig(failure_rate=1.0, seed=1), con.edge_index)
     snap = con.snapshot(0.0, ch)
-    assert snap.available_edges() == []
     assert (snap.dst >= 0).sum() == 9 * 4
     assert not snap.avail.any()
 
@@ -121,9 +118,10 @@ def test_snapshot_repeat_call_identical():
 def _strongly_connected(con) -> bool:
     snap = con.snapshot(0.0)
     fwd, rev = {}, {}
-    for e in snap.available_edges():
-        fwd.setdefault(e.src, []).append(e.dst)
-        rev.setdefault(e.dst, []).append(e.src)
+    for a, p in np.argwhere(snap.avail):
+        b = int(snap.dst[a, p])
+        fwd.setdefault(int(a), []).append(b)
+        rev.setdefault(b, []).append(int(a))
     n = con.cfg.num_sats
 
     def reach(adj):

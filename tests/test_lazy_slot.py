@@ -150,7 +150,6 @@ def test_list_sampler_matches_on_policy_rows():
                                                   trunk_width=16, head_init_scale=3.0))
     for _ in range(200):
         states = policy.StateBatch(
-            obs=rng.normal(size=(1, FEATURE_DIM)),
             features=rng.normal(size=(1, 3, FEATURE_DIM)), member_mask=None,
             hop_mask=rng.random((1, 4)) < 0.6)
         if not states.hop_mask.any():

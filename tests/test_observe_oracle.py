@@ -56,8 +56,8 @@ class OracleController:
     def decide(self, view):
         reference = self.reference(view.snapshot)
         center, rows, members, mask = ref.observe(view, reference)
-        obs, subgraph, hop_mask = agent.observe(view)
-        assert obs.tobytes() == center.tobytes()
+        subgraph, hop_mask = agent.observe(view)
+        assert subgraph.features[0].tobytes() == center.tobytes()
         assert subgraph.features.tobytes() == rows.tobytes()
         assert subgraph.members == members
         assert hop_mask.tobytes() == mask.tobytes() == view.mask.tobytes()

@@ -14,14 +14,14 @@ CFG = PolicyConfig(obs_dim=10, gat_hidden=6, trunk_width=12)
 
 
 def rand_state(rng, members=3):
-    obs = rng.normal(size=CFG.obs_dim)
+    """A random subgraph (its center row is the observation) and a hop mask."""
     sub = SubgraphInput(features=rng.normal(size=(members, CFG.obs_dim)))
     mask = np.array([True, True, False, True])
-    return obs, sub, mask
+    return sub, mask
 
 
-def one_state(obs, sub, mask):
-    return pol.StateBatch(obs[None], sub.features[None], None, mask[None])
+def one_state(sub, mask):
+    return pol.StateBatch(sub.features[None], None, mask[None])
 
 
 def test_masked_probs_sum_to_one_and_masked_zero():
@@ -41,9 +41,9 @@ def test_fully_masked_rejected():
 def test_single_open_port_forced():
     rng = np.random.default_rng(0)
     params = init_policy_params(rng, CFG)
-    obs, sub, _ = rand_state(rng)
+    sub, _ = rand_state(rng)
     mask = np.array([False, False, True, False])
-    action, logps, _ = pol.act(pol.Actor(params), obs, sub, mask, rng=rng)
+    action, logps, _ = pol.act(pol.Actor(params), sub, mask, rng=rng)
     assert action.hop == 2
     assert logps[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -51,8 +51,8 @@ def test_single_open_port_forced():
 def test_head_probabilities_normalized():
     rng = np.random.default_rng(1)
     params = init_policy_params(rng, CFG)
-    obs, sub, mask = rand_state(rng)
-    fwd = pol.forward(params, one_state(obs, sub, mask))
+    sub, mask = rand_state(rng)
+    fwd = pol.forward(params, one_state(sub, mask))
     for head in ("hop", "budget", "relay"):
         live = fwd.head(head)[1][0]
         assert live.sum() == pytest.approx(1.0, abs=1e-12)
@@ -63,9 +63,9 @@ def test_head_probabilities_normalized():
 def test_sampling_reproducible_under_seed():
     rng = np.random.default_rng(2)
     params = init_policy_params(rng, CFG)
-    obs, sub, mask = rand_state(rng)
-    a1 = pol.act(pol.Actor(params), obs, sub, mask, rng=np.random.default_rng(99))
-    a2 = pol.act(pol.Actor(params), obs, sub, mask, rng=np.random.default_rng(99))
+    sub, mask = rand_state(rng)
+    a1 = pol.act(pol.Actor(params), sub, mask, rng=np.random.default_rng(99))
+    a2 = pol.act(pol.Actor(params), sub, mask, rng=np.random.default_rng(99))
     assert a1[0] == a2[0]
     assert np.array_equal(a1[1], a2[1])
 
@@ -76,24 +76,24 @@ def test_greedy_mode_needs_no_rng_and_breaks_ties_low():
     # zero head weights -> all logits equal -> argmax picks index 0 of the mask
     params.w_hop[...] = 0.0
     params.b_hop[...] = 0.0
-    obs, sub, mask = rand_state(rng)
-    action, _, _ = pol.act(pol.Actor(params), obs, sub, mask, greedy=True)
+    sub, mask = rand_state(rng)
+    action, _, _ = pol.act(pol.Actor(params), sub, mask, greedy=True)
     assert action.hop == int(np.flatnonzero(mask)[0])
 
 
 def test_sampling_mode_requires_rng():
     rng = np.random.default_rng(4)
     params = init_policy_params(rng, CFG)
-    obs, sub, mask = rand_state(rng)
+    sub, mask = rand_state(rng)
     with pytest.raises(ValueError):
-        pol.act(pol.Actor(params), obs, sub, mask)
+        pol.act(pol.Actor(params), sub, mask)
 
 
 def test_joint_log_prob_is_head_sum():
     rng = np.random.default_rng(5)
     params = init_policy_params(rng, CFG)
-    obs, sub, mask = rand_state(rng)
-    fwd = pol.forward(params, one_state(obs, sub, mask))
+    sub, mask = rand_state(rng)
+    fwd = pol.forward(params, one_state(sub, mask))
     expected = (fwd.head("hop")[0][0, 1] + fwd.head("budget")[0][0, 2]
                 + fwd.head("relay")[0][0, 0])
     assert pol.action_log_prob(fwd, np.array([[1, 2, 0]]))[0] == pytest.approx(
@@ -104,8 +104,8 @@ def test_entropy_bounds():
     rng = np.random.default_rng(6)
     params = init_policy_params(rng, CFG)
     for _ in range(20):
-        obs, sub, mask = rand_state(rng)
-        fwd = pol.forward(params, one_state(obs, sub, mask))
+        sub, mask = rand_state(rng)
+        fwd = pol.forward(params, one_state(sub, mask))
         for head, k in (("hop", 4), ("budget", 3), ("relay", 2)):
             h = pol.categorical_entropy(fwd.head(head)[1][0])
             assert 0.0 <= h <= math.log(k) + 1e-12
@@ -216,12 +216,12 @@ def test_act_matches_per_sample_reference():
     rng = np.random.default_rng(12)
     params = init_policy_params(rng, CFG)
     for i in range(20):
-        obs, sub, _ = rand_state(rng, members=1 + i % 5)
+        sub, _ = rand_state(rng, members=1 + i % 5)
         mask = rng.random(4) < 0.5
         mask[i % 4] = True
-        ref = reference_policy.policy_forward(params, obs, sub.features, mask)
+        ref = reference_policy.policy_forward(params, sub.features[0], sub.features, mask)
         for greedy in (True, False):
-            action, logps, value = pol.act(pol.Actor(params), obs, sub, mask,
+            action, logps, value = pol.act(pol.Actor(params), sub, mask,
                                            rng=np.random.default_rng(i), greedy=greedy)
             chosen = (action.hop, action.budget_idx, action.relay)
             expect = [ref["log_probs"][head][a] for head, a in zip(pol.HEADS, chosen)]
@@ -268,10 +268,10 @@ def test_act_rejects_nonfinite_probabilities_before_choosing():
     rng = np.random.default_rng(16)
     params = init_policy_params(rng, CFG)
     params.w1[0, 0] = math.nan
-    obs, sub, mask = rand_state(rng)
+    sub, mask = rand_state(rng)
     for greedy in (True, False):
         action_rng = np.random.default_rng(0)
         state = action_rng.bit_generator.state
         with pytest.raises(FloatingPointError, match="non-finite action probabilities"):
-            pol.act(pol.Actor(params), obs, sub, mask, rng=action_rng, greedy=greedy)
+            pol.act(pol.Actor(params), sub, mask, rng=action_rng, greedy=greedy)
         assert action_rng.bit_generator.state == state

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from leosem.channel import ChannelConfig, ChannelModel
 from leosem.constellation import ConstellationConfig, build_constellation
 from leosem.policy import JointAction
-from leosem.semantic import QualityProxyConfig
-from leosem.simcore import (DROP_NO_LINK, DROP_PRUNED, DROP_TTL, Engine,
-                            HopDelayRecord, Packet, SessionOutcome, SimHooks,
+from leosem.semantic import QualityProxyConfig, SemanticState
+from leosem.simcore import (DROP_NO_LINK, DROP_PRUNED, DROP_TTL, ActiveSession, Engine,
+                            HopDelayRecord, PortQueue, SessionOutcome, SimHooks, _Burst,
                             end_to_end_delay, propagation_delay, step_queue,
                             transmission_delay)
 
@@ -125,38 +125,60 @@ def test_hop_record_total_is_component_sum():
         HopDelayRecord.build(-1e-3, 0, 0, 0)
 
 
-# ---------------------------------------------------------------- queue surface
+# ---------------------------------------------------------------- send queues
 
-def make_packet(pid, size=1200, ttl=16):
-    return Packet(packet_id=pid, session_id=-1, src=0, dst=1, size_bytes=size,
-                  ttl_hops=ttl, created_s=0.0, hop_trace=[0])
+def make_group(chunks, sid=0):
+    """A chunk group of ``chunks`` full-size chunks, owned by a bare session."""
+    session = ActiveSession(session_id=sid, flow_id=-1, src=0, dst=1, spawn_s=0.0,
+                            latent_bytes=1200 * chunks, ttl_remaining=16,
+                            sem=SemanticState(session_id=sid))
+    return _Burst(session=session, num_chunks=chunks, total_bytes=1200 * chunks)
 
 
 def test_enqueue_contract_at_capacity():
-    # Port (0,0) on a 1x2 ring; park the head in service so the queue fills.
-    engine = build_engine(1, 2, ScriptedController())
-    for pid in range(599):
-        assert engine.enqueue(0, 0, make_packet(pid)) == "accepted"
-    assert engine.occupancy[0, 0] == 599
-    assert engine.enqueue(0, 0, make_packet(599)) == "accepted"
-    assert engine.occupancy[0, 0] == 600
-    assert engine.enqueue(0, 0, make_packet(600)) == "overflow"
+    # Admission is all-or-nothing: a group that does not fit leaves the
+    # queue as it was.
+    queue = PortQueue(0, 0, capacity=600)
+    assert queue.push(make_group(599, sid=0))
+    assert queue.occupancy == 599 and queue.space() == 1
+    assert not queue.push(make_group(2, sid=1))
+    assert queue.occupancy == 599 and len(queue.entries) == 1
+    assert queue.push(make_group(1, sid=2))
+    assert queue.occupancy == 600 and queue.space() == 0
+    assert not queue.push(make_group(1, sid=3))
+    assert queue.occupancy == 600 and len(queue.entries) == 2
+    assert queue.pop().session.session_id == 0
+    assert queue.occupancy == 1
+
+    # In the engine: port (0,0) on a 1x2 ring; groups that join in slot 0
+    # wait for slot 1, so the queue fills within the first slot.
+    engine = build_engine(1, 2, ScriptedController(port=0))
+    for latent_bytes in (599 * 1200, 1200, 1200):
+        engine.add_session(0, 1, spawn_s=0.0, latent_bytes=latent_bytes)
+    engine.run(0.05)
+    assert engine.occupancy[0, 0] == engine.queues[(0, 0)].occupancy == 600
+    assert [o.session_id for o in engine.outcomes] == [2]
+    assert engine.outcomes[0].drop_cause == "queue_overflow"
     assert engine.counters.drop_causes["queue_overflow"] == 1
     assert engine.conservation_ok()
 
 
 def test_enqueue_unknown_port():
+    # Only ports that exist on the shell get a send queue: a 1x2 ring has
+    # one intra-plane link per node and no inter-plane ports.
     engine = build_engine(1, 2, ScriptedController())
-    with pytest.raises(KeyError):
-        engine.enqueue(0, 3, make_packet(0))
-    with pytest.raises(KeyError):
-        engine.enqueue(99, 0, make_packet(0))
+    assert (0, 3) not in engine.queues
+    assert (99, 0) not in engine.queues
+    assert sorted(engine.queues) == [(0, 0), (1, 0)]
+    assert (engine.snapshot.dst[:, 1:] == -1).all()
 
 
 def test_empty_queue_accepts():
-    engine = build_engine(1, 2, ScriptedController())
-    assert engine.enqueue(0, 0, make_packet(0)) == "accepted"
-    assert engine.occupancy[0, 0] == 1
+    engine = build_engine(1, 2, ScriptedController(port=0))
+    engine.add_session(0, 1, spawn_s=0.0, latent_bytes=1200)
+    engine.run(0.05)
+    assert engine.occupancy[0, 0] == engine.queues[(0, 0)].occupancy == 1
+    assert not engine.outcomes
 
 
 # ---------------------------------------------------------------- one-hop session
