@@ -40,45 +40,74 @@ class BaselineSpec:
 
 
 def dijkstra_to(snapshot: GraphSnapshot, dst: int,
-                targets: set[int] | None = None) -> dict[int, float]:
+                targets: dict[int, float] | None = None) -> dict[int, float]:
     """Distance-to-destination (km) over the available directed edges.
 
-    With ``targets``, the search stops once every target has been settled
-    (popped with its final label) and the result may also hold tentative
-    labels of other nodes; a target missing from it is unreachable.  A
-    settled label never changes afterwards, so each target's distance is
-    the one the full search gives, bit for bit.
+    Without ``targets`` the search runs to the end and the result holds
+    every reachable node, in the order each first got a label.
+
+    ``targets`` maps each open neighbor of a deciding node to the length of
+    the link into it.  The search then stops at the first pop, at distance
+    ``d``, where every unsettled target ``q`` has ``(d + km_q, q)`` greater
+    than the best settled ``(label + km, node)``: pops never decrease, so
+    no unsettled target can still reach a lower total or win a tie.  The
+    result holds only the settled targets, each with the label the full
+    search gives it, bit for bit; an unreachable target is never settled.
     """
-    in_edges = snapshot.in_edges()
+    in_ports = snapshot.in_ports
+    link_km = snapshot.link_km()
     pop, push = heapq.heappop, heapq.heappush
-    # ``label`` is the working copy of ``dist`` that the loop reads; the
-    # dict is the result, holding labelled nodes in the order they got one.
-    label = [math.inf] * len(in_edges)
+    label = [math.inf] * len(in_ports)
     label[dst] = 0.0
-    dist = {dst: 0.0}
     heap = [(0.0, dst)]
-    left = None if targets is None else set(targets)
+    if targets is None:
+        # ``label`` is the working copy the loop reads; the dict is the
+        # result, holding labelled nodes in the order they got one.
+        dist = {dst: 0.0}
+        while heap:
+            d, node = pop(heap)
+            if d > label[node]:
+                continue
+            for src, cell in in_ports[node]:
+                nd = d + link_km[cell]
+                if nd < label[src] - 1e-12:
+                    label[src] = dist[src] = nd
+                    push(heap, (nd, src))
+        return dist
+    left = dict(targets)
+    settled: dict[int, float] = {}
+    best: tuple[float, int] | None = None
+    km_min = math.inf  # the shortest link into a target still in ``left``
     while heap:
         d, node = pop(heap)
         if d > label[node]:
             continue
-        if left is not None and node in left:
-            left.remove(node)
-            if not left:
+        km = left.pop(node, None)
+        if km is not None:
+            settled[node] = d
+            if best is None or (d + km, node) < best:
+                best = (d + km, node)
+            km_min = min(left.values(), default=math.inf)
+        if best is not None:
+            # Float addition is monotone, so d + km_min bounds every unsettled
+            # target's total; only an exact tie needs the per-target check.
+            bound = d + km_min
+            if bound > best[0] or (bound == best[0] and all(
+                    (d + k, q) > best for q, k in left.items())):
                 break
-        for src, km in in_edges[node]:
-            nd = d + km
+        for src, cell in in_ports[node]:
+            nd = d + link_km[cell]
             if nd < label[src] - 1e-12:
-                label[src] = dist[src] = nd
+                label[src] = nd
                 push(heap, (nd, src))
-    return dist
+    return settled
 
 
 def shortest_path_next_hop(snapshot: GraphSnapshot, current: int, dst: int) -> int | None:
     """Port of the first hop of a minimum-propagation-delay path, or None.
 
-    Recomputed on the given snapshot; the search stops once the distances
-    of the open neighbors are settled.  Ties break toward the lowest
+    Recomputed on the given snapshot, by a search that stops once no open
+    neighbor can beat the best one found.  Ties break toward the lowest
     neighbor node index.
     """
     if current == dst:
@@ -86,7 +115,8 @@ def shortest_path_next_hop(snapshot: GraphSnapshot, current: int, dst: int) -> i
     open_ports = [(p, nxt, km) for p, (nxt, up, km) in enumerate(zip(
         snapshot.dst[current].tolist(), snapshot.avail[current].tolist(),
         snapshot.dist_km[current].tolist())) if up]
-    dist = dijkstra_to(snapshot, dst, {nxt for _, nxt, _ in open_ports})
+    # On the +Grid each port of a node leads to a different neighbor.
+    dist = dijkstra_to(snapshot, dst, {nxt: km for _, nxt, km in open_ports})
     best: tuple[float, int, int] | None = None
     for p, nxt, km in open_ports:
         if nxt not in dist:

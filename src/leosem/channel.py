@@ -78,7 +78,7 @@ class ChannelModel:
 
     def _clamp(self, x: np.ndarray) -> np.ndarray:
         a = self.cfg.jitter_amplitude_db
-        return np.clip(x, -a, a)
+        return np.minimum(np.maximum(x, -a), a)
 
     def slot_of(self, time_s: float) -> int:
         return int(math.floor(time_s / self.slot_length_s + 1e-9))

@@ -8,6 +8,7 @@ geometry (positions, distances) is pure deterministic math.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -92,9 +93,12 @@ class GraphSnapshot:
     dist_km: np.ndarray    # (N, NUM_PORTS)
     snr_db: np.ndarray     # (N, NUM_PORTS)
     rate_bps: np.ndarray   # (N, NUM_PORTS)
+    # Per node, the (src, cell) of every port leading into it; shared by
+    # every snapshot of the shell (see ``_reverse_ports``).
+    in_ports: tuple = field(repr=False, compare=False)
     # Per-slot observation rows, built by the agent on first use.
     obs_rows: object = field(default=None, repr=False, compare=False)
-    _in_edges: list | None = field(default=None, repr=False, compare=False)
+    _link_km: list | None = field(default=None, repr=False, compare=False)
     # Per destination, the distances of every node to it; built on first use.
     _dist_to: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -102,20 +106,15 @@ class GraphSnapshot:
         """Boolean (NUM_PORTS,) availability mask for a node."""
         return self.avail[node].copy()
 
-    def in_edges(self) -> list[list[tuple[int, float]]]:
-        """Per node, the (src, distance_km) of every usable link into it.
+    def link_km(self) -> list[float]:
+        """Per cell of the flattened (N, NUM_PORTS) arrays, the length of
+        its link in km, or inf where routing may not use it this slot.
 
-        Sources appear in (src, port) order; built on first use and kept
-        for the slot.
+        Built on first use and kept for the slot.
         """
-        if self._in_edges is None:
-            rev: list[list[tuple[int, float]]] = [[] for _ in range(len(self.dst))]
-            src, port = np.nonzero(self.avail)
-            for s, d, km in zip(src.tolist(), self.dst[src, port].tolist(),
-                                self.dist_km[src, port].tolist()):
-                rev[d].append((s, km))
-            self._in_edges = rev
-        return self._in_edges
+        if self._link_km is None:
+            self._link_km = np.where(self.avail, self.dist_km, math.inf).ravel().tolist()
+        return self._link_km
 
     def distance_km(self, a: int, b: int) -> float:
         """Straight-line distance between two nodes, from a row kept per ``b``."""
@@ -125,6 +124,40 @@ class GraphSnapshot:
             # sqrt of vecdot rounds exactly like a per-vector np.linalg.norm.
             row = self._dist_to[b] = np.sqrt(np.vecdot(d, d)).tolist()
         return row[a]
+
+
+def _port_table(p: int, s: int) -> list[dict[int, int]]:
+    """Per node of a ``p`` x ``s`` +Grid shell, its neighbor behind each port."""
+    table: list[dict[int, int]] = []
+    for node in range(p * s):
+        pl, sl = divmod(node, s)
+        ports: dict[int, int] = {}
+        if s >= 2:
+            ports[PORT_INTRA_FWD] = pl * s + (sl + 1) % s
+            if s >= 3:
+                ports[PORT_INTRA_BWD] = pl * s + (sl - 1) % s
+        if p >= 2:
+            ports[PORT_INTER_FWD] = ((pl + 1) % p) * s + sl
+            if p >= 3:
+                ports[PORT_INTER_BWD] = ((pl - 1) % p) * s + sl
+        table.append(ports)
+    return table
+
+
+@functools.cache
+def _reverse_ports(p: int, s: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per node of a ``p`` x ``s`` +Grid shell, the ``(src, cell)`` of every
+    port leading into it, in (src, port) order.
+
+    ``cell = src * NUM_PORTS + port`` indexes the flattened (N, NUM_PORTS)
+    snapshot arrays.  Built once per shell shape and shared by every
+    constellation of that shape.
+    """
+    rev: list[list[tuple[int, int]]] = [[] for _ in range(p * s)]
+    for src, ports in enumerate(_port_table(p, s)):
+        for port, dst in sorted(ports.items()):
+            rev[dst].append((src, src * NUM_PORTS + port))
+    return tuple(map(tuple, rev))
 
 
 class Constellation:
@@ -142,7 +175,8 @@ class Constellation:
             + 2.0 * math.pi * cfg.phasing_factor * self.plane / (p * s)
         )
         self._inc = math.radians(cfg.inclination_deg)
-        self.ports = self._build_port_table()
+        self.ports = _port_table(p, s)
+        self._in_ports = _reverse_ports(p, s)
         # Directed edges in fixed (node, port) order; this ordering is the
         # contract the channel model uses for its per-edge state arrays.
         self.edge_index: list[tuple[int, int, int]] = [
@@ -156,24 +190,6 @@ class Constellation:
         self._edge_cell = edges[:, 0] * NUM_PORTS + edges[:, 2]
         self._port_dst = self._scatter(self._edge_dst, -1)
         self._port_dst.flags.writeable = False
-
-    def _build_port_table(self) -> list[dict[int, int]]:
-        cfg = self.cfg
-        p, s = cfg.num_planes, cfg.sats_per_plane
-        table: list[dict[int, int]] = []
-        for node in range(cfg.num_sats):
-            pl, sl = divmod(node, s)
-            ports: dict[int, int] = {}
-            if s >= 2:
-                ports[PORT_INTRA_FWD] = pl * s + (sl + 1) % s
-                if s >= 3:
-                    ports[PORT_INTRA_BWD] = pl * s + (sl - 1) % s
-            if p >= 2:
-                ports[PORT_INTER_FWD] = ((pl + 1) % p) * s + sl
-                if p >= 3:
-                    ports[PORT_INTER_BWD] = ((pl - 1) % p) * s + sl
-            table.append(ports)
-        return table
 
     def positions_at(self, time_s: float) -> np.ndarray:
         """ECI positions (N, 3) in km at a given time."""
@@ -234,6 +250,7 @@ class Constellation:
             dist_km=self._scatter(dists, math.nan),
             snr_db=self._scatter(snrs, math.nan),
             rate_bps=self._scatter(rates, math.nan),
+            in_ports=self._in_ports,
         )
 
 

@@ -302,6 +302,8 @@ class Engine:
         heapq.heappush(self._heap, (time_s, prio, next(self._seq), item))
 
     def _emit(self, kind: str, **fields) -> None:
+        # The engine's own call sites check ``self.trace`` first, so an
+        # untraced run builds no event fields.
         if self.trace is not None:
             self.trace({"t": round(self.now_s, 9), "ev": kind, **fields})
 
@@ -390,7 +392,8 @@ class Engine:
             self._q_at_slot_start = self.occupancy.copy()
         self.slot = slot
         self._snapshot = None
-        self._emit("slot", slot=slot)
+        if self.trace is not None:
+            self._emit("slot", slot=slot)
         # Sorted (node, port) is the order of ``self.queues``, so service
         # starts get the same sequence numbers as a walk over every queue.
         for key in sorted(self._waiting):
@@ -414,7 +417,8 @@ class Engine:
 
     def _on_spawn(self, sid: int) -> None:
         session = self.sessions[sid]
-        self._emit("spawn", session=sid, src=session.src, dst=session.dst)
+        if self.trace is not None:
+            self._emit("spawn", session=sid, src=session.src, dst=session.dst)
         session.initial_dist_km = self.snapshot.distance_km(session.src, session.dst)
         if session.src == session.dst:
             self._deliver(session, None)
@@ -460,9 +464,10 @@ class Engine:
             proc_s = self.relay_proc_delay_s
             self._apply_prune(session)
 
-        self._emit("decision", session=session.session_id, node=node, port=int(action.hop),
-                   next=next_node, budget=action.budget_c, relay=int(action.relay),
-                   source=is_source)
+        if self.trace is not None:
+            self._emit("decision", session=session.session_id, node=node, port=int(action.hop),
+                       next=next_node, budget=action.budget_c, relay=int(action.relay),
+                       source=is_source)
 
         session.pending = {
             "decision_index": decision_index,
@@ -492,8 +497,9 @@ class Engine:
         session.payload_bytes = plan.payload_bytes
         self.counters.chunks_dropped += shed
         self.counters.drop_causes[DROP_PRUNED] += shed
-        self._emit("prune", session=session.session_id, shed=shed, keep=keep,
-                   budget=session.sem.budget_c)
+        if self.trace is not None:
+            self._emit("prune", session=session.session_id, shed=shed, keep=keep,
+                       budget=session.sem.budget_c)
 
     def _do_enqueue(self, sid: int, port: int) -> None:
         session = self.sessions[sid]
@@ -509,15 +515,17 @@ class Engine:
                 new_dist_km=None, delay_s=0.0, queue_frac=p["queue_frac"],
                 revisited=p["revisited"], hop_completed=False,
             )
-            self._emit("enqueue_overflow", session=sid, node=node, port=port,
-                       occupancy=int(self.occupancy[node, port]))
+            if self.trace is not None:
+                self._emit("enqueue_overflow", session=sid, node=node, port=port,
+                           occupancy=int(self.occupancy[node, port]))
             self._fail(session, DROP_OVERFLOW, penalty_index=p["decision_index"],
                        measurements=m)
             return
         self.occupancy[node, port] += burst.num_chunks
         if self.collect_queue_log:
             self._slot_arrivals[node, port] += burst.num_chunks
-        self._emit("enqueue", session=sid, node=node, port=port, chunks=burst.num_chunks)
+        if self.trace is not None:
+            self._emit("enqueue", session=sid, node=node, port=port, chunks=burst.num_chunks)
         key = (node, port)
         if not self._busy[key]:
             self._try_start(key)
@@ -547,8 +555,9 @@ class Engine:
         tx_s = transmission_delay(burst.total_bytes, float(snap.rate_bps[node, port])) \
             if burst.total_bytes else 0.0
         self._busy[key] = True
-        self._emit("service_start", session=burst.session.session_id,
-                   node=node, port=port, tx_s=round(tx_s, 9))
+        if self.trace is not None:
+            self._emit("service_start", session=burst.session.session_id,
+                       node=node, port=port, tx_s=round(tx_s, 9))
         self._push(self.now_s + tx_s, _EV_OTHER, ("service_end", key, burst))
 
     def _on_service_end(self, key: tuple[int, int], burst: _Burst) -> None:
@@ -577,8 +586,9 @@ class Engine:
             delay_s=record.total_s, queue_frac=p["queue_frac"],
             revisited=p["revisited"], hop_completed=True,
         )
-        self._emit("arrival", session=session.session_id, node=node,
-                   ttl=session.ttl_remaining)
+        if self.trace is not None:
+            self._emit("arrival", session=session.session_id, node=node,
+                       ttl=session.ttl_remaining)
         if node == session.dst:
             self._deliver(session, m)
         elif session.ttl_remaining <= 0:
@@ -604,8 +614,9 @@ class Engine:
             relay_count=session.relay_count, decision_count=session.decision_count,
         )
         self.outcomes.append(outcome)
-        self._emit("deliver", session=session.session_id, delay_s=round(delay, 9),
-                   quality=outcome.quality)
+        if self.trace is not None:
+            self._emit("deliver", session=session.session_id, delay_s=round(delay, 9),
+                       quality=outcome.quality)
         for h in self.hooks:
             h.on_deliver(session, m, outcome)
 
@@ -627,7 +638,8 @@ class Engine:
             relay_count=session.relay_count, decision_count=session.decision_count,
         )
         self.outcomes.append(outcome)
-        self._emit("drop", session=session.session_id, cause=cause)
+        if self.trace is not None:
+            self._emit("drop", session=session.session_id, cause=cause)
         for h in self.hooks:
             h.on_drop(session, penalty_index, measurements, outcome)
 

@@ -1,5 +1,6 @@
-"""The paired-run summary of ``tools/bench_pairs.py``: wins, ties, the gain rule and
-whether the routing outcomes stayed identical."""
+"""The paired-run summary of ``tools/bench_pairs.py``: wins, ties, the gain rule,
+metrics worse beyond the base's spread and whether the routing outcomes stayed
+identical."""
 import importlib.util
 import math
 import pathlib
@@ -57,6 +58,37 @@ def test_gain_rule_needs_nine_tenths_of_the_pairs():
     change = [12.0] * 9 + [9.0]
     out = bench_pairs.compare(pairs(base, change, "episodes_per_s"), [RATE])["episodes_per_s"]
     assert out["change_wins"] == 9 and out["gain_rule_met"]
+
+
+BASE = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]  # IQR 0.175
+
+
+@pytest.mark.parametrize("metric, shift, worse", [
+    (RATE, -1.0, True),    # higher is better and the change's median fell by 1.0
+    (RATE, 1.0, False),
+    (RATE, -0.1, False),   # fell, but by less than the base's spread
+    (DELAY, 1.0, True),    # lower is better and the change's median rose by 1.0
+    (DELAY, -1.0, False),
+    (DELAY, 0.1, False),
+    (RATE, 0.0, False),    # a tie in every pair
+    (DELAY, 0.0, False),
+])
+def test_worse_beyond_spread_follows_the_better_direction(metric, shift, worse):
+    name = metric["name"]
+    out = bench_pairs.compare(pairs(BASE, [x + shift for x in BASE], name), [metric])
+    assert out[name]["worse_beyond_spread"] is worse
+    assert out["worse_beyond_spread"] == ([name] if worse else [])
+
+
+def test_worse_beyond_spread_lists_each_worse_metric():
+    runs = [{"base": {"metrics": {"episodes_per_s": b, "mean_delay_s": b,
+                                  "setup_s": b}},
+             "change": {"metrics": {"episodes_per_s": b - 1.0, "mean_delay_s": b + 1.0,
+                                    "setup_s": b - 1.0}}} for b in BASE]
+    setup = {"name": "setup_s", "unit": "s", "better": "lower"}
+    out = bench_pairs.compare(runs, [RATE, DELAY, setup])
+    assert out["worse_beyond_spread"] == ["episodes_per_s", "mean_delay_s"]
+    assert out["setup_s"]["gain_rule_met"] and not out["setup_s"]["worse_beyond_spread"]
 
 
 OUTCOME_METRICS = [{"name": name, "unit": "", "better": "higher"}

@@ -10,8 +10,9 @@ the working tree.  For each seed it then runs ``python3 perfbench/run.py
 that goes first alternating from pair to pair, and writes
 ``BENCH_<label>.json``: the host line, both SHAs, every run's metrics, and
 per end-to-end metric each side's median and quartiles, the number of
-pairs the working tree won (ties count for neither side) and
-``gain_rule_met``, and ``outcomes_identical``: whether the routing outcomes
+pairs the working tree won (ties count for neither side), ``gain_rule_met``
+and ``worse_beyond_spread``; per workload, the list of metrics worse beyond
+the base's spread and ``outcomes_identical``: whether the routing outcomes
 were equal in every pair.  Run it once per workload with the same label: each run
 adds or replaces that workload's entry in the file.
 """
@@ -70,29 +71,37 @@ def summarise(values: list[float]) -> dict:
 
 
 def compare(pairs: list[dict], metrics: list[dict]) -> dict:
-    """Per metric: both sides' median and quartiles, the pairs the change won
-    and ``gain_rule_met``; and ``outcomes_identical``.
+    """Per metric: both sides' median and quartiles, the pairs the change won,
+    ``gain_rule_met`` and ``worse_beyond_spread``.  For the whole set:
+    ``outcomes_identical``, and ``worse_beyond_spread``, the names of the
+    metrics that are.
 
     A tie counts for neither side.  The gain rule is met when the change wins
     at least 0.9 of the pairs and its median is better than the base's by
-    more than the base's interquartile range.  ``outcomes_identical`` says
-    whether each outcome metric among ``metrics`` was equal in every pair
-    (None when there is none).
+    more than the base's interquartile range; a metric is worse beyond the
+    spread when the change's median is worse than the base's by more than
+    that range.  ``outcomes_identical`` says whether each outcome metric
+    among ``metrics`` was equal in every pair (None when there is none).
     """
     outcomes = [m["name"] for m in metrics if m["name"] in OUTCOMES]
     out = {"outcomes_identical": all(
         p["base"]["metrics"][name] == p["change"]["metrics"][name]
-        for p in pairs for name in outcomes) if outcomes else None}
+        for p in pairs for name in outcomes) if outcomes else None,
+        "worse_beyond_spread": []}
     for m in metrics:
         name, sign = m["name"], (1 if m["better"] == "higher" else -1)
         base = [p["base"]["metrics"][name] for p in pairs]
         change = [p["change"]["metrics"][name] for p in pairs]
         b, c = summarise(base), summarise(change)
         wins = sum(sign * (y - x) > 0 for x, y in zip(base, change))
+        gain = sign * (c["median"] - b["median"])
+        spread = b["q3"] - b["q1"]
         out[name] = {"unit": m["unit"], "better": m["better"], "base": b, "change": c,
                      "change_wins": wins, "pairs": len(pairs),
-                     "gain_rule_met": wins >= 0.9 * len(pairs)
-                     and sign * (c["median"] - b["median"]) > b["q3"] - b["q1"]}
+                     "gain_rule_met": wins >= 0.9 * len(pairs) and gain > spread,
+                     "worse_beyond_spread": -gain > spread}
+        if out[name]["worse_beyond_spread"]:
+            out["worse_beyond_spread"].append(name)
     return out
 
 
