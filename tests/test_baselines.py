@@ -135,7 +135,7 @@ def test_early_exit_matches_full_search_on_busy_episodes():
     for seed in (1, 2, 3):
         assert run_episode(busy_config(seed), 0, checker, hooks=[]).conservation_ok()
     assert checker.decisions > 1200
-    assert checker.partial > 0.5 * checker.decisions
+    assert checker.partial > 0.9 * checker.decisions
 
 
 @pytest.mark.parametrize("planes, sats", [(1, 2), (2, 3), (4, 2), (3, 3)])
@@ -151,6 +151,8 @@ def test_early_exit_matches_full_search_on_degenerate_shells(planes, sats):
             seed=planes * 10 + sats)
         run_episode(cfg, episode, checker, hooks=[])
     assert checker.decisions >= 20
+    # On the 1x2 shell a node has one neighbour, which every search settles.
+    assert (checker.partial > 0) == ((planes, sats) != (1, 2))
 
 
 def grid_snapshot(lengths):
