@@ -71,9 +71,14 @@ def _wrap_delta(raw: int, n: int) -> float:
 
 
 @functools.cache
-def _wrap_table(n: int) -> tuple[float, ...]:
-    """``_wrap_delta(r, n)`` for every residue ``r`` of ``n``."""
-    return tuple(_wrap_delta(r, n) for r in range(n))
+def _wrap_pairs(n_p: int, n_s: int) -> np.ndarray:
+    """(N, N, 2) table: at [dst, node], the plane and slot wrap deltas
+    ``_wrap_delta`` gives from ``node`` to ``dst``; one per shell shape."""
+    wrap_p = np.array([_wrap_delta(r, n_p) for r in range(n_p)])
+    wrap_s = np.array([_wrap_delta(r, n_s) for r in range(n_s)])
+    plane, slot = np.divmod(np.arange(n_p * n_s), n_s)
+    return np.stack([wrap_p[(plane[:, None] - plane) % n_p],
+                     wrap_s[(slot[:, None] - slot) % n_s]], axis=-1)
 
 
 @dataclass
@@ -116,8 +121,7 @@ def _feature_rows(view: DecisionView, base: _SlotRows, members: list[int]) -> np
     idx = np.array(members)
     out = base.rows[idx]
     # Absent ports have no queue, so their occupancy stays 0.
-    occ = view.occupancy[idx] / view.q_max
-    out[:, 0:NUM_PORTS] = occ
+    occ = np.divide(view.occupancy[idx], view.q_max, out=out[:, 0:NUM_PORTS])
     out[:, NET_BLOCK_DIM + 4:NET_BLOCK_DIM + 8] = occ
     # Index -1 (an absent port) reads the False past the last node.
     snap = view.snapshot
@@ -125,18 +129,19 @@ def _feature_rows(view: DecisionView, base: _SlotRows, members: list[int]) -> np
     visited[session.hop_trace] = True
     out[:, NET_BLOCK_DIM + 8:NET_BLOCK_DIM + 12] = visited[snap.dst[idx]]
     # The normalisation is monotone, so the bottleneck's norm is the minimum
-    # of the two norms; unavailable ports stay 0.
+    # of the two norms; unavailable ports stay 0.  ``_snr_norm`` on floats:
+    # max and min keep a NaN first argument, as np.maximum/np.minimum do.
     sem_at = NET_BLOCK_DIM + PKT_BLOCK_DIM
-    np.minimum(out[:, 2 * NUM_PORTS:3 * NUM_PORTS], _snr_norm(sem.min_link_snr_db),
+    norm = (sem.min_link_snr_db - SNR_NORM_LO_DB) / (SNR_NORM_HI_DB - SNR_NORM_LO_DB)
+    np.minimum(out[:, 2 * NUM_PORTS:3 * NUM_PORTS], min(max(norm, 0.0), 1.0),
                out=out[:, sem_at:sem_at + NUM_PORTS])
 
-    cos = np.vecdot(base.unit[idx], base.unit[session.dst]).tolist()
-    out[:, 13] = [math.acos(min(max(c, -1.0), 1.0)) / math.pi for c in cos]
-    n_p, n_s = view.constellation.cfg.num_planes, view.constellation.cfg.sats_per_plane
-    p_d, s_d = divmod(session.dst, n_s)
-    wrap_p, wrap_s = _wrap_table(n_p), _wrap_table(n_s)
-    out[:, 14:16] = [(wrap_p[(p_d - m // n_s) % n_p], wrap_s[(s_d - m % n_s) % n_s])
-                     for m in members]
+    offset = []
+    for cos in np.vecdot(base.unit[idx], base.unit[session.dst]).tolist():
+        offset.append(math.acos(min(max(cos, -1.0), 1.0)) / math.pi)
+    out[:, 13] = offset
+    shell = view.constellation.cfg
+    out[:, 14:16] = _wrap_pairs(shell.num_planes, shell.sats_per_plane)[session.dst, idx]
     out[:, 16] = session.ttl_remaining / view.ttl_max
     out[:, 29:32] = (sem.budget_c / 128.0, 1.0 - math.exp(-sem.accum_distortion),
                      min(1.0, sem.hops_since_process / view.ttl_max))
@@ -156,8 +161,10 @@ def observe(view: DecisionView) -> tuple[SubgraphInput, np.ndarray]:
     if view.session.node != view.node:
         raise ValueError("session is not held at the observed node")
     base = _slot_rows(view)
-    members = [view.node] + [d for d, up in zip(base.dst[view.node], base.avail[view.node])
-                             if up]
+    members = [view.node]
+    for d, up in zip(base.dst[view.node], base.avail[view.node]):
+        if up:
+            members.append(d)
     features = _feature_rows(view, base, members)
     subgraph = SubgraphInput(features=features, members=tuple(members))
     return subgraph, view.mask

@@ -88,9 +88,23 @@ def sample_flows(cfg: ExperimentConfig, rng: np.random.Generator) -> list[tuple[
     return flows
 
 
+def _tag_episode(trace, episode: int):
+    """``trace`` with the episode index added to every event it is given."""
+    def write(event: dict) -> None:
+        event["episode"] = episode
+        trace(event)
+    return write
+
+
 def run_episode(cfg: ExperimentConfig, episode: int, controller, hooks,
                 trace=None, collect_queue_log: bool = False) -> Engine:
-    """One seeded episode: build the world, spawn sessions, run to the end."""
+    """One seeded episode: build the world, spawn sessions, run to the end.
+
+    Every trace event carries ``episode``: session ids and times restart in
+    each episode.
+    """
+    if trace is not None:
+        trace = _tag_episode(trace, episode)
     constellation = build_constellation(cfg.constellation)
     channel_cfg = dataclasses.replace(
         cfg.channel, seed=derive_seed(cfg.seed, _STREAM_CHANNEL, episode))

@@ -175,9 +175,6 @@ def _segments(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return np.cumsum((0,) + sizes[:-1]), np.repeat(np.arange(len(sizes)), sizes)
 
 
-_HEAD_STARTS, _HEAD_OF = _segments(HEAD_SIZES)
-
-
 def masked_log_softmax(logits: np.ndarray, mask: np.ndarray | None = None,
                        sizes: tuple[int, ...] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(log_probs, probs) over the last axis, masked entries at -inf / exactly 0.
@@ -271,10 +268,11 @@ class Actor:
 
     Holds the four head matrices side by side (hop | budget | relay | value)
     and their biases, the attention vector as an (H, 2) view whose columns
-    score the center and the member, and a (1, 9) mask row into which
-    ``act`` writes the hop mask on every call.  The projection and the trunk
-    are references to ``params``, not copies, so the parameters must not
-    change while an ``Actor`` is in use; ``Adam.step`` returns new ones.
+    score the center and the member, and a (1, state_dim) trunk input row
+    into which ``act`` writes the center row and the embedding on every
+    call.  The projection and the trunk are references to ``params``, not
+    copies, so the parameters must not change while an ``Actor`` is in use;
+    ``Adam.step`` returns new ones.
     """
 
     def __init__(self, params: PolicyParams):
@@ -286,7 +284,12 @@ class Actor:
         self.w_head = np.concatenate([params.w_hop, params.w_bud, params.w_rel, params.w_val],
                                      axis=1)
         self.b_head = np.concatenate([params.b_hop, params.b_bud, params.b_rel, params.b_val])
-        self.mask = np.ones((1, sum(HEAD_SIZES)), dtype=bool)
+        self.state = np.empty((1, params.cfg.state_dim))
+        self.obs_part = self.state[0, :params.cfg.obs_dim]
+        self.emb_part = self.state[0, params.cfg.obs_dim:]
+
+
+_NEG_INF = -math.inf
 
 
 def act(actor: Actor, subgraph: SubgraphInput, mask: np.ndarray,
@@ -294,46 +297,76 @@ def act(actor: Actor, subgraph: SubgraphInput, mask: np.ndarray,
         greedy: bool = False) -> tuple[JointAction, np.ndarray, float]:
     """Pick a joint action; returns (action, per-head log-probs, value).
 
-    The one-state case of ``forward``, with the same operations in the same
-    order, so the same bits.  Sampling mode needs an rng; greedy mode takes
-    the argmax of each head (ties resolved to the lowest index).  Non-finite
-    probabilities raise ``FloatingPointError`` before any choice.
+    The one-state case of ``forward``, in the same bits.  The products are
+    the same BLAS calls and every exp, log, tanh and expm1 is the same numpy
+    call on a contiguous array; the softmaxes' other steps run on Python
+    floats, summing in numpy's order.  Sampling mode needs an rng; greedy
+    mode takes the argmax of each head (ties resolved to the lowest index).
+    Non-finite probabilities raise ``FloatingPointError`` before any choice.
     """
     if rng is None and not greedy:
         raise ValueError("sampling mode requires an rng")
     # Graph attention over the (M, F) subgraph, center in row 0.
     z = subgraph.features @ actor.gat_w
-    za = z @ actor.attn2
-    scores = za[:1, 0] + za[:, 1]
-    scores = np.maximum(scores, actor.leaky_slope * scores)
-    exp = np.exp(scores - scores.max())
-    alpha = exp / exp.sum()
-    emb = gat._elu(alpha @ z)
-    # Trunk, then every head and the value in one product.
-    s = np.concatenate([subgraph.features[0], emb])[None]
-    t1 = np.tanh(np.dot(s, actor.w1) + actor.b1)
+    za = (z @ actor.attn2).tolist()
+    center, slope = za[0][0], actor.leaky_slope
+    scores = []
+    for _, a in za:
+        score = center + a
+        scores.append(max(score, slope * score))  # LeakyReLU, slope <= 1
+    top = max(scores)
+    exp = np.exp([score - top for score in scores])
+    # np.sum adds a short 1-D array left to right; the built-in sum
+    # compensates from Python 3.12 on.
+    total = 0.0
+    for weight in exp.tolist():
+        total += weight
+    agg = (exp / total) @ z
+    # Trunk input [center row || ELU(agg)], written into the actor's row.
+    actor.obs_part[...] = subgraph.features[0]
+    neg = np.minimum(agg, 0.0)
+    np.maximum(agg, np.expm1(neg, out=neg), out=actor.emb_part)
+    t1 = np.tanh(np.dot(actor.state, actor.w1) + actor.b1)
     t2 = np.tanh(np.dot(t1, actor.w2) + actor.b2)
-    out = np.dot(t2, actor.w_head) + actor.b_head
-    # Log-softmax of each head, as ``masked_log_softmax`` computes it.
-    actor.mask[0, :NUM_PORTS] = mask
-    logits = np.where(actor.mask, out[:, :-1], -np.inf)
-    m = np.maximum.reduceat(logits, _HEAD_STARTS, axis=-1)
-    if (m == -np.inf).any():
+    # Every head and the value in one product, then each head's log-softmax
+    # as ``masked_log_softmax`` computes it, spelled out for heads of 4, 3
+    # and 2 entries.  A NaN may hide from max(); it then reaches its head's
+    # sum, which turns the whole head to NaN.
+    out = (np.dot(t2, actor.w_head) + actor.b_head)[0].tolist()
+    up0, up1, up2, up3 = mask.tolist()
+    hop = [out[0] if up0 else _NEG_INF, out[1] if up1 else _NEG_INF,
+           out[2] if up2 else _NEG_INF, out[3] if up3 else _NEG_INF]
+    bud, rel = out[4:7], out[7:9]
+    if hop.count(_NEG_INF) == 4 or bud.count(_NEG_INF) == 3 or rel.count(_NEG_INF) == 2:
         raise ValueError("at least one action must be unmasked")
-    lse = m + np.log(np.add.reduceat(np.exp(logits - m[:, _HEAD_OF]), _HEAD_STARTS, axis=-1))
-    log_probs = logits - lse[:, _HEAD_OF]
-    row = np.exp(log_probs)[0].tolist()
+    m_hop, m_bud, m_rel = max(hop), max(bud), max(rel)
+    e = np.exp([hop[0] - m_hop, hop[1] - m_hop, hop[2] - m_hop, hop[3] - m_hop,
+                bud[0] - m_bud, bud[1] - m_bud, bud[2] - m_bud,
+                rel[0] - m_rel, rel[1] - m_rel]).tolist()
+    # np.add.reduceat's order: a head's first value plus the left-to-right
+    # sum of the rest.
+    lse_hop, lse_bud, lse_rel = np.log(
+        [e[0] + ((e[1] + e[2]) + e[3]), e[4] + (e[5] + e[6]), e[7] + e[8]]).tolist()
+    lse_hop += m_hop
+    lse_bud += m_bud
+    lse_rel += m_rel
+    log_probs = [hop[0] - lse_hop, hop[1] - lse_hop, hop[2] - lse_hop, hop[3] - lse_hop,
+                 bud[0] - lse_bud, bud[1] - lse_bud, bud[2] - lse_bud,
+                 rel[0] - lse_rel, rel[1] - lse_rel]
+    row = np.exp(log_probs).tolist()
     if not math.isfinite(sum(row)):
         raise FloatingPointError(
             f"non-finite action probabilities {row}; check the parameters and observation")
+    p_hop, p_bud, p_rel = row[:4], row[4:7], row[7:]
     if greedy:
         # list.index finds the first of equal maxima: ties go to the lowest index.
-        choice = [row[c].index(max(row[c])) for c in HEAD_COLUMNS.values()]
+        choice = (p_hop.index(max(p_hop)), p_bud.index(max(p_bud)), p_rel.index(max(p_rel)))
     else:
-        choice = [sample_categorical(rng, row[c]) for c in HEAD_COLUMNS.values()]
-    logp_row = log_probs[0].tolist()
-    logps = np.array([logp_row[c.start + a] for c, a in zip(HEAD_COLUMNS.values(), choice)])
-    return JointAction(*choice), logps, float(out[0, -1])
+        choice = (sample_categorical(rng, p_hop), sample_categorical(rng, p_bud),
+                  sample_categorical(rng, p_rel))
+    logps = np.array([log_probs[choice[0]], log_probs[4 + choice[1]],
+                      log_probs[7 + choice[2]]])
+    return JointAction(*choice), logps, out[9]
 
 
 def action_log_prob(fwd: PolicyForward, actions: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """The one-state ``policy.act`` against the B=1 batched path it replaced
 (``reference_policy.act``): at every decision of real episodes, the same
 action, log-prob bytes, value and generator state afterwards."""
+import collections
 import dataclasses
 import pathlib
 
@@ -9,7 +10,10 @@ import pytest
 import reference_policy as ref
 
 from leosem import experiment, policy as pol
-from leosem.config import default_config, tiny_config
+from leosem.agent import PpoSettings
+from leosem.channel import ChannelConfig
+from leosem.config import ExperimentConfig, SimulationConfig, default_config, tiny_config
+from leosem.constellation import ConstellationConfig
 
 CHECKPOINT = (pathlib.Path(__file__).resolve().parent.parent
               / "perfbench" / "data" / "eval_busy_policy.npz")
@@ -21,7 +25,9 @@ class CheckedAct:
     def __init__(self):
         self.act = pol.act
         self.calls = 0
-        self.actors = set()
+        self.actors = {}  # by id, kept alive so that no id is reused
+        self.members = collections.Counter()     # subgraph sizes seen
+        self.open_ports = collections.Counter()  # open hop entries seen
 
     def __call__(self, actor, subgraph, mask, rng=None, greedy=False):
         ref_rng = None
@@ -36,7 +42,9 @@ class CheckedAct:
         if rng is not None:
             assert rng.bit_generator.state == ref_rng.bit_generator.state
         self.calls += 1
-        self.actors.add(id(actor))
+        self.actors[id(actor)] = actor
+        self.members[subgraph.features.shape[0]] += 1
+        self.open_ports[int(mask.sum())] += 1
         return got
 
 
@@ -65,6 +73,29 @@ def test_every_sampled_training_decision_matches(checked_act, seed):
     # Updates between episodes: later actors act on stepped parameters.
     assert result.curve[-1]["updates"] >= 1
     assert len(checked_act.actors) == 6
+
+
+@pytest.mark.parametrize("planes, sats", [(1, 2), (2, 3), (4, 2), (3, 3)])
+def test_greedy_and_sampled_decisions_on_small_failing_shells_match(checked_act, planes, sats):
+    """Small shells with many failed links: 2-member subgraphs (a node with
+    one open port; with none it drops without a decision) and hop heads
+    with a single open entry."""
+    cfg = ExperimentConfig(
+        constellation=ConstellationConfig(num_planes=planes, sats_per_plane=sats),
+        channel=ChannelConfig(failure_rate=0.3),
+        simulation=SimulationConfig(episode_length_s=20.0, num_flows=3, sessions_per_flow=4,
+                                    frame_interval_s=1.5, ttl_hops=6, session_latent_bytes=12_000),
+        ppo=PpoSettings(horizon=16, minibatch_size=8, epochs=2, trunk_width=16, gat_hidden=8),
+        seed=planes * 10 + sats)
+    params = pol.init_policy_params(np.random.default_rng(cfg.seed),
+                                    experiment.make_policy_config(cfg))
+    experiment.evaluate(cfg, params, episodes=2)
+    greedy_calls = checked_act.calls
+    result = experiment.train(cfg, episodes=3)
+    assert greedy_calls > 0
+    assert checked_act.calls - greedy_calls == sum(row["transitions"] for row in result.curve)
+    assert result.curve[-1]["updates"] >= 1
+    assert checked_act.members[2] > 0 and checked_act.open_ports[1] > 0
 
 
 def test_actor_reads_the_trunk_in_place():

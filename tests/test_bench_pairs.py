@@ -117,3 +117,23 @@ def test_one_pair_off_in_the_last_bit_is_not_identical(name):
 def test_outcomes_identical_is_none_without_outcome_metrics():
     out = bench_pairs.compare(pairs([1.0], [2.0], "episodes_per_s"), [RATE])
     assert out["outcomes_identical"] is None
+
+
+def test_summary_lines_give_medians_ratio_wins_and_both_rules():
+    runs = [{"base": {"metrics": {"episodes_per_s": b, "mean_delay_s": b}},
+             "change": {"metrics": {"episodes_per_s": b + 1.0, "mean_delay_s": b + 1.0}}}
+            for b in BASE]
+    metrics = [RATE, DELAY]
+    lines = bench_pairs.summary_lines("eval_busy", bench_pairs.compare(runs, metrics), metrics)
+    assert lines == [
+        "eval_busy episodes_per_s: base 10 change 11 ratio 1.1000 wins 10/10 "
+        "gain_rule_met True worse_beyond_spread False",
+        "eval_busy mean_delay_s: base 10 change 11 ratio 1.1000 wins 0/10 "
+        "gain_rule_met False worse_beyond_spread True",
+    ]
+
+
+def test_summary_line_ratio_is_nan_on_a_zero_base():
+    out = bench_pairs.compare(pairs([0.0], [0.0], "episodes_per_s"), [RATE])
+    line, = bench_pairs.summary_lines("w", out, [RATE])
+    assert "ratio nan wins 0/1" in line

@@ -313,3 +313,21 @@ def test_bad_checkpoint_fails_before_writing(tmp_path):
         with pytest.raises(ValueError, match=error):
             cmd_sweep(cfg, "snr", [0.0], tmp_path / bad, tmp_path / "s", episodes=1)
     assert not (tmp_path / "e").exists() and not (tmp_path / "s").exists()
+
+
+def test_traced_eval_tags_every_event_with_its_episode(tmp_path):
+    cfg = fast_cfg(seed=23)
+    out = tmp_path / "e"
+    cmd_eval(cfg, None, out, episodes=2, baseline_kind="shortest_path", trace=True)
+    events = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
+    episodes = [e["episode"] for e in events]
+    assert episodes == sorted(episodes) and set(episodes) == {0, 1}
+    # Session ids restart in each episode; with the tag every spawn is distinct.
+    spawns = [(e["episode"], e["session"]) for e in events if e["ev"] == "spawn"]
+    assert len({sid for _, sid in spawns}) < len(set(spawns)) == len(spawns)
+
+
+def test_untraced_episode_has_no_trace_writer():
+    from leosem.baselines import make_baseline_controller
+    controller = make_baseline_controller(BaselineSpec(kind="shortest_path"), stream_rng(0))
+    assert run_episode(fast_cfg(seed=24), 0, controller, []).trace is None

@@ -275,3 +275,78 @@ def test_act_rejects_nonfinite_probabilities_before_choosing():
         with pytest.raises(FloatingPointError, match="non-finite action probabilities"):
             pol.act(pol.Actor(params), sub, mask, rng=action_rng, greedy=greedy)
         assert action_rng.bit_generator.state == state
+
+
+def batched_act(params, *args, **kwargs):
+    # Unlike act, which computes it on floats, the batched path warns on inf - inf.
+    with np.errstate(invalid="ignore"):
+        return reference_policy.act(params, *args, **kwargs)
+
+
+def act_outcomes(params, sub, mask):
+    """``act``'s outcome in greedy and in sampling mode: an action, log-probs
+    and value, or the type of the error raised.
+
+    Each must be the batched B=1 path's (``reference_policy.act``), and the
+    generator must end in the same state; an error must leave it untouched.
+    """
+    outcomes = []
+    for greedy in (True, False):
+        sides = []
+        for run, arg in ((pol.act, pol.Actor(params)), (batched_act, params)):
+            rng = np.random.default_rng(0)
+            state = rng.bit_generator.state
+            try:
+                action, logps, value = run(arg, sub, mask, rng=rng, greedy=greedy)
+                got = (action, logps.tobytes(), float(value).hex())
+            except (ValueError, FloatingPointError) as exc:
+                got = type(exc)
+                assert rng.bit_generator.state == state
+            sides.append((got, rng.bit_generator.state))
+        assert sides[0] == sides[1]
+        outcomes.append(sides[0][0])
+    return outcomes
+
+
+BIASES = [("b_hop", k) for k in range(pol.NUM_PORTS)] + \
+    [("b_bud", k) for k in range(pol.NUM_BUDGETS)] + [("b_rel", k) for k in range(pol.NUM_RELAY)]
+
+
+def test_act_rejects_an_all_masked_hop_without_drawing():
+    params = init_policy_params(np.random.default_rng(17), CFG)
+    sub, _ = rand_state(np.random.default_rng(18))
+    assert act_outcomes(params, sub, np.zeros(4, dtype=bool)) == [ValueError] * 2
+
+
+@pytest.mark.parametrize("port", [0, 1, 3])
+def test_a_nan_logit_behind_a_masked_port_is_harmless(port):
+    params = init_policy_params(np.random.default_rng(19), CFG)
+    sub, _ = rand_state(np.random.default_rng(20))
+    mask = np.arange(4) != port
+    clean = act_outcomes(params, sub, mask)
+    params.b_hop[port] = math.nan
+    assert act_outcomes(params, sub, mask) == clean
+    assert all(isinstance(outcome, tuple) for outcome in clean)
+
+
+@pytest.mark.parametrize("name, k", [("b_hop", 0), ("b_hop", 2), ("b_bud", 1), ("b_rel", 0)])
+def test_act_rejects_an_infinite_bias_in_both_modes(name, k):
+    params = init_policy_params(np.random.default_rng(21), CFG)
+    getattr(params, name)[k] = math.inf
+    sub, _ = rand_state(np.random.default_rng(22))
+    assert act_outcomes(params, sub, np.ones(4, dtype=bool)) == [FloatingPointError] * 2
+
+
+@pytest.mark.parametrize("name, k", BIASES)
+def test_act_rejects_an_unmasked_nan_logit_in_any_position(name, k):
+    """Python's max skips a NaN in some positions; the head's sum still
+    carries it, so every position fails as the batched path does, also when
+    the NaN is the only open port's."""
+    params = init_policy_params(np.random.default_rng(23), CFG)
+    getattr(params, name)[k] = math.nan
+    sub, _ = rand_state(np.random.default_rng(24))
+    masks = [np.ones(4, dtype=bool)]
+    if name == "b_hop":
+        masks += [np.arange(4) == k, np.arange(4) >= k]
+    for mask in masks:
+        assert act_outcomes(params, sub, mask) == [FloatingPointError] * 2

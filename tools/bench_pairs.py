@@ -14,13 +14,16 @@ pairs the working tree won (ties count for neither side), ``gain_rule_met``
 and ``worse_beyond_spread``; per workload, the list of metrics worse beyond
 the base's spread and ``outcomes_identical``: whether the routing outcomes
 were equal in every pair.  Run it once per workload with the same label: each run
-adds or replaces that workload's entry in the file.
+adds or replaces that workload's entry in the file.  After writing it, it prints
+one line per end-to-end metric: both medians, their ratio, the pairs won,
+``gain_rule_met`` and ``worse_beyond_spread``.
 """
 from __future__ import annotations
 
 import argparse
 import io
 import json
+import math
 import os
 import pathlib
 import statistics
@@ -105,6 +108,21 @@ def compare(pairs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def summary_lines(workload: str, summary: dict, metrics: list[dict]) -> list[str]:
+    """One line per metric of ``compare``'s summary: base and change medians,
+    change/base ratio, pairs won, ``gain_rule_met`` and ``worse_beyond_spread``."""
+    lines = []
+    for m in metrics:
+        s = summary[m["name"]]
+        base, change = s["base"]["median"], s["change"]["median"]
+        ratio = change / base if base else math.nan
+        lines.append(f"{workload} {m['name']}: base {base:.6g} change {change:.6g} "
+                     f"ratio {ratio:.4f} wins {s['change_wins']}/{s['pairs']} "
+                     f"gain_rule_met {s['gain_rule_met']} "
+                     f"worse_beyond_spread {s['worse_beyond_spread']}")
+    return lines
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--label", required=True)
@@ -138,6 +156,9 @@ def main(argv=None) -> int:
         "pairs": pairs, "summary": compare(pairs, bench["end_to_end"])}
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {path.name}")
+    summary = record["workloads"][args.workload]["summary"]
+    for line in summary_lines(args.workload, summary, bench["end_to_end"]):
+        print(line)
     return 0
 
 
