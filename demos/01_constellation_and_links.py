@@ -16,10 +16,11 @@ print(f"shell: {cfg.num_planes} planes x {cfg.sats_per_plane} sats "
       f"= {cfg.num_sats} satellites")
 print(f"orbit radius {cfg.orbit_radius_km:.0f} km, period {cfg.period_s / 60:.1f} min")
 
-p = con.position(0, 0.0)
-print(f"\nsat 0 at t=0: {np.round(p.xyz, 1)} km (|r| = {np.linalg.norm(p.xyz):.1f})")
-p_half = con.position(0, cfg.period_s / 2)
-print(f"sat 0 half an orbit later: {np.round(p_half.xyz, 1)} km")
+# positions_at gives every satellite's ECI position (km) at one time.
+p = con.positions_at(0.0)[0]
+print(f"\nsat 0 at t=0: {np.round(p, 1)} km (|r| = {np.linalg.norm(p):.1f})")
+p_half = con.positions_at(cfg.period_s / 2)[0]
+print(f"sat 0 half an orbit later: {np.round(p_half, 1)} km")
 
 print("\n+Grid ports of satellite 0 (plane 0, slot 0):")
 for port, neighbor in sorted(con.ports[0].items()):

@@ -25,17 +25,17 @@ for ev in events:
         shown += 1
 
 print("\nper-session outcomes:")
-for out in engines[0].outcomes:
+for out in engines[0].outcomes:  # resolved sessions, in the order they ended
     if out.delivered:
         comps = [(r.queue_s, r.tx_s, r.prop_s, r.proc_s) for r in out.hop_records]
-        print(f"  session {out.session_id}: {' -> '.join(map(str, out.path))}, "
+        print(f"  session {out.session_id}: {' -> '.join(map(str, out.hop_trace))}, "
               f"delay {out.end_to_end_delay_s * 1e3:.1f} ms, quality {out.quality:.3f}")
         for i, (q, tx, pr, pc) in enumerate(comps):
             print(f"      hop {i}: queue {q * 1e3:6.1f} ms, tx {tx * 1e3:6.1f} ms, "
                   f"prop {pr * 1e3:5.1f} ms, proc {pc * 1e3:4.1f} ms")
     else:
         print(f"  session {out.session_id}: dropped ({out.drop_cause}) "
-              f"after {len(out.path) - 1} hops")
+              f"after {len(out.hop_trace) - 1} hops")
 
 print(f"\nepisode metrics: delivery={bundle.delivery_rate:.2f}, "
       f"mean delay={bundle.mean_delay_s:.3f}s, mean quality={bundle.mean_quality:.3f}, "

@@ -8,8 +8,7 @@ from .constellation import (ConstellationConfig, Constellation, GraphSnapshot,
 from .policy import JointAction, PolicyConfig, load_checkpoint, save_checkpoint
 from .semantic import (BUDGET_SET, QualityProxyConfig, SemanticState, packetize,
                        quality, record_hop, relay_process)
-from .simcore import (Engine, HopDelayRecord, PortQueue, SessionOutcome,
-                      end_to_end_delay, propagation_delay, step_queue,
+from .simcore import (Engine, HopDelayRecord, PortQueue, propagation_delay, step_queue,
                       transmission_delay)
 
 __version__ = "0.1.0"
@@ -29,10 +28,8 @@ __all__ = [
     "PortQueue",
     "QualityProxyConfig",
     "SemanticState",
-    "SessionOutcome",
     "build_constellation",
     "default_config",
-    "end_to_end_delay",
     "link_rate",
     "load_checkpoint",
     "load_config",

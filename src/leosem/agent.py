@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from . import gat, policy as pol
 from .constellation import NUM_PORTS
 from .gat import SubgraphInput
 from .policy import JointAction, PolicyParams
-from .simcore import ActiveSession, DecisionView, HopMeasurements, SessionOutcome, SimHooks
+from .simcore import ActiveSession, DecisionView, HopMeasurements, SimHooks
 
 SNR_NORM_LO_DB = -10.0
 SNR_NORM_HI_DB = 30.0
@@ -148,11 +148,6 @@ def _feature_rows(view: DecisionView, base: _SlotRows, members: list[int]) -> np
     return out
 
 
-def node_features(view: DecisionView, node: int) -> np.ndarray:
-    """The fixed-layout feature vector for one node, session context included."""
-    return _feature_rows(view, _slot_rows(view), [node])[0]
-
-
 def observe(view: DecisionView) -> tuple[SubgraphInput, np.ndarray]:
     """Attention subgraph (the center's row first) and hop mask for one decision.
 
@@ -224,36 +219,80 @@ def total_reward(event: str, shaping: float, quality: float | None, cfg: RewardC
 # ----------------------------------------------------------------------
 # rollout storage and advantage estimation
 
-@dataclass
-class Transition:
-    subgraph: SubgraphInput
-    mask: np.ndarray
-    action: JointAction
-    log_probs: np.ndarray  # (3,) behavior log-probs, one per head
-    value: float
-    reward: float | None = None
-    done: bool = False
+class Rollout:
+    """Rollout storage: one row per decision, one segment per session.
 
+    The columns are plain lists in the order the decisions were made.  A
+    session's rows stay open until a ``done`` reward closes them or
+    ``truncate`` cuts them off at the horizon; ``segments`` holds the closed
+    sessions' rows in the order they closed, which is the row order of the
+    batch ``stack_buffer`` builds.
+    """
 
-@dataclass
-class TrajectorySegment:
-    transitions: list[Transition]
-    bootstrap_value: float = 0.0
-
-
-class RolloutBuffer:
     def __init__(self):
-        self.segments: list[TrajectorySegment] = []
-
-    def add(self, segment: TrajectorySegment) -> None:
-        if segment.transitions:
-            self.segments.append(segment)
-
-    def __len__(self) -> int:
-        return sum(len(s.transitions) for s in self.segments)
+        self.clear()
 
     def clear(self) -> None:
-        self.segments = []
+        """Forget every row, open sessions' rows included."""
+        self.subgraphs: list[SubgraphInput] = []
+        self.masks: list[np.ndarray] = []
+        self.actions: list[tuple[int, int, int]] = []  # hop, budget index, relay
+        self.logp: list[float] = []                   # joint behaviour log-prob
+        self.values: list[float] = []
+        self.rewards: list[float | None] = []         # None until credited
+        self.dones: list[bool] = []
+        self.open: dict[int, list[int]] = {}          # session id -> its rows
+        self.segments: list[tuple[list[int], float]] = []  # rows, bootstrap value
+
+    def __len__(self) -> int:
+        """Rows of the closed segments; open sessions' rows do not count."""
+        return sum(len(rows) for rows, _ in self.segments)
+
+    def add(self, sid: int, subgraph: SubgraphInput, mask: np.ndarray,
+            action: JointAction, logps: np.ndarray, value: float) -> None:
+        """Store a decision of session ``sid``, given its per-head log-probs."""
+        self.open.setdefault(sid, []).append(len(self.values))
+        self.subgraphs.append(subgraph)
+        self.masks.append(mask)
+        self.actions.append((action.hop, action.budget_idx, action.relay))
+        l_hop, l_budget, l_relay = logps.tolist()
+        # Left to right, as numpy sums an (N, 3) array along axis 1.
+        self.logp.append((l_hop + l_budget) + l_relay)
+        self.values.append(value)
+        self.rewards.append(None)
+        self.dones.append(False)
+
+    def reward(self, sid: int, index: int, reward: float, done: bool) -> None:
+        """``RewardTracker`` sink: credit decision ``index`` of session ``sid``.
+
+        Rewards credited to one decision add up.  A ``done`` reward closes
+        the session with bootstrap value 0; a reward for a session with no
+        open rows is ignored.
+        """
+        rows = self.open.get(sid)
+        if rows is None:
+            return
+        row = rows[index]
+        old = self.rewards[row]
+        self.rewards[row] = reward if old is None else old + reward
+        if done:
+            self.dones[row] = True
+            del self.open[sid]
+            assert all(self.rewards[r] is not None for r in rows)
+            self.segments.append((rows, 0.0))
+
+    def truncate(self) -> None:
+        """Close the sessions the horizon cut off.
+
+        Each bootstraps from its last decision's value; rows that were never
+        credited get reward 0.
+        """
+        for rows in self.open.values():
+            for r in rows:
+                if self.rewards[r] is None:
+                    self.rewards[r] = 0.0
+            self.segments.append((rows, self.values[rows[-1]]))
+        self.open.clear()
 
 
 def compute_gae(rewards: np.ndarray, values: np.ndarray, dones: np.ndarray,
@@ -261,7 +300,7 @@ def compute_gae(rewards: np.ndarray, values: np.ndarray, dones: np.ndarray,
     """Generalized advantage recursion over one trajectory.
 
     ``bootstrap_value`` stands in for the value of the state after the last
-    transition when the trajectory was truncated rather than terminated.
+    decision when the trajectory was truncated rather than terminated.
     """
     rewards = np.asarray(rewards, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -326,14 +365,14 @@ class PpoSettings:
 
 @dataclass
 class RolloutBatch:
-    """Buffered decisions stacked into arrays, one row per decision.
+    """Rollout rows stacked into arrays, one row per decision.
 
     Indexing with a slice or an index array gathers a sub-batch.
     """
     states: pol.StateBatch
     actions: np.ndarray     # (N, 3) hop, budget index, relay
     old_logp: np.ndarray    # (N,) behaviour joint log-prob
-    advantage: np.ndarray   # (N,) GAE advantage, normalized over the buffer
+    advantage: np.ndarray   # (N,) GAE advantage, normalized over the batch
     ret: np.ndarray         # (N,) GAE return
 
     def __len__(self) -> int:
@@ -344,35 +383,33 @@ class RolloutBatch:
                             self.advantage[idx], self.ret[idx])
 
 
-def stack_buffer(buffer: RolloutBuffer, hyper: PpoSettings) -> RolloutBatch:
-    """GAE per segment, then every transition stacked into one batch.
+def stack_buffer(rollout: Rollout, hyper: PpoSettings) -> RolloutBatch:
+    """GAE per closed segment, then their rows stacked into one batch.
 
     Raises ``FloatingPointError`` on a non-finite advantage or return.
     """
-    adv_parts, ret_parts = [], []
-    for k, seg in enumerate(buffer.segments):
-        rewards = np.array([t.reward for t in seg.transitions], dtype=float)
-        values = np.array([t.value for t in seg.transitions], dtype=float)
-        dones = np.array([t.done for t in seg.transitions], dtype=bool)
-        adv, ret = compute_gae(rewards, values, dones, hyper.gamma, hyper.gae_lambda,
-                               seg.bootstrap_value)
+    adv_parts, ret_parts, order = [], [], []
+    for k, (rows, bootstrap) in enumerate(rollout.segments):
+        adv, ret = compute_gae([rollout.rewards[r] for r in rows],
+                               [rollout.values[r] for r in rows],
+                               [rollout.dones[r] for r in rows],
+                               hyper.gamma, hyper.gae_lambda, bootstrap)
         if not (np.isfinite(adv).all() and np.isfinite(ret).all()):
             raise FloatingPointError(
                 f"non-finite advantage or return in trajectory segment {k}; "
                 "check its rewards, values and bootstrap value")
         adv_parts.append(adv)
         ret_parts.append(ret)
+        order.extend(rows)
     adv, ret = np.concatenate(adv_parts), np.concatenate(ret_parts)
     mean, std = float(adv.mean()), float(adv.std())
     scale = std if std > 1e-8 else 1.0
 
-    transitions = [t for seg in buffer.segments for t in seg.transitions]
-    features, member_mask = gat.pad_subgraphs([t.subgraph for t in transitions])
+    features, member_mask = gat.pad_subgraphs([rollout.subgraphs[r] for r in order])
     states = pol.StateBatch(features=features, member_mask=member_mask,
-                            hop_mask=np.stack([t.mask for t in transitions]))
-    actions = np.array([(t.action.hop, t.action.budget_idx, t.action.relay)
-                        for t in transitions])
-    old_logp = np.stack([t.log_probs for t in transitions]).sum(axis=1)
+                            hop_mask=np.stack([rollout.masks[r] for r in order]))
+    actions = np.array([rollout.actions[r] for r in order])
+    old_logp = np.array([rollout.logp[r] for r in order])
     return RolloutBatch(states, actions, old_logp, (adv - mean) / scale, ret)
 
 
@@ -436,25 +473,25 @@ class UpdateStats:
     mean_ratio: float
 
 
-def ppo_update(buffer: RolloutBuffer, params: PolicyParams, optimizer: pol.Adam,
+def ppo_update(rollout: Rollout, params: PolicyParams, optimizer: pol.Adam,
                hyper: PpoSettings, rng: np.random.Generator) -> tuple[PolicyParams, UpdateStats]:
-    """Clipped-surrogate update over the buffered rollouts; clears the buffer.
+    """Clipped-surrogate update over the rollout's closed segments; clears it.
 
     Each minibatch is one batched forward, one backward and one optimizer
     step.  A non-finite parameter, advantage, return, ratio or gradient
     raises ``FloatingPointError`` before it can reach an optimizer step;
     ``params`` itself is never modified.
     """
-    if len(buffer) == 0:
-        raise ValueError("empty rollout buffer")
+    if len(rollout) == 0:
+        raise ValueError("empty rollout")
     block = params.nonfinite_block()
     if block is not None:
         raise FloatingPointError(f"non-finite parameter block {block!r} before the update")
-    batch = stack_buffer(buffer, hyper)
+    batch = stack_buffer(rollout, hyper)
     n = len(batch)
 
     # Behavior log-probs must match the pre-update policy exactly.  Checked
-    # a minibatch at a time, so no forward cache of the whole buffer is held.
+    # a minibatch at a time, so no forward cache of the whole batch is held.
     initial_dev = 0.0
     for start in range(0, n, hyper.minibatch_size):
         ratio = _loss_terms(params, batch[start:start + hyper.minibatch_size], hyper).ratio
@@ -476,7 +513,7 @@ def ppo_update(buffer: RolloutBuffer, params: PolicyParams, optimizer: pol.Adam,
                     f"at epoch {epoch}, minibatch {k}")
             params = optimizer.step(params, grads, hyper.max_grad_norm)
             parts.append((terms.surr, terms.v_err, terms.entropy, terms.ratio))
-    buffer.clear()
+    rollout.clear()
     surr, v_err, entropy, ratio = (np.concatenate(p) for p in zip(*parts))
     stats = UpdateStats(
         n_samples=n,
@@ -529,75 +566,47 @@ class RewardTracker(SimHooks):
                      total_reward("forward", self._shaping(session, m), None,
                                   self.reward_cfg), done=False)
 
-    def on_deliver(self, session, m, outcome: SessionOutcome):
+    def on_deliver(self, session, m):
         if m is None:
             return  # zero-hop delivery: nothing was decided, nothing to score
-        r = total_reward("deliver", self._shaping(session, m), outcome.quality,
+        r = total_reward("deliver", self._shaping(session, m), session.quality,
                          self.reward_cfg)
         self._record(session.session_id, m.decision_index, r, done=True)
 
-    def on_drop(self, session, penalty_index, m, outcome: SessionOutcome):
+    def on_drop(self, session, penalty_index, m):
         if penalty_index is None:
-            return  # died before the first decision; no transition to blame
+            return  # died before the first decision; no decision to blame
         shaping = self._shaping(session, m) if m is not None else 0.0
         self._record(session.session_id, penalty_index,
                      total_reward("drop", shaping, None, self.reward_cfg), done=True)
 
 
 class PolicyController:
-    """Drives the engine with the policy and collects rewarded transitions.
+    """Drives the engine with the policy.
 
-    With a rollout buffer attached every decision is stored per session;
-    rewards arrive through ``record_reward`` (wired to a RewardTracker sink)
-    and finished trajectories move into the buffer.  Without one (greedy
-    evaluation, baseline variants) no transition is kept.
+    With a rollout attached every decision becomes a row of it, and the
+    rollout's ``reward`` method, given to a RewardTracker as its sink,
+    credits the rows.  Without one (greedy evaluation, baseline variants)
+    no decision is kept.
     """
 
     def __init__(self, params: PolicyParams, rng: np.random.Generator | None = None,
-                 greedy: bool = False, buffer: RolloutBuffer | None = None):
+                 greedy: bool = False, rollout: Rollout | None = None):
         self.params = params
         self.actor = pol.Actor(params)
         self.rng = rng
         self.greedy = greedy
-        self.buffer = buffer
-        self.trajectories: dict[int, list[Transition]] = {}
+        self.rollout = rollout
 
     def decide(self, view: DecisionView) -> JointAction:
         subgraph, mask = observe(view)
         action, logps, value = pol.act(
             self.actor, subgraph, mask, rng=self.rng, greedy=self.greedy)
         action = self.adjust_action(view, action)
-        if self.buffer is not None:
-            self.trajectories.setdefault(view.session.session_id, []).append(Transition(
-                subgraph=subgraph, mask=mask, action=action, log_probs=logps, value=value,
-            ))
+        if self.rollout is not None:
+            self.rollout.add(view.session.session_id, subgraph, mask, action, logps, value)
         return action
 
     def adjust_action(self, view: DecisionView, action: JointAction) -> JointAction:
         """Hook for reduced variants; the full policy executes as sampled."""
         return action
-
-    def record_reward(self, sid: int, index: int, reward: float, done: bool) -> None:
-        traj = self.trajectories.get(sid)
-        if traj is None:
-            return
-        tr = traj[index]
-        tr.reward = reward if tr.reward is None else tr.reward + reward
-        tr.done = tr.done or done
-        if done:
-            self._finish_session(sid)
-
-    def _finish_session(self, sid: int) -> None:
-        traj = self.trajectories.pop(sid)
-        assert all(t.reward is not None for t in traj)
-        self.buffer.add(TrajectorySegment(transitions=traj, bootstrap_value=0.0))
-
-    def finalize_truncated(self) -> None:
-        """Close out sessions cut off by the episode horizon."""
-        for traj in self.trajectories.values():
-            for tr in traj:
-                if tr.reward is None:
-                    tr.reward = 0.0
-            self.buffer.add(TrajectorySegment(
-                transitions=traj, bootstrap_value=traj[-1].value))
-        self.trajectories.clear()

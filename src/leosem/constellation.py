@@ -66,13 +66,6 @@ class ConstellationConfig:
         return 2.0 * math.pi / self.mean_motion_rad_s
 
 
-@dataclass(frozen=True)
-class SatPosition:
-    sat_id: int
-    xyz: np.ndarray  # ECI, kilometers
-    time_s: float
-
-
 @dataclass
 class GraphSnapshot:
     """The constellation graph at one time slot, as (N, NUM_PORTS) arrays.
@@ -203,14 +196,6 @@ class Constellation:
         y = r * (sr * cu + cr * ci * su)
         z = r * (si * su)
         return np.stack([x, y, z], axis=1)
-
-    def position(self, sat_id: int, time_s: float) -> SatPosition:
-        if not 0 <= sat_id < self.cfg.num_sats:
-            raise KeyError(f"unknown sat_id {sat_id}")
-        if time_s < 0:
-            raise ValueError("time_s must be >= 0")
-        xyz = self.positions_at(time_s)[sat_id]
-        return SatPosition(sat_id=sat_id, xyz=xyz, time_s=time_s)
 
     def _scatter(self, per_edge: np.ndarray, fill) -> np.ndarray:
         """Per-edge values (edge_index order) laid out as (N, NUM_PORTS)."""

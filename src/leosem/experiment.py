@@ -16,15 +16,15 @@ import pathlib
 import numpy as np
 
 from . import metrics, policy as pol
-from .agent import (FEATURE_DIM, PolicyController, PpoSettings, RewardTracker,
-                    RolloutBuffer, ppo_update)
+from .agent import (FEATURE_DIM, PolicyController, PpoSettings, RewardTracker, Rollout,
+                    ppo_update)
 from .baselines import BaselineSpec, make_baseline_controller
 from .channel import ChannelModel
 from .config import ExperimentConfig, save_config
 from .constellation import build_constellation, grid_hop_distance
 from .metrics import MetricsBundle, SessionRecord, aggregate
 from .policy import PolicyConfig, PolicyParams
-from .simcore import ActiveSession, Engine
+from .simcore import Engine
 
 # Stream tags for seed derivation.
 _STREAM_CHANNEL = 1
@@ -131,25 +131,9 @@ def run_episode(cfg: ExperimentConfig, episode: int, controller, hooks,
 
 def _episode_records(episode: int, engine: Engine,
                      tracker: RewardTracker) -> list[SessionRecord]:
-    records = [
-        SessionRecord.from_outcome(episode, o, tracker.session_returns.get(o.session_id, 0.0))
-        for o in engine.outcomes
-    ]
-    for s in engine.unresolved_sessions():
-        records.append(_truncated_record(episode, s, tracker))
-    return records
-
-
-def _truncated_record(episode: int, s: ActiveSession, tracker: RewardTracker) -> SessionRecord:
-    return SessionRecord(
-        episode=episode, session_id=s.session_id, flow_id=s.flow_id, src=s.src,
-        dst=s.dst, spawn_s=s.spawn_s, delivered=False, drop_cause=None,
-        end_to_end_delay_s=None, hops=max(len(s.hop_trace) - 1, 0), quality=None,
-        final_budget=s.sem.budget_c, relay_count=s.relay_count,
-        requant_count=s.sem.quant_penalties, chunks_created=s.chunks_created,
-        decision_count=s.decision_count,
-        reward=tracker.session_returns.get(s.session_id, 0.0),
-    )
+    """Resolved sessions in the order they ended, then those still in flight."""
+    return [SessionRecord.from_session(episode, s, tracker.session_returns.get(s.session_id, 0.0))
+            for s in engine.outcomes + engine.unresolved_sessions()]
 
 
 def _check_episodes(episodes: int) -> None:
@@ -174,7 +158,7 @@ def train(cfg: ExperimentConfig, episodes: int | None = None,
     params = pol.init_policy_params(
         stream_rng(cfg.seed, _STREAM_POLICY_INIT), make_policy_config(cfg))
     optimizer = pol.Adam(lr=cfg.ppo.learning_rate)
-    buffer = RolloutBuffer()
+    rollout = Rollout()
     action_rng = stream_rng(cfg.seed, _STREAM_ACTIONS)
     shuffle_rng = stream_rng(cfg.seed, _STREAM_MINIBATCH)
 
@@ -185,17 +169,16 @@ def train(cfg: ExperimentConfig, episodes: int | None = None,
     delay_scale = cfg.delay_scale_s()
 
     for ep in range(episodes):
-        controller = PolicyController(params, rng=action_rng, greedy=False, buffer=buffer)
-        tracker = RewardTracker(cfg.reward, cfg.simulation.slot_length_s,
-                                sink=controller.record_reward)
+        controller = PolicyController(params, rng=action_rng, greedy=False, rollout=rollout)
+        tracker = RewardTracker(cfg.reward, cfg.simulation.slot_length_s, sink=rollout.reward)
         engine = run_episode(cfg, ep, controller, [tracker], trace=trace)
-        controller.finalize_truncated()
+        rollout.truncate()
         records = _episode_records(ep, engine, tracker)
         all_records.extend(records)
 
         transitions = sum(r.decision_count for r in records)
-        if len(buffer) >= cfg.ppo.horizon:
-            params, last_stats = ppo_update(buffer, params, optimizer, cfg.ppo, shuffle_rng)
+        if len(rollout) >= cfg.ppo.horizon:
+            params, last_stats = ppo_update(rollout, params, optimizer, cfg.ppo, shuffle_rng)
             updates += 1
 
         ep_bundle = aggregate(records, delay_scale, cfg.objective.lambda_delay,
@@ -213,7 +196,7 @@ def train(cfg: ExperimentConfig, episodes: int | None = None,
             "mean_delay_s": ep_bundle.mean_delay_s,
             "mean_quality": ep_bundle.mean_quality,
             "objective": ep_bundle.objective,
-            "buffer_size": len(buffer),
+            "buffer_size": len(rollout),
             "updates": updates,
             "policy_loss": last_stats.policy_loss if last_stats else None,
             "value_loss": last_stats.value_loss if last_stats else None,

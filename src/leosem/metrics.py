@@ -12,7 +12,7 @@ import csv
 import json
 from dataclasses import asdict, dataclass, field
 
-from .simcore import DROP_NO_LINK, DROP_OVERFLOW, DROP_TTL, SessionOutcome
+from .simcore import DROP_NO_LINK, DROP_OVERFLOW, DROP_TTL, ActiveSession
 
 SESSION_CSV_COLUMNS = [
     "episode", "session_id", "flow_id", "src", "dst", "spawn_s", "delivered",
@@ -44,24 +44,25 @@ class SessionRecord:
     reward: float
 
     @classmethod
-    def from_outcome(cls, episode: int, outcome: SessionOutcome, reward: float) -> "SessionRecord":
+    def from_session(cls, episode: int, session: ActiveSession, reward: float) -> "SessionRecord":
+        """The record of a session, resolved or still in flight at the horizon."""
         return cls(
             episode=episode,
-            session_id=outcome.session_id,
-            flow_id=outcome.flow_id,
-            src=outcome.src,
-            dst=outcome.dst,
-            spawn_s=outcome.spawn_s,
-            delivered=outcome.delivered,
-            drop_cause=outcome.drop_cause,
-            end_to_end_delay_s=outcome.end_to_end_delay_s,
-            hops=max(len(outcome.path) - 1, 0),
-            quality=outcome.quality,
-            final_budget=outcome.final_budget,
-            relay_count=outcome.relay_count,
-            requant_count=outcome.requant_count,
-            chunks_created=outcome.chunks_created,
-            decision_count=outcome.decision_count,
+            session_id=session.session_id,
+            flow_id=session.flow_id,
+            src=session.src,
+            dst=session.dst,
+            spawn_s=session.spawn_s,
+            delivered=session.delivered,
+            drop_cause=session.drop_cause,
+            end_to_end_delay_s=session.end_to_end_delay_s,
+            hops=max(len(session.hop_trace) - 1, 0),
+            quality=session.quality,
+            final_budget=session.sem.budget_c,
+            relay_count=session.relay_count,
+            requant_count=session.sem.quant_penalties,
+            chunks_created=session.chunks_created,
+            decision_count=session.decision_count,
             reward=reward,
         )
 

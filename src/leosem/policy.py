@@ -497,32 +497,56 @@ def save_checkpoint(path, params: PolicyParams, hyper: dict | None = None,
     )
 
 
+# The metadata fields a checkpoint's network shape is built from.
+_META_FIELDS = {"obs_dim": int, "gat_hidden": int, "trunk_width": int,
+                "leaky_slope": float, "head_init_scale": float}
+
+
+def _read_meta(path, data) -> tuple[dict, PolicyConfig]:
+    """A checkpoint's metadata and the ``PolicyConfig`` it describes.
+
+    Missing or unreadable metadata, an unsupported format, and a missing or
+    non-numeric field each raise ``ValueError`` naming the path.
+    """
+    if "meta" not in data.files:
+        raise ValueError(f"checkpoint {path} has no 'meta' member")
+    try:
+        meta = json.loads(data["meta"].tobytes().decode())
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"checkpoint {path} has unreadable metadata: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ValueError(f"checkpoint {path} metadata is not a JSON object")
+    if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+        raise ValueError(
+            f"checkpoint {path} has unsupported format {meta.get('format_version')!r}, "
+            f"expected {CHECKPOINT_FORMAT_VERSION}"
+        )
+    values = {}
+    for name, kind in _META_FIELDS.items():
+        if name not in meta:
+            raise ValueError(f"checkpoint {path} metadata has no field {name!r}")
+        try:
+            values[name] = kind(meta[name])
+        except (TypeError, ValueError):
+            raise ValueError(f"checkpoint {path} metadata field {name!r} is {meta[name]!r}, "
+                             f"expected {kind.__name__}") from None
+    return meta, PolicyConfig(**values)
+
+
 def load_checkpoint(path) -> tuple[PolicyParams, dict]:
     """Load parameters and metadata, checking every array's shape.
 
     The shapes must be those of the ``PolicyConfig`` the metadata describes;
     a missing or misshapen array, or one holding a non-finite value, raises
-    ``ValueError`` naming it, and so does a file that is not a readable
-    archive, naming the path.
+    ``ValueError`` naming it.  So do a file that is not a readable archive
+    and missing or bad metadata, naming the path.
     """
     try:
         archive = np.load(path)
     except zipfile.BadZipFile as exc:
         raise ValueError(f"checkpoint {path} is not a readable .npz archive: {exc}") from exc
     with archive as data:
-        meta = json.loads(bytes(data["meta"].tobytes()).decode())
-        if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported checkpoint format {meta.get('format_version')!r}, "
-                f"expected {CHECKPOINT_FORMAT_VERSION}"
-            )
-        cfg = PolicyConfig(
-            obs_dim=int(meta["obs_dim"]),
-            gat_hidden=int(meta["gat_hidden"]),
-            trunk_width=int(meta["trunk_width"]),
-            leaky_slope=float(meta["leaky_slope"]),
-            head_init_scale=float(meta["head_init_scale"]),
-        )
+        meta, cfg = _read_meta(path, data)
         params = PolicyParams(cfg)
         for name, view in params.arrays.items():
             if name not in data.files:

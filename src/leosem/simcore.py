@@ -85,33 +85,6 @@ class HopDelayRecord:
 
 
 @dataclass
-class SessionOutcome:
-    session_id: int
-    delivered: bool
-    end_to_end_delay_s: float | None
-    path: list[int]
-    drop_cause: str | None
-    quality: float | None = None
-    hop_records: list[HopDelayRecord] = field(default_factory=list)
-    src: int = -1
-    dst: int = -1
-    flow_id: int = -1
-    spawn_s: float = 0.0
-    chunks_created: int = 0
-    final_budget: int | None = None
-    requant_count: int = 0
-    relay_count: int = 0
-    decision_count: int = 0
-
-
-def end_to_end_delay(outcome: SessionOutcome) -> float:
-    """Cumulative delay along the traversed path (delivered sessions only)."""
-    if not outcome.delivered:
-        raise ValueError("session was not delivered")
-    return float(sum(rec.total_s for rec in outcome.hop_records))
-
-
-@dataclass
 class _Burst:
     session: ActiveSession
     num_chunks: int
@@ -174,6 +147,11 @@ class ActiveSession:
     pending: dict | None = None
     initial_dist_km: float = 0.0
     chunks_created: int = 0
+    # The end state, set when the session is delivered or dropped.
+    delivered: bool = False
+    drop_cause: str | None = None
+    end_to_end_delay_s: float | None = None
+    quality: float | None = None
 
 
 @dataclass(frozen=True)
@@ -209,12 +187,11 @@ class SimHooks:
     def on_hop(self, session: ActiveSession, m: HopMeasurements) -> None:
         pass
 
-    def on_deliver(self, session: ActiveSession, m: HopMeasurements,
-                   outcome: SessionOutcome) -> None:
+    def on_deliver(self, session: ActiveSession, m: HopMeasurements | None) -> None:
         pass
 
     def on_drop(self, session: ActiveSession, penalty_decision_index: int | None,
-                m: HopMeasurements | None, outcome: SessionOutcome) -> None:
+                m: HopMeasurements | None) -> None:
         pass
 
 
@@ -282,7 +259,7 @@ class Engine:
 
         self.sessions: dict[int, ActiveSession] = {}
         self._next_session_id = itertools.count()
-        self.outcomes: list[SessionOutcome] = []
+        self.outcomes: list[ActiveSession] = []  # resolved, in the order they ended
         self.counters = EngineCounters()
         self.sessions_resolved = 0
 
@@ -599,49 +576,32 @@ class Engine:
             self._decide(session)
 
     def _deliver(self, session: ActiveSession, m: HopMeasurements | None) -> None:
-        session.resolved = True
+        session.resolved = session.delivered = True
         self.sessions_resolved += 1
         self.counters.chunks_delivered += session.num_chunks
-        delay = self.now_s - session.spawn_s
-        outcome = SessionOutcome(
-            session_id=session.session_id, delivered=True, end_to_end_delay_s=delay,
-            path=list(session.hop_trace), drop_cause=None,
-            quality=semantic.quality(session.sem, self.proxy_cfg),
-            hop_records=list(session.hop_records),
-            src=session.src, dst=session.dst, flow_id=session.flow_id,
-            spawn_s=session.spawn_s, chunks_created=session.chunks_created,
-            final_budget=session.sem.budget_c, requant_count=session.sem.quant_penalties,
-            relay_count=session.relay_count, decision_count=session.decision_count,
-        )
-        self.outcomes.append(outcome)
+        session.end_to_end_delay_s = delay = self.now_s - session.spawn_s
+        session.quality = semantic.quality(session.sem, self.proxy_cfg)
+        self.outcomes.append(session)
         if self.trace is not None:
             self._emit("deliver", session=session.session_id, delay_s=round(delay, 9),
-                       quality=outcome.quality)
+                       quality=session.quality)
         for h in self.hooks:
-            h.on_deliver(session, m, outcome)
+            h.on_deliver(session, m)
 
     def _fail(self, session: ActiveSession, cause: str, penalty_index: int | None,
               measurements: HopMeasurements | None) -> None:
         session.resolved = True
+        session.drop_cause = cause
         self.sessions_resolved += 1
         shed = session.num_chunks
         session.num_chunks = session.payload_bytes = 0
         self.counters.chunks_dropped += shed
         self.counters.drop_causes[cause] += shed
-        outcome = SessionOutcome(
-            session_id=session.session_id, delivered=False, end_to_end_delay_s=None,
-            path=list(session.hop_trace), drop_cause=cause,
-            hop_records=list(session.hop_records),
-            src=session.src, dst=session.dst, flow_id=session.flow_id,
-            spawn_s=session.spawn_s, chunks_created=session.chunks_created,
-            final_budget=session.sem.budget_c, requant_count=session.sem.quant_penalties,
-            relay_count=session.relay_count, decision_count=session.decision_count,
-        )
-        self.outcomes.append(outcome)
+        self.outcomes.append(session)
         if self.trace is not None:
             self._emit("drop", session=session.session_id, cause=cause)
         for h in self.hooks:
-            h.on_drop(session, penalty_index, measurements, outcome)
+            h.on_drop(session, penalty_index, measurements)
 
     # ------------------------------------------------------------------
     # accounting

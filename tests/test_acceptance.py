@@ -190,10 +190,13 @@ def test_criterion_04_gat_correctness():
 
 
 def _policy_rollout_buffer(params, cfg, rng, n, seg_len):
-    """Transitions generated by the policy itself on random states."""
-    from leosem.agent import RolloutBuffer, TrajectorySegment, Transition
-    buffer = RolloutBuffer()
-    transitions = []
+    """A rollout of decisions the policy itself made on random states.
+
+    Each run of ``seg_len`` decisions is one session, closed by its last
+    reward; a shorter last session is closed the same way.
+    """
+    from leosem.agent import Rollout
+    rollout = Rollout()
     for i in range(n):
         sub = SubgraphInput(features=rng.normal(size=(int(rng.integers(1, 5)),
                                                       cfg.obs_dim)))
@@ -201,17 +204,11 @@ def _policy_rollout_buffer(params, cfg, rng, n, seg_len):
         mask[rng.integers(4)] = True
         mask |= rng.random(4) < 0.7
         action, logps, value = pol.act(pol.Actor(params), sub, mask, rng=rng)
-        transitions.append(Transition(
-            subgraph=sub, mask=mask, action=action, log_probs=logps,
-            value=value, reward=float(rng.normal()),
-            done=(i % seg_len == seg_len - 1)))
-        if transitions[-1].done:
-            buffer.add(TrajectorySegment(transitions=transitions))
-            transitions = []
-    if transitions:
-        transitions[-1].done = True
-        buffer.add(TrajectorySegment(transitions=transitions))
-    return buffer
+        sid, index = divmod(i, seg_len)
+        rollout.add(sid, sub, mask, action, logps, value)
+        rollout.reward(sid, index, float(rng.normal()),
+                       done=index == seg_len - 1 or i == n - 1)
+    return rollout
 
 
 def test_criterion_05_ppo_mechanics():
@@ -223,9 +220,9 @@ def test_criterion_05_ppo_mechanics():
     s_cfg = PolicyConfig(obs_dim=8, gat_hidden=5, trunk_width=16)
     rng = np.random.default_rng(5)
     params = init_policy_params(rng, s_cfg)
-    buffer = _policy_rollout_buffer(params, s_cfg, rng, n=32, seg_len=8)
+    rollout = _policy_rollout_buffer(params, s_cfg, rng, n=32, seg_len=8)
     hyper = PpoSettings(minibatch_size=16, epochs=2, learning_rate=1e-3)
-    samples = agent.stack_buffer(buffer, hyper)
+    samples = agent.stack_buffer(rollout, hyper)
 
     # analytic gradient of the full loss vs central finite differences
     loss0, grads = ppo_loss_grads(params, samples[:12], hyper)
@@ -242,7 +239,7 @@ def test_criterion_05_ppo_mechanics():
     assert worst < 1e-3
 
     # ratios equal one on the first pass after a rollout
-    _, stats = ppo_update(buffer, params, pol.Adam(lr=hyper.learning_rate),
+    _, stats = ppo_update(rollout, params, pol.Adam(lr=hyper.learning_rate),
                           hyper, rng)
     assert stats.initial_ratio_max_dev <= 1e-6
     assert time.time() - t0 < 60.0

@@ -5,16 +5,15 @@ import reference_policy
 from leosem import agent
 from leosem import policy as pol
 from leosem.agent import (FEATURE_DIM, PolicyController, PpoSettings, RewardConfig,
-                          RewardTracker, RolloutBuffer, TrajectorySegment,
-                          Transition, clipped_surrogate, compute_gae, observe,
-                          ppo_loss, ppo_loss_grads, ppo_update, progress_reward,
+                          RewardTracker, Rollout, clipped_surrogate, compute_gae,
+                          observe, ppo_loss, ppo_loss_grads, ppo_update, progress_reward,
                           total_reward)
 from leosem.channel import ChannelConfig, ChannelModel
 from leosem.constellation import ConstellationConfig, build_constellation
 from leosem.gat import SubgraphInput
 from leosem.policy import JointAction, PolicyConfig, init_policy_params
-from leosem.semantic import QualityProxyConfig
-from leosem.simcore import Engine
+from leosem.semantic import QualityProxyConfig, SemanticState
+from leosem.simcore import ActiveSession, Engine, HopMeasurements
 
 
 class ViewCapture:
@@ -67,8 +66,8 @@ def test_empty_queues_zero_queue_features():
 
 
 def test_full_queue_feature_is_one():
-    _, view = capture_view(fill_chunks=600)
-    obs = agent.node_features(view, 0)
+    ctl, _ = capture_view(fill_chunks=600)
+    obs = ctl.last[0].features[0]
     assert obs[0] == pytest.approx(1.0)
     assert obs[17] == pytest.approx(1.0)
 
@@ -108,11 +107,11 @@ def test_unavailable_ports_zeroed_and_masked():
             break
     else:
         pytest.skip("no partial-failure seed found")
-    feats = agent.node_features(view, view.node)
+    subgraph, obs_mask = ctl.last
+    feats = subgraph.features[0]
     for p in range(4):
         if not mask[p]:
             assert feats[4 + p] == 0.0 and feats[8 + p] == 0.0 and feats[25 + p] == 0.0
-    subgraph, obs_mask = ctl.last
     assert np.array_equal(obs_mask, mask)
     assert subgraph.features.shape[0] == 1 + int(mask.sum())
 
@@ -130,7 +129,7 @@ def test_revisit_flags_mark_trace_neighbors():
     dst = view.snapshot.dst
     back = int(dst[0, 0])
     view.session.hop_trace.append(back)
-    feats = agent.node_features(view, 0)
+    feats = observe(view)[0].features[0]
     assert feats[21] == 1.0
     others = [feats[21 + p] for p in range(1, 4)
               if dst[0, p] >= 0 and dst[0, p] not in view.session.hop_trace]
@@ -223,9 +222,12 @@ S_CFG = PolicyConfig(obs_dim=8, gat_hidden=5, trunk_width=16)
 
 
 def synth_buffer(params, rng, n=14, seg_len=7):
-    """Transitions produced by the policy itself on random states."""
-    buffer = RolloutBuffer()
-    transitions = []
+    """A rollout of decisions the policy itself made on random states.
+
+    Each run of ``seg_len`` decisions is one session, closed by its last
+    reward; a shorter last session is closed the same way.
+    """
+    rollout = Rollout()
     for i in range(n):
         members = int(rng.integers(1, 5))
         sub = SubgraphInput(features=rng.normal(size=(members, S_CFG.obs_dim)))
@@ -233,36 +235,30 @@ def synth_buffer(params, rng, n=14, seg_len=7):
         mask[rng.integers(4)] = True
         mask |= rng.random(4) < 0.7
         action, logps, value = pol.act(pol.Actor(params), sub, mask, rng=rng)
-        transitions.append(Transition(
-            subgraph=sub, mask=mask, action=action, log_probs=logps,
-            value=value, reward=float(rng.normal()), done=(i % seg_len == seg_len - 1),
-        ))
-        if transitions[-1].done:
-            buffer.add(TrajectorySegment(transitions=transitions))
-            transitions = []
-    if transitions:
-        transitions[-1].done = True
-        buffer.add(TrajectorySegment(transitions=transitions))
-    return buffer
+        sid, index = divmod(i, seg_len)
+        rollout.add(sid, sub, mask, action, logps, value)
+        rollout.reward(sid, index, float(rng.normal()),
+                       done=index == seg_len - 1 or i == n - 1)
+    return rollout
 
 
 def test_first_epoch_ratios_are_one():
     rng = np.random.default_rng(0)
     params = init_policy_params(rng, S_CFG)
-    buffer = synth_buffer(params, rng, n=24)
+    rollout = synth_buffer(params, rng, n=24)
     hyper = PpoSettings(minibatch_size=8, epochs=2, learning_rate=1e-3)
-    _, stats = ppo_update(buffer, params, pol.Adam(lr=hyper.learning_rate),
+    _, stats = ppo_update(rollout, params, pol.Adam(lr=hyper.learning_rate),
                           hyper, rng)
     assert stats.initial_ratio_max_dev <= 1e-6
     assert stats.n_samples == 24
-    assert len(buffer) == 0  # cleared afterward
+    assert len(rollout) == 0  # cleared afterward
 
 
 def test_update_moves_parameters():
     rng = np.random.default_rng(1)
     params = init_policy_params(rng, S_CFG)
-    buffer = synth_buffer(params, rng, n=16)
-    new_params, _ = ppo_update(buffer, params, pol.Adam(lr=1e-3),
+    rollout = synth_buffer(params, rng, n=16)
+    new_params, _ = ppo_update(rollout, params, pol.Adam(lr=1e-3),
                                PpoSettings(minibatch_size=8, epochs=2,
                                         learning_rate=1e-3), rng)
     assert not np.array_equal(new_params.to_vector(), params.to_vector())
@@ -272,7 +268,7 @@ def test_empty_buffer_rejected():
     rng = np.random.default_rng(2)
     params = init_policy_params(rng, S_CFG)
     with pytest.raises(ValueError):
-        ppo_update(RolloutBuffer(), params, pol.Adam(), PpoSettings(), rng)
+        ppo_update(Rollout(), params, pol.Adam(), PpoSettings(), rng)
 
 
 def _fd_check(params, samples, hyper, tol):
@@ -296,9 +292,9 @@ def _fd_check(params, samples, hyper, tol):
 def test_full_loss_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
     params = init_policy_params(rng, S_CFG)
-    buffer = synth_buffer(params, rng, n=12)
+    rollout = synth_buffer(params, rng, n=12)
     hyper = PpoSettings(minibatch_size=12, epochs=1)
-    samples = agent.stack_buffer(buffer, hyper)
+    samples = agent.stack_buffer(rollout, hyper)
     _fd_check(params, samples, hyper, tol=1e-3)
 
 
@@ -307,9 +303,9 @@ def test_full_loss_gradient_with_clipped_ratios():
     # samples clip; the analytic gradient must still match.
     rng = np.random.default_rng(4)
     params = init_policy_params(rng, S_CFG)
-    buffer = synth_buffer(params, rng, n=12)
+    rollout = synth_buffer(params, rng, n=12)
     hyper = PpoSettings(minibatch_size=12, epochs=1, clip_ratio=0.2)
-    samples = agent.stack_buffer(buffer, hyper)
+    samples = agent.stack_buffer(rollout, hyper)
     vec = params.to_vector()
     vec = vec + rng.normal(scale=0.05, size=vec.size)
     moved = params.from_vector(vec)
@@ -327,9 +323,9 @@ def test_policy_controller_closes_trajectories():
     rng = np.random.default_rng(5)
     params = init_policy_params(rng, PolicyConfig(obs_dim=FEATURE_DIM,
                                                   gat_hidden=8, trunk_width=16))
-    buffer = RolloutBuffer()
-    controller = PolicyController(params, rng=rng, buffer=buffer)
-    tracker = RewardTracker(RC, slot_s=0.1, sink=controller.record_reward)
+    rollout = Rollout()
+    controller = PolicyController(params, rng=rng, rollout=rollout)
+    tracker = RewardTracker(RC, slot_s=0.1, sink=rollout.reward)
 
     con = build_constellation(ConstellationConfig(num_planes=3, sats_per_plane=3))
     ch = ChannelModel(ChannelConfig(seed=8), con.edge_index, 0.1)
@@ -339,34 +335,133 @@ def test_policy_controller_closes_trajectories():
         engine.add_session(k % 9, (k + 4) % 9, spawn_s=0.2 * k, latent_bytes=4800,
                            flow_id=k)
     engine.run(40.0)
-    controller.finalize_truncated()
-    assert engine.all_resolved or len(buffer) > 0
-    assert not controller.trajectories  # everything moved out
-    total = sum(len(seg.transitions) for seg in buffer.segments)
-    assert total == sum(o.decision_count for o in engine.outcomes) \
+    rollout.truncate()
+    assert engine.all_resolved or len(rollout) > 0
+    assert not rollout.open  # every session closed
+    assert len(rollout) == len(rollout.values) \
+        == sum(o.decision_count for o in engine.outcomes) \
         + sum(s.decision_count for s in engine.unresolved_sessions())
-    for seg in buffer.segments:
-        assert all(t.reward is not None for t in seg.transitions)
+    assert all(r is not None for r in rollout.rewards)
     assert set(tracker.session_returns) <= {o.session_id for o in engine.outcomes} \
         | {s.session_id for s in engine.unresolved_sessions()}
 
 
+def add_rows(rollout, sid, values):
+    """Store one decision of session ``sid`` per value."""
+    sub = SubgraphInput(features=np.zeros((1, S_CFG.obs_dim)))
+    for value in values:
+        rollout.add(sid, sub, np.ones(4, dtype=bool), JointAction(hop=0, budget_idx=0, relay=0),
+                    np.array([-0.5, -0.25, -0.125]), value)
+
+
+def test_rollout_keeps_segments_in_close_order():
+    rollout = Rollout()
+    add_rows(rollout, 0, [0.1, 0.2])
+    add_rows(rollout, 1, [1.1])
+    add_rows(rollout, 2, [2.1])
+    add_rows(rollout, 0, [0.3])
+    rollout.reward(2, 0, 1.0, done=True)
+    for index in range(3):
+        rollout.reward(0, index, 0.5, done=index == 2)
+    rollout.truncate()  # session 1 is still open
+    assert [rows for rows, _ in rollout.segments] == [[3], [0, 1, 4], [2]]
+    batch = agent.stack_buffer(rollout, PpoSettings(gamma=0.0, gae_lambda=0.0))
+    # With gamma 0 each return is the row's own reward: the batch follows
+    # the close order, not the order the rows were stored in.
+    assert batch.ret.tolist() == [1.0, 0.5, 0.5, 0.5, 0.0]
+
+
+def test_rollout_truncate_bootstraps_from_the_last_value():
+    rollout = Rollout()
+    add_rows(rollout, 7, [0.25, 0.5, 0.75])
+    rollout.reward(7, 0, 1.0, done=False)
+    rollout.truncate()
+    assert rollout.segments == [([0, 1, 2], 0.75)]
+    assert rollout.rewards == [1.0, 0.0, 0.0]  # uncredited rows get 0
+    assert rollout.dones == [False, False, False]
+    assert not rollout.open
+
+
+def test_rollout_adds_rewards_credited_to_one_decision():
+    # The engine credits a hop reward to the decision, then finds every port
+    # down at the next node and charges the no_link penalty to the same one.
+    rollout = Rollout()
+    add_rows(rollout, 0, [0.0])
+    tracker = RewardTracker(RC, slot_s=0.1, sink=rollout.reward)
+    session = ActiveSession(session_id=0, flow_id=0, src=0, dst=4, spawn_s=0.0,
+                            latent_bytes=1200, ttl_remaining=8,
+                            sem=SemanticState(session_id=0), initial_dist_km=3000.0)
+    m = HopMeasurements(decision_index=0, prev_dist_km=3000.0, new_dist_km=2000.0,
+                        delay_s=0.05, queue_frac=0.1, revisited=False, hop_completed=True)
+    tracker.on_hop(session, m)
+    hop_reward = rollout.rewards[0]
+    assert rollout.open == {0: [0]}
+    tracker.on_drop(session, 0, None)
+    assert rollout.rewards == [hop_reward + (0.0 - RC.r_fail)]
+    assert rollout.dones == [True]
+    assert rollout.segments == [([0], 0.0)]
+    assert tracker.session_returns[0] == rollout.rewards[0]
+
+
+def test_rollout_ignores_rewards_after_close():
+    rollout = Rollout()
+    add_rows(rollout, 3, [0.5, 0.5])
+    rollout.reward(3, 0, 1.0, done=False)
+    rollout.reward(3, 1, 2.0, done=True)
+    rollout.reward(3, 1, 4.0, done=True)
+    rollout.reward(9, 0, 8.0, done=True)  # a session with no rows
+    assert rollout.rewards == [1.0, 2.0]
+    assert rollout.segments == [([0, 1], 0.0)]
+
+
+def test_rollout_len_counts_closed_rows_only():
+    rollout = Rollout()
+    add_rows(rollout, 0, [0.0, 0.0])
+    add_rows(rollout, 1, [0.0, 0.0, 0.0])
+    assert len(rollout) == 0
+    for index in range(3):
+        rollout.reward(1, index, 1.0, done=index == 2)
+    assert len(rollout) == 3
+    rollout.truncate()
+    assert len(rollout) == 5
+    rollout.clear()
+    assert len(rollout) == 0 and not rollout.values
+
+
+def test_rollout_done_requires_every_row_credited():
+    rollout = Rollout()
+    add_rows(rollout, 0, [0.0, 0.0])
+    with pytest.raises(AssertionError):
+        rollout.reward(0, 1, 1.0, done=True)  # row 0 never got a reward
+
+
+def test_numpy_sums_three_columns_left_to_right():
+    # Rollout.add stores the joint log-prob as (l_hop + l_budget) + l_relay,
+    # the order numpy adds an (N, 3) array along axis 1; if a numpy release
+    # regroups that sum, the stored log-probs stop matching earlier runs.
+    x = np.log(np.random.default_rng(11).random((200_000, 3)))
+    left = (x[:, 0] + x[:, 1]) + x[:, 2]
+    assert np.array_equal(x.sum(axis=1), left), "(N, 3).sum(axis=1) is not left to right"
+    assert not np.array_equal(x[:, 0] + (x[:, 1] + x[:, 2]), left)  # the order matters
+    rollout = Rollout()
+    sub = SubgraphInput(features=np.zeros((1, S_CFG.obs_dim)))
+    for row in x[:1000]:
+        rollout.add(0, sub, np.ones(4, dtype=bool), JointAction(0, 0, 0), row, 0.0)
+    assert np.array(rollout.logp).tobytes() == x[:1000].sum(axis=1).tobytes()
+
+
 def mixed_rollouts(params, rng, n=40):
-    """Buffer whose subgraphs have 1-5 members and whose hop masks vary."""
-    buffer = RolloutBuffer()
-    transitions = []
+    """Rollout whose subgraphs have 1-5 members and whose hop masks vary."""
+    rollout = Rollout()
     for i in range(n):
         sub = SubgraphInput(features=rng.normal(size=(1 + i % 5, S_CFG.obs_dim)))
         mask = rng.random(4) < 0.5
         mask[rng.integers(4)] = True
         action, logps, value = pol.act(pol.Actor(params), sub, mask, rng=rng)
-        transitions.append(Transition(subgraph=sub, mask=mask, action=action,
-                                      log_probs=logps, value=value,
-                                      reward=float(rng.normal()), done=i % 8 == 7))
-        if transitions[-1].done:
-            buffer.add(TrajectorySegment(transitions=transitions))
-            transitions = []
-    return buffer
+        sid, index = divmod(i, 8)
+        rollout.add(sid, sub, mask, action, logps, value)
+        rollout.reward(sid, index, float(rng.normal()), done=index == 7)
+    return rollout
 
 
 def test_batched_loss_and_gradient_match_per_sample_reference():
@@ -391,39 +486,40 @@ def test_batched_loss_and_gradient_match_per_sample_reference():
 def test_nan_reward_raises_before_any_step():
     rng = np.random.default_rng(7)
     params = init_policy_params(rng, S_CFG)
-    buffer = synth_buffer(params, rng, n=16)
-    buffer.segments[1].transitions[2].reward = float("nan")
+    rollout = synth_buffer(params, rng, n=16)
+    rows, _ = rollout.segments[1]
+    rollout.rewards[rows[2]] = float("nan")
     before = params.to_vector()
     opt = pol.Adam(lr=1e-3)
     with pytest.raises(FloatingPointError, match="advantage or return in trajectory segment 1"):
-        ppo_update(buffer, params, opt, PpoSettings(minibatch_size=8, epochs=2), rng)
+        ppo_update(rollout, params, opt, PpoSettings(minibatch_size=8, epochs=2), rng)
     assert opt.t == 0
     assert np.array_equal(params.to_vector(), before)
 
 
 def test_nonfinite_initial_ratio_named_by_buffer_sample():
     # The initial check runs a minibatch at a time but names the sample by
-    # its place in the whole buffer.
+    # its place in the whole batch.
     rng = np.random.default_rng(6)
     params = init_policy_params(rng, S_CFG)
-    buffer = synth_buffer(params, rng, n=16)
-    flat = [t for seg in buffer.segments for t in seg.transitions]
-    flat[11].log_probs = np.array([np.nan, 0.0, 0.0])
+    rollout = synth_buffer(params, rng, n=16)
+    order = [r for rows, _ in rollout.segments for r in rows]
+    rollout.logp[order[11]] = np.nan
     opt = pol.Adam(lr=1e-3)
     with pytest.raises(FloatingPointError, match="initial ratio check, sample 11"):
-        ppo_update(buffer, params, opt, PpoSettings(minibatch_size=8, epochs=2), rng)
+        ppo_update(rollout, params, opt, PpoSettings(minibatch_size=8, epochs=2), rng)
     assert opt.t == 0
 
 
 def test_inf_parameter_raises_before_any_step():
     rng = np.random.default_rng(8)
     params = init_policy_params(rng, S_CFG)
-    buffer = synth_buffer(params, rng, n=16)
+    rollout = synth_buffer(params, rng, n=16)
     params.w1[3, 2] = np.inf
     before = params.to_vector()
     opt = pol.Adam(lr=1e-3)
     with pytest.raises(FloatingPointError, match="block 'w1'"):
-        ppo_update(buffer, params, opt, PpoSettings(minibatch_size=8, epochs=2), rng)
+        ppo_update(rollout, params, opt, PpoSettings(minibatch_size=8, epochs=2), rng)
     assert opt.t == 0
     assert np.array_equal(params.to_vector(), before, equal_nan=True)
 
@@ -433,10 +529,10 @@ def test_nonfinite_gradient_named_by_epoch_minibatch_and_block():
     # pass to overflow: the guard stops the update at the first minibatch.
     rng = np.random.default_rng(9)
     params = init_policy_params(rng, S_CFG)
-    buffer = synth_buffer(params, rng, n=16)
+    rollout = synth_buffer(params, rng, n=16)
     params.w_val[...] = 1e300
     opt = pol.Adam(lr=1e-3)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             FloatingPointError, match=r"block '\w+' at epoch 0, minibatch 0"):
-        ppo_update(buffer, params, opt, PpoSettings(minibatch_size=8, epochs=2), rng)
+        ppo_update(rollout, params, opt, PpoSettings(minibatch_size=8, epochs=2), rng)
     assert opt.t == 0

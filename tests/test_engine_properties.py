@@ -57,7 +57,7 @@ def test_conservation_and_delay_composition(cfg, kind):
     c = engine.counters
     assert c.chunks_dropped == sum(c.drop_causes.values())
     for out in engine.outcomes:
-        assert len(out.hop_records) == len(out.path) - 1
+        assert len(out.hop_records) == len(out.hop_trace) - 1
         if out.delivered:
             total = sum(r.total_s for r in out.hop_records)
             assert abs(out.end_to_end_delay_s - total) <= 1e-9

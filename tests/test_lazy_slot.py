@@ -171,4 +171,4 @@ def test_greedy_evaluation_keeps_no_transitions():
     assert sum(len(e.outcomes) for e in engines + variants) > 0
     for engine in engines + variants:
         assert isinstance(engine.controller, PolicyController)
-        assert engine.controller.trajectories == {}
+        assert engine.controller.rollout is None

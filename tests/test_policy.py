@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -261,6 +262,42 @@ def test_truncated_checkpoint_rejected_naming_the_path(tmp_path):
     save_checkpoint(path, params)
     path.write_bytes(path.read_bytes()[:-100])
     with pytest.raises(ValueError, match=f"checkpoint {re.escape(str(path))} is not a"):
+        load_checkpoint(path)
+
+
+def _meta_bytes(**changes) -> np.ndarray:
+    """A valid checkpoint's meta member with fields replaced (None: removed)."""
+    meta = {"format_version": pol.CHECKPOINT_FORMAT_VERSION, "obs_dim": CFG.obs_dim,
+            "gat_hidden": CFG.gat_hidden, "trunk_width": CFG.trunk_width,
+            "leaky_slope": CFG.leaky_slope, "head_init_scale": CFG.head_init_scale}
+    meta.update(changes)
+    meta = {k: v for k, v in meta.items() if v is not None}
+    return np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+
+
+@pytest.mark.parametrize("meta, message", [
+    (None, "has no 'meta' member"),
+    (_meta_bytes(obs_dim=None), "metadata has no field 'obs_dim'"),
+    (_meta_bytes(head_init_scale=None), "metadata has no field 'head_init_scale'"),
+    (np.frombuffer(b"\xff\xfe{}", dtype=np.uint8), "has unreadable metadata"),
+    (np.frombuffer(b'{"obs_dim": ', dtype=np.uint8), "has unreadable metadata"),
+    (np.frombuffer(b"[1, 2]", dtype=np.uint8), "metadata is not a JSON object"),
+    (_meta_bytes(format_version=999), "has unsupported format 999"),
+    (_meta_bytes(trunk_width="wide"), "metadata field 'trunk_width' is 'wide', expected int"),
+    (_meta_bytes(leaky_slope=[0.2]), r"metadata field 'leaky_slope' is \[0.2\], expected float"),
+], ids=["no_meta", "no_obs_dim", "no_head_init_scale", "not_utf8", "not_json",
+        "not_object", "bad_version", "bad_int", "bad_float"])
+def test_checkpoint_with_bad_metadata_rejected_naming_the_path(tmp_path, meta, message):
+    params = init_policy_params(np.random.default_rng(15), CFG)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, params)
+    data = dict(np.load(path))
+    if meta is None:
+        del data["meta"]
+    else:
+        data["meta"] = meta
+    np.savez(path, **data)
+    with pytest.raises(ValueError, match=f"checkpoint {re.escape(str(path))} {message}"):
         load_checkpoint(path)
 
 

@@ -1,0 +1,29 @@
+"""``tools/run_digests.py`` on a shortened run set: every run writes its files
+and the digests repeat from run to run."""
+import importlib.util
+import pathlib
+import re
+
+_PATH = pathlib.Path(__file__).resolve().parent.parent / "tools" / "run_digests.py"
+_SPEC = importlib.util.spec_from_file_location("run_digests", _PATH)
+run_digests = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(run_digests)
+
+EVAL_FILES = {"config.yaml", "metrics.json", "run.json", "sessions.csv", "trace.jsonl"}
+
+
+def test_digests_cover_every_run_and_repeat(tmp_path):
+    lines = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        run_digests.run_all(out, train_episodes=1, eval_episodes=1, kinds=("shortest_path",))
+        lines.append(run_digests.digests(out))
+    assert lines[0] == lines[1]
+    files = {}
+    for line in lines[0]:
+        match = re.fullmatch(r"(\w+)/([\w.]+) [0-9a-f]{64}", line)
+        assert match, line
+        files.setdefault(match[1], set()).add(match[2])
+    assert files.pop("train") == EVAL_FILES | {"checkpoint.npz", "curve.csv"}
+    assert files == {f"eval_{scene}_{kind}": EVAL_FILES for scene in ("tiny", "busy")
+                     for kind in ("policy", "shortest_path")}
+    assert lines[0] == sorted(lines[0])

@@ -8,9 +8,8 @@ from leosem.constellation import ConstellationConfig, build_constellation
 from leosem.policy import JointAction
 from leosem.semantic import QualityProxyConfig, SemanticState
 from leosem.simcore import (DROP_NO_LINK, DROP_PRUNED, DROP_TTL, ActiveSession, Engine,
-                            HopDelayRecord, PortQueue, SessionOutcome, SimHooks, _Burst,
-                            end_to_end_delay, propagation_delay, step_queue,
-                            transmission_delay)
+                            HopDelayRecord, PortQueue, SimHooks, _Burst, propagation_delay,
+                            step_queue, transmission_delay)
 
 
 class ScriptedController:
@@ -100,21 +99,25 @@ def test_transmission_delay_examples():
 
 
 def test_end_to_end_delay_sums_records():
-    rec = HopDelayRecord.build(1e-3, 2e-3, 3e-3, 0.0)
-    out = SessionOutcome(session_id=0, delivered=True, end_to_end_delay_s=None,
-                         path=[0, 1], drop_cause=None, hop_records=[rec])
-    assert end_to_end_delay(out) == pytest.approx(6e-3, rel=1e-12)
-    three = SessionOutcome(session_id=1, delivered=True, end_to_end_delay_s=None,
-                           path=[0, 1, 2, 3], drop_cause=None,
-                           hop_records=[HopDelayRecord.build(0, 0, 0.01, 0)] * 3)
-    assert end_to_end_delay(three) == pytest.approx(0.03, rel=1e-12)
-    zero_hop = SessionOutcome(session_id=2, delivered=True, end_to_end_delay_s=0.0,
-                              path=[5], drop_cause=None)
-    assert end_to_end_delay(zero_hop) == 0.0
-    undelivered = SessionOutcome(session_id=3, delivered=False, end_to_end_delay_s=None,
-                                 path=[0], drop_cause=DROP_TTL)
-    with pytest.raises(ValueError):
-        end_to_end_delay(undelivered)
+    # Three forced hops round a ring of 4, spawned off the slot grid: the
+    # delay from spawn to delivery is the sum of the per-hop records.
+    engine = build_engine(1, 4, ScriptedController(port=0), ttl=8)
+    engine.add_session(0, 3, spawn_s=0.25, latent_bytes=1200)
+    engine.add_session(2, 2, spawn_s=0.0, latent_bytes=1200)
+    engine.run(30.0)
+    zero_hop, three = engine.outcomes  # in the order they ended
+    assert three.delivered and three.hop_trace == [0, 1, 2, 3]
+    assert len(three.hop_records) == 3
+    assert three.end_to_end_delay_s == pytest.approx(
+        sum(rec.total_s for rec in three.hop_records), abs=1e-9)
+    assert zero_hop.delivered and zero_hop.end_to_end_delay_s == 0.0
+    assert zero_hop.hop_records == []
+    engine = build_engine(1, 4, ScriptedController(port=0), ttl=2)
+    engine.add_session(0, 3, spawn_s=0.0, latent_bytes=1200)
+    engine.run(30.0)
+    undelivered = engine.outcomes[0]
+    assert undelivered.drop_cause == DROP_TTL and len(undelivered.hop_records) == 2
+    assert not undelivered.delivered and undelivered.end_to_end_delay_s is None
 
 
 def test_hop_record_total_is_component_sum():
@@ -189,14 +192,15 @@ def test_single_hop_delivery_delay_components():
     engine.run(30.0)
     assert len(engine.outcomes) == 1
     out = engine.outcomes[0]
-    assert out.delivered and out.path == [0, 1]
+    assert out.delivered and out.hop_trace == [0, 1]
     assert len(out.hop_records) == 1
     rec = out.hop_records[0]
     # queue wait = alignment to the next slot boundary
     assert rec.queue_s == pytest.approx(0.1, abs=1e-9)
     assert rec.proc_s == 0.0
     assert rec.prop_s > 0 and rec.tx_s > 0
-    assert out.end_to_end_delay_s == pytest.approx(end_to_end_delay(out), abs=1e-9)
+    assert out.end_to_end_delay_s == pytest.approx(sum(r.total_s for r in out.hop_records),
+                                                   abs=1e-9)
     assert engine.conservation_ok()
 
 
@@ -205,7 +209,7 @@ def test_zero_hop_session():
     engine.add_session(1, 1, spawn_s=0.0, latent_bytes=1200)
     engine.run(1.0)
     out = engine.outcomes[0]
-    assert out.delivered and out.end_to_end_delay_s == 0.0 and out.path == [1]
+    assert out.delivered and out.end_to_end_delay_s == 0.0 and out.hop_trace == [1]
 
 
 # ---------------------------------------------------------------- TTL
@@ -217,8 +221,8 @@ def test_ttl_sixteen_dies_on_seventeen_hop_path():
     engine.run(120.0)
     out = engine.outcomes[0]
     assert not out.delivered and out.drop_cause == DROP_TTL
-    assert out.path[-1] == 16  # stalled one hop short
-    assert len(out.path) <= 16 + 1
+    assert out.hop_trace[-1] == 16  # stalled one hop short
+    assert len(out.hop_trace) <= 16 + 1
     assert engine.conservation_ok()
 
 
@@ -249,8 +253,8 @@ def test_relay_prune_sheds_chunks_and_keeps_conservation():
     engine.run(30.0)
     out = engine.outcomes[0]
     assert out.delivered
-    assert out.final_budget == 64
-    assert out.requant_count == 1
+    assert out.sem.budget_c == 64
+    assert out.sem.quant_penalties == 1
     assert out.relay_count == 1
     # 10 chunks at C=128 -> 5 at C=64
     assert engine.counters.drop_causes[DROP_PRUNED] == 5
@@ -282,7 +286,7 @@ def test_relay_without_shed_keeps_byte_total():
     sid = engine.add_session(0, 2, spawn_s=0.0, latent_bytes=1200)
     engine.run(30.0)
     session = engine.sessions[sid]
-    assert engine.outcomes[0].delivered and engine.outcomes[0].final_budget == 96
+    assert engine.outcomes[0].delivered and engine.outcomes[0].sem.budget_c == 96
     assert (session.num_chunks, session.payload_bytes) == (1, 1200)
     assert engine.counters.drop_causes[DROP_PRUNED] == 0
 
@@ -292,7 +296,7 @@ def test_relay_forward_mode_keeps_chunks():
     engine.add_session(0, 2, spawn_s=0.0, latent_bytes=12_000)
     engine.run(30.0)
     assert engine.counters.drop_causes[DROP_PRUNED] == 0
-    assert engine.outcomes[0].final_budget == 128
+    assert engine.outcomes[0].sem.budget_c == 128
 
 
 # ---------------------------------------------------------------- revisits
@@ -304,7 +308,7 @@ def test_revisit_flag_reported():
         def on_hop(self, session, m):
             seen.append(m.revisited)
 
-        def on_drop(self, session, idx, m, outcome):
+        def on_drop(self, session, idx, m):
             if m is not None:
                 seen.append(m.revisited)
 
@@ -367,7 +371,7 @@ def test_hop_trace_bounded_by_ttl():
     engine.add_session(0, 8, spawn_s=0.0, latent_bytes=2400)
     engine.run(60.0)
     out = engine.outcomes[0]
-    assert len(out.path) <= 6 + 1
+    assert len(out.hop_trace) <= 6 + 1
 
 
 # ---------------------------------------------------------------- determinism
