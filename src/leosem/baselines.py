@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agent import PolicyController
-from .constellation import GraphSnapshot
+from .constellation import NUM_PORTS, GraphSnapshot
 from .policy import JointAction, PolicyParams
 from .semantic import BUDGET_SET, MODE_FORWARD
 from .simcore import DecisionView
@@ -112,9 +112,10 @@ def shortest_path_next_hop(snapshot: GraphSnapshot, current: int, dst: int) -> i
     """
     if current == dst:
         raise ValueError("already at the destination")
-    open_ports = [(p, nxt, km) for p, (nxt, up, km) in enumerate(zip(
-        snapshot.dst[current].tolist(), snapshot.avail[current].tolist(),
-        snapshot.dist_km[current].tolist())) if up]
+    link_km, dst_cells = snapshot.link_km(), snapshot.dst_cells
+    base = current * NUM_PORTS
+    open_ports = [(p, dst_cells[base + p], link_km[base + p])
+                  for p in range(NUM_PORTS) if link_km[base + p] != math.inf]
     # On the +Grid each port of a node leads to a different neighbor.
     dist = dijkstra_to(snapshot, dst, {nxt: km for _, nxt, km in open_ports})
     best: tuple[float, int, int] | None = None

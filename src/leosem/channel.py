@@ -100,6 +100,11 @@ class ChannelModel:
 
     def link_snr_array(self, distances_km: np.ndarray, time_s: float) -> np.ndarray:
         self._ensure_time(time_s)
+        return self.snr_now(distances_km)
+
+    def snr_now(self, distances_km: np.ndarray) -> np.ndarray:
+        """Per-link SNR (dB) in the channel's current slot: pathloss baseline
+        plus slow jitter plus fast perturbation.  Draws nothing."""
         return self._pathloss_snr(np.asarray(distances_km)) + self.jitter_db + self.fast_db
 
     def _pathloss_snr(self, distance_km):

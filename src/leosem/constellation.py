@@ -89,11 +89,12 @@ class GraphSnapshot:
     # Per node, the (src, cell) of every port leading into it; shared by
     # every snapshot of the shell (see ``_reverse_ports``).
     in_ports: tuple = field(repr=False, compare=False)
+    # Per cell of the flattened (N, NUM_PORTS) arrays, the neighbor behind
+    # it (-1: no port); shared by every snapshot of the shell.
+    dst_cells: list = field(repr=False, compare=False)
     # Per-slot observation rows, built by the agent on first use.
     obs_rows: object = field(default=None, repr=False, compare=False)
-    _link_km: list | None = field(default=None, repr=False, compare=False)
-    # Per destination, the distances of every node to it; built on first use.
-    _dist_to: dict = field(default_factory=dict, repr=False, compare=False)
+    _cells: tuple | None = field(default=None, repr=False, compare=False)
 
     def port_mask(self, node: int) -> np.ndarray:
         """Boolean (NUM_PORTS,) availability mask for a node."""
@@ -103,20 +104,27 @@ class GraphSnapshot:
         """Per cell of the flattened (N, NUM_PORTS) arrays, the length of
         its link in km, or inf where routing may not use it this slot.
 
-        Built on first use and kept for the slot.
+        Built on first use and kept for the slot, with ``link_cells``.
         """
-        if self._link_km is None:
-            self._link_km = np.where(self.avail, self.dist_km, math.inf).ravel().tolist()
-        return self._link_km
+        return self.link_cells()[0]
+
+    def link_cells(self) -> tuple[list[float], list[float], list[float]]:
+        """``link_km()`` and, per cell, the SNR (dB) and rate (bit/s) of its
+        link, as Python lists; built on first use and kept for the slot."""
+        if self._cells is None:
+            self._cells = (np.where(self.avail, self.dist_km, math.inf).ravel().tolist(),
+                           self.snr_db.ravel().tolist(), self.rate_bps.ravel().tolist())
+        return self._cells
 
     def distance_km(self, a: int, b: int) -> float:
-        """Straight-line distance between two nodes, from a row kept per ``b``."""
-        row = self._dist_to.get(b)
-        if row is None:
-            d = self.positions - self.positions[b]
-            # sqrt of vecdot rounds exactly like a per-vector np.linalg.norm.
-            row = self._dist_to[b] = np.sqrt(np.vecdot(d, d)).tolist()
-        return row[a]
+        """Straight-line distance between two nodes.
+
+        ``math.sqrt`` of the 1-D dot product is ``np.linalg.norm``'s own
+        formula, so it rounds exactly like the norm and like the rows of
+        ``np.sqrt(np.vecdot(D, D))``; Python-float arithmetic would not.
+        """
+        d = self.positions[a] - self.positions[b]
+        return math.sqrt(d @ d)
 
 
 def _port_table(p: int, s: int) -> list[dict[int, int]]:
@@ -161,13 +169,18 @@ class Constellation:
         p, s = cfg.num_planes, cfg.sats_per_plane
         self.plane = np.repeat(np.arange(p), s)
         self.slot = np.tile(np.arange(s), p)
-        self._raan = 2.0 * math.pi * self.plane / p
         # Argument of latitude at t=0: in-plane spacing plus Walker phasing.
         self._phase0 = (
             2.0 * math.pi * self.slot / s
             + 2.0 * math.pi * cfg.phasing_factor * self.plane / (p * s)
         )
-        self._inc = math.radians(cfg.inclination_deg)
+        # Per-node orbit-plane factors of ``positions_at``, with its grouping
+        # kept: ``(sin(raan) * cos(inc)) * sin(u)`` rounds as before.
+        raan = 2.0 * math.pi * self.plane / p
+        inc = math.radians(cfg.inclination_deg)
+        self._cr, self._sr = np.cos(raan), np.sin(raan)
+        self._crci, self._srci = self._cr * math.cos(inc), self._sr * math.cos(inc)
+        self._si = math.sin(inc)
         self.ports = _port_table(p, s)
         self._in_ports = _reverse_ports(p, s)
         # Directed edges in fixed (node, port) order; this ordering is the
@@ -181,7 +194,10 @@ class Constellation:
         self._edge_src, self._edge_dst = edges[:, 0], edges[:, 1]
         # Position of each edge in a flattened (N, NUM_PORTS) table.
         self._edge_cell = edges[:, 0] * NUM_PORTS + edges[:, 2]
-        self._port_dst = self._scatter(self._edge_dst, -1)
+        port_dst = np.full(cfg.num_sats * NUM_PORTS, -1, dtype=np.int64)
+        port_dst[self._edge_cell] = self._edge_dst
+        self._dst_cells = port_dst.tolist()
+        self._port_dst = port_dst.reshape(cfg.num_sats, NUM_PORTS)
         self._port_dst.flags.writeable = False
 
     def positions_at(self, time_s: float) -> np.ndarray:
@@ -190,26 +206,19 @@ class Constellation:
         u = self._phase0 + cfg.mean_motion_rad_s * time_s
         r = cfg.orbit_radius_km
         cu, su = np.cos(u), np.sin(u)
-        cr, sr = np.cos(self._raan), np.sin(self._raan)
-        ci, si = math.cos(self._inc), math.sin(self._inc)
-        x = r * (cr * cu - sr * ci * su)
-        y = r * (sr * cu + cr * ci * su)
-        z = r * (si * su)
+        x = r * (self._cr * cu - self._srci * su)
+        y = r * (self._sr * cu + self._crci * su)
+        z = r * (self._si * su)
         return np.stack([x, y, z], axis=1)
-
-    def _scatter(self, per_edge: np.ndarray, fill) -> np.ndarray:
-        """Per-edge values (edge_index order) laid out as (N, NUM_PORTS)."""
-        out = np.full(self.cfg.num_sats * NUM_PORTS, fill, dtype=per_edge.dtype)
-        out[self._edge_cell] = per_edge
-        return out.reshape(self.cfg.num_sats, NUM_PORTS)
 
     def snapshot(self, time_s: float, channel=None) -> GraphSnapshot:
         """Build the connectivity graph for the slot containing ``time_s``.
 
         Without a channel every grid link is up and carries no SNR/rate
         annotation; with one, availability, SNR and Shannon rate come from
-        the channel's per-slot state (the channel is advanced as needed).
-        The channel must have been built on ``edge_index``.
+        the channel's state, after one ``advance_to_slot`` to the slot
+        (several slots at once if the channel is behind).  The channel must
+        have been built on ``edge_index``.
         """
         if time_s < 0:
             raise ValueError("time_s must be >= 0")
@@ -217,25 +226,32 @@ class Constellation:
         delta = positions[self._edge_src] - positions[self._edge_dst]
         # sqrt of vecdot rounds exactly like a per-vector np.linalg.norm.
         dists = np.sqrt(np.vecdot(delta, delta))
+        n, cells = self.cfg.num_sats, self._edge_cell
+        # Rows dist_km, snr_db, rate_bps; NaN where a port is absent.
+        table = np.full((3, n * NUM_PORTS), math.nan)
+        avail = np.zeros(n * NUM_PORTS, dtype=bool)
         if channel is not None:
             slot = channel.slot_of(time_s)
-            avail = channel.availability(time_s)
-            snrs = channel.link_snr_array(dists, time_s)
-            rates = channel.rate_array(snrs)
+            channel.advance_to_slot(slot)
+            snrs = channel.snr_now(dists)
+            table[:, cells] = (dists, snrs, channel.rate_array(snrs))
+            avail[cells] = channel.available
         else:
             slot = 0
-            avail = np.ones(len(dists), dtype=bool)
-            snrs = rates = np.full(len(dists), math.nan)
+            table[0, cells] = dists
+            avail[cells] = True
+        dist_km, snr_db, rate_bps = table.reshape(3, n, NUM_PORTS)
         return GraphSnapshot(
             time_s=time_s,
             slot=slot,
             positions=positions,
             dst=self._port_dst,
-            avail=self._scatter(avail, False),
-            dist_km=self._scatter(dists, math.nan),
-            snr_db=self._scatter(snrs, math.nan),
-            rate_bps=self._scatter(rates, math.nan),
+            avail=avail.reshape(n, NUM_PORTS),
+            dist_km=dist_km,
+            snr_db=snr_db,
+            rate_bps=rate_bps,
             in_ports=self._in_ports,
+            dst_cells=self._dst_cells,
         )
 
 

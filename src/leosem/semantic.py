@@ -27,7 +27,7 @@ MODE_FORWARD = 0
 MODE_PROCESS = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SemanticState:
     """Per-session semantic bookkeeping, updated as the payload travels."""
     session_id: int

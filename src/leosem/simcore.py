@@ -66,7 +66,7 @@ def transmission_delay(payload_bytes: int, rate_bps: float) -> float:
     return 8.0 * payload_bytes / rate_bps
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class HopDelayRecord:
     prop_s: float
     tx_s: float
@@ -84,7 +84,7 @@ class HopDelayRecord:
         return cls(prop_s, tx_s, queue_s, proc_s, prop_s + tx_s + queue_s + proc_s)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Burst:
     session: ActiveSession
     num_chunks: int
@@ -144,7 +144,9 @@ class ActiveSession:
     decision_count: int = 0
     relay_count: int = 0
     resolved: bool = False
-    pending: dict | None = None
+    # Between a decision and its arrival: (decision_index, next_node,
+    # prev_dist_km, queue_frac, revisited, proc_s).
+    pending: tuple | None = None
     initial_dist_km: float = 0.0
     chunks_created: int = 0
     # The end state, set when the session is delivered or dropped.
@@ -154,7 +156,7 @@ class ActiveSession:
     quality: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class HopMeasurements:
     """What a reward function needs to know about one decision's outcome."""
     decision_index: int
@@ -166,7 +168,7 @@ class HopMeasurements:
     hop_completed: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class DecisionView:
     time_s: float
     slot: int
@@ -318,13 +320,24 @@ class Engine:
 
     def run(self, horizon_s: float) -> None:
         """Advance until the horizon, stopping early once every session ends."""
-        while self._heap and self._heap[0][0] <= horizon_s + 1e-12:
-            if self.sessions and self.all_resolved:
+        heap, pop = self._heap, heapq.heappop
+        limit = horizon_s + 1e-12
+        n = len(self.sessions)
+        while heap and heap[0][0] <= limit:
+            if n and self.sessions_resolved == n:
                 break
-            time_s, _, _, item = heapq.heappop(self._heap)
-            self.now_s = max(self.now_s, time_s)
-            self._dispatch(item)
-        if not (self.sessions and self.all_resolved):
+            time_s, _, _, item = pop(heap)
+            if time_s > self.now_s:
+                self.now_s = time_s
+            # The two most frequent kinds skip the ``_dispatch`` frame.
+            kind = item[0]
+            if kind == "arrival":
+                self._on_arrival(item[1])
+            elif kind == "service_end":
+                self._on_service_end(item[1], item[2])
+            else:
+                self._dispatch(item)
+        if not (n and self.sessions_resolved == n):
             self.now_s = max(self.now_s, horizon_s)
         if self.collect_queue_log:
             self._flush_slot_rows()
@@ -351,12 +364,12 @@ class Engine:
     def snapshot(self) -> GraphSnapshot:
         """The graph of the current slot, built on its first read in the slot.
 
-        That read advances the channel to the slot; slots nobody reads are
-        never built.  The channel still draws every slot in order, so each
-        snapshot holds the same values as one built at the slot boundary.
+        ``Constellation.snapshot`` advances the channel to the slot in one
+        ``advance_to_slot`` call; slots nobody reads are never built.  The
+        channel still draws every slot in order, so each snapshot holds the
+        same values as one built at the slot boundary.
         """
         if self._snapshot is None:
-            self.channel.advance_to_slot(self.slot)
             self._snapshot = self.constellation.snapshot(
                 self.slot * self.slot_length_s, self.channel)
         return self._snapshot
@@ -396,13 +409,15 @@ class Engine:
         session = self.sessions[sid]
         if self.trace is not None:
             self._emit("spawn", session=sid, src=session.src, dst=session.dst)
-        session.initial_dist_km = self.snapshot.distance_km(session.src, session.dst)
+        session.initial_dist_km = dist_km = self.snapshot.distance_km(session.src, session.dst)
         if session.src == session.dst:
             self._deliver(session, None)
             return
-        self._decide(session)
+        self._decide(session, dist_km)
 
-    def _decide(self, session: ActiveSession) -> None:
+    def _decide(self, session: ActiveSession, dist_km: float) -> None:
+        """One hop decision at the session's node; ``dist_km`` is the
+        node's distance to the destination in the current slot."""
         node = session.node
         snap = self.snapshot
         mask = snap.port_mask(node)
@@ -411,18 +426,19 @@ class Engine:
                        penalty_index=session.decision_count - 1 if session.decision_count else None,
                        measurements=None)
             return
+        decision_index = session.decision_count
+        is_source = decision_index == 0
         view = DecisionView(
             time_s=self.now_s, slot=self.slot, node=node, session=session,
             snapshot=snap, mask=mask, occupancy=self.occupancy,
             q_max=self.q_max, ttl_max=self.ttl_hops,
-            constellation=self.constellation, is_source=session.decision_count == 0,
+            constellation=self.constellation, is_source=is_source,
         )
         action: JointAction = self.controller.decide(view)
         if not mask[action.hop]:
             raise ValueError(f"controller picked masked port {action.hop} at node {node}")
-        next_node = int(snap.dst[node, action.hop])
-        is_source = session.decision_count == 0
-        decision_index = session.decision_count
+        port = int(action.hop)
+        next_node = self.constellation.ports[node][port]
         session.decision_count += 1
 
         proc_s = 0.0
@@ -442,25 +458,18 @@ class Engine:
             self._apply_prune(session)
 
         if self.trace is not None:
-            self._emit("decision", session=session.session_id, node=node, port=int(action.hop),
+            self._emit("decision", session=session.session_id, node=node, port=port,
                        next=next_node, budget=action.budget_c, relay=int(action.relay),
                        source=is_source)
 
-        session.pending = {
-            "decision_index": decision_index,
-            "port": int(action.hop),
-            "next_node": next_node,
-            "prev_dist_km": snap.distance_km(node, session.dst),
-            "queue_frac": float(self.occupancy[node, action.hop]) / self.q_max,
-            "revisited": next_node in session.hop_trace,
-            "decision_s": self.now_s,
-            "proc_s": proc_s,
-        }
+        # PortQueue.occupancy is the int the occupancy array holds.
+        session.pending = (decision_index, next_node, dist_km,
+                           self.queues[(node, port)].occupancy / self.q_max,
+                           next_node in session.hop_trace, proc_s)
         if proc_s > 0:
-            self._push(self.now_s + proc_s, _EV_OTHER,
-                       ("enqueue", session.session_id, int(action.hop)))
+            self._push(self.now_s + proc_s, _EV_OTHER, ("enqueue", session.session_id, port))
         else:
-            self._do_enqueue(session.session_id, int(action.hop))
+            self._do_enqueue(session.session_id, port)
 
     def _apply_prune(self, session: ActiveSession) -> None:
         """Re-pack the payload after a budget change; surplus chunks are shed."""
@@ -486,16 +495,16 @@ class Engine:
                        total_bytes=session.payload_bytes,
                        enqueue_s=self.now_s, enqueue_slot=self.slot)
         if not queue.push(burst):
-            p = session.pending
+            decision_index, _, prev_dist_km, queue_frac, revisited, _ = session.pending
             m = HopMeasurements(
-                decision_index=p["decision_index"], prev_dist_km=p["prev_dist_km"],
-                new_dist_km=None, delay_s=0.0, queue_frac=p["queue_frac"],
-                revisited=p["revisited"], hop_completed=False,
+                decision_index=decision_index, prev_dist_km=prev_dist_km,
+                new_dist_km=None, delay_s=0.0, queue_frac=queue_frac,
+                revisited=revisited, hop_completed=False,
             )
             if self.trace is not None:
                 self._emit("enqueue_overflow", session=sid, node=node, port=port,
                            occupancy=int(self.occupancy[node, port]))
-            self._fail(session, DROP_OVERFLOW, penalty_index=p["decision_index"],
+            self._fail(session, DROP_OVERFLOW, penalty_index=decision_index,
                        measurements=m)
             return
         self.occupancy[node, port] += burst.num_chunks
@@ -517,19 +526,21 @@ class Engine:
         if burst.enqueue_slot >= self.slot:
             self._waiting.add(key)
             return  # groups only serve from the slot after they joined
-        snap = self.snapshot
-        if not snap.avail[node, port]:
+        link_km, snr_db, rate_bps = self.snapshot.link_cells()
+        cell = node * NUM_PORTS + port
+        km = link_km[cell]
+        if km == math.inf:
             self._waiting.add(key)
-            return  # stalled; re-checked at the next slot boundary
+            return  # link down: stalled; re-checked at the next slot boundary
         self._waiting.discard(key)
         queue.pop()
         self.occupancy[node, port] -= burst.num_chunks
         if self.collect_queue_log:
             self._slot_departures[node, port] += burst.num_chunks
         burst.service_start_s = self.now_s
-        burst.frozen_prop_s = propagation_delay(float(snap.dist_km[node, port]))
-        burst.frozen_snr_db = float(snap.snr_db[node, port])
-        tx_s = transmission_delay(burst.total_bytes, float(snap.rate_bps[node, port])) \
+        burst.frozen_prop_s = propagation_delay(km)
+        burst.frozen_snr_db = snr_db[cell]
+        tx_s = transmission_delay(burst.total_bytes, rate_bps[cell]) \
             if burst.total_bytes else 0.0
         self._busy[key] = True
         if self.trace is not None:
@@ -544,24 +555,23 @@ class Engine:
 
     def _on_arrival(self, burst: _Burst) -> None:
         session = burst.session
-        p = session.pending
+        decision_index, node, prev_dist_km, queue_frac, revisited, proc_s = session.pending
         session.pending = None
-        node = p["next_node"]
         queue_s = burst.service_start_s - burst.enqueue_s
         tx_s = self.now_s - burst.frozen_prop_s - burst.service_start_s
         record = HopDelayRecord.build(
             prop_s=burst.frozen_prop_s, tx_s=max(tx_s, 0.0),
-            queue_s=max(queue_s, 0.0), proc_s=p["proc_s"])
+            queue_s=max(queue_s, 0.0), proc_s=proc_s)
         session.hop_records.append(record)
         session.sem = semantic.record_hop(session.sem, burst.frozen_snr_db, self.proxy_cfg)
         session.ttl_remaining -= 1
         session.node = node
         session.hop_trace.append(node)
+        dist_km = self.snapshot.distance_km(node, session.dst)
         m = HopMeasurements(
-            decision_index=p["decision_index"], prev_dist_km=p["prev_dist_km"],
-            new_dist_km=self.snapshot.distance_km(node, session.dst),
-            delay_s=record.total_s, queue_frac=p["queue_frac"],
-            revisited=p["revisited"], hop_completed=True,
+            decision_index=decision_index, prev_dist_km=prev_dist_km,
+            new_dist_km=dist_km, delay_s=record.total_s, queue_frac=queue_frac,
+            revisited=revisited, hop_completed=True,
         )
         if self.trace is not None:
             self._emit("arrival", session=session.session_id, node=node,
@@ -569,11 +579,11 @@ class Engine:
         if node == session.dst:
             self._deliver(session, m)
         elif session.ttl_remaining <= 0:
-            self._fail(session, DROP_TTL, penalty_index=p["decision_index"], measurements=m)
+            self._fail(session, DROP_TTL, penalty_index=decision_index, measurements=m)
         else:
             for h in self.hooks:
                 h.on_hop(session, m)
-            self._decide(session)
+            self._decide(session, dist_km)
 
     def _deliver(self, session: ActiveSession, m: HopMeasurements | None) -> None:
         session.resolved = session.delivered = True
