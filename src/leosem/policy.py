@@ -22,6 +22,7 @@ import itertools
 import json
 import math
 import zipfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -510,8 +511,9 @@ def _read_meta(path, data) -> tuple[dict, PolicyConfig]:
     """
     if "meta" not in data.files:
         raise ValueError(f"checkpoint {path} has no 'meta' member")
+    raw = _read_member(path, data, "meta")
     try:
-        meta = json.loads(data["meta"].tobytes().decode())
+        meta = json.loads(raw.tobytes().decode())
     except ValueError as exc:  # not UTF-8, or not JSON
         raise ValueError(f"checkpoint {path} has unreadable metadata: {exc}") from exc
     if not isinstance(meta, dict):
@@ -533,13 +535,30 @@ def _read_meta(path, data) -> tuple[dict, PolicyConfig]:
     return meta, PolicyConfig(**values)
 
 
+def _read_member(path, data, name: str) -> np.ndarray:
+    """One array of an open checkpoint archive.
+
+    A corrupt member (bad CRC, broken compressed stream, cut short, or a
+    bad ``.npy`` header) raises ``ValueError`` naming the path and the array.
+    """
+    try:
+        arr = data[name]
+    except (zipfile.BadZipFile, zlib.error, EOFError, ValueError) as exc:
+        raise ValueError(f"checkpoint {path} array {name!r} is unreadable: "
+                         f"{type(exc).__name__}: {exc}") from exc
+    if not isinstance(arr, np.ndarray):  # np.load hands over a member without the .npy magic as bytes
+        raise ValueError(f"checkpoint {path} array {name!r} is unreadable: no .npy header")
+    return arr
+
+
 def load_checkpoint(path) -> tuple[PolicyParams, dict]:
     """Load parameters and metadata, checking every array's shape.
 
     The shapes must be those of the ``PolicyConfig`` the metadata describes;
-    a missing or misshapen array, or one holding a non-finite value, raises
-    ``ValueError`` naming it.  So do a file that is not a readable archive
-    and missing or bad metadata, naming the path.
+    a missing, unreadable or misshapen array, or one holding a non-finite
+    value, raises ``ValueError`` naming the path and the array.  So do a file
+    that is not a readable archive and missing or bad metadata, naming the
+    path.
     """
     try:
         archive = np.load(path)
@@ -550,13 +569,13 @@ def load_checkpoint(path) -> tuple[PolicyParams, dict]:
         params = PolicyParams(cfg)
         for name, view in params.arrays.items():
             if name not in data.files:
-                raise ValueError(f"checkpoint has no array {name!r}")
-            arr = data[name]
+                raise ValueError(f"checkpoint {path} has no array {name!r}")
+            arr = _read_member(path, data, name)
             if arr.shape != view.shape:
-                raise ValueError(f"checkpoint array {name!r} has shape {arr.shape}, "
+                raise ValueError(f"checkpoint {path} array {name!r} has shape {arr.shape}, "
                                  f"expected {view.shape} for {cfg}")
             view[...] = arr
     bad = params.nonfinite_block()
     if bad is not None:
-        raise ValueError(f"checkpoint array {bad!r} holds a non-finite value")
+        raise ValueError(f"checkpoint {path} array {bad!r} holds a non-finite value")
     return params, meta

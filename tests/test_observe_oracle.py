@@ -122,3 +122,21 @@ def test_snapshot_arrays_match_reference_over_many_slots(planes, sats):
         assert_snapshot_matches(con, con.snapshot(t, channel), ref.snapshot(con, t, channel))
     bare = 123.4
     assert_snapshot_matches(con, con.snapshot(bare), ref.snapshot(con, bare))
+
+
+def test_snapshot_advances_a_lagging_channel_once(monkeypatch):
+    # One advance_to_slot call catches the channel up over several slots and
+    # draws what the reference's separate availability and SNR reads draw.
+    con = build_constellation(ConstellationConfig(num_planes=10, sats_per_plane=7))
+    mine, theirs = (ChannelModel(ChannelConfig(failure_rate=0.1, seed=4), con.edge_index, 0.1)
+                    for _ in range(2))
+    entries = []
+    original = ChannelModel.advance_to_slot
+    monkeypatch.setattr(ChannelModel, "advance_to_slot",
+                        lambda ch, slot: entries.append((ch, slot)) or original(ch, slot))
+    for slot in (3, 4, 17, 60):
+        t = slot * 0.1
+        entries.clear()
+        snap = con.snapshot(t, mine)
+        assert entries == [(mine, slot)] and mine.slot == slot
+        assert_snapshot_matches(con, snap, ref.snapshot(con, t, theirs))

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import zipfile
 
 import numpy as np
 import pytest
@@ -298,6 +299,55 @@ def test_checkpoint_with_bad_metadata_rejected_naming_the_path(tmp_path, meta, m
         data["meta"] = meta
     np.savez(path, **data)
     with pytest.raises(ValueError, match=f"checkpoint {re.escape(str(path))} {message}"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_without_an_array_rejected_naming_the_path(tmp_path):
+    params = init_policy_params(np.random.default_rng(15), CFG)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, params)
+    data = dict(np.load(path))
+    del data["w1"]
+    np.savez(path, **data)
+    with pytest.raises(ValueError, match=f"checkpoint {re.escape(str(path))} has no array 'w1'"):
+        load_checkpoint(path)
+
+
+def _zero_mid_member(path, member):
+    """Zero 20 bytes in the middle of a member's compressed data."""
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo(member)
+    raw = bytearray(path.read_bytes())
+    mid = info.header_offset + 30 + len(info.filename) + len(info.extra) + info.compress_size // 2
+    raw[mid:mid + 20] = bytes(20)
+    path.write_bytes(bytes(raw))
+
+
+def _rewrite_member(path, member, edit):
+    """Store ``edit(bytes)`` in place of a member, recompressed, so the CRC holds."""
+    with zipfile.ZipFile(path) as archive:
+        members = [(name, archive.read(name)) for name in archive.namelist()]
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as archive:
+        for name, data in members:
+            archive.writestr(name, edit(data) if name == member else data)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda path: _zero_mid_member(path, "w2.npy"),
+    lambda path: _rewrite_member(path, "w2.npy", lambda d: d[:len(d) // 2]),
+    lambda path: _rewrite_member(path, "w2.npy", lambda d: d[:10] + b"{garbage" + d[18:]),
+    lambda path: _rewrite_member(path, "w2.npy", lambda d: b"no magic" + d[8:]),
+    lambda path: _rewrite_member(path, "meta.npy", lambda d: b"no magic" + d[8:]),
+], ids=["zeroed_bytes", "cut_data", "bad_header", "no_magic", "meta_no_magic"])
+def test_checkpoint_with_corrupt_array_rejected_naming_the_path(tmp_path, corrupt):
+    # Before the check, a bad CRC escaped as zipfile.BadZipFile, a broken
+    # stream as zlib.error and a member without the .npy magic as bytes.
+    params = init_policy_params(np.random.default_rng(15), CFG)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, params)
+    corrupt(path)
+    with pytest.raises(ValueError, match=f"checkpoint {re.escape(str(path))} array '(w2|meta)' "
+                                         f"is unreadable"):
         load_checkpoint(path)
 
 

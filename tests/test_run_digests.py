@@ -1,6 +1,8 @@
-"""``tools/run_digests.py`` on a shortened run set: every run writes its files
-and the digests repeat from run to run."""
+"""``tools/run_digests.py`` on a shortened run set: every run writes its files,
+the digests repeat from run to run, and the stress scene reaches every way
+a session can fail."""
 import importlib.util
+import json
 import pathlib
 import re
 
@@ -24,6 +26,14 @@ def test_digests_cover_every_run_and_repeat(tmp_path):
         assert match, line
         files.setdefault(match[1], set()).add(match[2])
     assert files.pop("train") == EVAL_FILES | {"checkpoint.npz", "curve.csv"}
-    assert files == {f"eval_{scene}_{kind}": EVAL_FILES for scene in ("tiny", "busy")
+    assert files == {f"eval_{scene}_{kind}": EVAL_FILES for scene in ("tiny", "busy", "stress")
                      for kind in ("policy", "shortest_path")}
     assert lines[0] == sorted(lines[0])
+    # The engine's overflow and no-link branches run in every stress run.
+    for kind in ("policy", "shortest_path"):
+        with open(tmp_path / "a" / f"eval_stress_{kind}" / "trace.jsonl") as fh:
+            events = [json.loads(line) for line in fh]
+        seen = {e["ev"] for e in events} | {e["cause"] for e in events if e["ev"] == "drop"}
+        missing = {"enqueue_overflow", "queue_overflow", "no_link", "ttl_expired",
+                   "deliver"} - seen
+        assert not missing, (kind, missing)

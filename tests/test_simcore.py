@@ -1,10 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leosem import experiment
+from leosem.baselines import BaselineSpec, ShortestPathController
 from leosem.channel import ChannelConfig, ChannelModel
-from leosem.constellation import ConstellationConfig, build_constellation
+from leosem.config import tiny_config
+from leosem.constellation import Constellation, ConstellationConfig, build_constellation
 from leosem.policy import JointAction
 from leosem.semantic import QualityProxyConfig, SemanticState
 from leosem.simcore import (DROP_NO_LINK, DROP_PRUNED, DROP_TTL, ActiveSession, Engine,
@@ -397,3 +402,20 @@ def test_bit_identical_event_log_under_fixed_seed():
 
 def test_different_seed_changes_log():
     assert run_traced_episode(21) != run_traced_episode(22)
+
+
+def test_engine_advances_the_channel_once_per_snapshot(monkeypatch):
+    calls = {"snapshot": 0, "advance_to_slot": 0}
+    for owner, name in ((Constellation, "snapshot"), (ChannelModel, "advance_to_slot")):
+        def counted(*args, _original=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(owner, name, counted)
+    lossy = tiny_config(0)
+    lossy = dataclasses.replace(lossy, channel=dataclasses.replace(lossy.channel, failure_rate=0.3))
+    for cfg in (tiny_config(0), lossy):
+        calls.update(snapshot=0, advance_to_slot=0)
+        engine = experiment.run_episode(
+            cfg, 0, ShortestPathController(BaselineSpec(kind="shortest_path")), hooks=[])
+        assert engine.conservation_ok() and calls["snapshot"] > 20
+        assert calls["advance_to_slot"] == calls["snapshot"]

@@ -3,9 +3,10 @@
     python3 tools/run_digests.py
 
 Trains ``tiny_config(0)`` for 5 traced episodes, then evaluates that
-checkpoint for 2 traced episodes on the tiny config and on a busy 10x7
-config (20 flows x 5 sessions, 2 s frames), under the greedy policy and
-under every baseline in ``BASELINE_KINDS``.  Prints one ``run/file sha256``
+checkpoint for 2 traced episodes on the tiny config, on a busy 10x7
+config (20 flows x 5 sessions, 2 s frames) and on a lossy, crowded 3x3
+stress config, under the greedy policy and under every baseline in
+``BASELINE_KINDS``.  Prints one ``run/file sha256``
 line per file, sorted.  Every run is seeded, so two trees whose output
 differs wrote different bytes somewhere: diff the output of two checkouts
 to check that a refactor leaves run files and traces byte-identical.
@@ -37,12 +38,28 @@ def busy_config(seed: int) -> ExperimentConfig:
         cfg.simulation, num_flows=20, sessions_per_flow=5, frame_interval_s=2.0))
 
 
+def stress_config(seed: int) -> ExperimentConfig:
+    """The tiny 3x3 shell under loss and load, so every drop cause occurs.
+
+    Half the links fail each slot (a node can lose every port: ``no_link``),
+    queues hold 40 chunks against 30-chunk payloads sent every 0.5 s on 4
+    flows (``enqueue_overflow``, ``queue_overflow``) and sessions live 3
+    hops (``ttl_expired``).
+    """
+    cfg = tiny_config(seed)
+    return dataclasses.replace(
+        cfg, channel=dataclasses.replace(cfg.channel, failure_rate=0.5),
+        simulation=dataclasses.replace(cfg.simulation, q_max_packets=40, ttl_hops=3,
+                                       num_flows=4, frame_interval_s=0.5))
+
+
 def run_all(out: pathlib.Path, train_episodes: int = 5, eval_episodes: int = 2,
             kinds=BASELINE_KINDS) -> None:
     """Write the training run and every evaluation run under ``out``."""
     experiment.cmd_train(tiny_config(0), out / "train", episodes=train_episodes, trace=True)
     checkpoint = out / "train" / "checkpoint.npz"
-    for scene, cfg in (("tiny", tiny_config(0)), ("busy", busy_config(0))):
+    for scene, cfg in (("tiny", tiny_config(0)), ("busy", busy_config(0)),
+                       ("stress", stress_config(0))):
         for kind in (None, *kinds):
             experiment.cmd_eval(cfg, checkpoint, out / f"eval_{scene}_{kind or 'policy'}",
                                 eval_episodes, baseline_kind=kind, trace=True)
