@@ -134,11 +134,14 @@ class _FixedSemantics:
     def __init__(self, spec: BaselineSpec):
         self.spec = spec
         budget = spec.fixed_budget if spec.fixed_budget is not None else 128
-        self._budget_idx = BUDGET_SET.index(budget)
-        self._relay = spec.fixed_relay if spec.fixed_relay is not None else MODE_FORWARD
+        budget_idx = BUDGET_SET.index(budget)
+        relay = spec.fixed_relay if spec.fixed_relay is not None else MODE_FORWARD
+        # One immutable action per port, shared by every decision.
+        self._actions = [JointAction(hop=p, budget_idx=budget_idx, relay=relay)
+                         for p in range(NUM_PORTS)]
 
     def _joint(self, hop: int) -> JointAction:
-        return JointAction(hop=hop, budget_idx=self._budget_idx, relay=self._relay)
+        return self._actions[hop]
 
 
 class ShortestPathController(_FixedSemantics):

@@ -119,12 +119,12 @@ class GraphSnapshot:
     def distance_km(self, a: int, b: int) -> float:
         """Straight-line distance between two nodes.
 
-        ``math.sqrt`` of the 1-D dot product is ``np.linalg.norm``'s own
-        formula, so it rounds exactly like the norm and like the rows of
+        ``math.sqrt(d.dot(d))`` is ``np.linalg.norm``'s own formula, so it
+        rounds exactly like the norm and like the rows of
         ``np.sqrt(np.vecdot(D, D))``; Python-float arithmetic would not.
         """
         d = self.positions[a] - self.positions[b]
-        return math.sqrt(d @ d)
+        return math.sqrt(d.dot(d))
 
 
 def _port_table(p: int, s: int) -> list[dict[int, int]]:
@@ -206,10 +206,11 @@ class Constellation:
         u = self._phase0 + cfg.mean_motion_rad_s * time_s
         r = cfg.orbit_radius_km
         cu, su = np.cos(u), np.sin(u)
-        x = r * (self._cr * cu - self._srci * su)
-        y = r * (self._sr * cu + self._crci * su)
-        z = r * (self._si * su)
-        return np.stack([x, y, z], axis=1)
+        pos = np.empty((len(u), 3))
+        pos[:, 0] = r * (self._cr * cu - self._srci * su)
+        pos[:, 1] = r * (self._sr * cu + self._crci * su)
+        pos[:, 2] = r * (self._si * su)
+        return pos
 
     def snapshot(self, time_s: float, channel=None) -> GraphSnapshot:
         """Build the connectivity graph for the slot containing ``time_s``.
@@ -223,7 +224,7 @@ class Constellation:
         if time_s < 0:
             raise ValueError("time_s must be >= 0")
         positions = self.positions_at(time_s)
-        delta = positions[self._edge_src] - positions[self._edge_dst]
+        delta = positions.take(self._edge_src, axis=0) - positions.take(self._edge_dst, axis=0)
         # sqrt of vecdot rounds exactly like a per-vector np.linalg.norm.
         dists = np.sqrt(np.vecdot(delta, delta))
         n, cells = self.cfg.num_sats, self._edge_cell

@@ -250,7 +250,9 @@ class Engine:
         self._busy: dict[tuple[int, int], bool] = {k: False for k in self.queues}
         # Idle queues whose head group could not start: it joined in the
         # current slot or its link is down.  Only these restart at a slot
-        # boundary.
+        # boundary.  Every idle queue with groups is here, and its head
+        # cannot start before the next boundary: a head is retried at each
+        # boundary and as soon as the service ahead of it ends.
         self._waiting: set[tuple[int, int]] = set()
 
         self.now_s = 0.0
@@ -421,7 +423,7 @@ class Engine:
         node = session.node
         snap = self.snapshot
         mask = snap.port_mask(node)
-        if not mask.any():
+        if not any(mask.tolist()):  # a numpy reduction costs ten times as much
             self._fail(session, DROP_NO_LINK,
                        penalty_index=session.decision_count - 1 if session.decision_count else None,
                        measurements=None)
@@ -514,7 +516,9 @@ class Engine:
             self._emit("enqueue", session=sid, node=node, port=port, chunks=burst.num_chunks)
         key = (node, port)
         if not self._busy[key]:
-            self._try_start(key)
+            # Neither this group (it joined in this slot) nor a head already
+            # waiting can start before the next slot boundary.
+            self._waiting.add(key)
 
     def _try_start(self, key: tuple[int, int]) -> None:
         node, port = key
@@ -551,7 +555,8 @@ class Engine:
     def _on_service_end(self, key: tuple[int, int], burst: _Burst) -> None:
         self._busy[key] = False
         self._push(self.now_s + burst.frozen_prop_s, _EV_OTHER, ("arrival", burst))
-        self._try_start(key)
+        if self.queues[key].entries:
+            self._try_start(key)
 
     def _on_arrival(self, burst: _Burst) -> None:
         session = burst.session

@@ -12,7 +12,7 @@ from leosem.constellation import ConstellationConfig, build_constellation
 
 
 def test_sqrt_of_1d_dot_rounds_like_norm_and_vecdot_rows():
-    # GraphSnapshot.distance_km computes one pair as math.sqrt(d @ d); the
+    # GraphSnapshot.distance_km computes one pair as math.sqrt(d.dot(d)); the
     # snapshot's link lengths and the observation's unit vectors come from
     # np.sqrt(np.vecdot(D, D)) rows, and the reference uses np.linalg.norm.
     rng = np.random.default_rng(17)
@@ -21,11 +21,13 @@ def test_sqrt_of_1d_dot_rounds_like_norm_and_vecdot_rows():
     deltas = np.concatenate([pos - pos[rng.integers(len(pos), size=len(pos))],
                              rng.normal(size=(4000, 3)) * 10.0 ** rng.integers(-3, 5, (4000, 1))])
     rows = np.sqrt(np.vecdot(deltas, deltas))
-    pair = np.array([math.sqrt(d @ d) for d in deltas])
+    pair = np.array([math.sqrt(d.dot(d)) for d in deltas])
+    matmul = np.array([math.sqrt(d @ d) for d in deltas])
     norm = np.array([np.linalg.norm(d) for d in deltas])
-    assert pair.tobytes() == norm.tobytes(), "math.sqrt(d @ d) differs from np.linalg.norm(d)"
+    assert pair.tobytes() == norm.tobytes(), "math.sqrt(d.dot(d)) differs from np.linalg.norm(d)"
     assert pair.tobytes() == rows.tobytes(), \
-        "math.sqrt(d @ d) differs from row i of np.sqrt(np.vecdot(D, D))"
+        "math.sqrt(d.dot(d)) differs from row i of np.sqrt(np.vecdot(D, D))"
+    assert matmul.tobytes() == pair.tobytes(), "math.sqrt(d @ d) differs from math.sqrt(d.dot(d))"
 
 
 def parent_positions(cfg: ConstellationConfig, time_s: float) -> np.ndarray:
