@@ -77,6 +77,10 @@ class GraphSnapshot:
     geometry and channel state (NaN for an absent port; SNR and rate are
     NaN throughout a snapshot built without a channel).  The arrays are
     shared with whoever reads the snapshot and must not be written to.
+
+    Per-event readers use ``link_cells()``, the same link state as flat
+    Python lists built once per slot.  ``distance_km`` computes the one pair
+    it is asked for; nothing is cached per destination.
     """
     time_s: float
     slot: int

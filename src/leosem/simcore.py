@@ -555,7 +555,7 @@ class Engine:
     def _on_service_end(self, key: tuple[int, int], burst: _Burst) -> None:
         self._busy[key] = False
         self._push(self.now_s + burst.frozen_prop_s, _EV_OTHER, ("arrival", burst))
-        if self.queues[key].entries:
+        if self.queues[key].entries:  # an empty queue is never waiting
             self._try_start(key)
 
     def _on_arrival(self, burst: _Burst) -> None:
