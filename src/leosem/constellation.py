@@ -78,9 +78,9 @@ class GraphSnapshot:
     NaN throughout a snapshot built without a channel).  The arrays are
     shared with whoever reads the snapshot and must not be written to.
 
-    Per-event readers use ``link_cells()``, the same link state as flat
-    Python lists built once per slot.  ``distance_km`` computes the one pair
-    it is asked for; nothing is cached per destination.
+    Per-event readers take link lengths from ``link_km()``, a flat Python
+    list built once per slot.  ``distance_km`` computes the one pair it is
+    asked for; nothing is cached per destination.
     """
     time_s: float
     slot: int
@@ -98,7 +98,7 @@ class GraphSnapshot:
     dst_cells: list = field(repr=False, compare=False)
     # Per-slot observation rows, built by the agent on first use.
     obs_rows: object = field(default=None, repr=False, compare=False)
-    _cells: tuple | None = field(default=None, repr=False, compare=False)
+    _link_km: list | None = field(default=None, repr=False, compare=False)
 
     def port_mask(self, node: int) -> np.ndarray:
         """Boolean (NUM_PORTS,) availability mask for a node."""
@@ -108,17 +108,11 @@ class GraphSnapshot:
         """Per cell of the flattened (N, NUM_PORTS) arrays, the length of
         its link in km, or inf where routing may not use it this slot.
 
-        Built on first use and kept for the slot, with ``link_cells``.
+        Built on first use and kept for the slot.
         """
-        return self.link_cells()[0]
-
-    def link_cells(self) -> tuple[list[float], list[float], list[float]]:
-        """``link_km()`` and, per cell, the SNR (dB) and rate (bit/s) of its
-        link, as Python lists; built on first use and kept for the slot."""
-        if self._cells is None:
-            self._cells = (np.where(self.avail, self.dist_km, math.inf).ravel().tolist(),
-                           self.snr_db.ravel().tolist(), self.rate_bps.ravel().tolist())
-        return self._cells
+        if self._link_km is None:
+            self._link_km = np.where(self.avail, self.dist_km, math.inf).ravel().tolist()
+        return self._link_km
 
     def distance_km(self, a: int, b: int) -> float:
         """Straight-line distance between two nodes.

@@ -530,9 +530,8 @@ class Engine:
         if burst.enqueue_slot >= self.slot:
             self._waiting.add(key)
             return  # groups only serve from the slot after they joined
-        link_km, snr_db, rate_bps = self.snapshot.link_cells()
-        cell = node * NUM_PORTS + port
-        km = link_km[cell]
+        snap = self.snapshot
+        km = snap.link_km()[node * NUM_PORTS + port]
         if km == math.inf:
             self._waiting.add(key)
             return  # link down: stalled; re-checked at the next slot boundary
@@ -543,8 +542,10 @@ class Engine:
             self._slot_departures[node, port] += burst.num_chunks
         burst.service_start_s = self.now_s
         burst.frozen_prop_s = propagation_delay(km)
-        burst.frozen_snr_db = snr_db[cell]
-        tx_s = transmission_delay(burst.total_bytes, rate_bps[cell]) \
+        # Two scalar reads per service start cost less than listing the
+        # slot's SNRs and rates: a slot starts a few services, not hundreds.
+        burst.frozen_snr_db = float(snap.snr_db[node, port])
+        tx_s = transmission_delay(burst.total_bytes, float(snap.rate_bps[node, port])) \
             if burst.total_bytes else 0.0
         self._busy[key] = True
         if self.trace is not None:
