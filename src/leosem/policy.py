@@ -546,7 +546,8 @@ def _read_member(path, data, name: str) -> np.ndarray:
     except (zipfile.BadZipFile, zlib.error, EOFError, ValueError) as exc:
         raise ValueError(f"checkpoint {path} array {name!r} is unreadable: "
                          f"{type(exc).__name__}: {exc}") from exc
-    if not isinstance(arr, np.ndarray):  # np.load hands over a member without the .npy magic as bytes
+    # np.load hands over a member without the .npy magic string as raw bytes.
+    if not isinstance(arr, np.ndarray):
         raise ValueError(f"checkpoint {path} array {name!r} is unreadable: no .npy header")
     return arr
 

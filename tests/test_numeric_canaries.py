@@ -30,7 +30,7 @@ def test_sqrt_of_1d_dot_rounds_like_norm_and_vecdot_rows():
     assert matmul.tobytes() == pair.tobytes(), "math.sqrt(d @ d) differs from math.sqrt(d.dot(d))"
 
 
-def parent_positions(cfg: ConstellationConfig, time_s: float) -> np.ndarray:
+def per_call_positions(cfg: ConstellationConfig, time_s: float) -> np.ndarray:
     """``positions_at`` with every factor computed per call, as first written."""
     p, s = cfg.num_planes, cfg.sats_per_plane
     plane = np.repeat(np.arange(p), s)
@@ -61,5 +61,5 @@ def test_hoisted_plane_factors_give_the_per_call_positions(cfg):
     times = np.concatenate([np.arange(0.0, 60.0, 0.1),
                             np.random.default_rng(5).uniform(0, 1e5, 400)])
     for t in times.tolist():
-        assert con.positions_at(t).tobytes() == parent_positions(cfg, t).tobytes(), \
+        assert con.positions_at(t).tobytes() == per_call_positions(cfg, t).tobytes(), \
             f"hoisted plane factors moved the positions at t={t}"

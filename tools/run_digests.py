@@ -6,8 +6,7 @@ Trains ``tiny_config(0)`` for 5 traced episodes, then evaluates that
 checkpoint for 2 traced episodes on the tiny config, on a busy 10x7
 config (20 flows x 5 sessions, 2 s frames) and on a lossy, crowded 3x3
 stress config, under the greedy policy and under every baseline in
-``BASELINE_KINDS``.  Prints one ``run/file sha256``
-line per file, sorted.  Every run is seeded, so two trees whose output
+``BASELINE_KINDS``.  Prints one ``run/file sha256`` line per file, sorted.  Every run is seeded, so two trees whose output
 differs wrote different bytes somewhere: diff the output of two checkouts
 to check that a refactor leaves run files and traces byte-identical.
 """
