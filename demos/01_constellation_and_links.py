@@ -23,9 +23,10 @@ p_half = con.positions_at(cfg.period_s / 2)[0]
 print(f"sat 0 half an orbit later: {np.round(p_half, 1)} km")
 
 print("\n+Grid ports of satellite 0 (plane 0, slot 0):")
-for port, neighbor in sorted(con.ports[0].items()):
-    names = {0: "intra +", 1: "intra -", 2: "plane +", 3: "plane -"}
-    print(f"  port {port} ({names[port]}) -> sat {neighbor}")
+names = {0: "intra +", 1: "intra -", 2: "plane +", 3: "plane -"}
+for port, neighbor in enumerate(con.snapshot(0.0).dst[0].tolist()):
+    if neighbor >= 0:
+        print(f"  port {port} ({names[port]}) -> sat {neighbor}")
 
 # Attach a channel and look at a few snapshots.  A snapshot is a set of
 # (satellite, port) arrays: neighbor id (-1 if the port is absent),

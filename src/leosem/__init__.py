@@ -8,8 +8,7 @@ from .constellation import (ConstellationConfig, Constellation, GraphSnapshot,
 from .policy import JointAction, PolicyConfig, load_checkpoint, save_checkpoint
 from .semantic import (BUDGET_SET, QualityProxyConfig, SemanticState, packetize,
                        quality, record_hop, relay_process)
-from .simcore import (Engine, HopDelayRecord, PortQueue, propagation_delay, step_queue,
-                      transmission_delay)
+from .simcore import Engine, HopDelayRecord, propagation_delay, step_queue, transmission_delay
 
 __version__ = "0.1.0"
 
@@ -25,7 +24,6 @@ __all__ = [
     "HopDelayRecord",
     "JointAction",
     "PolicyConfig",
-    "PortQueue",
     "QualityProxyConfig",
     "SemanticState",
     "build_constellation",

@@ -86,8 +86,6 @@ class _SlotRows:
     """The session-independent observation of every node for one snapshot."""
     rows: np.ndarray              # (N, FEATURE_DIM): [4:13] filled, zeros elsewhere
     unit: np.ndarray              # (N, 3) unit position vectors
-    dst: list[list[int]]          # per node and port, the neighbor (-1: no port)
-    avail: list[list[bool]]
 
 
 def _slot_rows(view: DecisionView) -> _SlotRows:
@@ -104,7 +102,6 @@ def _slot_rows(view: DecisionView) -> _SlotRows:
             rows=rows,
             # sqrt of vecdot rounds exactly like a per-vector np.linalg.norm.
             unit=pos / np.sqrt(np.vecdot(pos, pos))[:, None],
-            dst=snap.dst.tolist(), avail=avail.tolist(),
         )
     return snap.obs_rows
 
@@ -155,12 +152,13 @@ def observe(view: DecisionView) -> tuple[SubgraphInput, np.ndarray]:
     """
     if view.session.node != view.node:
         raise ValueError("session is not held at the observed node")
-    base = _slot_rows(view)
-    members = [view.node]
-    for d, up in zip(base.dst[view.node], base.avail[view.node]):
+    node = view.node
+    cell = node * NUM_PORTS
+    members = [node]
+    for d, up in zip(view.snapshot.dst_cells[cell:cell + NUM_PORTS], view.mask.tolist()):
         if up:
             members.append(d)
-    features = _feature_rows(view, base, members)
+    features = _feature_rows(view, _slot_rows(view), members)
     subgraph = SubgraphInput(features=features, members=tuple(members))
     return subgraph, view.mask
 

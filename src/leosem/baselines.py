@@ -28,15 +28,12 @@ BASELINE_KINDS = (
 class BaselineSpec:
     kind: str
     fixed_budget: int | None = None
-    fixed_relay: int | None = None
 
     def __post_init__(self):
         if self.kind not in BASELINE_KINDS:
             raise ValueError(f"kind must be one of {BASELINE_KINDS}")
         if self.fixed_budget is not None and self.fixed_budget not in BUDGET_SET:
             raise ValueError(f"fixed_budget must be in {BUDGET_SET}")
-        if self.fixed_relay is not None and self.fixed_relay not in (0, 1):
-            raise ValueError("fixed_relay must be 0 or 1")
 
 
 def dijkstra_to(snapshot: GraphSnapshot, dst: int,
@@ -129,15 +126,15 @@ def shortest_path_next_hop(snapshot: GraphSnapshot, current: int, dst: int) -> i
 
 
 class _FixedSemantics:
-    """Mixin providing the frozen budget/relay part of a baseline action."""
+    """Mixin providing the frozen budget/relay part of a baseline action:
+    the spec's budget (128 by default), relays only forward."""
 
     def __init__(self, spec: BaselineSpec):
         self.spec = spec
         budget = spec.fixed_budget if spec.fixed_budget is not None else 128
         budget_idx = BUDGET_SET.index(budget)
-        relay = spec.fixed_relay if spec.fixed_relay is not None else MODE_FORWARD
         # One immutable action per port, shared by every decision.
-        self._actions = [JointAction(hop=p, budget_idx=budget_idx, relay=relay)
+        self._actions = [JointAction(hop=p, budget_idx=budget_idx, relay=MODE_FORWARD)
                          for p in range(NUM_PORTS)]
 
     def _joint(self, hop: int) -> JointAction:
@@ -161,20 +158,19 @@ class GreedyQueueController(_FixedSemantics):
     distance-greedy rules ping-pong on a torus otherwise.
     """
 
-    queue_weight = 1.0
-
     def decide(self, view: DecisionView) -> JointAction:
-        snap = view.snapshot
-        here = snap.distance_km(view.node, view.session.dst)
+        snap, node, dst = view.snapshot, view.node, view.session.dst
+        here = snap.distance_km(node, dst)
         visited = set(view.session.hop_trace)
         best: tuple[float, int, int] | None = None
         best_fresh: tuple[float, int, int] | None = None
-        for p, (nxt, up) in enumerate(zip(snap.dst[view.node].tolist(),
-                                          snap.avail[view.node].tolist())):
+        cell = node * NUM_PORTS
+        for p, (nxt, up) in enumerate(zip(snap.dst_cells[cell:cell + NUM_PORTS],
+                                          view.mask.tolist())):
             if not up:
                 continue
-            progress = snap.distance_km(nxt, view.session.dst) / max(here, 1e-9)
-            score = progress + self.queue_weight * float(view.occupancy[view.node, p]) / view.q_max
+            progress = snap.distance_km(nxt, dst) / max(here, 1e-9)
+            score = progress + float(view.occupancy[node, p]) / view.q_max
             cand = (score, nxt, p)
             if best is None or cand < best:
                 best = cand
@@ -223,12 +219,11 @@ class NoRelayPolicyController(PolicyController):
 
 
 def make_baseline_controller(spec: BaselineSpec, rng: np.random.Generator,
-                             params: PolicyParams | None = None,
-                             greedy: bool = True):
+                             params: PolicyParams | None = None):
     """Instantiate the controller for a baseline spec.
 
-    Policy-derived variants need checkpoint parameters; the heuristic
-    kinds ignore them.
+    Policy-derived variants act greedily and need checkpoint parameters;
+    the heuristic kinds ignore them.
     """
     if spec.kind == "shortest_path":
         return ShortestPathController(spec)
@@ -239,8 +234,8 @@ def make_baseline_controller(spec: BaselineSpec, rng: np.random.Generator,
     if params is None:
         raise ValueError(f"baseline {spec.kind} requires policy parameters")
     if spec.kind == "policy_no_source_c":
-        return NoSourceCPolicyController(params, rng=rng, greedy=greedy)
+        return NoSourceCPolicyController(params, rng=rng, greedy=True)
     if spec.kind == "policy_no_relay":
-        return NoRelayPolicyController(params, rng=rng, greedy=greedy,
+        return NoRelayPolicyController(params, rng=rng, greedy=True,
                                        fixed_budget=spec.fixed_budget)
     raise ValueError(f"unhandled baseline kind {spec.kind}")

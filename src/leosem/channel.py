@@ -53,8 +53,8 @@ def link_rate(snr_db: float | np.ndarray, bandwidth_hz: float) -> float | np.nda
 class ChannelModel:
     """Stochastic slot-indexed state for a fixed list of directed links.
 
-    The edge list (and its order) is fixed at construction; jitter, fast
-    noise and failure flags are arrays aligned to it.  ``advance_to_slot``
+    Only the number of links is kept from ``edges``; jitter, fast noise and
+    failure flags are arrays aligned to the list's order.  ``advance_to_slot``
     only moves forward; querying an earlier slot than the current one is an
     error, querying the current slot is idempotent.
     """
@@ -64,8 +64,7 @@ class ChannelModel:
             raise ValueError("slot_length_s must be > 0")
         self.cfg = cfg
         self.slot_length_s = slot_length_s
-        self.edges = [(e[0], e[1]) for e in edges]
-        n = len(self.edges)
+        self.num_links = n = len(edges)
         self._rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
         # AR(1): rho chosen so autocorrelation at the horizon lag is e^-1.
         self._rho = math.exp(-slot_length_s / cfg.correlation_horizon_s)
@@ -86,7 +85,7 @@ class ChannelModel:
     def advance_to_slot(self, slot: int) -> None:
         if slot < self.slot:
             raise ValueError(f"channel already at slot {self.slot}, cannot rewind to {slot}")
-        n = len(self.edges)
+        n = self.num_links
         while self.slot < slot:
             self.jitter_db = self._clamp(
                 self._rho * self.jitter_db + self._rng.normal(0.0, self._innov_std, size=n)

@@ -94,8 +94,8 @@ class GraphSnapshot:
     # every snapshot of the shell (see ``_reverse_ports``).
     in_ports: tuple = field(repr=False, compare=False)
     # Per cell of the flattened (N, NUM_PORTS) arrays, the neighbor behind
-    # it (-1: no port); shared by every snapshot of the shell.
-    dst_cells: list = field(repr=False, compare=False)
+    # it (-1: no port); the shell's one port table (``_port_cells``).
+    dst_cells: tuple = field(repr=False, compare=False)
     # Per-slot observation rows, built by the agent on first use.
     obs_rows: object = field(default=None, repr=False, compare=False)
     _link_km: list | None = field(default=None, repr=False, compare=False)
@@ -125,37 +125,42 @@ class GraphSnapshot:
         return math.sqrt(d.dot(d))
 
 
-def _port_table(p: int, s: int) -> list[dict[int, int]]:
-    """Per node of a ``p`` x ``s`` +Grid shell, its neighbor behind each port."""
-    table: list[dict[int, int]] = []
+@functools.cache
+def _port_cells(p: int, s: int) -> tuple[int, ...]:
+    """Per cell ``node * NUM_PORTS + port`` of a ``p`` x ``s`` +Grid shell,
+    the neighbor behind that port, or -1 where the port does not exist.
+
+    The one port table of a shell shape, shared by every constellation and
+    snapshot of it; the engine's queues, the snapshot's flattened arrays
+    and the channel's links are all addressed by these cells.
+    """
+    cells = [-1] * (p * s * NUM_PORTS)
     for node in range(p * s):
         pl, sl = divmod(node, s)
-        ports: dict[int, int] = {}
+        base = node * NUM_PORTS
         if s >= 2:
-            ports[PORT_INTRA_FWD] = pl * s + (sl + 1) % s
+            cells[base + PORT_INTRA_FWD] = pl * s + (sl + 1) % s
             if s >= 3:
-                ports[PORT_INTRA_BWD] = pl * s + (sl - 1) % s
+                cells[base + PORT_INTRA_BWD] = pl * s + (sl - 1) % s
         if p >= 2:
-            ports[PORT_INTER_FWD] = ((pl + 1) % p) * s + sl
+            cells[base + PORT_INTER_FWD] = ((pl + 1) % p) * s + sl
             if p >= 3:
-                ports[PORT_INTER_BWD] = ((pl - 1) % p) * s + sl
-        table.append(ports)
-    return table
+                cells[base + PORT_INTER_BWD] = ((pl - 1) % p) * s + sl
+    return tuple(cells)
 
 
 @functools.cache
 def _reverse_ports(p: int, s: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Per node of a ``p`` x ``s`` +Grid shell, the ``(src, cell)`` of every
-    port leading into it, in (src, port) order.
+    port leading into it, in cell (that is, (src, port)) order.
 
-    ``cell = src * NUM_PORTS + port`` indexes the flattened (N, NUM_PORTS)
-    snapshot arrays.  Built once per shell shape and shared by every
-    constellation of that shape.
+    Built once per shell shape and shared by every constellation of that
+    shape.
     """
     rev: list[list[tuple[int, int]]] = [[] for _ in range(p * s)]
-    for src, ports in enumerate(_port_table(p, s)):
-        for port, dst in sorted(ports.items()):
-            rev[dst].append((src, src * NUM_PORTS + port))
+    for cell, dst in enumerate(_port_cells(p, s)):
+        if dst >= 0:
+            rev[dst].append((cell // NUM_PORTS, cell))
     return tuple(map(tuple, rev))
 
 
@@ -179,23 +184,20 @@ class Constellation:
         self._cr, self._sr = np.cos(raan), np.sin(raan)
         self._crci, self._srci = self._cr * math.cos(inc), self._sr * math.cos(inc)
         self._si = math.sin(inc)
-        self.ports = _port_table(p, s)
+        # Per cell, the neighbor behind the port (-1: none); see ``_port_cells``.
+        self.dst_cells = _port_cells(p, s)
         self._in_ports = _reverse_ports(p, s)
-        # Directed edges in fixed (node, port) order; this ordering is the
-        # contract the channel model uses for its per-edge state arrays.
+        cells = np.array(self.dst_cells, dtype=np.int64)
+        # Directed links in cell order, that is (node, port) order; this
+        # ordering is the contract the channel model uses for its per-link
+        # state arrays.
+        self._edge_cell = np.flatnonzero(cells >= 0)
+        self._edge_src, self._edge_dst = self._edge_cell // NUM_PORTS, cells[self._edge_cell]
         self.edge_index: list[tuple[int, int, int]] = [
-            (node, dst, port)
-            for node in range(cfg.num_sats)
-            for port, dst in sorted(self.ports[node].items())
+            (cell // NUM_PORTS, dst, cell % NUM_PORTS)
+            for cell, dst in enumerate(self.dst_cells) if dst >= 0
         ]
-        edges = np.array(self.edge_index, dtype=np.int64).reshape(-1, 3)
-        self._edge_src, self._edge_dst = edges[:, 0], edges[:, 1]
-        # Position of each edge in a flattened (N, NUM_PORTS) table.
-        self._edge_cell = edges[:, 0] * NUM_PORTS + edges[:, 2]
-        port_dst = np.full(cfg.num_sats * NUM_PORTS, -1, dtype=np.int64)
-        port_dst[self._edge_cell] = self._edge_dst
-        self._dst_cells = port_dst.tolist()
-        self._port_dst = port_dst.reshape(cfg.num_sats, NUM_PORTS)
+        self._port_dst = cells.reshape(cfg.num_sats, NUM_PORTS)
         self._port_dst.flags.writeable = False
 
     def positions_at(self, time_s: float) -> np.ndarray:
@@ -250,7 +252,7 @@ class Constellation:
             snr_db=snr_db,
             rate_bps=rate_bps,
             in_ports=self._in_ports,
-            dst_cells=self._dst_cells,
+            dst_cells=self.dst_cells,
         )
 
 

@@ -96,36 +96,6 @@ class _Burst:
     frozen_snr_db: float = 0.0
 
 
-class PortQueue:
-    """FIFO queue of chunk groups with a hard per-packet capacity."""
-
-    def __init__(self, node: int, port: int, capacity: int):
-        self.node = node
-        self.port = port
-        self.capacity = capacity
-        self.entries: deque[_Burst] = deque()
-        self.occupancy = 0
-
-    def space(self) -> int:
-        return self.capacity - self.occupancy
-
-    def push(self, burst: _Burst) -> bool:
-        """All-or-nothing admit; partial payloads are useless downstream."""
-        if burst.num_chunks > self.space():
-            return False
-        self.entries.append(burst)
-        self.occupancy += burst.num_chunks
-        return True
-
-    def pop(self) -> _Burst:
-        burst = self.entries.popleft()
-        self.occupancy -= burst.num_chunks
-        return burst
-
-    def head(self) -> _Burst | None:
-        return self.entries[0] if self.entries else None
-
-
 @dataclass
 class ActiveSession:
     session_id: int
@@ -170,8 +140,6 @@ class HopMeasurements:
 
 @dataclass(slots=True)
 class DecisionView:
-    time_s: float
-    slot: int
     node: int
     session: ActiveSession
     snapshot: GraphSnapshot
@@ -241,19 +209,22 @@ class Engine:
         self.trace = trace
         self.collect_queue_log = collect_queue_log
 
+        # Every link is addressed by its cell ``node * NUM_PORTS + port``.
+        # Per cell, the FIFO of chunk groups waiting for the port (None where
+        # the shell has no such port) and whether the port is transmitting.
+        self.queues: list[deque[_Burst] | None] = [
+            deque() if dst >= 0 else None for dst in constellation.dst_cells]
+        self._busy = [False] * len(self.queues)
+        # The chunks each send queue holds; the only count there is.
         n = constellation.cfg.num_sats
-        self.queues: dict[tuple[int, int], PortQueue] = {}
-        for node in range(n):
-            for port in constellation.ports[node]:
-                self.queues[(node, port)] = PortQueue(node, port, q_max)
         self.occupancy = np.zeros((n, NUM_PORTS), dtype=np.int64)
-        self._busy: dict[tuple[int, int], bool] = {k: False for k in self.queues}
+        self._occ = self.occupancy.reshape(-1)  # the same counts, by cell
         # Idle queues whose head group could not start: it joined in the
         # current slot or its link is down.  Only these restart at a slot
         # boundary.  Every idle queue with groups is here, and its head
         # cannot start before the next boundary: a head is retried at each
         # boundary and as soon as the service ahead of it ends.
-        self._waiting: set[tuple[int, int]] = set()
+        self._waiting: set[int] = set()
 
         self.now_s = 0.0
         self.slot = 0
@@ -270,9 +241,9 @@ class Engine:
         # Per-slot queue-law counts; only the queue log reads them, so they
         # are kept only while it is collected.
         self.queue_log: list[QueueLawRow] = []
-        self._slot_arrivals = np.zeros((n, NUM_PORTS), dtype=np.int64)
-        self._slot_departures = np.zeros((n, NUM_PORTS), dtype=np.int64)
-        self._q_at_slot_start = self.occupancy.copy()
+        self._slot_arrivals = np.zeros(n * NUM_PORTS, dtype=np.int64)
+        self._slot_departures = np.zeros(n * NUM_PORTS, dtype=np.int64)
+        self._q_at_slot_start = self._occ.copy()
 
         self._push(self.slot_length_s, _EV_SLOT, ("slot", 1))
 
@@ -381,27 +352,27 @@ class Engine:
             self._flush_slot_rows()
             self._slot_arrivals[...] = 0
             self._slot_departures[...] = 0
-            self._q_at_slot_start = self.occupancy.copy()
+            self._q_at_slot_start = self._occ.copy()
         self.slot = slot
         self._snapshot = None
         if self.trace is not None:
             self._emit("slot", slot=slot)
-        # Sorted (node, port) is the order of ``self.queues``, so service
-        # starts get the same sequence numbers as a walk over every queue.
-        for key in sorted(self._waiting):
-            self._try_start(key)
+        # Sorted cells are in queue order, so service starts get the same
+        # sequence numbers as a walk over every queue.
+        for cell in sorted(self._waiting):
+            self._try_start(cell)
         self._push((slot + 1) * self.slot_length_s, _EV_SLOT, ("slot", slot + 1))
 
     def _flush_slot_rows(self) -> None:
         arr = self._slot_arrivals
         dep = self._slot_departures
         q0 = self._q_at_slot_start
-        active = np.argwhere((arr > 0) | (dep > 0) | (q0 > 0))
-        for node, port in active:
+        for cell in np.flatnonzero((arr > 0) | (dep > 0) | (q0 > 0)).tolist():
+            node, port = divmod(cell, NUM_PORTS)
             self.queue_log.append(QueueLawRow(
-                slot=self.slot, node=int(node), port=int(port),
-                q_start=int(q0[node, port]), arrivals=int(arr[node, port]),
-                departures=int(dep[node, port]), q_end=int(self.occupancy[node, port]),
+                slot=self.slot, node=node, port=port,
+                q_start=int(q0[cell]), arrivals=int(arr[cell]),
+                departures=int(dep[cell]), q_end=int(self._occ[cell]),
             ))
 
     # ------------------------------------------------------------------
@@ -431,7 +402,7 @@ class Engine:
         decision_index = session.decision_count
         is_source = decision_index == 0
         view = DecisionView(
-            time_s=self.now_s, slot=self.slot, node=node, session=session,
+            node=node, session=session,
             snapshot=snap, mask=mask, occupancy=self.occupancy,
             q_max=self.q_max, ttl_max=self.ttl_hops,
             constellation=self.constellation, is_source=is_source,
@@ -440,7 +411,8 @@ class Engine:
         if not mask[action.hop]:
             raise ValueError(f"controller picked masked port {action.hop} at node {node}")
         port = int(action.hop)
-        next_node = self.constellation.ports[node][port]
+        cell = node * NUM_PORTS + port
+        next_node = snap.dst_cells[cell]
         session.decision_count += 1
 
         proc_s = 0.0
@@ -464,14 +436,14 @@ class Engine:
                        next=next_node, budget=action.budget_c, relay=int(action.relay),
                        source=is_source)
 
-        # PortQueue.occupancy is the int the occupancy array holds.
+        # ``int``: a numpy scalar would flow on into the rewards.
         session.pending = (decision_index, next_node, dist_km,
-                           self.queues[(node, port)].occupancy / self.q_max,
+                           int(self._occ[cell]) / self.q_max,
                            next_node in session.hop_trace, proc_s)
         if proc_s > 0:
-            self._push(self.now_s + proc_s, _EV_OTHER, ("enqueue", session.session_id, port))
+            self._push(self.now_s + proc_s, _EV_OTHER, ("enqueue", session.session_id, cell))
         else:
-            self._do_enqueue(session.session_id, port)
+            self._do_enqueue(session.session_id, cell)
 
     def _apply_prune(self, session: ActiveSession) -> None:
         """Re-pack the payload after a budget change; surplus chunks are shed."""
@@ -489,14 +461,11 @@ class Engine:
             self._emit("prune", session=session.session_id, shed=shed, keep=keep,
                        budget=session.sem.budget_c)
 
-    def _do_enqueue(self, sid: int, port: int) -> None:
+    def _do_enqueue(self, sid: int, cell: int) -> None:
         session = self.sessions[sid]
-        node = session.node
-        queue = self.queues[(node, port)]
-        burst = _Burst(session=session, num_chunks=session.num_chunks,
-                       total_bytes=session.payload_bytes,
-                       enqueue_s=self.now_s, enqueue_slot=self.slot)
-        if not queue.push(burst):
+        chunks = session.num_chunks
+        # All or nothing: a partial payload is useless downstream.
+        if chunks > self.q_max - self._occ[cell]:
             decision_index, _, prev_dist_km, queue_frac, revisited, _ = session.pending
             m = HopMeasurements(
                 decision_index=decision_index, prev_dist_km=prev_dist_km,
@@ -504,60 +473,64 @@ class Engine:
                 revisited=revisited, hop_completed=False,
             )
             if self.trace is not None:
+                node, port = divmod(cell, NUM_PORTS)
                 self._emit("enqueue_overflow", session=sid, node=node, port=port,
-                           occupancy=int(self.occupancy[node, port]))
+                           occupancy=int(self._occ[cell]))
             self._fail(session, DROP_OVERFLOW, penalty_index=decision_index,
                        measurements=m)
             return
-        self.occupancy[node, port] += burst.num_chunks
+        self.queues[cell].append(_Burst(
+            session=session, num_chunks=chunks, total_bytes=session.payload_bytes,
+            enqueue_s=self.now_s, enqueue_slot=self.slot))
+        self._occ[cell] += chunks
         if self.collect_queue_log:
-            self._slot_arrivals[node, port] += burst.num_chunks
+            self._slot_arrivals[cell] += chunks
         if self.trace is not None:
-            self._emit("enqueue", session=sid, node=node, port=port, chunks=burst.num_chunks)
-        key = (node, port)
-        if not self._busy[key]:
+            node, port = divmod(cell, NUM_PORTS)
+            self._emit("enqueue", session=sid, node=node, port=port, chunks=chunks)
+        if not self._busy[cell]:
             # Neither this group (it joined in this slot) nor a head already
             # waiting can start before the next slot boundary.
-            self._waiting.add(key)
+            self._waiting.add(cell)
 
-    def _try_start(self, key: tuple[int, int]) -> None:
-        node, port = key
-        queue = self.queues[key]
-        burst = queue.head()
-        if burst is None or self._busy[key]:
-            self._waiting.discard(key)
+    def _try_start(self, cell: int) -> None:
+        queue = self.queues[cell]
+        if not queue or self._busy[cell]:
+            self._waiting.discard(cell)
             return
+        burst = queue[0]
         if burst.enqueue_slot >= self.slot:
-            self._waiting.add(key)
+            self._waiting.add(cell)
             return  # groups only serve from the slot after they joined
         snap = self.snapshot
-        km = snap.link_km()[node * NUM_PORTS + port]
+        km = snap.link_km()[cell]
         if km == math.inf:
-            self._waiting.add(key)
+            self._waiting.add(cell)
             return  # link down: stalled; re-checked at the next slot boundary
-        self._waiting.discard(key)
-        queue.pop()
-        self.occupancy[node, port] -= burst.num_chunks
+        self._waiting.discard(cell)
+        queue.popleft()
+        self._occ[cell] -= burst.num_chunks
         if self.collect_queue_log:
-            self._slot_departures[node, port] += burst.num_chunks
+            self._slot_departures[cell] += burst.num_chunks
         burst.service_start_s = self.now_s
         burst.frozen_prop_s = propagation_delay(km)
         # Two scalar reads per service start cost less than listing the
         # slot's SNRs and rates: a slot starts a few services, not hundreds.
-        burst.frozen_snr_db = float(snap.snr_db[node, port])
-        tx_s = transmission_delay(burst.total_bytes, float(snap.rate_bps[node, port])) \
+        burst.frozen_snr_db = snap.snr_db.item(cell)
+        tx_s = transmission_delay(burst.total_bytes, snap.rate_bps.item(cell)) \
             if burst.total_bytes else 0.0
-        self._busy[key] = True
+        self._busy[cell] = True
         if self.trace is not None:
+            node, port = divmod(cell, NUM_PORTS)
             self._emit("service_start", session=burst.session.session_id,
                        node=node, port=port, tx_s=round(tx_s, 9))
-        self._push(self.now_s + tx_s, _EV_OTHER, ("service_end", key, burst))
+        self._push(self.now_s + tx_s, _EV_OTHER, ("service_end", cell, burst))
 
-    def _on_service_end(self, key: tuple[int, int], burst: _Burst) -> None:
-        self._busy[key] = False
+    def _on_service_end(self, cell: int, burst: _Burst) -> None:
+        self._busy[cell] = False
         self._push(self.now_s + burst.frozen_prop_s, _EV_OTHER, ("arrival", burst))
-        if self.queues[key].entries:  # an empty queue is never waiting
-            self._try_start(key)
+        if self.queues[cell]:  # an empty queue is never waiting
+            self._try_start(cell)
 
     def _on_arrival(self, burst: _Burst) -> None:
         session = burst.session

@@ -50,7 +50,8 @@ def capture_view(failure_rate=0.0, seed=2, fill_chunks=0):
     engine.add_session(0, 4, spawn_s=0.0, latent_bytes=6000)
     engine.run(0.05)  # just the spawn decisions
     if fill_chunks:
-        assert engine.occupancy[0, 0] == engine.queues[(0, 0)].occupancy == fill_chunks
+        assert engine.occupancy[0, 0] == fill_chunks
+        assert [b.num_chunks for b in engine.queues[0]] == [fill_chunks]
     return ctl, ctl.views[-1]
 
 

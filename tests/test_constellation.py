@@ -13,7 +13,7 @@ from leosem.constellation import (ConstellationConfig, build_constellation,
 def test_build_counts_paper_scale():
     con = build_constellation(ConstellationConfig(num_planes=10, sats_per_plane=7))
     assert con.cfg.num_sats == 70
-    assert len(con.ports) == 70
+    assert (con.snapshot(0.0).dst >= 0).all()
 
 
 def test_single_satellite_degenerate():
@@ -29,12 +29,13 @@ def test_two_by_two_adjacency_by_hand():
     # one intra-plane and one inter-plane neighbor.
     con = build_constellation(ConstellationConfig(num_planes=2, sats_per_plane=2))
     assert con.cfg.num_sats == 4
+    dst = con.snapshot(0.0).dst
     for node in range(4):
-        neighbors = set(con.ports[node].values())
+        neighbors = set(dst[node].tolist()) - {-1}
         assert len(neighbors) <= 4
         assert len(neighbors) == 2
     # node 0 = (plane 0, slot 0): intra -> node 1, inter -> node 2
-    assert con.ports[0] == {0: 1, 2: 2}
+    assert dst[0].tolist() == [1, -1, 2, -1]
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -32,13 +32,13 @@ class FullWalkEngine(simcore.Engine):
             self._flush_slot_rows()
             self._slot_arrivals[...] = 0
             self._slot_departures[...] = 0
-            self._q_at_slot_start = self.occupancy.copy()
+            self._q_at_slot_start = self.occupancy.ravel().copy()
         self.slot = slot
         self._snapshot = None
         self._emit("slot", slot=slot)
-        for key, q in self.queues.items():
-            if q.entries and not self._busy[key]:
-                self._try_start(key)
+        for cell, queue in enumerate(self.queues):
+            if queue and not self._busy[cell]:
+                self._try_start(cell)
         self._push((slot + 1) * self.slot_length_s, simcore._EV_SLOT, ("slot", slot + 1))
 
 

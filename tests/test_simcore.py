@@ -9,12 +9,12 @@ from leosem import experiment
 from leosem.baselines import BaselineSpec, ShortestPathController
 from leosem.channel import ChannelConfig, ChannelModel
 from leosem.config import tiny_config
-from leosem.constellation import Constellation, ConstellationConfig, build_constellation
+from leosem.constellation import (NUM_PORTS, Constellation, ConstellationConfig,
+                                  build_constellation)
 from leosem.policy import JointAction
-from leosem.semantic import QualityProxyConfig, SemanticState
-from leosem.simcore import (DROP_NO_LINK, DROP_PRUNED, DROP_TTL, ActiveSession, Engine,
-                            HopDelayRecord, PortQueue, SimHooks, _Burst, propagation_delay,
-                            step_queue, transmission_delay)
+from leosem.semantic import QualityProxyConfig
+from leosem.simcore import (DROP_NO_LINK, DROP_PRUNED, DROP_TTL, Engine, HopDelayRecord,
+                            SimHooks, propagation_delay, step_queue, transmission_delay)
 
 
 class ScriptedController:
@@ -135,49 +135,38 @@ def test_hop_record_total_is_component_sum():
 
 # ---------------------------------------------------------------- send queues
 
-def make_group(chunks, sid=0):
-    """A chunk group of ``chunks`` full-size chunks, owned by a bare session."""
-    session = ActiveSession(session_id=sid, flow_id=-1, src=0, dst=1, spawn_s=0.0,
-                            latent_bytes=1200 * chunks, ttl_remaining=16,
-                            sem=SemanticState(session_id=sid))
-    return _Burst(session=session, num_chunks=chunks, total_bytes=1200 * chunks)
+def queued(engine, cell):
+    """(session id, chunks) of every group in the send queue of ``cell``."""
+    return [(b.session.session_id, b.num_chunks) for b in engine.queues[cell]]
 
 
 def test_enqueue_contract_at_capacity():
-    # Admission is all-or-nothing: a group that does not fit leaves the
-    # queue as it was.
-    queue = PortQueue(0, 0, capacity=600)
-    assert queue.push(make_group(599, sid=0))
-    assert queue.occupancy == 599 and queue.space() == 1
-    assert not queue.push(make_group(2, sid=1))
-    assert queue.occupancy == 599 and len(queue.entries) == 1
-    assert queue.push(make_group(1, sid=2))
-    assert queue.occupancy == 600 and queue.space() == 0
-    assert not queue.push(make_group(1, sid=3))
-    assert queue.occupancy == 600 and len(queue.entries) == 2
-    assert queue.pop().session.session_id == 0
-    assert queue.occupancy == 1
-
-    # In the engine: port (0,0) on a 1x2 ring; groups that join in slot 0
-    # wait for slot 1, so the queue fills within the first slot.
+    # Port (0,0), cell 0, on a 1x2 ring; groups that join in slot 0 wait
+    # for slot 1, so the queue fills within the first slot.  Admission is
+    # all-or-nothing: a group that does not fit leaves the queue as it was.
     engine = build_engine(1, 2, ScriptedController(port=0))
-    for latent_bytes in (599 * 1200, 1200, 1200):
+    for latent_bytes in (599 * 1200, 2 * 1200, 1200, 1200):
         engine.add_session(0, 1, spawn_s=0.0, latent_bytes=latent_bytes)
     engine.run(0.05)
-    assert engine.occupancy[0, 0] == engine.queues[(0, 0)].occupancy == 600
-    assert [o.session_id for o in engine.outcomes] == [2]
-    assert engine.outcomes[0].drop_cause == "queue_overflow"
-    assert engine.counters.drop_causes["queue_overflow"] == 1
+    # The 2-chunk group met 1 chunk of space; the next 1-chunk group fit.
+    assert engine.occupancy[0, 0] == 600
+    assert queued(engine, 0) == [(0, 599), (2, 1)]
+    assert [o.session_id for o in engine.outcomes] == [1, 3]
+    assert {o.drop_cause for o in engine.outcomes} == {"queue_overflow"}
+    assert engine.counters.drop_causes["queue_overflow"] == 2 + 1
     assert engine.conservation_ok()
+    # Serving the head frees its chunks and leaves the rest in order.
+    engine.run(0.15)
+    assert engine.occupancy[0, 0] == 1 and queued(engine, 0) == [(2, 1)]
 
 
 def test_enqueue_unknown_port():
     # Only ports that exist on the shell get a send queue: a 1x2 ring has
     # one intra-plane link per node and no inter-plane ports.
     engine = build_engine(1, 2, ScriptedController())
-    assert (0, 3) not in engine.queues
-    assert (99, 0) not in engine.queues
-    assert sorted(engine.queues) == [(0, 0), (1, 0)]
+    assert len(engine.queues) == 2 * NUM_PORTS
+    assert [cell for cell, q in enumerate(engine.queues) if q is not None] == \
+        [0 * NUM_PORTS + 0, 1 * NUM_PORTS + 0]
     assert (engine.snapshot.dst[:, 1:] == -1).all()
 
 
@@ -185,7 +174,7 @@ def test_empty_queue_accepts():
     engine = build_engine(1, 2, ScriptedController(port=0))
     engine.add_session(0, 1, spawn_s=0.0, latent_bytes=1200)
     engine.run(0.05)
-    assert engine.occupancy[0, 0] == engine.queues[(0, 0)].occupancy == 1
+    assert engine.occupancy[0, 0] == 1 and queued(engine, 0) == [(0, 1)]
     assert not engine.outcomes
 
 
