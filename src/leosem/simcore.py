@@ -215,10 +215,10 @@ class Engine:
         self.queues: list[deque[_Burst] | None] = [
             deque() if dst >= 0 else None for dst in constellation.dst_cells]
         self._busy = [False] * len(self.queues)
-        # The chunks each send queue holds; the only count there is.
+        # Chunks held by each send queue; ``_occ`` is a view of it by cell.
         n = constellation.cfg.num_sats
         self.occupancy = np.zeros((n, NUM_PORTS), dtype=np.int64)
-        self._occ = self.occupancy.reshape(-1)  # the same counts, by cell
+        self._occ = self.occupancy.reshape(-1)
         # Idle queues whose head group could not start: it joined in the
         # current slot or its link is down.  Only these restart at a slot
         # boundary.  Every idle queue with groups is here, and its head

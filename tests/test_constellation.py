@@ -13,7 +13,8 @@ from leosem.constellation import (ConstellationConfig, build_constellation,
 def test_build_counts_paper_scale():
     con = build_constellation(ConstellationConfig(num_planes=10, sats_per_plane=7))
     assert con.cfg.num_sats == 70
-    assert (con.snapshot(0.0).dst >= 0).all()
+    dst = con.snapshot(0.0).dst
+    assert dst.shape == (70, 4) and (dst >= 0).all()
 
 
 def test_single_satellite_degenerate():
