@@ -5,7 +5,8 @@ jitter realized as a clamped AR(1) process whose autocorrelation decays
 with the configured correlation horizon, and a fast i.i.d. Gaussian
 perturbation redrawn every slot.  Failures are i.i.d. per link per slot.
 All randomness comes from one seeded generator and advances strictly
-slot-by-slot, so a fixed seed reproduces every draw bit-for-bit.
+slot-by-slot (drawn a block of slots ahead), so a fixed seed reproduces
+every draw bit-for-bit.
 """
 from __future__ import annotations
 
@@ -50,13 +51,24 @@ def link_rate(snr_db: float | np.ndarray, bandwidth_hz: float) -> float | np.nda
     return bandwidth_hz * np.log2(1.0 + 10.0 ** (np.asarray(snr_db, dtype=float) / 10.0))
 
 
+# Slots drawn per block; ``Constellation.snapshot`` derives a block's slot
+# state in one pass over the same slots.
+SLOT_BLOCK = 16
+
+
 class ChannelModel:
     """Stochastic slot-indexed state for a fixed list of directed links.
 
     Only the number of links is kept from ``edges``; jitter, fast noise and
-    failure flags are arrays aligned to the list's order.  ``advance_to_slot``
-    only moves forward; querying an earlier slot than the current one is an
-    error, querying the current slot is idempotent.
+    failure flags are arrays aligned to the list's order.  The channel
+    draws ``SLOT_BLOCK`` slots at a time, each in the order a slot-by-slot
+    draw takes (jitter innovation, fast term, failure flags), and keeps the
+    drawn block as ``(SLOT_BLOCK, num_links)`` rows from slot ``first``.
+    ``advance_to_slot`` moves the cursor ``slot`` forward, drawing the next
+    blocks when it passes the drawn range; ``jitter_db``, ``fast_db`` and
+    ``available`` are the cursor slot's rows.  Querying an earlier slot
+    than the current one is an error, querying the current slot is
+    idempotent.
     """
 
     def __init__(self, cfg: ChannelConfig, edges, slot_length_s: float = 0.1):
@@ -64,20 +76,52 @@ class ChannelModel:
             raise ValueError("slot_length_s must be > 0")
         self.cfg = cfg
         self.slot_length_s = slot_length_s
-        self.num_links = n = len(edges)
+        self.num_links = len(edges)
         self._rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
         # AR(1): rho chosen so autocorrelation at the horizon lag is e^-1.
         self._rho = math.exp(-slot_length_s / cfg.correlation_horizon_s)
         self._jitter_std = cfg.jitter_amplitude_db / 2.0
         self._innov_std = self._jitter_std * math.sqrt(max(0.0, 1.0 - self._rho**2))
         self.slot = 0
-        self.jitter_db = self._clamp(self._rng.normal(0.0, self._jitter_std, size=n))
-        self.fast_db = self._rng.normal(0.0, cfg.fast_std_db, size=n)
-        self.available = self._rng.random(n) >= cfg.failure_rate
+        self.first = -SLOT_BLOCK
+        self._draw_block()
 
-    def _clamp(self, x: np.ndarray) -> np.ndarray:
+    def _draw_block(self) -> None:
+        """Draw the ``SLOT_BLOCK`` slots after the drawn ones.
+
+        Each slot takes one standard-normal draw for its jitter innovation
+        and fast term together, then one uniform draw for its failure
+        flags: the generator's sequence of slot-by-slot ``normal``,
+        ``normal``, ``random`` calls.
+        """
+        k_max, n, rng = SLOT_BLOCK, self.num_links, self._rng
+        normal = np.empty((k_max, 2, n))  # per slot: jitter, fast
+        uniform = np.empty((k_max, n))
+        for k in range(k_max):
+            rng.standard_normal(out=normal[k])
+            rng.random(out=uniform[k])
+        # Generator.normal(0.0, s) returns 0.0 + s * z for its standard
+        # draws z, so scaling these gives its bits.  Slot 0 draws the
+        # stationary jitter instead of an innovation.
+        first_block = self.first < 0
+        std = np.empty((k_max, 2, 1))
+        std[:, 0] = self._innov_std
+        std[:, 1] = self.cfg.fast_std_db
+        if first_block:
+            std[0, 0] = self._jitter_std
+        normal *= std
+        normal += 0.0
+        # The AR(1) recursion runs slot by slot: clamp(rho * prev + innovation).
         a = self.cfg.jitter_amplitude_db
-        return np.minimum(np.maximum(x, -a), a)
+        prev = None if first_block else self._normal[-1, 0]
+        for row in normal[:, 0]:
+            if prev is not None:
+                row += self._rho * prev
+            np.minimum(np.maximum(row, -a, out=row), a, out=row)
+            prev = row
+        self._normal = normal
+        self._available = uniform >= self.cfg.failure_rate
+        self.first += k_max
 
     def slot_of(self, time_s: float) -> int:
         return int(math.floor(time_s / self.slot_length_s + 1e-9))
@@ -85,26 +129,36 @@ class ChannelModel:
     def advance_to_slot(self, slot: int) -> None:
         if slot < self.slot:
             raise ValueError(f"channel already at slot {self.slot}, cannot rewind to {slot}")
-        n = self.num_links
-        while self.slot < slot:
-            self.jitter_db = self._clamp(
-                self._rho * self.jitter_db + self._rng.normal(0.0, self._innov_std, size=n)
-            )
-            self.fast_db = self._rng.normal(0.0, self.cfg.fast_std_db, size=n)
-            self.available = self._rng.random(n) >= self.cfg.failure_rate
-            self.slot += 1
+        self.slot = slot
+        while slot >= self.first + SLOT_BLOCK:
+            self._draw_block()
 
-    def _ensure_time(self, time_s: float) -> None:
-        self.advance_to_slot(self.slot_of(time_s))
+    @property
+    def jitter_db(self) -> np.ndarray:
+        return self._normal[self.slot - self.first, 0]
 
-    def link_snr_array(self, distances_km: np.ndarray, time_s: float) -> np.ndarray:
-        self._ensure_time(time_s)
-        return self.snr_now(distances_km)
+    @property
+    def fast_db(self) -> np.ndarray:
+        return self._normal[self.slot - self.first, 1]
+
+    @property
+    def available(self) -> np.ndarray:
+        """Availability flags for this slot in edge-list order (read-only)."""
+        return self._available[self.slot - self.first]
 
     def snr_now(self, distances_km: np.ndarray) -> np.ndarray:
-        """Per-link SNR (dB) in the channel's current slot: pathloss baseline
-        plus slow jitter plus fast perturbation.  Draws nothing."""
-        return self._pathloss_snr(np.asarray(distances_km)) + self.jitter_db + self.fast_db
+        """Per-link SNR (dB) in the channel's current slot.  Draws nothing."""
+        return self.snr_rows(distances_km, self.slot - self.first)
+
+    def snr_rows(self, distances_km: np.ndarray, rows) -> np.ndarray:
+        """Per-link SNR (dB) in the drawn block's slots ``rows`` (an index
+        or slice from slot ``first``): pathloss baseline plus slow jitter
+        plus fast perturbation, one row per slot.  Draws nothing."""
+        return self._pathloss_snr(distances_km) + self._normal[rows, 0] + self._normal[rows, 1]
+
+    def available_rows(self, rows) -> np.ndarray:
+        """Availability flags of the drawn block's slots ``rows``."""
+        return self._available[rows]
 
     def _pathloss_snr(self, distance_km):
         cfg = self.cfg
@@ -114,8 +168,3 @@ class ChannelModel:
 
     def rate_array(self, snr_db: np.ndarray) -> np.ndarray:
         return link_rate(snr_db, self.cfg.bandwidth_hz)
-
-    def availability(self, time_s: float) -> np.ndarray:
-        """Availability flags for this slot in edge-list order (read-only)."""
-        self._ensure_time(time_s)
-        return self.available

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .channel import SLOT_BLOCK
+
 MU_EARTH_KM3_S2 = 398600.4418
 EARTH_RADIUS_KM = 6371.0
 
@@ -199,18 +201,53 @@ class Constellation:
         ]
         self._port_dst = cells.reshape(cfg.num_sats, NUM_PORTS)
         self._port_dst.flags.writeable = False
+        # The slot state of the block last read, and the (channel, first
+        # slot) of the drawn rows it was computed from.
+        self._block: tuple | None = None
+        self._block_of: tuple | None = None
 
     def positions_at(self, time_s: float) -> np.ndarray:
         """ECI positions (N, 3) in km at a given time."""
+        return self._positions(np.array([time_s]))[0]
+
+    def _positions(self, times: np.ndarray) -> np.ndarray:
+        """ECI positions (R, N, 3) in km at each of ``times``."""
         cfg = self.cfg
-        u = self._phase0 + cfg.mean_motion_rad_s * time_s
+        u = self._phase0 + (cfg.mean_motion_rad_s * times)[:, None]
         r = cfg.orbit_radius_km
         cu, su = np.cos(u), np.sin(u)
-        pos = np.empty((len(u), 3))
-        pos[:, 0] = r * (self._cr * cu - self._srci * su)
-        pos[:, 1] = r * (self._sr * cu + self._crci * su)
-        pos[:, 2] = r * (self._si * su)
+        pos = np.empty(u.shape + (3,))
+        pos[..., 0] = r * (self._cr * cu - self._srci * su)
+        pos[..., 1] = r * (self._sr * cu + self._crci * su)
+        pos[..., 2] = r * (self._si * su)
         return pos
+
+    def _slot_state(self, times: np.ndarray, channel=None, rows=slice(None)) -> tuple:
+        """Slot state at each of ``times``, one numpy pass per quantity over
+        a leading slot axis: per time, the (N, 3) positions, the (3, N,
+        NUM_PORTS) lengths, SNRs and rates (NaN where a port is absent) and
+        the (N, NUM_PORTS) availability flags.
+
+        With a channel, ``rows`` selects the channel's drawn slots that
+        ``times`` stand for; without one every grid link is up and SNR and
+        rate are NaN.
+        """
+        positions = self._positions(times)
+        delta = positions.take(self._edge_src, axis=1) - positions.take(self._edge_dst, axis=1)
+        # sqrt of vecdot rounds exactly like a per-vector np.linalg.norm.
+        dists = np.sqrt(np.vecdot(delta, delta))
+        r, n, cells = len(times), self.cfg.num_sats, self._edge_cell
+        table = np.full((r, 3, n * NUM_PORTS), math.nan)
+        avail = np.zeros((r, n * NUM_PORTS), dtype=bool)
+        table[:, 0, cells] = dists
+        if channel is not None:
+            snrs = channel.snr_rows(dists, rows)
+            table[:, 1, cells] = snrs
+            table[:, 2, cells] = channel.rate_array(snrs)
+            avail[:, cells] = channel.available_rows(rows)
+        else:
+            avail[:, cells] = True
+        return positions, table.reshape(r, 3, n, NUM_PORTS), avail.reshape(r, n, NUM_PORTS)
 
     def snapshot(self, time_s: float, channel=None) -> GraphSnapshot:
         """Build the connectivity graph for the slot containing ``time_s``.
@@ -220,34 +257,45 @@ class Constellation:
         the channel's state, after one ``advance_to_slot`` to the slot
         (several slots at once if the channel is behind).  The channel must
         have been built on ``edge_index``.
+
+        On the slot grid (``time_s == slot * slot_length_s``) the first read
+        of a block the channel has drawn computes the slot state of all its
+        ``SLOT_BLOCK`` slots, kept until a read from another block or
+        ``release_slot_state``; the snapshot's arrays are views of its slot's
+        row.  An off-grid or channel-less snapshot is the one-row case of
+        the same computation.
         """
         if time_s < 0:
             raise ValueError("time_s must be >= 0")
-        positions = self.positions_at(time_s)
-        delta = positions.take(self._edge_src, axis=0) - positions.take(self._edge_dst, axis=0)
-        # sqrt of vecdot rounds exactly like a per-vector np.linalg.norm.
-        dists = np.sqrt(np.vecdot(delta, delta))
-        n, cells = self.cfg.num_sats, self._edge_cell
-        # Rows dist_km, snr_db, rate_bps; NaN where a port is absent.
-        table = np.full((3, n * NUM_PORTS), math.nan)
-        avail = np.zeros(n * NUM_PORTS, dtype=bool)
-        if channel is not None:
-            slot = channel.slot_of(time_s)
-            channel.advance_to_slot(slot)
-            snrs = channel.snr_now(dists)
-            table[:, cells] = (dists, snrs, channel.rate_array(snrs))
-            avail[cells] = channel.available
-        else:
-            slot = 0
-            table[0, cells] = dists
-            avail[cells] = True
-        dist_km, snr_db, rate_bps = table.reshape(3, n, NUM_PORTS)
+        if channel is None:
+            return self._row_snapshot(self._slot_state(np.array([time_s])), 0, time_s, 0)
+        slot = channel.slot_of(time_s)
+        channel.advance_to_slot(slot)
+        k = slot - channel.first
+        if time_s != slot * channel.slot_length_s:
+            state = self._slot_state(np.array([time_s]), channel, slice(k, k + 1))
+            return self._row_snapshot(state, 0, time_s, slot)
+        if self._block_of != (channel, channel.first):
+            first = channel.first
+            self._block = self._slot_state(
+                np.arange(first, first + SLOT_BLOCK) * channel.slot_length_s, channel)
+            self._block_of = (channel, first)
+        return self._row_snapshot(self._block, k, time_s, slot)
+
+    def release_slot_state(self) -> None:
+        """Drop the kept block of slot state; the next snapshot rebuilds it
+        from the channel's drawn rows."""
+        self._block = self._block_of = None
+
+    def _row_snapshot(self, state: tuple, k: int, time_s: float, slot: int) -> GraphSnapshot:
+        positions, table, avail = state
+        dist_km, snr_db, rate_bps = table[k]
         return GraphSnapshot(
             time_s=time_s,
             slot=slot,
-            positions=positions,
+            positions=positions[k],
             dst=self._port_dst,
-            avail=avail.reshape(n, NUM_PORTS),
+            avail=avail[k],
             dist_km=dist_km,
             snr_db=snr_db,
             rate_bps=rate_bps,

@@ -156,11 +156,7 @@ class QualityProxyConfig:
 @dataclass(frozen=True)
 class PayloadPlan:
     payload_bytes: int
-    chunk_sizes: tuple[int, ...]
-
-    @property
-    def num_chunks(self) -> int:
-        return len(self.chunk_sizes)
+    num_chunks: int
 
 
 def packetize(latent_bytes: int, budget_c: int, chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> PayloadPlan:
@@ -177,13 +173,7 @@ def packetize(latent_bytes: int, budget_c: int, chunk_bytes: int = DEFAULT_CHUNK
     if chunk_bytes <= 0:
         raise ValueError("chunk_bytes must be > 0")
     payload = (latent_bytes * budget_c) // BUDGET_MAX
-    if payload == 0:
-        return PayloadPlan(payload_bytes=0, chunk_sizes=())
-    n_full, rest = divmod(payload, chunk_bytes)
-    sizes = [chunk_bytes] * n_full
-    if rest:
-        sizes.append(rest)
-    return PayloadPlan(payload_bytes=payload, chunk_sizes=tuple(sizes))
+    return PayloadPlan(payload_bytes=payload, num_chunks=-(-payload // chunk_bytes))
 
 
 def noise_factor(link_snr_db: float, cfg: QualityProxyConfig) -> float:
@@ -242,7 +232,7 @@ def quality(state: SemanticState, cfg: QualityProxyConfig) -> float:
             cfg.snr_slope_per_db * (state.min_link_snr_db - cfg.snr_midpoint_db)
         )
     q = base * math.exp(-state.accum_distortion) * (1.0 - cfg.requant_penalty) ** state.quant_penalties
-    return float(np.clip(q, 0.0, 1.0))
+    return min(max(q, 0.0), 1.0)
 
 
 def _sigmoid(x: float) -> float:

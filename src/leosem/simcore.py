@@ -314,6 +314,11 @@ class Engine:
             self.now_s = max(self.now_s, horizon_s)
         if self.collect_queue_log:
             self._flush_slot_rows()
+        # A finished run keeps no slot state: the engines an evaluation
+        # returns would each hold a block.  A resumed run or a later read
+        # rebuilds it from the channel's drawn rows, to the same values.
+        self._snapshot = None
+        self.constellation.release_slot_state()
 
     def _dispatch(self, item) -> None:
         kind = item[0]
@@ -338,9 +343,11 @@ class Engine:
         """The graph of the current slot, built on its first read in the slot.
 
         ``Constellation.snapshot`` advances the channel to the slot in one
-        ``advance_to_slot`` call; slots nobody reads are never built.  The
-        channel still draws every slot in order, so each snapshot holds the
-        same values as one built at the slot boundary.
+        ``advance_to_slot`` call and returns views of the slot's row of a
+        block of ``SLOT_BLOCK`` slots, whose state it computes on the
+        block's first read; slots nobody reads cost only their share of
+        that pass.  The channel draws every slot in order, so each snapshot
+        holds the same values as one built alone at the slot boundary.
         """
         if self._snapshot is None:
             self._snapshot = self.constellation.snapshot(

@@ -47,8 +47,9 @@ def snapshot(con, time_s, channel=None) -> RefSnapshot:
     )
     if channel is not None:
         # The channel is built on ``con.edge_index``: its arrays follow that order.
-        avail = channel.availability(time_s)
-        snrs = channel.link_snr_array(dists, time_s)
+        channel.advance_to_slot(channel.slot_of(time_s))
+        avail = channel.available
+        snrs = channel.snr_now(dists)
         rates = channel.rate_array(snrs)
     else:
         avail = np.ones(len(con.edge_index), dtype=bool)

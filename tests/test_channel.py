@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from leosem.channel import ChannelConfig, ChannelModel, link_rate
+from leosem.channel import SLOT_BLOCK, ChannelConfig, ChannelModel, link_rate
 
 EDGES = [(0, 1), (1, 0), (1, 2), (2, 1)]
 
@@ -36,7 +36,8 @@ def test_rate_monotone_in_snr():
 def test_reference_distance_gives_base_snr():
     ch = make_channel(fast_std_db=0.0, jitter_amplitude_db=0.0, base_snr_db=25.0,
                       reference_distance_km=1000.0)
-    snr = ch.link_snr_array(np.full(len(EDGES), 1000.0), 0.0)
+    ch.advance_to_slot(0)
+    snr = ch.snr_now(np.full(len(EDGES), 1000.0))
     assert snr == pytest.approx([25.0] * len(EDGES), abs=1e-12)
 
 
@@ -86,7 +87,7 @@ def test_failure_rate_zero_all_available():
     ch = make_channel(failure_rate=0.0)
     for slot in range(50):
         ch.advance_to_slot(slot)
-        assert ch.availability(slot * 0.1).all()
+        assert ch.available.all()
 
 
 def test_failure_fraction_matches_rate():
@@ -94,7 +95,7 @@ def test_failure_fraction_matches_rate():
     down = total = 0
     for slot in range(25_000):
         ch.advance_to_slot(slot)
-        flags = ch.availability(slot * 0.1)
+        flags = ch.available
         down += int((~flags).sum())
         total += len(flags)
     assert total == 100_000
@@ -124,5 +125,55 @@ def test_pathloss_slope():
                       pathloss_exponent=2.0, base_snr_db=20.0,
                       reference_distance_km=1000.0)
     # Doubling the distance at exponent 2 costs 20*log10(2) ~ 6.02 dB.
-    s1, s2, _, _ = ch.link_snr_array(np.array([1000.0, 2000.0, 1000.0, 1000.0]), 0.0)
+    ch.advance_to_slot(0)
+    s1, s2, _, _ = ch.snr_now(np.array([1000.0, 2000.0, 1000.0, 1000.0]))
     assert s1 - s2 == pytest.approx(20.0 * math.log10(2.0), abs=1e-12)
+
+
+class SlotBySlotChannel:
+    """The channel drawn one slot at a time: the draw order of the contract."""
+
+    def __init__(self, cfg: ChannelConfig, n: int, slot_length_s: float):
+        self.cfg, self.n = cfg, n
+        self.rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+        self.rho = math.exp(-slot_length_s / cfg.correlation_horizon_s)
+        jitter_std = cfg.jitter_amplitude_db / 2.0
+        self.innov_std = jitter_std * math.sqrt(max(0.0, 1.0 - self.rho**2))
+        self.slot = 0
+        self.jitter_db = self.clamp(self.rng.normal(0.0, jitter_std, size=n))
+        self.fast_db = self.rng.normal(0.0, cfg.fast_std_db, size=n)
+        self.available = self.rng.random(n) >= cfg.failure_rate
+
+    def clamp(self, x):
+        a = self.cfg.jitter_amplitude_db
+        return np.minimum(np.maximum(x, -a), a)
+
+    def advance_to_slot(self, slot):
+        while self.slot < slot:
+            self.jitter_db = self.clamp(
+                self.rho * self.jitter_db + self.rng.normal(0.0, self.innov_std, size=self.n))
+            self.fast_db = self.rng.normal(0.0, self.cfg.fast_std_db, size=self.n)
+            self.available = self.rng.random(self.n) >= self.cfg.failure_rate
+            self.slot += 1
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(seed=3), dict(seed=4, fast_std_db=0.0), dict(seed=5, jitter_amplitude_db=0.0),
+    dict(seed=6, failure_rate=1.0, correlation_horizon_s=0.05), dict(seed=7, failure_rate=0.0),
+])
+@pytest.mark.parametrize("links", [0, 4, 36, 280])
+def test_block_draws_equal_slot_by_slot_draws(kwargs, links):
+    cfg = ChannelConfig(**kwargs)
+    ch, want = ChannelModel(cfg, [None] * links, 0.1), SlotBySlotChannel(cfg, links, 0.1)
+    d = np.linspace(400.0, 5000.0, links)
+    # Within a block, on its last slot and the next block's first, and
+    # jumps over several blocks at once.
+    for slot in (0, 0, 1, 7, 15, 16, 17, 31, 32, 100, 101, 250, 251, 252):
+        ch.advance_to_slot(slot)
+        want.advance_to_slot(slot)
+        assert ch.slot == slot and ch.first <= slot < ch.first + SLOT_BLOCK
+        for name in ("jitter_db", "fast_db", "available"):
+            assert getattr(ch, name).tobytes() == getattr(want, name).tobytes(), (name, slot)
+        pathloss = cfg.base_snr_db - 10.0 * cfg.pathloss_exponent * np.log10(
+            d / cfg.reference_distance_km)
+        assert ch.snr_now(d).tobytes() == (pathloss + want.jitter_db + want.fast_db).tobytes()

@@ -118,3 +118,52 @@ def test_add_reduceat_adds_first_value_to_the_sum_of_the_rest():
         "np.add.reduceat no longer adds a segment's first value to the left-to-right " \
         "sum of the rest"
     assert first_plus_rest != left_to_right  # the data tells the orders apart
+
+
+# Slot state is computed for a block of slots at once, one ufunc call per
+# quantity over a leading slot axis; a snapshot reads one row.  The bits
+# hold only if each elementwise call rounds a value the same whatever the
+# array's shape and the value's place in it (SIMD body or tail).
+ROW_UFUNCS = {
+    "np.cos": (np.cos, (-10.0, 1e4)),
+    "np.sin": (np.sin, (-10.0, 1e4)),
+    "np.log10": (np.log10, (1e-3, 1e4)),
+    "10.0 ** x": (lambda x: 10.0 ** x, (-30.0, 30.0)),
+    "np.log2": (np.log2, (1.0, 1e7)),
+    "np.sqrt": (np.sqrt, (0.0, 1e14)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_UFUNCS))
+def test_elementwise_call_gives_a_block_row_the_bits_of_the_row_alone(name):
+    func, (lo, hi) = ROW_UFUNCS[name]
+    rng = np.random.default_rng(31)
+    for cols in (1, 3, 7, 9, 36, 70, 97, 280):
+        block = rng.uniform(lo, hi, (16, cols))
+        whole = func(block)
+        for k in range(len(block)):
+            alone, one_row = func(block[k].copy()), func(block[k:k + 1].copy())
+            assert whole[k].tobytes() == alone.tobytes() == one_row[0].tobytes(), \
+                f"{name} rounds row {k} of a (16, {cols}) array differently from the row alone"
+
+
+def test_vecdot_gives_a_block_row_the_bits_of_the_row_alone():
+    rng = np.random.default_rng(37)
+    for links in (1, 4, 9, 36, 280):
+        delta = rng.normal(size=(16, links, 3)) * 10.0 ** rng.integers(-3, 5, (16, links, 1))
+        whole = np.vecdot(delta, delta)
+        for k in range(len(delta)):
+            alone = np.vecdot(delta[k].copy(), delta[k].copy())
+            assert whole[k].tobytes() == alone.tobytes(), \
+                f"np.vecdot rounds row {k} of a (16, {links}, 3) array differently from the row alone"
+
+
+@pytest.mark.parametrize("slot_length_s", [0.1, 0.05, 0.25, 1.0 / 3.0, 0.001, 0.7])
+def test_block_times_equal_the_engines_slot_times(slot_length_s):
+    # The engine reads slot ``slot`` at ``slot * slot_length_s`` (Python int
+    # times float); a block's times are np.arange(first, first + K) times
+    # the same float, so each must be the same double.
+    for first in list(range(0, 2000, 16)) + [16 * 62_500, 16 * 4_000_000]:
+        times = (np.arange(first, first + 16) * slot_length_s).tolist()
+        assert times == [slot * slot_length_s for slot in range(first, first + 16)], \
+            f"np.arange({first}, {first + 16}) * {slot_length_s} differs from slot * slot_length_s"

