@@ -78,7 +78,9 @@ class GraphSnapshot:
     an absent port), and ``dist_km``, ``snr_db`` and ``rate_bps`` carry its
     geometry and channel state (NaN for an absent port; SNR and rate are
     NaN throughout a snapshot built without a channel).  The arrays are
-    shared with whoever reads the snapshot and must not be written to.
+    views of the slot's row of a block of slot state (see
+    ``Constellation.snapshot``), shared with whoever reads the snapshot, and
+    must not be written to.
 
     Per-event readers take link lengths from ``link_km()``, a flat Python
     list built once per slot.  ``distance_km`` computes the one pair it is

@@ -6,7 +6,6 @@ import gc
 import weakref
 
 import numpy as np
-import pytest
 import reference_observe as ref
 
 from leosem import experiment, simcore
@@ -16,8 +15,6 @@ from leosem.channel import SLOT_BLOCK, ChannelConfig, ChannelModel
 from leosem.config import default_config, tiny_config
 from leosem.constellation import Constellation, ConstellationConfig, build_constellation
 from leosem.policy import PolicyConfig, init_policy_params
-
-FIELDS = ("positions", "dst", "avail", "dist_km", "snr_db", "rate_bps")
 
 
 def busy_config():
@@ -40,7 +37,9 @@ def test_block_rows_equal_one_row_builds_on_and_off_the_grid():
     con = build_constellation(ConstellationConfig(num_planes=4, sats_per_plane=5))
     mine, theirs = (ChannelModel(ChannelConfig(failure_rate=0.2, seed=9), con.edge_index, 0.1)
                     for _ in range(2))
-    times = [0.0, 0.1, 0.15, 1.5, 1.6, 1.63, 1.7, 3.1, 3.2, 9.9, 40.0, 40.04, 41.5]
+    on_grid = [slot * 0.1 for slot in (0, 1, 15, 16, 17, 31, 32, 99, 400, 415)]
+    times = sorted(on_grid + [0.15, 1.63, 3.33, 40.04, 41.55])
+    assert all(t != mine.slot_of(t) * 0.1 for t in times if t not in on_grid)
     for t in times:
         snap, want = con.snapshot(t, mine), ref.snapshot(con, t, theirs)
         assert snap.positions.tobytes() == want.positions.tobytes()
@@ -84,7 +83,7 @@ def test_run_resumed_across_block_boundaries_replays_the_log(monkeypatch):
 
 
 def test_finished_run_keeps_no_slot_block(monkeypatch):
-    # A block is about 0.3 MiB on the 10x7 shell; an evaluation keeps
+    # A block is about 140 KB on the 10x7 shell; an evaluation keeps
     # every engine, so a block kept past ``run`` would add up.
     made = []
     original = Constellation._slot_state
