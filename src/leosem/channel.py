@@ -69,6 +69,11 @@ class ChannelModel:
     ``available`` are the cursor slot's rows.  Querying an earlier slot
     than the current one is an error, querying the current slot is
     idempotent.
+
+    ``release_rows`` drops the drawn rows and keeps what they were drawn
+    from: the generator state at the block's start and the jitter row of
+    the slot before it.  The next ``advance_to_slot`` draws the block again
+    from there, to the same bits, before it moves on.
     """
 
     def __init__(self, cfg: ChannelConfig, edges, slot_length_s: float = 0.1):
@@ -84,10 +89,22 @@ class ChannelModel:
         self._innov_std = self._jitter_std * math.sqrt(max(0.0, 1.0 - self._rho**2))
         self.slot = 0
         self.first = -SLOT_BLOCK
-        self._draw_block()
+        self._normal = self._available = None
+        self._next_block()
 
-    def _draw_block(self) -> None:
-        """Draw the ``SLOT_BLOCK`` slots after the drawn ones.
+    def _next_block(self) -> None:
+        """Draw the ``SLOT_BLOCK`` slots after the drawn ones, saving the
+        generator state and jitter row they start from."""
+        # A copy: a view would keep the whole previous block alive.
+        prev = None if self._normal is None else self._normal[-1, 0].copy()
+        self.first += SLOT_BLOCK
+        self._block_start = (self._rng.bit_generator.state, prev)
+        self._draw_block(prev)
+
+    def _draw_block(self, prev: np.ndarray | None) -> None:
+        """Draw the rows of the block at ``first`` from the generator's
+        current state; ``prev`` is the jitter row of the slot before it
+        (None before slot 0).
 
         Each slot takes one standard-normal draw for its jitter innovation
         and fast term together, then one uniform draw for its failure
@@ -103,17 +120,15 @@ class ChannelModel:
         # Generator.normal(0.0, s) returns 0.0 + s * z for its standard
         # draws z, so scaling these gives its bits.  Slot 0 draws the
         # stationary jitter instead of an innovation.
-        first_block = self.first < 0
         std = np.empty((k_max, 2, 1))
         std[:, 0] = self._innov_std
         std[:, 1] = self.cfg.fast_std_db
-        if first_block:
+        if prev is None:
             std[0, 0] = self._jitter_std
         normal *= std
         normal += 0.0
         # The AR(1) recursion runs slot by slot: clamp(rho * prev + innovation).
         a = self.cfg.jitter_amplitude_db
-        prev = None if first_block else self._normal[-1, 0]
         for row in normal[:, 0]:
             if prev is not None:
                 row += self._rho * prev
@@ -121,7 +136,10 @@ class ChannelModel:
             prev = row
         self._normal = normal
         self._available = uniform >= self.cfg.failure_rate
-        self.first += k_max
+
+    def release_rows(self) -> None:
+        """Drop the drawn rows; the next ``advance_to_slot`` draws them again."""
+        self._normal = self._available = None
 
     def slot_of(self, time_s: float) -> int:
         return int(math.floor(time_s / self.slot_length_s + 1e-9))
@@ -130,8 +148,12 @@ class ChannelModel:
         if slot < self.slot:
             raise ValueError(f"channel already at slot {self.slot}, cannot rewind to {slot}")
         self.slot = slot
+        if self._normal is None:
+            state, prev = self._block_start
+            self._rng.bit_generator.state = state
+            self._draw_block(prev)
         while slot >= self.first + SLOT_BLOCK:
-            self._draw_block()
+            self._next_block()
 
     @property
     def jitter_db(self) -> np.ndarray:

@@ -168,6 +168,19 @@ def _reverse_ports(p: int, s: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(map(tuple, rev))
 
 
+@functools.cache
+def _edge_index(p: int, s: int) -> tuple[tuple[int, int, int], ...]:
+    """The directed links of a ``p`` x ``s`` +Grid shell as ``(src, dst,
+    port)``, in cell (that is, (src, port)) order.
+
+    Built once per shell shape and shared by every constellation of that
+    shape; this order is the contract the channel model uses for its
+    per-link state arrays.
+    """
+    return tuple((cell // NUM_PORTS, dst, cell % NUM_PORTS)
+                 for cell, dst in enumerate(_port_cells(p, s)) if dst >= 0)
+
+
 class Constellation:
     """Walker shell with a fixed +Grid port table and circular-orbit motion."""
 
@@ -192,15 +205,10 @@ class Constellation:
         self.dst_cells = _port_cells(p, s)
         self._in_ports = _reverse_ports(p, s)
         cells = np.array(self.dst_cells, dtype=np.int64)
-        # Directed links in cell order, that is (node, port) order; this
-        # ordering is the contract the channel model uses for its per-link
-        # state arrays.
+        # Directed links in cell order, as ``edge_index`` lists them.
         self._edge_cell = np.flatnonzero(cells >= 0)
         self._edge_src, self._edge_dst = self._edge_cell // NUM_PORTS, cells[self._edge_cell]
-        self.edge_index: list[tuple[int, int, int]] = [
-            (cell // NUM_PORTS, dst, cell % NUM_PORTS)
-            for cell, dst in enumerate(self.dst_cells) if dst >= 0
-        ]
+        self.edge_index = _edge_index(p, s)
         self._port_dst = cells.reshape(cfg.num_sats, NUM_PORTS)
         self._port_dst.flags.writeable = False
         # The slot state of the block last read, and the (channel, first

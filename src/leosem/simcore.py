@@ -25,7 +25,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,7 +95,7 @@ class _Burst:
     frozen_snr_db: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class ActiveSession:
     session_id: int
     flow_id: int
@@ -212,8 +211,10 @@ class Engine:
         # Every link is addressed by its cell ``node * NUM_PORTS + port``.
         # Per cell, the FIFO of chunk groups waiting for the port (None where
         # the shell has no such port) and whether the port is transmitting.
-        self.queues: list[deque[_Burst] | None] = [
-            deque() if dst >= 0 else None for dst in constellation.dst_cells]
+        # A queue holds a few groups at most, so a list's ``pop(0)`` is
+        # cheap, and an empty list is a tenth of an empty deque's size.
+        self.queues: list[list[_Burst] | None] = [
+            [] if dst >= 0 else None for dst in constellation.dst_cells]
         self._busy = [False] * len(self.queues)
         # Chunks held by each send queue; ``_occ`` is a view of it by cell.
         n = constellation.cfg.num_sats
@@ -239,11 +240,13 @@ class Engine:
         self.sessions_resolved = 0
 
         # Per-slot queue-law counts; only the queue log reads them, so they
-        # are kept only while it is collected.
+        # exist only while it is collected.
         self.queue_log: list[QueueLawRow] = []
-        self._slot_arrivals = np.zeros(n * NUM_PORTS, dtype=np.int64)
-        self._slot_departures = np.zeros(n * NUM_PORTS, dtype=np.int64)
-        self._q_at_slot_start = self._occ.copy()
+        self._slot_arrivals = self._slot_departures = self._q_at_slot_start = None
+        if collect_queue_log:
+            self._slot_arrivals = np.zeros(n * NUM_PORTS, dtype=np.int64)
+            self._slot_departures = np.zeros(n * NUM_PORTS, dtype=np.int64)
+            self._q_at_slot_start = self._occ.copy()
 
         self._push(self.slot_length_s, _EV_SLOT, ("slot", 1))
 
@@ -272,10 +275,6 @@ class Engine:
         self.sessions[sid] = session
         self._push(spawn_s, _EV_OTHER, ("spawn", sid))
         return sid
-
-    @property
-    def all_resolved(self) -> bool:
-        return self.sessions_resolved == len(self.sessions)
 
     def unresolved_sessions(self) -> list[ActiveSession]:
         return [s for s in self.sessions.values() if not s.resolved]
@@ -314,11 +313,13 @@ class Engine:
             self.now_s = max(self.now_s, horizon_s)
         if self.collect_queue_log:
             self._flush_slot_rows()
-        # A finished run keeps no slot state: the engines an evaluation
-        # returns would each hold a block.  A resumed run or a later read
-        # rebuilds it from the channel's drawn rows, to the same values.
+        # A finished run keeps no slot state and no drawn channel rows: the
+        # engines an evaluation returns would each hold a block of both.  A
+        # resumed run or a later read draws the rows again from the saved
+        # generator state and rebuilds the block, to the same bits.
         self._snapshot = None
         self.constellation.release_slot_state()
+        self.channel.release_rows()
 
     def _dispatch(self, item) -> None:
         kind = item[0]
@@ -515,7 +516,7 @@ class Engine:
             self._waiting.add(cell)
             return  # link down: stalled; re-checked at the next slot boundary
         self._waiting.discard(cell)
-        queue.popleft()
+        queue.pop(0)
         self._occ[cell] -= burst.num_chunks
         if self.collect_queue_log:
             self._slot_departures[cell] += burst.num_chunks

@@ -39,6 +39,21 @@ def test_two_by_two_adjacency_by_hand():
     assert dst[0].tolist() == [1, -1, 2, -1]
 
 
+def test_constellations_of_one_shape_share_one_edge_index():
+    # The link list is a per-shape constant; a copy per constellation cost
+    # about 17.5 KiB on the 10x7 shell, and every episode builds one.
+    a, b = (build_constellation(ConstellationConfig(num_planes=10, sats_per_plane=7, altitude_km=h))
+            for h in (570.0, 800.0))
+    assert a.edge_index is b.edge_index and isinstance(a.edge_index, tuple)
+    assert len(a.edge_index) == 280
+    dst = a.snapshot(0.0).dst
+    assert list(a.edge_index) == [(src, int(dst[src, port]), port)
+                                  for src in range(70) for port in range(4)]
+    other = build_constellation(ConstellationConfig(num_planes=2, sats_per_plane=2))
+    assert other.edge_index == ((0, 1, 0), (0, 2, 2), (1, 0, 0), (1, 3, 2),
+                                (2, 3, 0), (2, 0, 2), (3, 2, 0), (3, 1, 2))
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(num_planes=0), dict(sats_per_plane=0),
     dict(altitude_km=0.0), dict(inclination_deg=200.0),

@@ -93,8 +93,8 @@ def test_waiting_queues_replay_the_full_queue_walk(monkeypatch):
             [dataclasses.asdict(o) for o in walk.outcomes]
         assert engine.counters == walk.counters
         assert sum(e["ev"] == "service_start" for e in events) > 50
-        # Without a queue log the per-slot queue-law counts are never touched.
-        assert not engine._slot_arrivals.any() and not engine._slot_departures.any()
+        # Without a queue log the per-slot queue-law counts do not exist.
+        assert engine._slot_arrivals is engine._slot_departures is None
 
 
 def test_queue_log_matches_with_lazy_slot_state(monkeypatch):

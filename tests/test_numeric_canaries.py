@@ -147,6 +147,21 @@ def test_elementwise_call_gives_a_block_row_the_bits_of_the_row_alone(name):
                 f"{name} rounds row {k} of a (16, {cols}) array differently from the row alone"
 
 
+@pytest.mark.parametrize("shape", [(16, 9), (128, 9), (16, 36), (5, 64), (128, 64)])
+def test_exp_gives_a_batch_row_the_bits_of_the_row_alone(shape):
+    # policy.act exponentiates one state's logits and scores as a list of
+    # floats; the batched forward exponentiates the (B, K) array at once.
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        batch = rng.uniform(-40.0, 10.0, shape) * 10.0 ** rng.integers(-3, 1, (shape[0], 1))
+        whole = np.exp(batch)
+        for k, row in enumerate(batch):
+            alone, listed, one_row = np.exp(row.copy()), np.exp(row.tolist()), np.exp(batch[k:k + 1])
+            assert whole[k].tobytes() == alone.tobytes() == listed.tobytes() \
+                == one_row[0].tobytes(), \
+                f"np.exp rounds row {k} of a {shape} array differently from the row alone"
+
+
 def test_vecdot_gives_a_block_row_the_bits_of_the_row_alone():
     rng = np.random.default_rng(37)
     for links in (1, 4, 9, 36, 280):

@@ -1,8 +1,10 @@
 """Slot state a block of slots at a time: a block's row is the slot's state
 built alone, a run that stops and resumes across block boundaries replays
-the uninterrupted event log, and a finished run keeps no block."""
+the uninterrupted event log, and a finished run keeps no block, no drawn
+channel rows and little else besides its results."""
 import dataclasses
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -56,7 +58,8 @@ def test_block_rows_equal_one_row_builds_on_and_off_the_grid():
 
 def test_run_resumed_across_block_boundaries_replays_the_log(monkeypatch):
     # Stops mid-block, on a block's last slot, on a boundary and two blocks
-    # on; each stop drops the slot state and the resumed run rebuilds it.
+    # on; each stop drops the slot state and the channel's drawn rows, and
+    # the resumed run draws the rows again and rebuilds the state.
     stops = [1.05, 1.55, 1.6, 3.3, 3.35]
     assert SLOT_BLOCK * 0.1 == 1.6
     original = simcore.Engine.run
@@ -64,6 +67,7 @@ def test_run_resumed_across_block_boundaries_replays_the_log(monkeypatch):
     def stepped(engine, horizon_s):
         for stop in stops:
             original(engine, stop)
+            assert engine.channel._normal is None and engine.channel._available is None
         original(engine, horizon_s)
 
     for cfg in (tiny_config(0), busy_config()):
@@ -83,24 +87,62 @@ def test_run_resumed_across_block_boundaries_replays_the_log(monkeypatch):
 
 
 def test_finished_run_keeps_no_slot_block(monkeypatch):
-    # A block is about 140 KB on the 10x7 shell; an evaluation keeps
-    # every engine, so a block kept past ``run`` would add up.
-    made = []
-    original = Constellation._slot_state
+    # A block of slot state is about 140 KB on the 10x7 shell and a block of
+    # drawn channel rows about 76 KB; an evaluation keeps every engine, so a
+    # block kept past ``run`` would add up.
+    made, drawn = [], []
+    original_state, original_draw = Constellation._slot_state, ChannelModel._draw_block
 
-    def tracked(con, *args, **kwargs):
-        positions, table, avail = state = original(con, *args, **kwargs)
+    def tracked_state(con, *args, **kwargs):
+        positions, table, avail = state = original_state(con, *args, **kwargs)
         made.append([weakref.ref(x) for x in (positions, table.base, avail.base)])
         return state
 
-    monkeypatch.setattr(Constellation, "_slot_state", tracked)
+    def tracked_draw(channel, prev):
+        original_draw(channel, prev)
+        drawn.append([weakref.ref(channel._normal), weakref.ref(channel._available)])
+
+    monkeypatch.setattr(Constellation, "_slot_state", tracked_state)
+    monkeypatch.setattr(ChannelModel, "_draw_block", tracked_draw)
     for cfg in (tiny_config(1), busy_config()):
         for controller in controllers(cfg):
             made.clear()
+            drawn.clear()
             engine = experiment.run_episode(cfg, 0, controller, hooks=[])
             gc.collect()
-            assert len(made) > 2
-            assert all(ref() is None for refs in made for ref in refs)
-            # A later read rebuilds the last slot's state from the channel.
-            built = len(made)
-            assert engine.snapshot.slot == engine.slot and len(made) == built + 1
+            channel = engine.channel
+            assert len(made) > 2 and len(drawn) > 2
+            assert channel._normal is None and channel._available is None
+            assert all(ref() is None for refs in made + drawn for ref in refs)
+            # A later read draws the last block of rows again, to the bytes
+            # of a channel that never released them, and builds its state.
+            built, redrawn = len(made), len(drawn)
+            assert engine.snapshot.slot == engine.slot
+            assert (len(made), len(drawn)) == (built + 1, redrawn + 1)
+            twin = ChannelModel(channel.cfg, engine.constellation.edge_index,
+                                channel.slot_length_s)
+            twin.advance_to_slot(engine.slot)
+            assert channel.first == twin.first
+            assert channel._normal.tobytes() == twin._normal.tobytes()
+            assert channel._available.tobytes() == twin._available.tobytes()
+
+
+def test_finished_busy_engine_retains_under_320_kib():
+    # What an evaluation's engines keep once their episodes end: sessions,
+    # hop records and counters.  An engine retains about 205 KiB here, and
+    # about 500 KiB with an empty deque per port, its last block of slot
+    # state, its drawn channel rows and its own copy of the link list.
+    cfg = busy_config()
+    spec = BaselineSpec(kind="shortest_path")
+    experiment.evaluate(cfg, None, 1, baseline=spec)  # per-shape tables
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        engines = experiment.evaluate(cfg, None, 2, baseline=spec)[2]
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(engines) == 2 and all(e.sessions_resolved for e in engines)
+    assert retained / len(engines) < 320 * 1024, f"{retained / len(engines) / 1024:.0f} KiB"
