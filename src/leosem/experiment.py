@@ -97,7 +97,7 @@ def _tag_episode(trace, episode: int):
 
 
 def run_episode(cfg: ExperimentConfig, episode: int, controller, hooks,
-                trace=None, collect_queue_log: bool = False) -> Engine:
+                trace=None) -> Engine:
     """One seeded episode: build the world, spawn sessions, run to the end.
 
     Every trace event carries ``episode``: session ids and times restart in
@@ -117,7 +117,7 @@ def run_episode(cfg: ExperimentConfig, episode: int, controller, hooks,
         q_max=cfg.simulation.q_max_packets,
         ttl_hops=cfg.simulation.ttl_hops,
         relay_proc_delay_s=cfg.simulation.relay_proc_delay_s,
-        hooks=hooks, trace=trace, collect_queue_log=collect_queue_log,
+        hooks=hooks, trace=trace,
     )
     flow_rng = stream_rng(cfg.seed, _STREAM_FLOWS, episode)
     for flow_id, (src, dst) in enumerate(sample_flows(cfg, flow_rng)):
@@ -209,8 +209,7 @@ def train(cfg: ExperimentConfig, episodes: int | None = None,
 
 
 def evaluate(cfg: ExperimentConfig, params: PolicyParams | None, episodes: int,
-             baseline: BaselineSpec | None = None, trace=None,
-             collect_queue_log: bool = False
+             baseline: BaselineSpec | None = None, trace=None
              ) -> tuple[MetricsBundle, list[SessionRecord], list[Engine]]:
     """Greedy evaluation (or a baseline run) over paired seeded episodes."""
     _check_episodes(episodes)
@@ -225,8 +224,7 @@ def evaluate(cfg: ExperimentConfig, params: PolicyParams | None, episodes: int,
             controller = make_baseline_controller(
                 baseline, stream_rng(cfg.seed, _STREAM_BASELINE, ep), params=params)
         tracker = RewardTracker(cfg.reward, cfg.simulation.slot_length_s)
-        engine = run_episode(cfg, ep, controller, [tracker], trace=trace,
-                             collect_queue_log=collect_queue_log)
+        engine = run_episode(cfg, ep, controller, [tracker], trace=trace)
         records.extend(_episode_records(ep, engine, tracker))
         engines.append(engine)
     bundle = aggregate(records, cfg.delay_scale_s(), cfg.objective.lambda_delay,

@@ -165,17 +165,6 @@ class SimHooks:
 
 
 @dataclass
-class QueueLawRow:
-    slot: int
-    node: int
-    port: int
-    q_start: int
-    arrivals: int
-    departures: int
-    q_end: int
-
-
-@dataclass
 class EngineCounters:
     chunks_created: int = 0
     chunks_delivered: int = 0
@@ -194,7 +183,7 @@ class Engine:
                  relay_proc_delay_s: float = 0.005,
                  chunk_bytes: int = semantic.DEFAULT_CHUNK_BYTES,
                  hooks: list[SimHooks] | None = None,
-                 trace=None, collect_queue_log: bool = False):
+                 trace=None):
         self.constellation = constellation
         self.channel = channel
         self.controller = controller
@@ -206,7 +195,6 @@ class Engine:
         self.chunk_bytes = chunk_bytes
         self.hooks = hooks or []
         self.trace = trace
-        self.collect_queue_log = collect_queue_log
 
         # Every link is addressed by its cell ``node * NUM_PORTS + port``.
         # Per cell, the FIFO of chunk groups waiting for the port (None where
@@ -239,15 +227,6 @@ class Engine:
         self.counters = EngineCounters()
         self.sessions_resolved = 0
 
-        # Per-slot queue-law counts; only the queue log reads them, so they
-        # exist only while it is collected.
-        self.queue_log: list[QueueLawRow] = []
-        self._slot_arrivals = self._slot_departures = self._q_at_slot_start = None
-        if collect_queue_log:
-            self._slot_arrivals = np.zeros(n * NUM_PORTS, dtype=np.int64)
-            self._slot_departures = np.zeros(n * NUM_PORTS, dtype=np.int64)
-            self._q_at_slot_start = self._occ.copy()
-
         self._push(self.slot_length_s, _EV_SLOT, ("slot", 1))
 
     # ------------------------------------------------------------------
@@ -279,21 +258,11 @@ class Engine:
     def unresolved_sessions(self) -> list[ActiveSession]:
         return [s for s in self.sessions.values() if not s.resolved]
 
-    def advance(self, until_s: float) -> int:
-        """Process every event with timestamp <= until_s; returns the count."""
-        processed = 0
-        while self._heap and self._heap[0][0] <= until_s + 1e-12:
-            time_s, _, _, item = heapq.heappop(self._heap)
-            self.now_s = max(self.now_s, time_s)
-            self._dispatch(item)
-            processed += 1
-        self.now_s = max(self.now_s, until_s)
-        return processed
-
-    def run(self, horizon_s: float) -> None:
-        """Advance until the horizon, stopping early once every session ends."""
+    def advance(self, until_s: float) -> None:
+        """Process every event with timestamp <= until_s, stopping early
+        once every session has ended."""
         heap, pop = self._heap, heapq.heappop
-        limit = horizon_s + 1e-12
+        limit = until_s + 1e-12
         n = len(self.sessions)
         while heap and heap[0][0] <= limit:
             if n and self.sessions_resolved == n:
@@ -301,18 +270,23 @@ class Engine:
             time_s, _, _, item = pop(heap)
             if time_s > self.now_s:
                 self.now_s = time_s
-            # The two most frequent kinds skip the ``_dispatch`` frame.
-            kind = item[0]
+            kind = item[0]  # the most frequent kinds first
             if kind == "arrival":
                 self._on_arrival(item[1])
             elif kind == "service_end":
                 self._on_service_end(item[1], item[2])
-            else:
-                self._dispatch(item)
+            elif kind == "slot":
+                self._on_slot(item[1])
+            elif kind == "spawn":
+                self._on_spawn(item[1])
+            else:  # "enqueue", after a relay's processing delay
+                self._do_enqueue(item[1], item[2])
         if not (n and self.sessions_resolved == n):
-            self.now_s = max(self.now_s, horizon_s)
-        if self.collect_queue_log:
-            self._flush_slot_rows()
+            self.now_s = max(self.now_s, until_s)
+
+    def run(self, horizon_s: float) -> None:
+        """Advance until the horizon, then release the slot state."""
+        self.advance(horizon_s)
         # A finished run keeps no slot state and no drawn channel rows: the
         # engines an evaluation returns would each hold a block of both.  A
         # resumed run or a later read draws the rows again from the saved
@@ -320,21 +294,6 @@ class Engine:
         self._snapshot = None
         self.constellation.release_slot_state()
         self.channel.release_rows()
-
-    def _dispatch(self, item) -> None:
-        kind = item[0]
-        if kind == "slot":
-            self._on_slot(item[1])
-        elif kind == "spawn":
-            self._on_spawn(item[1])
-        elif kind == "enqueue":
-            self._do_enqueue(item[1], item[2])
-        elif kind == "service_end":
-            self._on_service_end(item[1], item[2])
-        elif kind == "arrival":
-            self._on_arrival(item[1])
-        else:  # pragma: no cover
-            raise RuntimeError(f"unknown event {kind}")
 
     # ------------------------------------------------------------------
     # slot boundary
@@ -356,11 +315,6 @@ class Engine:
         return self._snapshot
 
     def _on_slot(self, slot: int) -> None:
-        if self.collect_queue_log:
-            self._flush_slot_rows()
-            self._slot_arrivals[...] = 0
-            self._slot_departures[...] = 0
-            self._q_at_slot_start = self._occ.copy()
         self.slot = slot
         self._snapshot = None
         if self.trace is not None:
@@ -370,18 +324,6 @@ class Engine:
         for cell in sorted(self._waiting):
             self._try_start(cell)
         self._push((slot + 1) * self.slot_length_s, _EV_SLOT, ("slot", slot + 1))
-
-    def _flush_slot_rows(self) -> None:
-        arr = self._slot_arrivals
-        dep = self._slot_departures
-        q0 = self._q_at_slot_start
-        for cell in np.flatnonzero((arr > 0) | (dep > 0) | (q0 > 0)).tolist():
-            node, port = divmod(cell, NUM_PORTS)
-            self.queue_log.append(QueueLawRow(
-                slot=self.slot, node=node, port=port,
-                q_start=int(q0[cell]), arrivals=int(arr[cell]),
-                departures=int(dep[cell]), q_end=int(self._occ[cell]),
-            ))
 
     # ------------------------------------------------------------------
     # session lifecycle
@@ -491,8 +433,6 @@ class Engine:
             session=session, num_chunks=chunks, total_bytes=session.payload_bytes,
             enqueue_s=self.now_s, enqueue_slot=self.slot))
         self._occ[cell] += chunks
-        if self.collect_queue_log:
-            self._slot_arrivals[cell] += chunks
         if self.trace is not None:
             node, port = divmod(cell, NUM_PORTS)
             self._emit("enqueue", session=sid, node=node, port=port, chunks=chunks)
@@ -518,8 +458,6 @@ class Engine:
         self._waiting.discard(cell)
         queue.pop(0)
         self._occ[cell] -= burst.num_chunks
-        if self.collect_queue_log:
-            self._slot_departures[cell] += burst.num_chunks
         burst.service_start_s = self.now_s
         burst.frozen_prop_s = propagation_delay(km)
         # Two scalar reads per service start cost less than listing the

@@ -26,6 +26,7 @@ from leosem.policy import JointAction, PolicyConfig, init_policy_params
 from leosem.semantic import (BUDGET_SET, DEFAULT_CHUNK_BYTES, QualityProxyConfig,
                              SemanticState, packetize, quality)
 from leosem.simcore import Engine, step_queue
+from queue_log import occupancy, queue_log
 
 
 def _report(n, label, t0):
@@ -43,13 +44,12 @@ class _RandomCtl:
                            relay=int(self.rng.integers(2)))
 
 
-def _chaos_engine(seed, collect_queue_log=False, q_max=40, sessions=10,
-                  latent=12_000):
+def _chaos_engine(seed, trace=None, q_max=40, sessions=10, latent=12_000):
     con = build_constellation(ConstellationConfig(num_planes=3, sats_per_plane=3))
     ch = ChannelModel(ChannelConfig(failure_rate=0.08, seed=seed),
                       con.edge_index, 0.1)
     engine = Engine(con, ch, _RandomCtl(seed + 1), QualityProxyConfig(),
-                    q_max=q_max, ttl_hops=8, collect_queue_log=collect_queue_log)
+                    q_max=q_max, ttl_hops=8, trace=trace)
     rng = np.random.default_rng(seed + 2)
     for k in range(sessions):
         src = int(rng.integers(9))
@@ -83,13 +83,20 @@ def test_criterion_01_queue_law():
         dtype=np.int64, count=n)
     assert np.array_equal(got, oracle)
 
-    # simulator-measured per-slot deltas obey the same recursion when binned
-    engine = _chaos_engine(seed=100, collect_queue_log=True)
-    engine.run(40.0)
-    assert engine.queue_log
-    for row in engine.queue_log:
-        assert row.q_end == step_queue(row.q_start, row.departures, row.arrivals,
-                                       engine.q_max)
+    # simulator-measured per-slot deltas obey the same recursion when binned;
+    # the log read from the trace holds the engine's own counts at every step
+    events = []
+    engine = _chaos_engine(seed=100, trace=events.append)
+    t = 0.0
+    while t < 40.0 and engine.sessions_resolved < len(engine.sessions):
+        t += 0.1
+        engine.advance(t)
+        rows = queue_log(events)
+        assert np.array_equal(occupancy(rows, engine.slot, engine.occupancy.shape),
+                              engine.occupancy)
+    assert rows
+    for _, _, _, q_start, arrivals, departures, q_end in rows:
+        assert q_end == step_queue(q_start, departures, arrivals, engine.q_max)
     assert time.time() - t0 < 10.0
     _report(1, "queue law, 1e6 cases + binned simulation", t0)
 

@@ -14,6 +14,7 @@ from leosem.channel import ChannelConfig, ChannelModel
 from leosem.config import default_config, tiny_config
 from leosem.constellation import Constellation, ConstellationConfig, build_constellation
 from leosem.policy import PolicyConfig, init_policy_params
+from queue_log import queue_log
 
 
 class EagerEngine(simcore.Engine):
@@ -28,11 +29,6 @@ class FullWalkEngine(simcore.Engine):
     """Restarts idle queues by walking every queue at each slot boundary."""
 
     def _on_slot(self, slot: int) -> None:
-        if self.collect_queue_log:
-            self._flush_slot_rows()
-            self._slot_arrivals[...] = 0
-            self._slot_departures[...] = 0
-            self._q_at_slot_start = self.occupancy.ravel().copy()
         self.slot = slot
         self._snapshot = None
         self._emit("slot", slot=slot)
@@ -93,8 +89,6 @@ def test_waiting_queues_replay_the_full_queue_walk(monkeypatch):
             [dataclasses.asdict(o) for o in walk.outcomes]
         assert engine.counters == walk.counters
         assert sum(e["ev"] == "service_start" for e in events) > 50
-        # Without a queue log the per-slot queue-law counts do not exist.
-        assert engine._slot_arrivals is engine._slot_departures is None
 
 
 def test_queue_log_matches_with_lazy_slot_state(monkeypatch):
@@ -102,10 +96,10 @@ def test_queue_log_matches_with_lazy_slot_state(monkeypatch):
     logs = []
     for engine_cls in (simcore.Engine, EagerEngine, FullWalkEngine):
         monkeypatch.setattr(experiment, "Engine", engine_cls)
-        _, _, engines = experiment.evaluate(
-            cfg, None, 1, baseline=BaselineSpec(kind="shortest_path"),
-            collect_queue_log=True)
-        logs.append([dataclasses.astuple(row) for row in engines[0].queue_log])
+        events = []
+        experiment.evaluate(cfg, None, 1, baseline=BaselineSpec(kind="shortest_path"),
+                            trace=events.append)
+        logs.append(queue_log(events))
     assert logs[0] and logs[0] == logs[1] == logs[2]
 
 

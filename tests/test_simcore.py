@@ -15,6 +15,7 @@ from leosem.policy import JointAction
 from leosem.semantic import QualityProxyConfig
 from leosem.simcore import (DROP_NO_LINK, DROP_PRUNED, DROP_TTL, Engine, HopDelayRecord,
                             SimHooks, propagation_delay, step_queue, transmission_delay)
+from queue_log import occupancy, queue_log
 
 
 class ScriptedController:
@@ -58,14 +59,12 @@ def quiet_channel_cfg(**kw):
 
 
 def build_engine(planes, sats, controller, channel_cfg=None, hooks=None,
-                 q_max=600, ttl=16, slot=0.1, proc=0.005, trace=None,
-                 collect_queue_log=False):
+                 q_max=600, ttl=16, slot=0.1, proc=0.005, trace=None):
     con = build_constellation(ConstellationConfig(num_planes=planes, sats_per_plane=sats))
     ch = ChannelModel(channel_cfg or quiet_channel_cfg(), con.edge_index, slot)
     return Engine(con, ch, controller, QualityProxyConfig(),
                   slot_length_s=slot, q_max=q_max, ttl_hops=ttl,
-                  relay_proc_delay_s=proc, hooks=hooks, trace=trace,
-                  collect_queue_log=collect_queue_log)
+                  relay_proc_delay_s=proc, hooks=hooks, trace=trace)
 
 
 # ---------------------------------------------------------------- pure ops
@@ -326,8 +325,7 @@ def test_conservation_after_every_slot_under_chaos():
     engine = build_engine(3, 3, ctl, ttl=8,
                           channel_cfg=quiet_channel_cfg(failure_rate=0.1, seed=9,
                                                         fast_std_db=1.0,
-                                                        jitter_amplitude_db=2.0),
-                          collect_queue_log=True)
+                                                        jitter_amplitude_db=2.0))
     rng = np.random.default_rng(1)
     for k in range(12):
         engine.add_session(int(rng.integers(9)), int(rng.integers(9)),
@@ -344,19 +342,25 @@ def test_conservation_after_every_slot_under_chaos():
 
 def test_queue_law_holds_on_binned_rows():
     ctl = RandomPortController(seed=7)
+    events = []
     engine = build_engine(3, 3, ctl, ttl=8, q_max=40,
                           channel_cfg=quiet_channel_cfg(failure_rate=0.05, seed=3),
-                          collect_queue_log=True)
+                          trace=events.append)
     rng = np.random.default_rng(2)
     for k in range(10):
         engine.add_session(int(rng.integers(9)), int(rng.integers(9)),
                            spawn_s=float(k) * 0.2, latent_bytes=12_000, flow_id=k)
-    engine.run(60.0)
-    assert engine.queue_log, "no queue activity recorded"
-    for row in engine.queue_log:
-        assert row.q_end == step_queue(row.q_start, row.departures, row.arrivals,
-                                       engine.q_max)
-        assert row.departures <= row.q_start  # service only draws on stock
+    t = 0.0
+    while t < 60.0 and engine.sessions_resolved < len(engine.sessions):
+        t += 0.1
+        engine.advance(t)
+        rows = queue_log(events)
+        assert np.array_equal(occupancy(rows, engine.slot, engine.occupancy.shape),
+                              engine.occupancy)
+    assert rows, "no queue activity recorded"
+    for _, _, _, q_start, arrivals, departures, q_end in rows:
+        assert q_end == step_queue(q_start, departures, arrivals, engine.q_max)
+        assert departures <= q_start  # service only draws on stock
 
 
 def test_hop_trace_bounded_by_ttl():
