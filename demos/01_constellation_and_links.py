@@ -31,7 +31,7 @@ for port, neighbor in enumerate(con.snapshot(0.0).dst[0].tolist()):
 # Attach a channel and look at a few snapshots.  A snapshot is a set of
 # (satellite, port) arrays: neighbor id (-1 if the port is absent),
 # availability, distance, SNR and Shannon rate.
-channel = ChannelModel(ChannelConfig(seed=7), con.edge_index, slot_length_s=0.1)
+channel = ChannelModel(ChannelConfig(), con.edge_index, slot_length_s=0.1, seed=7)
 for slot in (0, 5, 10):
     snap = con.snapshot(slot * 0.1, channel)
     up = snap.avail

@@ -26,7 +26,6 @@ class ChannelConfig:
     reference_distance_km: float = 1000.0
     pathloss_exponent: float = 2.0
     bandwidth_hz: float = 1.0e6
-    seed: int = 0
 
     def __post_init__(self):
         for f in fields(self):
@@ -59,8 +58,10 @@ SLOT_BLOCK = 16
 class ChannelModel:
     """Stochastic slot-indexed state for a fixed list of directed links.
 
-    Only the number of links is kept from ``edges``; jitter, fast noise and
-    failure flags are arrays aligned to the list's order.  The channel
+    ``seed`` seeds the generator; ``run_episode`` derives one per episode
+    from the experiment seed.  Only the number of links is kept from
+    ``edges``; jitter, fast noise and failure flags are arrays aligned to
+    the list's order.  The channel
     draws ``SLOT_BLOCK`` slots at a time, each in the order a slot-by-slot
     draw takes (jitter innovation, fast term, failure flags), and keeps the
     drawn block as ``(SLOT_BLOCK, num_links)`` rows from slot ``first``.
@@ -76,13 +77,15 @@ class ChannelModel:
     from there, to the same bits, before it moves on.
     """
 
-    def __init__(self, cfg: ChannelConfig, edges, slot_length_s: float = 0.1):
+    def __init__(self, cfg: ChannelConfig, edges, slot_length_s: float = 0.1,
+                 seed: int = 0):
         if slot_length_s <= 0:
             raise ValueError("slot_length_s must be > 0")
         self.cfg = cfg
         self.slot_length_s = slot_length_s
         self.num_links = len(edges)
-        self._rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+        self.seed = seed
+        self._rng = np.random.default_rng(np.random.SeedSequence(seed))
         # AR(1): rho chosen so autocorrelation at the horizon lag is e^-1.
         self._rho = math.exp(-slot_length_s / cfg.correlation_horizon_s)
         self._jitter_std = cfg.jitter_amplitude_db / 2.0

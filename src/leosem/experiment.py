@@ -106,10 +106,9 @@ def run_episode(cfg: ExperimentConfig, episode: int, controller, hooks,
     if trace is not None:
         trace = _tag_episode(trace, episode)
     constellation = build_constellation(cfg.constellation)
-    channel_cfg = dataclasses.replace(
-        cfg.channel, seed=derive_seed(cfg.seed, _STREAM_CHANNEL, episode))
-    channel = ChannelModel(channel_cfg, constellation.edge_index,
-                           cfg.simulation.slot_length_s)
+    channel = ChannelModel(cfg.channel, constellation.edge_index,
+                           cfg.simulation.slot_length_s,
+                           seed=derive_seed(cfg.seed, _STREAM_CHANNEL, episode))
     engine = Engine(
         constellation, channel, controller, cfg.proxy,
         slot_length_s=cfg.simulation.slot_length_s,

@@ -139,6 +139,9 @@ class QualityProxyConfig:
         if sorted(self.budget_gain) != list(BUDGET_SET):
             raise ValueError(f"budget_gain keys must be exactly {list(BUDGET_SET)}")
         gains = [self.budget_gain[c] for c in BUDGET_SET]
+        for c, gain in zip(BUDGET_SET, gains):
+            if not math.isfinite(gain):
+                raise ValueError(f"budget_gain[{c}] must be finite, got {gain!r}")
         if any(b - a < 0 for a, b in zip(gains, gains[1:])):
             raise ValueError("budget_gain must be nondecreasing in C")
         if self.per_hop_distortion < 0:

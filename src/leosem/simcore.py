@@ -358,6 +358,14 @@ class Engine:
             constellation=self.constellation, is_source=is_source,
         )
         action: JointAction = self.controller.decide(view)
+        # A negative index would wrap: a port into another node's cell, a
+        # budget index into the largest budget.
+        for name, value, size in (("hop", action.hop, NUM_PORTS),
+                                  ("budget_idx", action.budget_idx, len(semantic.BUDGET_SET)),
+                                  ("relay", action.relay, 2)):
+            if value not in range(size):
+                raise ValueError(f"controller returned {name}={value!r} at node {node}; "
+                                 f"expected 0..{size - 1}")
         if not mask[action.hop]:
             raise ValueError(f"controller picked masked port {action.hop} at node {node}")
         port = int(action.hop)

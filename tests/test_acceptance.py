@@ -46,8 +46,7 @@ class _RandomCtl:
 
 def _chaos_engine(seed, trace=None, q_max=40, sessions=10, latent=12_000):
     con = build_constellation(ConstellationConfig(num_planes=3, sats_per_plane=3))
-    ch = ChannelModel(ChannelConfig(failure_rate=0.08, seed=seed),
-                      con.edge_index, 0.1)
+    ch = ChannelModel(ChannelConfig(failure_rate=0.08), con.edge_index, 0.1, seed=seed)
     engine = Engine(con, ch, _RandomCtl(seed + 1), QualityProxyConfig(),
                     q_max=q_max, ttl_hops=8, trace=trace)
     rng = np.random.default_rng(seed + 2)

@@ -41,8 +41,8 @@ def capture_view(failure_rate=0.0, seed=2, fill_chunks=0):
     """
     con = build_constellation(ConstellationConfig(num_planes=3, sats_per_plane=3))
     ch = ChannelModel(ChannelConfig(fast_std_db=0.0, jitter_amplitude_db=0.0,
-                                    failure_rate=failure_rate, seed=seed),
-                      con.edge_index, 0.1)
+                                    failure_rate=failure_rate),
+                      con.edge_index, 0.1, seed=seed)
     ctl = ViewCapture()
     engine = Engine(con, ch, ctl, QualityProxyConfig(), ttl_hops=8)
     if fill_chunks:
@@ -329,7 +329,7 @@ def test_policy_controller_closes_trajectories():
     tracker = RewardTracker(RC, slot_s=0.1, sink=rollout.reward)
 
     con = build_constellation(ConstellationConfig(num_planes=3, sats_per_plane=3))
-    ch = ChannelModel(ChannelConfig(seed=8), con.edge_index, 0.1)
+    ch = ChannelModel(ChannelConfig(), con.edge_index, 0.1, seed=8)
     engine = Engine(con, ch, controller, QualityProxyConfig(), ttl_hops=8,
                     hooks=[tracker])
     for k in range(4):

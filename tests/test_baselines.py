@@ -19,7 +19,7 @@ from leosem.simcore import DROP_NO_LINK
 
 def snapshot_for(planes=3, sats=3, failure=0.0, seed=0, t=0.0):
     con = build_constellation(ConstellationConfig(num_planes=planes, sats_per_plane=sats))
-    ch = ChannelModel(ChannelConfig(failure_rate=failure, seed=seed), con.edge_index)
+    ch = ChannelModel(ChannelConfig(failure_rate=failure), con.edge_index, seed=seed)
     return con, con.snapshot(t, ch)
 
 

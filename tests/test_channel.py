@@ -8,10 +8,8 @@ from leosem.channel import SLOT_BLOCK, ChannelConfig, ChannelModel, link_rate
 EDGES = [(0, 1), (1, 0), (1, 2), (2, 1)]
 
 
-def make_channel(**kwargs) -> ChannelModel:
-    defaults = dict(seed=11)
-    defaults.update(kwargs)
-    return ChannelModel(ChannelConfig(**defaults), EDGES, slot_length_s=0.1)
+def make_channel(edges=EDGES, seed=11, **kwargs) -> ChannelModel:
+    return ChannelModel(ChannelConfig(**kwargs), edges, slot_length_s=0.1, seed=seed)
 
 
 def test_rate_at_zero_db_is_bandwidth():
@@ -133,9 +131,9 @@ def test_pathloss_slope():
 class SlotBySlotChannel:
     """The channel drawn one slot at a time: the draw order of the contract."""
 
-    def __init__(self, cfg: ChannelConfig, n: int, slot_length_s: float):
+    def __init__(self, cfg: ChannelConfig, n: int, slot_length_s: float, seed: int):
         self.cfg, self.n = cfg, n
-        self.rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+        self.rng = np.random.default_rng(np.random.SeedSequence(seed))
         self.rho = math.exp(-slot_length_s / cfg.correlation_horizon_s)
         jitter_std = cfg.jitter_amplitude_db / 2.0
         self.innov_std = jitter_std * math.sqrt(max(0.0, 1.0 - self.rho**2))
@@ -163,8 +161,8 @@ class SlotBySlotChannel:
 ])
 @pytest.mark.parametrize("links", [0, 4, 36, 280])
 def test_block_draws_equal_slot_by_slot_draws(kwargs, links):
-    cfg = ChannelConfig(**kwargs)
-    ch, want = ChannelModel(cfg, [None] * links, 0.1), SlotBySlotChannel(cfg, links, 0.1)
+    ch = make_channel([None] * links, **kwargs)
+    cfg, want = ch.cfg, SlotBySlotChannel(ch.cfg, links, 0.1, ch.seed)
     d = np.linspace(400.0, 5000.0, links)
     # Within a block, on its last slot and the next block's first, and
     # jumps over several blocks at once.
@@ -184,8 +182,7 @@ def test_block_draws_equal_slot_by_slot_draws(kwargs, links):
 ])
 @pytest.mark.parametrize("links", [0, 36, 280])
 def test_released_rows_are_drawn_again_to_the_same_bytes(kwargs, links):
-    cfg = ChannelConfig(**kwargs)
-    ch, twin = ChannelModel(cfg, [None] * links, 0.1), ChannelModel(cfg, [None] * links, 0.1)
+    ch, twin = make_channel([None] * links, **kwargs), make_channel([None] * links, **kwargs)
     # Released within a block, on its last slot, before the next block's
     # first and before a jump over several blocks; the twin never releases.
     for slot in (0, 3, 3, 15, 16, 17, 40, 100, 101):

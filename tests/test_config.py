@@ -65,6 +65,9 @@ def test_unknown_top_level_field_rejected():
 def test_unknown_section_field_rejected_with_path():
     with pytest.raises(ConfigError, match="channel"):
         config_from_dict({"channel": {"fast_std_db": 1.0, "shadowing_db": 3.0}})
+    # Each episode's channel seed derives from the top-level seed.
+    with pytest.raises(ConfigError, match=r"unknown field\(s\) at channel: \['seed'\]"):
+        config_from_dict({"channel": {"seed": 3}})
 
 
 def test_invalid_value_reported_with_section():
@@ -95,6 +98,14 @@ def test_nonfinite_constellation_value_rejected(name, value):
 def test_nonfinite_proxy_value_rejected(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         QualityProxyConfig(**{name: value})
+
+
+@pytest.mark.parametrize("value", NONFINITE)
+@pytest.mark.parametrize("budget", [64, 96, 128])
+def test_nonfinite_budget_gain_rejected(budget, value):
+    gains = {64: 0.80, 96: 0.92, 128: 1.0, budget: value}
+    with pytest.raises(ValueError, match=rf"budget_gain\[{budget}\] must be finite"):
+        QualityProxyConfig(budget_gain=gains)
 
 
 @pytest.mark.parametrize("value", NONFINITE)

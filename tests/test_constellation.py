@@ -109,7 +109,7 @@ def test_snapshot_distance_symmetry_exact():
 
 def test_snapshot_all_links_failed_empty_edge_set():
     con = build_constellation(ConstellationConfig(num_planes=3, sats_per_plane=3))
-    ch = ChannelModel(ChannelConfig(failure_rate=1.0, seed=1), con.edge_index)
+    ch = ChannelModel(ChannelConfig(failure_rate=1.0), con.edge_index, seed=1)
     snap = con.snapshot(0.0, ch)
     assert (snap.dst >= 0).sum() == 9 * 4
     assert not snap.avail.any()
@@ -117,7 +117,7 @@ def test_snapshot_all_links_failed_empty_edge_set():
 
 def test_snapshot_repeat_call_identical():
     con = build_constellation(ConstellationConfig(num_planes=3, sats_per_plane=3))
-    ch = ChannelModel(ChannelConfig(failure_rate=0.05, seed=7), con.edge_index)
+    ch = ChannelModel(ChannelConfig(failure_rate=0.05), con.edge_index, seed=7)
     s1 = con.snapshot(0.5, ch)
     s2 = con.snapshot(0.5, ch)
     for name in ("dst", "avail", "dist_km", "snr_db", "rate_bps"):

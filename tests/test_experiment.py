@@ -180,7 +180,7 @@ def test_advance_with_no_work_just_moves_time():
     from leosem.semantic import QualityProxyConfig
     from leosem.simcore import Engine
     con = build_constellation(ConstellationConfig(num_planes=2, sats_per_plane=2))
-    ch = ChannelModel(ChannelConfig(seed=0), con.edge_index, 0.1)
+    ch = ChannelModel(ChannelConfig(), con.edge_index, 0.1)
     engine = Engine(con, ch, controller=None, proxy_cfg=QualityProxyConfig())
     engine.advance(0.35)
     assert engine.now_s == pytest.approx(0.35)

@@ -2,6 +2,8 @@
 first read, restarting only the waiting queues, cached distance rows and
 list-based sampling change no number."""
 import dataclasses
+import importlib.util
+import pathlib
 
 import numpy as np
 from hypothesis import given, settings
@@ -15,6 +17,11 @@ from leosem.config import default_config, tiny_config
 from leosem.constellation import Constellation, ConstellationConfig, build_constellation
 from leosem.policy import PolicyConfig, init_policy_params
 from queue_log import queue_log
+
+_PATH = pathlib.Path(__file__).resolve().parent.parent / "tools" / "run_digests.py"
+_SPEC = importlib.util.spec_from_file_location("run_digests", _PATH)
+run_digests = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(run_digests)
 
 
 class EagerEngine(simcore.Engine):
@@ -36,6 +43,17 @@ class FullWalkEngine(simcore.Engine):
             if queue and not self._busy[cell]:
                 self._try_start(cell)
         self._push((slot + 1) * self.slot_length_s, simcore._EV_SLOT, ("slot", slot + 1))
+
+
+class SteppedEngine(simcore.Engine):
+    """Steps through the first 3 s with ``advance``, one slot at a time,
+    then finishes with ``run``; the tiny and stress episodes both have
+    events left at 3 s."""
+
+    def run(self, horizon_s: float) -> None:
+        for k in range(1, 31):
+            self.advance(k * self.slot_length_s)
+        super().run(horizon_s)
 
 
 def busy_config():
@@ -91,6 +109,17 @@ def test_waiting_queues_replay_the_full_queue_walk(monkeypatch):
         assert sum(e["ev"] == "service_start" for e in events) > 50
 
 
+def test_stepping_with_advance_replays_one_run(monkeypatch):
+    for cfg in (tiny_config(0), run_digests.stress_config(0)):
+        events, engine, _ = traced_episode(monkeypatch, cfg, simcore.Engine)
+        stepped_events, stepped, _ = traced_episode(monkeypatch, cfg, SteppedEngine)
+        assert stepped_events == events
+        assert [dataclasses.asdict(o) for o in stepped.outcomes] == \
+            [dataclasses.asdict(o) for o in engine.outcomes]
+        assert stepped.counters == engine.counters
+        assert events[-1]["t"] > 3.0 and len(engine.outcomes) == len(engine.sessions)
+
+
 def test_queue_log_matches_with_lazy_slot_state(monkeypatch):
     cfg = tiny_config(3)
     logs = []
@@ -106,7 +135,7 @@ def test_queue_log_matches_with_lazy_slot_state(monkeypatch):
 def test_distance_rows_match_per_pair_norm_bit_for_bit():
     for planes, sats in ((10, 7), (3, 3)):
         con = build_constellation(ConstellationConfig(num_planes=planes, sats_per_plane=sats))
-        channel = ChannelModel(ChannelConfig(seed=5), con.edge_index, 0.1)
+        channel = ChannelModel(ChannelConfig(), con.edge_index, 0.1, seed=5)
         n = con.cfg.num_sats
         for slot in range(0, 24 * 13, 13):
             snap = con.snapshot(slot * 0.1, channel)

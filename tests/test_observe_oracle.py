@@ -71,8 +71,8 @@ class OracleController:
 def run_checked(cfg: ExperimentConfig, episode: int = 0) -> OracleController:
     """One episode of ``cfg`` under a sampling policy, every decision checked."""
     con = build_constellation(cfg.constellation)
-    channel = ChannelModel(dataclasses.replace(cfg.channel, seed=cfg.seed + episode),
-                           con.edge_index, cfg.simulation.slot_length_s)
+    channel = ChannelModel(cfg.channel, con.edge_index, cfg.simulation.slot_length_s,
+                           seed=cfg.seed + episode)
     params = init_policy_params(np.random.default_rng(cfg.seed), PolicyConfig(
         obs_dim=FEATURE_DIM, gat_hidden=8, trunk_width=16))
     oracle = OracleController(
@@ -116,7 +116,7 @@ def test_every_decision_on_degenerate_shells_matches_reference(planes, sats):
 @pytest.mark.parametrize("planes, sats", [(1, 1), (1, 6), (4, 2), (2, 3), (10, 7)])
 def test_snapshot_arrays_match_reference_over_many_slots(planes, sats):
     con = build_constellation(ConstellationConfig(num_planes=planes, sats_per_plane=sats))
-    channel = ChannelModel(ChannelConfig(failure_rate=0.1, seed=3), con.edge_index, 0.1)
+    channel = ChannelModel(ChannelConfig(failure_rate=0.1), con.edge_index, 0.1, seed=3)
     for slot in range(0, 400, 7):
         t = slot * 0.1
         assert_snapshot_matches(con, con.snapshot(t, channel), ref.snapshot(con, t, channel))
@@ -128,7 +128,7 @@ def test_snapshot_advances_a_lagging_channel_once(monkeypatch):
     # One advance_to_slot call catches the channel up over several slots and
     # draws what the reference's separate availability and SNR reads draw.
     con = build_constellation(ConstellationConfig(num_planes=10, sats_per_plane=7))
-    mine, theirs = (ChannelModel(ChannelConfig(failure_rate=0.1, seed=4), con.edge_index, 0.1)
+    mine, theirs = (ChannelModel(ChannelConfig(failure_rate=0.1), con.edge_index, 0.1, seed=4)
                     for _ in range(2))
     entries = []
     original = ChannelModel.advance_to_slot

@@ -53,15 +53,15 @@ class RandomPortController:
 
 
 def quiet_channel_cfg(**kw):
-    base = dict(fast_std_db=0.0, jitter_amplitude_db=0.0, failure_rate=0.0, seed=0)
+    base = dict(fast_std_db=0.0, jitter_amplitude_db=0.0, failure_rate=0.0)
     base.update(kw)
     return ChannelConfig(**base)
 
 
 def build_engine(planes, sats, controller, channel_cfg=None, hooks=None,
-                 q_max=600, ttl=16, slot=0.1, proc=0.005, trace=None):
+                 q_max=600, ttl=16, slot=0.1, proc=0.005, trace=None, seed=0):
     con = build_constellation(ConstellationConfig(num_planes=planes, sats_per_plane=sats))
-    ch = ChannelModel(channel_cfg or quiet_channel_cfg(), con.edge_index, slot)
+    ch = ChannelModel(channel_cfg or quiet_channel_cfg(), con.edge_index, slot, seed=seed)
     return Engine(con, ch, controller, QualityProxyConfig(),
                   slot_length_s=slot, q_max=q_max, ttl_hops=ttl,
                   relay_proc_delay_s=proc, hooks=hooks, trace=trace)
@@ -167,6 +167,19 @@ def test_enqueue_unknown_port():
     assert [cell for cell, q in enumerate(engine.queues) if q is not None] == \
         [0 * NUM_PORTS + 0, 1 * NUM_PORTS + 0]
     assert (engine.snapshot.dst[:, 1:] == -1).all()
+
+
+@pytest.mark.parametrize("field, value", [("hop", -1), ("hop", 4), ("budget_idx", -1),
+                                          ("budget_idx", 3), ("relay", 2)])
+def test_out_of_range_action_rejected(field, value):
+    # Numpy indexing would take hop=-1 at node 4 as node 3's port 3 and
+    # budget_idx=-1 as the largest budget.
+    ctl = ScriptedController(**{"port" if field == "hop" else field: value})
+    engine = build_engine(3, 3, ctl)
+    engine.add_session(4, 0, spawn_s=0.0, latent_bytes=1200)
+    with pytest.raises(ValueError, match=f"{field}={value} at node 4"):
+        engine.run(1.0)
+    assert not engine.occupancy.any() and engine.counters.chunks_created == 0
 
 
 def test_empty_queue_accepts():
@@ -323,9 +336,9 @@ def test_revisit_flag_reported():
 def test_conservation_after_every_slot_under_chaos():
     ctl = RandomPortController(seed=4)
     engine = build_engine(3, 3, ctl, ttl=8,
-                          channel_cfg=quiet_channel_cfg(failure_rate=0.1, seed=9,
-                                                        fast_std_db=1.0,
-                                                        jitter_amplitude_db=2.0))
+                          channel_cfg=quiet_channel_cfg(failure_rate=0.1, fast_std_db=1.0,
+                                                        jitter_amplitude_db=2.0),
+                          seed=9)
     rng = np.random.default_rng(1)
     for k in range(12):
         engine.add_session(int(rng.integers(9)), int(rng.integers(9)),
@@ -344,7 +357,7 @@ def test_queue_law_holds_on_binned_rows():
     ctl = RandomPortController(seed=7)
     events = []
     engine = build_engine(3, 3, ctl, ttl=8, q_max=40,
-                          channel_cfg=quiet_channel_cfg(failure_rate=0.05, seed=3),
+                          channel_cfg=quiet_channel_cfg(failure_rate=0.05), seed=3,
                           trace=events.append)
     rng = np.random.default_rng(2)
     for k in range(10):
@@ -378,10 +391,9 @@ def run_traced_episode(seed):
     events = []
     ctl = RandomPortController(seed=5)
     engine = build_engine(3, 3, ctl, ttl=8,
-                          channel_cfg=quiet_channel_cfg(failure_rate=0.08, seed=seed,
-                                                        fast_std_db=1.0,
+                          channel_cfg=quiet_channel_cfg(failure_rate=0.08, fast_std_db=1.0,
                                                         jitter_amplitude_db=2.0),
-                          trace=events.append)
+                          seed=seed, trace=events.append)
     for k in range(6):
         engine.add_session(k % 9, (k + 4) % 9, spawn_s=0.3 * k,
                            latent_bytes=4800, flow_id=k)

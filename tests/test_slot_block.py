@@ -37,7 +37,7 @@ def test_block_rows_equal_one_row_builds_on_and_off_the_grid():
     # built alone.  Both give the per-edge reference's bits, and a lagging
     # channel jumps over whole blocks it never derives.
     con = build_constellation(ConstellationConfig(num_planes=4, sats_per_plane=5))
-    mine, theirs = (ChannelModel(ChannelConfig(failure_rate=0.2, seed=9), con.edge_index, 0.1)
+    mine, theirs = (ChannelModel(ChannelConfig(failure_rate=0.2), con.edge_index, 0.1, seed=9)
                     for _ in range(2))
     on_grid = [slot * 0.1 for slot in (0, 1, 15, 16, 17, 31, 32, 99, 400, 415)]
     times = sorted(on_grid + [0.15, 1.63, 3.33, 40.04, 41.55])
@@ -120,7 +120,7 @@ def test_finished_run_keeps_no_slot_block(monkeypatch):
             assert engine.snapshot.slot == engine.slot
             assert (len(made), len(drawn)) == (built + 1, redrawn + 1)
             twin = ChannelModel(channel.cfg, engine.constellation.edge_index,
-                                channel.slot_length_s)
+                                channel.slot_length_s, seed=channel.seed)
             twin.advance_to_slot(engine.slot)
             assert channel.first == twin.first
             assert channel._normal.tobytes() == twin._normal.tobytes()
