@@ -6,6 +6,8 @@ only on ``enqueue``, by the event's ``chunks``, and shrinks only on
 most one group queued).  Binned by slot, the counts obey the engine's
 queue law ``q_end == step_queue(q_start, departures, arrivals, q_max)``.
 """
+from collections import Counter
+
 import numpy as np
 
 
@@ -17,31 +19,32 @@ def queue_log(events) -> list[tuple[int, int, int, int, int, int, int]]:
     slot's start or took or sent chunks during it, in (node, port) order.
     """
     rows = []
-    occ: dict[tuple[int, int], int] = {}
+    occ, q_start, arrivals, departures = Counter(), Counter(), Counter(), Counter()
     queued: dict[int, int] = {}  # session -> chunks of its queued group
-    slot, q_start, arrivals, departures = 0, {}, {}, {}
+    slot = 0
 
     def flush():
         for key in sorted(q_start.keys() | arrivals.keys() | departures.keys()):
-            row = (q_start.get(key, 0), arrivals.get(key, 0), departures.get(key, 0))
+            row = (q_start[key], arrivals[key], departures[key])
             if any(row):
-                rows.append((slot, *key, *row, occ.get(key, 0)))
+                rows.append((slot, *key, *row, occ[key]))
 
     for ev in events:
         kind = ev["ev"]
         if kind == "slot":
             flush()
             slot = ev["slot"]
-            q_start, arrivals, departures = dict(occ), {}, {}
-        elif kind in ("enqueue", "service_start"):
+            q_start, arrivals, departures = Counter(occ), Counter(), Counter()
+        elif kind == "enqueue":
             key = (ev["node"], ev["port"])
-            if kind == "enqueue":
-                chunks = queued[ev["session"]] = ev["chunks"]
-                arrivals[key] = arrivals.get(key, 0) + chunks
-            else:
-                chunks = -queued.pop(ev["session"])
-                departures[key] = departures.get(key, 0) - chunks
-            occ[key] = occ.get(key, 0) + chunks
+            chunks = queued[ev["session"]] = ev["chunks"]
+            occ[key] += chunks
+            arrivals[key] += chunks
+        elif kind == "service_start":
+            key = (ev["node"], ev["port"])
+            chunks = queued.pop(ev["session"])
+            occ[key] -= chunks
+            departures[key] += chunks
     flush()
     return rows
 
