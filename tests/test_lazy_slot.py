@@ -120,6 +120,18 @@ def test_stepping_with_advance_replays_one_run(monkeypatch):
         assert events[-1]["t"] > 3.0 and len(engine.outcomes) == len(engine.sessions)
 
 
+def test_queue_law_holds_on_the_stress_scene(monkeypatch):
+    # Unlike the chaos engines of the other queue-law tests, the stress
+    # scene ends services in the slot their queue's next group joined.
+    events, engine, _ = traced_episode(monkeypatch, run_digests.stress_config(0),
+                                       simcore.Engine)
+    rows = queue_log(events)
+    assert len(rows) > 100
+    for _, _, _, q_start, arrivals, departures, q_end in rows:
+        assert q_end == simcore.step_queue(q_start, departures, arrivals, engine.q_max)
+        assert departures <= q_start
+
+
 def test_queue_log_matches_with_lazy_slot_state(monkeypatch):
     cfg = tiny_config(3)
     logs = []
