@@ -79,8 +79,8 @@ def dijkstra_to(snapshot: GraphSnapshot, dst: int,
         d, node = pop(heap)
         if d > label[node]:
             continue
-        km = left.pop(node, None)
-        if km is not None:
+        if node in left:
+            km = left.pop(node)
             settled[node] = d
             if best is None or (d + km, node) < best:
                 best = (d + km, node)
@@ -110,19 +110,23 @@ def shortest_path_next_hop(snapshot: GraphSnapshot, current: int, dst: int) -> i
     if current == dst:
         raise ValueError("already at the destination")
     link_km, dst_cells = snapshot.link_km(), snapshot.dst_cells
+    # On the +Grid each port of a node leads to a different neighbor, so the
+    # neighbor names the port.
+    targets: dict[int, float] = {}
+    port_of: dict[int, int] = {}
     base = current * NUM_PORTS
-    open_ports = [(p, dst_cells[base + p], link_km[base + p])
-                  for p in range(NUM_PORTS) if link_km[base + p] != math.inf]
-    # On the +Grid each port of a node leads to a different neighbor.
-    dist = dijkstra_to(snapshot, dst, {nxt: km for _, nxt, km in open_ports})
-    best: tuple[float, int, int] | None = None
-    for p, nxt, km in open_ports:
-        if nxt not in dist:
-            continue
-        cand = (km + dist[nxt], nxt, p)
+    for p in range(NUM_PORTS):
+        km = link_km[base + p]
+        if km != math.inf:
+            nxt = dst_cells[base + p]
+            targets[nxt] = km
+            port_of[nxt] = p
+    best: tuple[float, int] | None = None
+    for nxt, label in dijkstra_to(snapshot, dst, targets).items():
+        cand = (targets[nxt] + label, nxt)
         if best is None or cand < best:
             best = cand
-    return best[2] if best else None
+    return port_of[best[1]] if best else None
 
 
 class _FixedSemantics:

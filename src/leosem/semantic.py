@@ -27,9 +27,13 @@ MODE_FORWARD = 0
 MODE_PROCESS = 1
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class SemanticState:
-    """Per-session semantic bookkeeping, updated as the payload travels."""
+    """Per-session semantic bookkeeping, updated as the payload travels.
+
+    Not frozen, which makes construction cheaper, but treated as a value:
+    every update builds a new state, and nothing writes to one.
+    """
     session_id: int
     budget_c: int = BUDGET_MAX
     hops_since_process: int = 0
@@ -136,11 +140,25 @@ class QualityProxyConfig:
         for f in fields(self):
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
-        if sorted(self.budget_gain) != list(BUDGET_SET):
-            raise ValueError(f"budget_gain keys must be exactly {list(BUDGET_SET)}")
+        if not isinstance(self.budget_gain, dict):
+            raise ValueError(f"budget_gain must be a mapping from budget to gain, "
+                             f"got {self.budget_gain!r}")
+        for key in self.budget_gain:
+            if key not in BUDGET_SET:
+                raise ValueError(f"budget_gain key {key!r} is not a budget; "
+                                 f"keys must be exactly {list(BUDGET_SET)}")
+        for c in BUDGET_SET:
+            if c not in self.budget_gain:
+                raise ValueError(f"budget_gain has no gain for budget {c}; "
+                                 f"keys must be exactly {list(BUDGET_SET)}")
         gains = [self.budget_gain[c] for c in BUDGET_SET]
         for c, gain in zip(BUDGET_SET, gains):
-            if not math.isfinite(gain):
+            try:
+                finite = math.isfinite(gain)
+            except TypeError:
+                raise ValueError(f"budget_gain[{c}] must be a real number, got {gain!r}") \
+                    from None
+            if not finite:
                 raise ValueError(f"budget_gain[{c}] must be finite, got {gain!r}")
         if any(b - a < 0 for a, b in zip(gains, gains[1:])):
             raise ValueError("budget_gain must be nondecreasing in C")

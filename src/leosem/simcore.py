@@ -45,6 +45,11 @@ DROP_PRUNED = "pruned"  # chunk-level only; never a session outcome
 _EV_SLOT = 0
 _EV_OTHER = 1
 
+# The valid values of a joint action's three parts.
+_HOPS = range(NUM_PORTS)
+_BUDGET_IDXS = range(len(semantic.BUDGET_SET))
+_RELAYS = range(2)
+
 
 def step_queue(q_len: int, departures: int, arrivals: int, q_max: int) -> int:
     """One slot of the send-queue recursion with capacity clamping."""
@@ -74,9 +79,12 @@ class HopDelayRecord:
     total_s: float
 
     def __post_init__(self):
-        for name in ("prop_s", "tx_s", "queue_s", "proc_s"):
-            if getattr(self, name) < -1e-12:
-                raise ValueError(f"{name} must be >= 0")
+        # One comparison unless a part is bad.  ``not >=`` keeps a NaN from
+        # hiding a negative part: a NaN first makes ``min`` NaN.
+        if not min(self.prop_s, self.tx_s, self.queue_s, self.proc_s) >= -1e-12:
+            for name in ("prop_s", "tx_s", "queue_s", "proc_s"):
+                if getattr(self, name) < -1e-12:
+                    raise ValueError(f"{name} must be >= 0")
 
     @classmethod
     def build(cls, prop_s, tx_s, queue_s, proc_s) -> "HopDelayRecord":
@@ -360,12 +368,14 @@ class Engine:
         action: JointAction = self.controller.decide(view)
         # A negative index would wrap: a port into another node's cell, a
         # budget index into the largest budget.
-        for name, value, size in (("hop", action.hop, NUM_PORTS),
-                                  ("budget_idx", action.budget_idx, len(semantic.BUDGET_SET)),
-                                  ("relay", action.relay, 2)):
-            if value not in range(size):
-                raise ValueError(f"controller returned {name}={value!r} at node {node}; "
-                                 f"expected 0..{size - 1}")
+        if action.hop not in _HOPS or action.budget_idx not in _BUDGET_IDXS \
+                or action.relay not in _RELAYS:
+            for name, value, valid in (("hop", action.hop, _HOPS),
+                                       ("budget_idx", action.budget_idx, _BUDGET_IDXS),
+                                       ("relay", action.relay, _RELAYS)):
+                if value not in valid:
+                    raise ValueError(f"controller returned {name}={value!r} at node {node}; "
+                                     f"expected 0..{valid[-1]}")
         if not mask[action.hop]:
             raise ValueError(f"controller picked masked port {action.hop} at node {node}")
         port = int(action.hop)

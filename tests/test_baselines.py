@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from leosem import baselines
-from leosem.baselines import (BaselineSpec, GreedyQueueController,
-                              ShortestPathController, dijkstra_to,
+from leosem.baselines import (BaselineSpec, GreedyQueueController, dijkstra_to,
                               make_baseline_controller, shortest_path_next_hop)
 from leosem.channel import ChannelConfig, ChannelModel
 from leosem.config import ExperimentConfig, SimulationConfig, default_config, tiny_config
@@ -15,6 +14,7 @@ from leosem.constellation import ConstellationConfig, build_constellation
 from leosem.experiment import evaluate, run_episode
 from leosem.policy import PolicyConfig, init_policy_params
 from leosem.simcore import DROP_NO_LINK
+from search_oracle import EarlyExitChecker
 
 
 def snapshot_for(planes=3, sats=3, failure=0.0, seed=0, t=0.0):
@@ -95,32 +95,6 @@ def test_dijkstra_symmetric_costs():
     dist = dijkstra_to(snap, 4)
     assert dist[4] == 0.0
     assert all(v > 0 for k, v in dist.items() if k != 4)
-
-
-class EarlyExitChecker(ShortestPathController):
-    """Shortest-path routing that checks each decision against the full search."""
-
-    def __init__(self):
-        super().__init__(BaselineSpec(kind="shortest_path"))
-        self.decisions = 0
-        self.partial = 0  # decisions whose search left a reachable target unsettled
-
-    def decide(self, view):
-        snap, node, dst = view.snapshot, view.node, view.session.dst
-        full = dijkstra_to(snap, dst)
-        row = [(p, int(snap.dst[node, p]), float(snap.dist_km[node, p]))
-               for p in range(len(view.mask)) if snap.avail[node, p]]
-        targets = {nxt: km for _, nxt, km in row}
-        bounded = dijkstra_to(snap, dst, targets)
-        assert set(bounded) <= set(targets)
-        for nxt, label in bounded.items():
-            assert np.float64(label).tobytes() == np.float64(full[nxt]).tobytes()
-        best = min(((km + full[nxt], nxt, p) for p, nxt, km in row if nxt in full),
-                   default=None)
-        assert shortest_path_next_hop(snap, node, dst) == (best[2] if best else None)
-        self.decisions += 1
-        self.partial += any(nxt in full and nxt not in bounded for nxt in targets)
-        return super().decide(view)
 
 
 def busy_config(seed):

@@ -108,6 +108,20 @@ def test_nonfinite_budget_gain_rejected(budget, value):
         QualityProxyConfig(budget_gain=gains)
 
 
+@pytest.mark.parametrize("budget_gain, message", [
+    ({64: "x", 96: 0.9, 128: 1.0}, r"budget_gain\[64\] must be a real number, got 'x'"),
+    ({64: 0.8, 96: None, 128: 1.0}, r"budget_gain\[96\] must be a real number, got None"),
+    ({"64": 0.8, 96: 0.9, 128: 1.0}, r"budget_gain key '64' is not a budget"),
+    ({64: 0.8, 96: 0.9, 128: 1.0, 256: 1.0}, r"budget_gain key 256 is not a budget"),
+    ({64: 0.8, 128: 1.0}, r"budget_gain has no gain for budget 96"),
+    (None, r"budget_gain must be a mapping from budget to gain, got None"),
+    ([0.8, 0.9, 1.0], r"budget_gain must be a mapping .*got \[0.8, 0.9, 1.0\]"),
+])
+def test_bad_budget_gain_rejected_naming_budget_or_key(budget_gain, message):
+    with pytest.raises(ValueError, match=message):
+        QualityProxyConfig(budget_gain=budget_gain)
+
+
 @pytest.mark.parametrize("value", NONFINITE)
 @pytest.mark.parametrize("name", ["w_hop", "w_delay", "w_queue", "w_loop", "r_succ", "r_fail",
                                   "beta_sem"])

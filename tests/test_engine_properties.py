@@ -1,5 +1,6 @@
 """Random small scenarios under every kind of controller: chunks are
-conserved and each delivered session's hop records add up to its delay."""
+conserved and each delivered session's hop records add up to its delay,
+and every bounded shortest-path search agrees with the full search."""
 import dataclasses
 
 import numpy as np
@@ -13,6 +14,7 @@ from leosem.channel import ChannelConfig
 from leosem.config import ExperimentConfig, SimulationConfig
 from leosem.constellation import ConstellationConfig
 from leosem.policy import PolicyConfig, init_policy_params
+from search_oracle import EarlyExitChecker
 
 CONTROLLERS = ("random", "greedy_queue", "shortest_path", "policy")
 
@@ -64,6 +66,13 @@ def test_conservation_and_delay_composition(cfg, kind):
     for s in engine.sessions.values():
         if s.resolved and s.session_id not in {o.session_id for o in engine.outcomes}:
             raise AssertionError(f"session {s.session_id} resolved without an outcome")
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(cfg=scenarios())
+def test_bounded_search_matches_full_search_at_every_decision(cfg):
+    engine = experiment.run_episode(cfg, 0, EarlyExitChecker(), hooks=[])
+    assert engine.conservation_ok()
 
 
 def test_scenarios_cover_overflow_prune_and_ttl():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -227,9 +228,25 @@ def test_calibration_without_rows_rejected(tmp_path):
 # ---------------------------------------------------------------- state invariants
 
 def test_state_invariants_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="budget_c must be one of"):
         make_state(budget_c=100)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="accum_distortion must be >= 0"):
         make_state(accum_distortion=-0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="hops_since_process must be >= 0"):
         make_state(hops_since_process=-1)
+
+
+def test_updates_build_a_new_state_and_leave_their_input_alone():
+    # The state is not frozen; sessions share none because every update
+    # builds a new one.
+    state = make_state(budget_c=96, hops_since_process=2, accum_distortion=0.3,
+                       quant_penalties=1, min_link_snr_db=7.0)
+    before = dataclasses.astuple(state)
+    hop = record_hop(state, 4.0, CFG)
+    processed = relay_process(state, semantic.MODE_PROCESS, 64, CFG)
+    assert hop is not state and processed is not state and hop is not processed
+    assert dataclasses.astuple(state) == before
+    assert (hop.hops_since_process, hop.min_link_snr_db) == (3, 4.0)
+    assert (processed.budget_c, processed.quant_penalties) == (64, 2)
+    assert relay_process(state, semantic.MODE_FORWARD, 64, CFG) is state
+    assert dataclasses.astuple(state) == before
