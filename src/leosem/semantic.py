@@ -205,13 +205,15 @@ def noise_factor(link_snr_db: float, cfg: QualityProxyConfig) -> float:
 
 def record_hop(state: SemanticState, link_snr_db: float, cfg: QualityProxyConfig) -> SemanticState:
     """Account one traversed link: distortion grows, min-SNR tracks."""
+    # Positional: keyword arguments make a slotted dataclass's __init__ cost
+    # about twice as much, and this runs once per hop.
     return SemanticState(
-        session_id=state.session_id,
-        budget_c=state.budget_c,
-        hops_since_process=state.hops_since_process + 1,
-        accum_distortion=state.accum_distortion + cfg.per_hop_distortion * noise_factor(link_snr_db, cfg),
-        quant_penalties=state.quant_penalties,
-        min_link_snr_db=min(state.min_link_snr_db, link_snr_db),
+        state.session_id,
+        state.budget_c,
+        state.hops_since_process + 1,
+        state.accum_distortion + cfg.per_hop_distortion * noise_factor(link_snr_db, cfg),
+        state.quant_penalties,
+        min(state.min_link_snr_db, link_snr_db),
     )
 
 

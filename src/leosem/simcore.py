@@ -183,7 +183,12 @@ class EngineCounters:
 
 
 class Engine:
-    """Event-driven simulation of one episode on one constellation."""
+    """Event-driven simulation of one episode on one constellation.
+
+    The per-hop records (``DecisionView``, ``_Burst``, ``HopDelayRecord``,
+    ``HopMeasurements``) are built from positional arguments: keywords make
+    a slotted dataclass's ``__init__`` cost about twice as much.
+    """
 
     def __init__(self, constellation: Constellation, channel: ChannelModel,
                  controller, proxy_cfg: QualityProxyConfig,
@@ -352,19 +357,16 @@ class Engine:
         node = session.node
         snap = self.snapshot
         mask = snap.port_mask(node)
-        if not any(mask.tolist()):  # a numpy reduction costs ten times as much
+        is_open = mask.tolist()
+        if not any(is_open):  # a numpy reduction costs ten times as much
             self._fail(session, DROP_NO_LINK,
                        penalty_index=session.decision_count - 1 if session.decision_count else None,
                        measurements=None)
             return
         decision_index = session.decision_count
         is_source = decision_index == 0
-        view = DecisionView(
-            node=node, session=session,
-            snapshot=snap, mask=mask, occupancy=self.occupancy,
-            q_max=self.q_max, ttl_max=self.ttl_hops,
-            constellation=self.constellation, is_source=is_source,
-        )
+        view = DecisionView(node, session, snap, mask, self.occupancy, self.q_max,
+                            self.ttl_hops, self.constellation, is_source)
         action: JointAction = self.controller.decide(view)
         # A negative index would wrap: a port into another node's cell, a
         # budget index into the largest budget.
@@ -376,7 +378,7 @@ class Engine:
                 if value not in valid:
                     raise ValueError(f"controller returned {name}={value!r} at node {node}; "
                                      f"expected 0..{valid[-1]}")
-        if not mask[action.hop]:
+        if not is_open[action.hop]:
             raise ValueError(f"controller picked masked port {action.hop} at node {node}")
         port = int(action.hop)
         cell = node * NUM_PORTS + port
@@ -404,9 +406,9 @@ class Engine:
                        next=next_node, budget=action.budget_c, relay=int(action.relay),
                        source=is_source)
 
-        # ``int``: a numpy scalar would flow on into the rewards.
+        # ``item``: a numpy scalar would flow on into the rewards.
         session.pending = (decision_index, next_node, dist_km,
-                           int(self._occ[cell]) / self.q_max,
+                           self._occ.item(cell) / self.q_max,
                            next_node in session.hop_trace, proc_s)
         if proc_s > 0:
             self._push(self.now_s + proc_s, _EV_OTHER, ("enqueue", session.session_id, cell))
@@ -433,7 +435,8 @@ class Engine:
         session = self.sessions[sid]
         chunks = session.num_chunks
         # All or nothing: a partial payload is useless downstream.
-        if chunks > self.q_max - self._occ[cell]:
+        occ = self._occ.item(cell)
+        if chunks > self.q_max - occ:
             decision_index, _, prev_dist_km, queue_frac, revisited, _ = session.pending
             m = HopMeasurements(
                 decision_index=decision_index, prev_dist_km=prev_dist_km,
@@ -443,14 +446,13 @@ class Engine:
             if self.trace is not None:
                 node, port = divmod(cell, NUM_PORTS)
                 self._emit("enqueue_overflow", session=sid, node=node, port=port,
-                           occupancy=int(self._occ[cell]))
+                           occupancy=occ)
             self._fail(session, DROP_OVERFLOW, penalty_index=decision_index,
                        measurements=m)
             return
-        self.queues[cell].append(_Burst(
-            session=session, num_chunks=chunks, total_bytes=session.payload_bytes,
-            enqueue_s=self.now_s, enqueue_slot=self.slot))
-        self._occ[cell] += chunks
+        self.queues[cell].append(_Burst(session, chunks, session.payload_bytes,
+                                        self.now_s, self.slot))
+        self._occ[cell] = occ + chunks
         if self.trace is not None:
             node, port = divmod(cell, NUM_PORTS)
             self._emit("enqueue", session=sid, node=node, port=port, chunks=chunks)
@@ -502,20 +504,16 @@ class Engine:
         session.pending = None
         queue_s = burst.service_start_s - burst.enqueue_s
         tx_s = self.now_s - burst.frozen_prop_s - burst.service_start_s
-        record = HopDelayRecord.build(
-            prop_s=burst.frozen_prop_s, tx_s=max(tx_s, 0.0),
-            queue_s=max(queue_s, 0.0), proc_s=proc_s)
+        record = HopDelayRecord.build(burst.frozen_prop_s, max(tx_s, 0.0),
+                                      max(queue_s, 0.0), proc_s)
         session.hop_records.append(record)
         session.sem = semantic.record_hop(session.sem, burst.frozen_snr_db, self.proxy_cfg)
         session.ttl_remaining -= 1
         session.node = node
         session.hop_trace.append(node)
         dist_km = self.snapshot.distance_km(node, session.dst)
-        m = HopMeasurements(
-            decision_index=decision_index, prev_dist_km=prev_dist_km,
-            new_dist_km=dist_km, delay_s=record.total_s, queue_frac=queue_frac,
-            revisited=revisited, hop_completed=True,
-        )
+        m = HopMeasurements(decision_index, prev_dist_km, dist_km, record.total_s,
+                            queue_frac, revisited, True)
         if self.trace is not None:
             self._emit("arrival", session=session.session_id, node=node,
                        ttl=session.ttl_remaining)
