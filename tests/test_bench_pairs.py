@@ -1,6 +1,6 @@
 """The paired-run summary of ``tools/bench_pairs.py``: wins, ties, the gain rule,
-metrics worse beyond the base's spread and whether the routing outcomes stayed
-identical."""
+metrics worse beyond the base's spread, the per-pair ratios and whether the
+routing outcomes stayed identical."""
 import importlib.util
 import math
 import pathlib
@@ -126,9 +126,11 @@ def test_summary_lines_give_medians_ratio_wins_and_both_rules():
     metrics = [RATE, DELAY]
     lines = bench_pairs.summary_lines("eval_busy", bench_pairs.compare(runs, metrics), metrics)
     assert lines == [
-        "eval_busy episodes_per_s: base 10 change 11 ratio 1.1000 wins 10/10 "
+        "eval_busy episodes_per_s: base 10 change 11 ratio 1.1000 "
+        "paired 1.1000 [1.0990, 1.1008] wins 10/10 "
         "gain_rule_met True worse_beyond_spread False",
-        "eval_busy mean_delay_s: base 10 change 11 ratio 1.1000 wins 0/10 "
+        "eval_busy mean_delay_s: base 10 change 11 ratio 1.1000 "
+        "paired 1.1000 [1.0990, 1.1008] wins 0/10 "
         "gain_rule_met False worse_beyond_spread True",
     ]
 
@@ -136,4 +138,25 @@ def test_summary_lines_give_medians_ratio_wins_and_both_rules():
 def test_summary_line_ratio_is_nan_on_a_zero_base():
     out = bench_pairs.compare(pairs([0.0], [0.0], "episodes_per_s"), [RATE])
     line, = bench_pairs.summary_lines("w", out, [RATE])
-    assert "ratio nan wins 0/1" in line
+    assert "ratio nan paired nan [nan, nan] wins 0/1" in line
+
+
+def test_paired_ratio_summarises_the_per_pair_ratios():
+    # Seeds whose workloads differ by 20 % spread the base's runs far more
+    # than a steady 5 % gain, which every pair's own ratio shows.
+    base = [8.0, 10.0, 12.0, 9.0, 11.0]
+    change = [b * r for b, r in zip(base, [1.04, 1.05, 1.06, 1.05, 1.05])]
+    out = bench_pairs.compare(pairs(base, change, "episodes_per_s"),
+                              [RATE])["episodes_per_s"]
+    assert out["paired_ratio"] == pytest.approx({"median": 1.05, "q1": 1.05, "q3": 1.05})
+    assert out["change_wins"] == 5 and not out["gain_rule_met"]
+
+
+def test_paired_ratio_skips_zero_bases_and_leaves_both_rules_alone():
+    out = bench_pairs.compare(pairs([0.0, 2.0, 4.0], [1.0, 3.0, 2.0], "episodes_per_s"),
+                              [RATE])["episodes_per_s"]
+    assert out["paired_ratio"] == pytest.approx({"median": 1.0, "q1": 0.75, "q3": 1.25})
+    out = bench_pairs.compare(pairs([0.0], [1.0], "episodes_per_s"), [RATE])["episodes_per_s"]
+    assert out["paired_ratio"] is None
+    assert out["change_wins"] == 1 and out["gain_rule_met"]
+    assert not out["worse_beyond_spread"]

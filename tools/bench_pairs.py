@@ -9,14 +9,16 @@ the working tree.  For each seed it then runs ``python3 perfbench/run.py
 --workload W --seed S --seconds T --trace 0`` once in each tree, the side
 that goes first alternating from pair to pair, and writes
 ``BENCH_<label>.json``: the host line, both SHAs, every run's metrics, and
-per end-to-end metric each side's median and quartiles, the number of
+per end-to-end metric each side's median and quartiles, the median and
+quartiles of the per-pair change/base ratios (``paired_ratio``), the number of
 pairs the working tree won (ties count for neither side), ``gain_rule_met``
 and ``worse_beyond_spread``; per workload, the list of metrics worse beyond
 the base's spread and ``outcomes_identical``: whether the routing outcomes
 were equal in every pair.  Run it once per workload with the same label: each run
 adds or replaces that workload's entry in the file.  After writing it, it prints
-one line per end-to-end metric: both medians, their ratio, the pairs won,
-``gain_rule_met`` and ``worse_beyond_spread``.
+one line per end-to-end metric: both medians, their ratio, the paired ratios'
+median and quartiles, the pairs won, ``gain_rule_met`` and
+``worse_beyond_spread``.
 """
 from __future__ import annotations
 
@@ -74,7 +76,9 @@ def summarise(values: list[float]) -> dict:
 
 
 def compare(pairs: list[dict], metrics: list[dict]) -> dict:
-    """Per metric: both sides' median and quartiles, the pairs the change won,
+    """Per metric: both sides' median and quartiles, ``paired_ratio`` (the
+    median and quartiles of the per-pair change/base ratios, over the pairs
+    whose base is not 0; None when there is none), the pairs the change won,
     ``gain_rule_met`` and ``worse_beyond_spread``.  For the whole set:
     ``outcomes_identical``, and ``worse_beyond_spread``, the names of the
     metrics that are.
@@ -83,7 +87,9 @@ def compare(pairs: list[dict], metrics: list[dict]) -> dict:
     at least 0.9 of the pairs and its median is better than the base's by
     more than the base's interquartile range; a metric is worse beyond the
     spread when the change's median is worse than the base's by more than
-    that range.  ``outcomes_identical`` says whether each outcome metric
+    that range.  Neither rule reads ``paired_ratio``: across seeds the base's
+    range also holds the seeds' different workloads, which a ratio within
+    each pair cancels.  ``outcomes_identical`` says whether each outcome metric
     among ``metrics`` was equal in every pair (None when there is none).
     """
     outcomes = [m["name"] for m in metrics if m["name"] in OUTCOMES]
@@ -96,10 +102,12 @@ def compare(pairs: list[dict], metrics: list[dict]) -> dict:
         base = [p["base"]["metrics"][name] for p in pairs]
         change = [p["change"]["metrics"][name] for p in pairs]
         b, c = summarise(base), summarise(change)
+        ratios = [y / x for x, y in zip(base, change) if x]
         wins = sum(sign * (y - x) > 0 for x, y in zip(base, change))
         gain = sign * (c["median"] - b["median"])
         spread = b["q3"] - b["q1"]
         out[name] = {"unit": m["unit"], "better": m["better"], "base": b, "change": c,
+                     "paired_ratio": summarise(ratios) if ratios else None,
                      "change_wins": wins, "pairs": len(pairs),
                      "gain_rule_met": wins >= 0.9 * len(pairs) and gain > spread,
                      "worse_beyond_spread": -gain > spread}
@@ -110,14 +118,17 @@ def compare(pairs: list[dict], metrics: list[dict]) -> dict:
 
 def summary_lines(workload: str, summary: dict, metrics: list[dict]) -> list[str]:
     """One line per metric of ``compare``'s summary: base and change medians,
-    change/base ratio, pairs won, ``gain_rule_met`` and ``worse_beyond_spread``."""
+    change/base ratio, the paired ratios' median [q1, q3], pairs won,
+    ``gain_rule_met`` and ``worse_beyond_spread``."""
     lines = []
     for m in metrics:
         s = summary[m["name"]]
         base, change = s["base"]["median"], s["change"]["median"]
         ratio = change / base if base else math.nan
+        r = s["paired_ratio"] or dict.fromkeys(("median", "q1", "q3"), math.nan)
         lines.append(f"{workload} {m['name']}: base {base:.6g} change {change:.6g} "
-                     f"ratio {ratio:.4f} wins {s['change_wins']}/{s['pairs']} "
+                     f"ratio {ratio:.4f} paired {r['median']:.4f} "
+                     f"[{r['q1']:.4f}, {r['q3']:.4f}] wins {s['change_wins']}/{s['pairs']} "
                      f"gain_rule_met {s['gain_rule_met']} "
                      f"worse_beyond_spread {s['worse_beyond_spread']}")
     return lines
