@@ -13,8 +13,6 @@ import dataclasses
 import math
 from dataclasses import dataclass, field, fields
 
-import yaml
-
 from .agent import PpoSettings, RewardConfig
 from .channel import ChannelConfig
 from .constellation import ConstellationConfig
@@ -203,7 +201,11 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return out
 
 
+# ``yaml`` is imported by the two functions that read or write a file: a run
+# that never does (an evaluation in a benchmark, a test) does not load it.
+
 def load_config(path) -> ExperimentConfig:
+    import yaml
     with open(path) as fh:
         data = yaml.safe_load(fh)
     if data is None:
@@ -212,6 +214,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
+    import yaml
     with open(path, "w") as fh:
         yaml.safe_dump(config_to_dict(cfg), fh, sort_keys=True)
 

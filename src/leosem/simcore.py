@@ -25,6 +25,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,7 +118,8 @@ class ActiveSession:
     num_chunks: int = 0      # chunks the payload occupies now
     payload_bytes: int = 0   # their byte total
     hop_trace: list[int] = field(default_factory=list)
-    hop_records: list[HopDelayRecord] = field(default_factory=list)
+    # Four floats per completed hop: its prop, tx, queue and proc seconds.
+    hop_delays: array = field(default_factory=lambda: array("d"))
     decision_count: int = 0
     relay_count: int = 0
     resolved: bool = False
@@ -131,6 +133,12 @@ class ActiveSession:
     drop_cause: str | None = None
     end_to_end_delay_s: float | None = None
     quality: float | None = None
+
+    @property
+    def hop_records(self) -> list[HopDelayRecord]:
+        """One record per completed hop, built from ``hop_delays``."""
+        d = self.hop_delays
+        return [HopDelayRecord.build(*d[i:i + 4]) for i in range(0, len(d), 4)]
 
 
 @dataclass(slots=True)
@@ -185,9 +193,10 @@ class EngineCounters:
 class Engine:
     """Event-driven simulation of one episode on one constellation.
 
-    The per-hop records (``DecisionView``, ``_Burst``, ``HopDelayRecord``,
-    ``HopMeasurements``) are built from positional arguments: keywords make
-    a slotted dataclass's ``__init__`` cost about twice as much.
+    The per-hop records (``DecisionView``, ``_Burst``, ``HopMeasurements``)
+    are built from positional arguments: keywords make a slotted
+    dataclass's ``__init__`` cost about twice as much.  A hop's delay parts
+    go straight into its session's ``hop_delays``, with no record object.
     """
 
     def __init__(self, constellation: Constellation, channel: ChannelModel,
@@ -502,18 +511,19 @@ class Engine:
         session = burst.session
         decision_index, node, prev_dist_km, queue_frac, revisited, proc_s = session.pending
         session.pending = None
-        queue_s = burst.service_start_s - burst.enqueue_s
-        tx_s = self.now_s - burst.frozen_prop_s - burst.service_start_s
-        record = HopDelayRecord.build(burst.frozen_prop_s, max(tx_s, 0.0),
-                                      max(queue_s, 0.0), proc_s)
-        session.hop_records.append(record)
+        prop_s = burst.frozen_prop_s
+        tx_s = max(self.now_s - prop_s - burst.service_start_s, 0.0)
+        queue_s = max(burst.service_start_s - burst.enqueue_s, 0.0)
+        if not min(prop_s, tx_s, queue_s, proc_s) >= -1e-12:
+            HopDelayRecord.build(prop_s, tx_s, queue_s, proc_s)  # raises, naming the part
+        session.hop_delays.extend((prop_s, tx_s, queue_s, proc_s))
         session.sem = semantic.record_hop(session.sem, burst.frozen_snr_db, self.proxy_cfg)
         session.ttl_remaining -= 1
         session.node = node
         session.hop_trace.append(node)
         dist_km = self.snapshot.distance_km(node, session.dst)
-        m = HopMeasurements(decision_index, prev_dist_km, dist_km, record.total_s,
-                            queue_frac, revisited, True)
+        m = HopMeasurements(decision_index, prev_dist_km, dist_km,
+                            prop_s + tx_s + queue_s + proc_s, queue_frac, revisited, True)
         if self.trace is not None:
             self._emit("arrival", session=session.session_id, node=node,
                        ttl=session.ttl_remaining)
