@@ -201,8 +201,8 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return out
 
 
-# ``yaml`` is imported by the two functions that read or write a file: a run
-# that never does (an evaluation in a benchmark, a test) does not load it.
+# Only the two functions that read or write a file import ``yaml``, so a
+# program that builds its config in Python and writes none never loads it.
 
 def load_config(path) -> ExperimentConfig:
     import yaml

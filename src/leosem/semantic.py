@@ -153,11 +153,13 @@ class QualityProxyConfig:
                                  f"keys must be exactly {list(BUDGET_SET)}")
         gains = [self.budget_gain[c] for c in BUDGET_SET]
         for c, gain in zip(BUDGET_SET, gains):
+            not_real = f"budget_gain[{c}] must be a real number, got {gain!r}"
+            if isinstance(gain, (bool, np.bool_)):  # math.isfinite takes True as 1
+                raise ValueError(not_real)
             try:
                 finite = math.isfinite(gain)
             except TypeError:
-                raise ValueError(f"budget_gain[{c}] must be a real number, got {gain!r}") \
-                    from None
+                raise ValueError(not_real) from None
             if not finite:
                 raise ValueError(f"budget_gain[{c}] must be finite, got {gain!r}")
         if any(b - a < 0 for a, b in zip(gains, gains[1:])):

@@ -515,7 +515,7 @@ class Engine:
         tx_s = max(self.now_s - prop_s - burst.service_start_s, 0.0)
         queue_s = max(burst.service_start_s - burst.enqueue_s, 0.0)
         if not min(prop_s, tx_s, queue_s, proc_s) >= -1e-12:
-            HopDelayRecord.build(prop_s, tx_s, queue_s, proc_s)  # raises, naming the part
+            HopDelayRecord.build(prop_s, tx_s, queue_s, proc_s)  # names a negative part
         session.hop_delays.extend((prop_s, tx_s, queue_s, proc_s))
         session.sem = semantic.record_hop(session.sem, burst.frozen_snr_db, self.proxy_cfg)
         session.ttl_remaining -= 1

@@ -1,7 +1,11 @@
 import dataclasses
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
@@ -55,6 +59,33 @@ def test_roundtrip_identity(tmp_path):
     assert again == cfg
     save_config(again, tmp_path / "c2.yaml")
     assert (tmp_path / "c.yaml").read_text() == (tmp_path / "c2.yaml").read_text()
+
+
+_YAML_PROBE = """
+import sys
+from leosem import experiment
+from leosem.baselines import BaselineSpec
+from leosem.config import save_config, tiny_config
+experiment.evaluate(tiny_config(0), None, 1, baseline=BaselineSpec(kind="shortest_path"))
+print("yaml" in sys.modules)
+save_config(tiny_config(0), sys.argv[1])
+print("yaml" in sys.modules)
+"""
+
+
+def test_yaml_is_loaded_only_to_read_or_write_a_file(tmp_path):
+    # A fresh interpreter that imports the experiment and evaluates an
+    # episode, as every benchmark workload does, leaves yaml unloaded;
+    # writing a config file loads it.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(pathlib.Path(__file__).resolve().parent.parent / "src"),
+                    env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _YAML_PROBE, str(tmp_path / "c.yaml")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
+    assert load_config(tmp_path / "c.yaml") == tiny_config(0)
 
 
 def test_unknown_top_level_field_rejected():
@@ -116,6 +147,10 @@ def test_nonfinite_budget_gain_rejected(budget, value):
     ({64: 0.8, 128: 1.0}, r"budget_gain has no gain for budget 96"),
     (None, r"budget_gain must be a mapping from budget to gain, got None"),
     ([0.8, 0.9, 1.0], r"budget_gain must be a mapping .*got \[0.8, 0.9, 1.0\]"),
+    ({64: 0.5, 96: True, 128: True}, r"budget_gain\[96\] must be a real number, got True"),
+    ({64: False, 96: 0.9, 128: 1.0}, r"budget_gain\[64\] must be a real number, got False"),
+    ({64: 0.5, 96: 0.9, 128: np.True_},
+     r"budget_gain\[128\] must be a real number, got np\.True_"),
 ])
 def test_bad_budget_gain_rejected_naming_budget_or_key(budget_gain, message):
     with pytest.raises(ValueError, match=message):

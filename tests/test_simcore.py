@@ -132,6 +132,18 @@ def test_hop_record_total_is_component_sum():
         HopDelayRecord.build(-1e-3, 0, 0, 0)
 
 
+def test_arrival_rejects_a_negative_part_before_storing_it():
+    # A negative relay processing delay reaches the arrival of the hop after
+    # the relay, which names the part and stores none of that hop's delays.
+    ctl = ScriptedController(port=0, budget_idx=2, relay_at_decision=1)
+    engine = build_engine(1, 5, ctl, ttl=8, proc=-0.005)
+    engine.add_session(0, 3, spawn_s=0.0, latent_bytes=1200)
+    with pytest.raises(ValueError, match="proc_s must be >= 0"):
+        engine.run(30.0)
+    session = engine.sessions[0]
+    assert len(session.hop_delays) == 4 and session.hop_records[0].proc_s == 0.0
+
+
 # ---------------------------------------------------------------- send queues
 
 def queued(engine, cell):

@@ -4,6 +4,7 @@ the uninterrupted event log, and a finished run keeps no block, no drawn
 channel rows and little else besides its results."""
 import dataclasses
 import gc
+import pathlib
 import tracemalloc
 import weakref
 
@@ -16,7 +17,10 @@ from leosem.baselines import BaselineSpec, ShortestPathController
 from leosem.channel import SLOT_BLOCK, ChannelConfig, ChannelModel
 from leosem.config import default_config, tiny_config
 from leosem.constellation import Constellation, ConstellationConfig, build_constellation
-from leosem.policy import PolicyConfig, init_policy_params
+from leosem.policy import PolicyConfig, init_policy_params, load_checkpoint
+
+CHECKPOINT = (pathlib.Path(__file__).resolve().parent.parent
+              / "perfbench" / "data" / "eval_busy_policy.npz")
 
 
 def busy_config():
@@ -127,22 +131,39 @@ def test_finished_run_keeps_no_slot_block(monkeypatch):
             assert channel._available.tobytes() == twin._available.tobytes()
 
 
-def test_finished_busy_engine_retains_under_320_kib():
-    # What an evaluation's engines keep once their episodes end: sessions,
-    # hop records and counters.  An engine retains about 205 KiB here, and
-    # about 500 KiB with an empty deque per port, its last block of slot
-    # state, its drawn channel rows and its own copy of the link list.
-    cfg = busy_config()
-    spec = BaselineSpec(kind="shortest_path")
-    experiment.evaluate(cfg, None, 1, baseline=spec)  # per-shape tables
+def retained_per_engine(cfg, params, baseline) -> float:
+    """Bytes each of two finished engines of an evaluation keeps."""
+    experiment.evaluate(cfg, params, 1, baseline=baseline)  # per-shape tables
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        engines = experiment.evaluate(cfg, None, 2, baseline=spec)[2]
+        engines = experiment.evaluate(cfg, params, 2, baseline=baseline)[2]
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert len(engines) == 2 and all(e.sessions_resolved for e in engines)
-    assert retained / len(engines) < 320 * 1024, f"{retained / len(engines) / 1024:.0f} KiB"
+    return retained / len(engines)
+
+
+def test_finished_busy_shortest_path_engine_retains_under_180_kib():
+    # What an evaluation's engines keep once their episodes end: sessions,
+    # their hop traces and delays, and counters.  An engine retains about
+    # 140 KiB here; about 205 KiB with a record object per hop, and about
+    # 500 KiB with, besides, an empty deque per port, its last block of slot
+    # state, its drawn channel rows and its own copy of the link list.
+    retained = retained_per_engine(busy_config(), None, BaselineSpec(kind="shortest_path"))
+    assert retained < 180 * 1024, f"{retained / 1024:.0f} KiB"
+
+
+def test_finished_busy_greedy_policy_engine_retains_under_260_kib():
+    # The benchmark's fixed checkpoint, evaluated greedily on the same shell:
+    # its sessions make about 2.7 times the hops of shortest-path routing.
+    # An engine retains about 182 KiB here, and about 358 KiB with a record
+    # object per hop.
+    cfg = busy_config()
+    params, _ = load_checkpoint(CHECKPOINT)
+    assert params.cfg == experiment.make_policy_config(cfg)
+    retained = retained_per_engine(cfg, params, None)
+    assert retained < 260 * 1024, f"{retained / 1024:.0f} KiB"
