@@ -36,11 +36,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import gat, policy as pol
+from ._fields import check_numeric_fields
 from .constellation import NUM_PORTS
 from .gat import SubgraphInput
 from .policy import JointAction, PolicyParams
@@ -178,9 +179,7 @@ class RewardConfig:
     beta_sem: float = 1.0
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
+        check_numeric_fields(self)
         for name in ("w_hop", "w_delay", "w_queue", "w_loop", "r_succ", "r_fail", "beta_sem"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -344,9 +343,7 @@ class PpoSettings:
     episodes: int = 300
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
+        check_numeric_fields(self)
         for name in ("minibatch_size", "epochs", "horizon", "trunk_width", "gat_hidden"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -486,6 +483,7 @@ def ppo_update(rollout: Rollout, params: PolicyParams, optimizer: pol.Adam,
     if block is not None:
         raise FloatingPointError(f"non-finite parameter block {block!r} before the update")
     batch = stack_buffer(rollout, hyper)
+    rollout.clear()  # the batch holds copies of every row
     n = len(batch)
 
     # Behavior log-probs must match the pre-update policy exactly.  Checked
@@ -500,18 +498,10 @@ def ppo_update(rollout: Rollout, params: PolicyParams, optimizer: pol.Adam,
     for epoch in range(hyper.epochs):
         order = rng.permutation(n)
         for k, start in enumerate(range(0, n, hyper.minibatch_size)):
-            mb = batch[order[start:start + hyper.minibatch_size]]
-            terms = _loss_terms(params, mb, hyper)
-            _check_ratio(terms.ratio, f"epoch {epoch}, minibatch {k}")
-            grads = _mean_grads(params, mb, hyper, terms)
-            block = grads.nonfinite_block()
-            if block is not None:
-                raise FloatingPointError(
-                    f"non-finite gradient in parameter block {block!r} "
-                    f"at epoch {epoch}, minibatch {k}")
-            params = optimizer.step(params, grads, hyper.max_grad_norm)
-            parts.append((terms.surr, terms.v_err, terms.entropy, terms.ratio))
-    rollout.clear()
+            params, part = _minibatch_step(
+                params, batch[order[start:start + hyper.minibatch_size]], optimizer, hyper,
+                f"epoch {epoch}, minibatch {k}")
+            parts.append(part)
     surr, v_err, entropy, ratio = (np.concatenate(p) for p in zip(*parts))
     stats = UpdateStats(
         n_samples=n,
@@ -522,6 +512,24 @@ def ppo_update(rollout: Rollout, params: PolicyParams, optimizer: pol.Adam,
         mean_ratio=float(np.mean(ratio)),
     )
     return params, stats
+
+
+def _minibatch_step(params: PolicyParams, mb: RolloutBatch, optimizer: pol.Adam,
+                    hyper: PpoSettings, where: str) -> tuple[PolicyParams, tuple]:
+    """One forward, backward and optimizer step on the minibatch ``mb``.
+
+    Returns the stepped parameters and the minibatch's (surrogate, value
+    error, entropy, ratio).  Its forward cache and gradient are gone once it
+    returns, before the next minibatch's forward starts.
+    """
+    terms = _loss_terms(params, mb, hyper)
+    _check_ratio(terms.ratio, where)
+    grads = _mean_grads(params, mb, hyper, terms)
+    block = grads.nonfinite_block()
+    if block is not None:
+        raise FloatingPointError(f"non-finite gradient in parameter block {block!r} at {where}")
+    return (optimizer.step(params, grads, hyper.max_grad_norm),
+            (terms.surr, terms.v_err, terms.entropy, terms.ratio))
 
 
 def _check_ratio(ratio: np.ndarray, where: str, offset: int = 0) -> None:

@@ -11,9 +11,11 @@ every draw bit-for-bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
+
+from ._fields import check_numeric_fields
 
 
 @dataclass(frozen=True)
@@ -28,9 +30,7 @@ class ChannelConfig:
     bandwidth_hz: float = 1.0e6
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
+        check_numeric_fields(self)
         if self.fast_std_db < 0:
             raise ValueError("fast_std_db must be >= 0")
         if self.jitter_amplitude_db < 0:

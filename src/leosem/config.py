@@ -13,6 +13,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field, fields
 
+from ._fields import check_numeric_fields
 from .agent import PpoSettings, RewardConfig
 from .channel import ChannelConfig
 from .constellation import ConstellationConfig
@@ -41,9 +42,7 @@ class SimulationConfig:
     flow_min_grid_hops: int = 1
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
+        check_numeric_fields(self, ConfigError)
         for name in ("slot_length_s", "episode_length_s"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be > 0")
@@ -63,10 +62,7 @@ class ObjectiveConfig:
     delay_scale_s: float | None = None  # None -> derived worst-case bound
 
     def __post_init__(self):
-        for name in ("lambda_delay", "lambda_semantic", "delay_scale_s"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value!r}")
+        check_numeric_fields(self, ConfigError)
         if self.lambda_delay < 0 or self.lambda_semantic < 0:
             raise ConfigError("objective weights must be >= 0")
         if abs(self.lambda_delay + self.lambda_semantic - 1.0) > 1e-9:

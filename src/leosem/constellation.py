@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._fields import check_numeric_fields
 from .channel import SLOT_BLOCK
 
 MU_EARTH_KM3_S2 = 398600.4418
@@ -39,9 +40,7 @@ class ConstellationConfig:
     mu_km3_s2: float = MU_EARTH_KM3_S2
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
+        check_numeric_fields(self)
         if self.num_planes < 1:
             raise ValueError("num_planes must be >= 1")
         if self.sats_per_plane < 1:

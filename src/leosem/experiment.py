@@ -101,7 +101,8 @@ def run_episode(cfg: ExperimentConfig, episode: int, controller, hooks,
     """One seeded episode: build the world, spawn sessions, run to the end.
 
     Every trace event carries ``episode``: session ids and times restart in
-    each episode.
+    each episode.  The returned engine is finished: it keeps the episode's
+    results, not its controller or hooks.
     """
     if trace is not None:
         trace = _tag_episode(trace, episode)
@@ -125,6 +126,7 @@ def run_episode(cfg: ExperimentConfig, episode: int, controller, hooks,
                                latent_bytes=cfg.simulation.session_latent_bytes,
                                flow_id=flow_id)
     engine.run(cfg.simulation.episode_length_s)
+    engine.finish()
     return engine
 
 

@@ -386,31 +386,42 @@ def backward(params: PolicyParams, fwd: PolicyForward,
     """Backpropagate (B, K) head-logit and (B,) value gradients.
 
     Returns the gradient summed over the batch, in a parameter container.
+    Products and sums are written straight into the container, and the
+    trunk's intermediates share three (B, trunk_width) buffers, with the
+    operands and the order of the plain expressions, so the bits are theirs.
     """
     g = zeros_like_params(params)
     d_hop, d_bud, d_rel = d_logits["hop"], d_logits["budget"], d_logits["relay"]
+    d_val = d_value[:, None]
     t2T = fwd.t2.T
-    g.w_hop[...] = t2T @ d_hop
-    g.b_hop[...] = d_hop.sum(axis=0)
-    g.w_bud[...] = t2T @ d_bud
-    g.b_bud[...] = d_bud.sum(axis=0)
-    g.w_rel[...] = t2T @ d_rel
-    g.b_rel[...] = d_rel.sum(axis=0)
-    g.w_val[...] = t2T @ d_value[:, None]
+    np.matmul(t2T, d_hop, out=g.w_hop)
+    np.sum(d_hop, axis=0, out=g.b_hop)
+    np.matmul(t2T, d_bud, out=g.w_bud)
+    np.sum(d_bud, axis=0, out=g.b_bud)
+    np.matmul(t2T, d_rel, out=g.w_rel)
+    np.sum(d_rel, axis=0, out=g.b_rel)
+    np.matmul(t2T, d_val, out=g.w_val)
     g.b_val[...] = d_value.sum()
 
-    dt2 = (
-        d_hop @ params.w_hop.T
-        + d_bud @ params.w_bud.T
-        + d_rel @ params.w_rel.T
-        + d_value[:, None] * params.w_val[:, 0]
-    )
-    dpre2 = dt2 * (1.0 - fwd.t2**2)
-    g.w2[...] = fwd.t1.T @ dpre2
-    g.b2[...] = dpre2.sum(axis=0)
-    dpre1 = (dpre2 @ params.w2.T) * (1.0 - fwd.t1**2)
-    g.w1[...] = fwd.state.T @ dpre1
-    g.b1[...] = dpre1.sum(axis=0)
+    # dt2 = d_hop w_hop' + d_bud w_bud' + d_rel w_rel' + d_value w_val',
+    # added left to right.
+    dt2 = np.matmul(d_hop, params.w_hop.T)
+    prod = np.matmul(d_bud, params.w_bud.T)
+    dt2 += prod
+    dt2 += np.matmul(d_rel, params.w_rel.T, out=prod)
+    dt2 += np.multiply(d_val, params.w_val[:, 0], out=prod)
+    # tanh' = 1 - t**2 for both trunk layers, in one buffer.
+    tanh_grad = np.square(fwd.t2)
+    np.subtract(1.0, tanh_grad, out=tanh_grad)
+    dpre2 = np.multiply(dt2, tanh_grad, out=dt2)
+    np.matmul(fwd.t1.T, dpre2, out=g.w2)
+    np.sum(dpre2, axis=0, out=g.b2)
+    dpre1 = np.matmul(dpre2, params.w2.T, out=prod)
+    np.square(fwd.t1, out=tanh_grad)
+    np.subtract(1.0, tanh_grad, out=tanh_grad)
+    dpre1 *= tanh_grad
+    np.matmul(fwd.state.T, dpre1, out=g.w1)
+    np.sum(dpre1, axis=0, out=g.b1)
     d_emb = dpre1 @ params.w1[params.cfg.obs_dim:].T
     gg: GatGrads = gat.backward(params.gat, fwd.gat_cache, d_emb)
     g.gat.w[...] = gg.w

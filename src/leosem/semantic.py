@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
+
+from ._fields import check_numeric_fields
 
 BUDGET_SET = (64, 96, 128)
 BUDGET_MAX = 128
@@ -137,9 +139,7 @@ class QualityProxyConfig:
     calibration_table: str | None = None
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
+        check_numeric_fields(self)
         if not isinstance(self.budget_gain, dict):
             raise ValueError(f"budget_gain must be a mapping from budget to gain, "
                              f"got {self.budget_gain!r}")

@@ -284,6 +284,8 @@ class Engine:
         """Process every event with timestamp <= until_s, stopping early
         once every session has ended."""
         heap, pop = self._heap, heapq.heappop
+        if heap is None:
+            raise RuntimeError("the episode has ended: a finished engine cannot run on")
         limit = until_s + 1e-12
         n = len(self.sessions)
         while heap and heap[0][0] <= limit:
@@ -316,6 +318,18 @@ class Engine:
         self._snapshot = None
         self.constellation.release_slot_state()
         self.channel.release_rows()
+
+    def finish(self) -> None:
+        """End the episode: keep its results, drop what only running needs.
+
+        ``outcomes``, ``counters``, ``sessions``, ``conservation_ok()`` and
+        ``snapshot`` still read as after ``run``.  The controller goes (a
+        policy's parameters, its actor and its rollout would otherwise stay
+        alive with every kept engine), and so do the hooks, the send queues
+        and the event heap; ``advance`` and ``run`` then refuse to go on.
+        """
+        self.controller = self.hooks = None
+        self.queues = self._busy = self._waiting = self._heap = None
 
     # ------------------------------------------------------------------
     # slot boundary

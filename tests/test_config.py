@@ -392,11 +392,26 @@ def test_any_valid_config_roundtrips_byte_identically(tmp_path, cfg):
     assert second.read_bytes() == first.read_bytes()
 
 
-_FIELDS = [(section, f.name) for section, cls in [
+_SECTIONS = [
     ("constellation", ConstellationConfig), ("channel", ChannelConfig),
     ("simulation", SimulationConfig), ("proxy", QualityProxyConfig),
     ("reward", RewardConfig), ("ppo", PpoSettings), ("objective", ObjectiveConfig),
-] for f in dataclasses.fields(cls)]
+]
+_FIELDS = [(section, f.name) for section, cls in _SECTIONS for f in dataclasses.fields(cls)]
+_NUMERIC_FIELDS = [pytest.param(section, cls, f.name, id=f"{section}.{f.name}")
+                   for section, cls in _SECTIONS for f in dataclasses.fields(cls)
+                   if f.type.split("|")[0].strip() in ("int", "float")]
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_])
+@pytest.mark.parametrize("section, cls, name", _NUMERIC_FIELDS)
+def test_bool_in_numeric_field_rejected_by_name(section, cls, name, value):
+    # ``True`` passes for 1 in a comparison and in ``math.isfinite``: the
+    # dataclass rejects it as the loader does, naming the field.
+    with pytest.raises(ValueError, match=f"{name} must be a number, not a bool"):
+        cls(**{name: value})
+    with pytest.raises(ConfigError, match=f"section {section}: {name} must be"):
+        config_from_dict({section: {name: value}})
 
 _ANY_VALUE = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),

@@ -1,12 +1,14 @@
 import dataclasses
+import gc
 import json
 import math
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from leosem import policy as pol
+from leosem import experiment, policy as pol
 from leosem.baselines import BaselineSpec
 from leosem.cli import main as cli_main
 from leosem.config import SimulationConfig, load_config, tiny_config
@@ -331,3 +333,28 @@ def test_untraced_episode_has_no_trace_writer():
     from leosem.baselines import make_baseline_controller
     controller = make_baseline_controller(BaselineSpec(kind="shortest_path"), stream_rng(0))
     assert run_episode(fast_cfg(seed=24), 0, controller, []).trace is None
+
+
+def test_kept_engines_hold_no_superseded_parameters(monkeypatch):
+    # Training's engines, kept the way the benchmark's episode log keeps
+    # them, must not pin the parameter sets that later updates replaced: a
+    # finished episode keeps its results, not its controller.
+    cfg = fast_cfg(seed=25)
+    cfg = dataclasses.replace(cfg, ppo=dataclasses.replace(
+        cfg.ppo, horizon=24, minibatch_size=16, epochs=1, trunk_width=16, gat_hidden=8))
+    acted_with, engines = [], []
+
+    class Tracked(experiment.PolicyController):
+        def __init__(self, params, *args, **kwargs):
+            acted_with.append(weakref.ref(params))
+            super().__init__(params, *args, **kwargs)
+
+    run = experiment.run_episode
+    monkeypatch.setattr(experiment, "PolicyController", Tracked)
+    monkeypatch.setattr(experiment, "run_episode",
+                        lambda *args, **kwargs: engines.append(run(*args, **kwargs)) or engines[-1])
+    result = experiment.train(cfg, episodes=4)
+    gc.collect()
+    assert len(engines) == 4 and result.curve[-1]["updates"] >= 2
+    alive = [ref() for ref in acted_with if ref() is not None]
+    assert all(params is result.params for params in alive)

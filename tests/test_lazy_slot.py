@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leosem import experiment, policy, simcore
-from leosem.agent import FEATURE_DIM, PolicyController
+from leosem.agent import FEATURE_DIM, PolicyController, Rollout
 from leosem.baselines import BaselineSpec
 from leosem.channel import ChannelConfig, ChannelModel
 from leosem.config import default_config, tiny_config
@@ -197,13 +197,25 @@ def test_list_sampler_matches_on_policy_rows():
                 reference_sample(b, probs[cols])
 
 
-def test_greedy_evaluation_keeps_no_transitions():
+def test_greedy_evaluation_keeps_no_transitions(monkeypatch):
+    # A finished engine no longer holds its controller, so spy on the
+    # decisions as they are made: every one comes from a policy controller
+    # with no rollout, and no row is ever stored.
+    rollouts, rows = [], []
+    decide = PolicyController.decide
+
+    def spied_decide(controller, view):
+        rollouts.append(controller.rollout)
+        return decide(controller, view)
+
+    monkeypatch.setattr(PolicyController, "decide", spied_decide)
+    monkeypatch.setattr(Rollout, "add", lambda rollout, *args: rows.append(args))
     cfg = tiny_config(2)
     params = init_policy_params(np.random.default_rng(0), experiment.make_policy_config(cfg))
-    _, _, engines = experiment.evaluate(cfg, params, 2)
-    _, _, variants = experiment.evaluate(
+    _, greedy, _ = experiment.evaluate(cfg, params, 2)
+    _, variant, _ = experiment.evaluate(
         cfg, params, 1, baseline=BaselineSpec(kind="policy_no_relay"))
-    assert sum(len(e.outcomes) for e in engines + variants) > 0
-    for engine in engines + variants:
-        assert isinstance(engine.controller, PolicyController)
-        assert engine.controller.rollout is None
+    decisions = sum(r.decision_count for r in greedy + variant)
+    assert decisions > 0 and len(rollouts) == decisions
+    assert all(rollout is None for rollout in rollouts)
+    assert rows == []

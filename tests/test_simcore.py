@@ -171,6 +171,28 @@ def test_enqueue_contract_at_capacity():
     assert engine.occupancy[0, 0] == 1 and queued(engine, 0) == [(2, 1)]
 
 
+def test_finished_engine_keeps_results_and_refuses_to_run_on():
+    # ``finish`` drops the controller, the hooks, the send queues and the
+    # event heap.  What a caller reads of a finished episode still reads the
+    # same, in-flight chunks included, and running on raises instead of
+    # failing on a dropped queue.
+    engine = build_engine(1, 2, ScriptedController(port=0), hooks=[SimHooks()])
+    for latent_bytes in (599 * 1200, 2 * 1200):
+        engine.add_session(0, 1, spawn_s=0.0, latent_bytes=latent_bytes)
+    engine.run(0.05)
+    outcomes, counters, in_flight = list(engine.outcomes), engine.counters, \
+        engine.in_flight_chunks()
+    engine.finish()
+    assert engine.controller is None and engine.hooks is None and engine.queues is None
+    assert engine.outcomes == outcomes and engine.counters == counters
+    assert engine.in_flight_chunks() == in_flight == 599 and engine.conservation_ok()
+    assert engine.snapshot.slot == engine.slot == 0
+    for go_on in (engine.advance, engine.run):
+        with pytest.raises(RuntimeError, match="the episode has ended"):
+            go_on(1.0)
+    assert engine.outcomes == outcomes and engine.now_s == 0.05
+
+
 def test_enqueue_unknown_port():
     # Only ports that exist on the shell get a send queue: a 1x2 ring has
     # one intra-plane link per node and no inter-plane ports.

@@ -147,23 +147,25 @@ def retained_per_engine(cfg, params, baseline) -> float:
     return retained / len(engines)
 
 
-def test_finished_busy_shortest_path_engine_retains_under_180_kib():
+def test_finished_busy_shortest_path_engine_retains_under_125_kib():
     # What an evaluation's engines keep once their episodes end: sessions,
     # their hop traces and delays, and counters.  An engine retains about
-    # 140 KiB here; about 205 KiB with a record object per hop, and about
-    # 500 KiB with, besides, an empty deque per port, its last block of slot
+    # 110 KiB here; about 140 KiB with its send queues, event heap and
+    # controller, about 205 KiB with, besides, a record object per hop, and
+    # about 500 KiB with an empty deque per port, its last block of slot
     # state, its drawn channel rows and its own copy of the link list.
     retained = retained_per_engine(busy_config(), None, BaselineSpec(kind="shortest_path"))
-    assert retained < 180 * 1024, f"{retained / 1024:.0f} KiB"
+    assert retained < 125 * 1024, f"{retained / 1024:.0f} KiB"
 
 
-def test_finished_busy_greedy_policy_engine_retains_under_260_kib():
+def test_finished_busy_greedy_policy_engine_retains_under_160_kib():
     # The benchmark's fixed checkpoint, evaluated greedily on the same shell:
     # its sessions make about 2.7 times the hops of shortest-path routing.
-    # An engine retains about 182 KiB here, and about 358 KiB with a record
-    # object per hop.
+    # An engine retains about 141 KiB here, about 182 KiB with its send
+    # queues, event heap and controller (with the controller's actor), and
+    # about 358 KiB with, besides, a record object per hop.
     cfg = busy_config()
     params, _ = load_checkpoint(CHECKPOINT)
     assert params.cfg == experiment.make_policy_config(cfg)
     retained = retained_per_engine(cfg, params, None)
-    assert retained < 260 * 1024, f"{retained / 1024:.0f} KiB"
+    assert retained < 160 * 1024, f"{retained / 1024:.0f} KiB"
