@@ -483,25 +483,32 @@ def ppo_update(rollout: Rollout, params: PolicyParams, optimizer: pol.Adam,
     if block is not None:
         raise FloatingPointError(f"non-finite parameter block {block!r} before the update")
     batch = stack_buffer(rollout, hyper)
-    rollout.clear()  # the batch holds copies of every row
-    n = len(batch)
+    # The rows are dropped when the update ends, raising or not.  Dropping
+    # them as soon as they are stacked lowers the update's traced peak but
+    # not the process's: the allocator then hands the freed heap back after
+    # every update and page-faults it in again during the next one.
+    try:
+        n = len(batch)
 
-    # Behavior log-probs must match the pre-update policy exactly.  Checked
-    # a minibatch at a time, so no forward cache of the whole batch is held.
-    initial_dev = 0.0
-    for start in range(0, n, hyper.minibatch_size):
-        ratio = _loss_terms(params, batch[start:start + hyper.minibatch_size], hyper).ratio
-        _check_ratio(ratio, "initial ratio check", offset=start)
-        initial_dev = max(initial_dev, float(np.max(np.abs(ratio - 1.0))))
+        # Behavior log-probs must match the pre-update policy exactly.
+        # Checked a minibatch at a time, so no forward cache of the whole
+        # batch is held.
+        initial_dev = 0.0
+        for start in range(0, n, hyper.minibatch_size):
+            ratio = _loss_terms(params, batch[start:start + hyper.minibatch_size], hyper).ratio
+            _check_ratio(ratio, "initial ratio check", offset=start)
+            initial_dev = max(initial_dev, float(np.max(np.abs(ratio - 1.0))))
 
-    parts = []  # per minibatch: surrogate, value error, entropy, ratio
-    for epoch in range(hyper.epochs):
-        order = rng.permutation(n)
-        for k, start in enumerate(range(0, n, hyper.minibatch_size)):
-            params, part = _minibatch_step(
-                params, batch[order[start:start + hyper.minibatch_size]], optimizer, hyper,
-                f"epoch {epoch}, minibatch {k}")
-            parts.append(part)
+        parts = []  # per minibatch: surrogate, value error, entropy, ratio
+        for epoch in range(hyper.epochs):
+            order = rng.permutation(n)
+            for k, start in enumerate(range(0, n, hyper.minibatch_size)):
+                params, part = _minibatch_step(
+                    params, batch[order[start:start + hyper.minibatch_size]], optimizer,
+                    hyper, f"epoch {epoch}, minibatch {k}")
+                parts.append(part)
+    finally:
+        rollout.clear()
     surr, v_err, entropy, ratio = (np.concatenate(p) for p in zip(*parts))
     stats = UpdateStats(
         n_samples=n,
