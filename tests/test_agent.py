@@ -263,8 +263,9 @@ def test_minibatch_forward_starts_with_the_previous_minibatch_freed(monkeypatch)
     # Adam's moments already allocated.  When a minibatch's forward starts,
     # the previous minibatch's gather, forward cache and gradient are gone:
     # at most about 0.75 MiB is live above the update's entry (the stacked
-    # batch and the new parameters), and about 1.9 MiB when they stay alive
-    # until the next step replaces them.
+    # batch, the current parameters and each step's per-sample results),
+    # and about 1.9 MiB when they stay alive until the next step replaces
+    # them.
     rng = np.random.default_rng(4)
     params = init_policy_params(rng, PolicyConfig(obs_dim=FEATURE_DIM, gat_hidden=64,
                                                   trunk_width=128))
