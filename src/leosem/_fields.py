@@ -1,27 +1,54 @@
-"""The value check every config dataclass runs on its numeric fields."""
+"""The error every config section raises and the type check each runs."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import fields
 
 import numpy as np
 
 
-def check_numeric_fields(obj, error: type[ValueError] = ValueError) -> None:
-    """Reject a bool in any ``int`` or ``float`` field of the dataclass
-    ``obj`` and a NaN or an infinity in any ``float`` field.
+class ConfigError(ValueError):
+    pass
 
-    ``True`` would pass as 1 everywhere else, ``math.isfinite`` included.  A
-    ``float | None`` field may be None.  The error names the field.
+
+def check_numeric_fields(obj) -> None:
+    """Check each ``int``, ``float`` and ``str`` field of the dataclass
+    ``obj`` against its annotation; raise ``ConfigError`` naming the field.
+
+    An ``int`` field takes an integer and a ``float`` field a finite real
+    number; neither takes a bool, which would pass as 1 everywhere else,
+    ``math.isfinite`` included.  A ``str`` field takes a string, and a
+    ``... | None`` field may be None.
     """
     for f in fields(obj):
         kind = f.type.split("|")[0].strip()
-        if kind not in ("int", "float"):
+        if kind not in ("int", "float", "str"):
             continue
         value = getattr(obj, f.name)
         if value is None and f.type.endswith("| None"):
             continue
+        if kind == "str":
+            if not isinstance(value, str):
+                raise ConfigError(f"{f.name} must be a string, got {value!r}")
+            continue
         if isinstance(value, (bool, np.bool_)):
-            raise error(f"{f.name} must be a number, not a bool, got {value!r}")
-        if kind == "float" and not math.isfinite(value):
-            raise error(f"{f.name} must be finite, got {value!r}")
+            raise ConfigError(f"{f.name} must be a number, not a bool, got {value!r}")
+        if kind == "int":
+            if not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            continue
+        check_real(f.name, value)
+
+
+def check_real(name: str, value) -> None:
+    """Raise ``ConfigError`` naming ``name`` unless ``value`` is a finite
+    real number other than a bool."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise ConfigError(f"{name} must be finite, got {value!r}")

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gat, policy as pol
-from ._fields import check_numeric_fields
+from ._fields import ConfigError, check_numeric_fields
 from .constellation import NUM_PORTS
 from .gat import SubgraphInput
 from .policy import JointAction, PolicyParams
@@ -182,7 +182,7 @@ class RewardConfig:
         check_numeric_fields(self)
         for name in ("w_hop", "w_delay", "w_queue", "w_loop", "r_succ", "r_fail", "beta_sem"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+                raise ConfigError(f"{name} must be >= 0")
 
 
 def progress_reward(prev_dist_km: float, new_dist_km: float, delay_s: float,
@@ -346,16 +346,16 @@ class PpoSettings:
         check_numeric_fields(self)
         for name in ("minibatch_size", "epochs", "horizon", "trunk_width", "gat_hidden"):
             if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be >= 1")
+                raise ConfigError(f"{name} must be >= 1")
         for name in ("learning_rate", "clip_ratio", "max_grad_norm"):
             if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
+                raise ConfigError(f"{name} must be > 0")
         for name in ("gamma", "gae_lambda"):
             if not 0 <= getattr(self, name) <= 1:
-                raise ValueError(f"{name} must be in [0, 1]")
+                raise ConfigError(f"{name} must be in [0, 1]")
         for name in ("entropy_coef", "value_coef", "episodes"):
             if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0")
+                raise ConfigError(f"{name} must be >= 0")
 
 
 @dataclass

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fields import check_numeric_fields
+from ._fields import ConfigError, check_numeric_fields
 
 
 @dataclass(frozen=True)
@@ -32,17 +32,17 @@ class ChannelConfig:
     def __post_init__(self):
         check_numeric_fields(self)
         if self.fast_std_db < 0:
-            raise ValueError("fast_std_db must be >= 0")
+            raise ConfigError("fast_std_db must be >= 0")
         if self.jitter_amplitude_db < 0:
-            raise ValueError("jitter_amplitude_db must be >= 0")
+            raise ConfigError("jitter_amplitude_db must be >= 0")
         if self.correlation_horizon_s <= 0:
-            raise ValueError("correlation_horizon_s must be > 0")
+            raise ConfigError("correlation_horizon_s must be > 0")
         if not 0.0 <= self.failure_rate <= 1.0:
-            raise ValueError("failure_rate must be in [0, 1]")
+            raise ConfigError("failure_rate must be in [0, 1]")
         if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth_hz must be > 0")
+            raise ConfigError("bandwidth_hz must be > 0")
         if not self.reference_distance_km > 0:
-            raise ValueError("reference_distance_km must be > 0")
+            raise ConfigError("reference_distance_km must be > 0")
 
 
 def link_rate(snr_db: float | np.ndarray, bandwidth_hz: float) -> float | np.ndarray:

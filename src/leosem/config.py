@@ -13,46 +13,12 @@ import dataclasses
 import math
 from dataclasses import dataclass, field, fields
 
-from ._fields import check_numeric_fields
+from ._fields import ConfigError, check_numeric_fields
 from .agent import PpoSettings, RewardConfig
 from .channel import ChannelConfig
 from .constellation import ConstellationConfig
 from .semantic import QualityProxyConfig
-from .simcore import C0_KM_S
-
-
-class ConfigError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class SimulationConfig:
-    slot_length_s: float = 0.1
-    episode_length_s: float = 60.0
-    num_flows: int = 2
-    sessions_per_flow: int = 1
-    frame_interval_s: float = 6.0
-    q_max_packets: int = 600
-    ttl_hops: int = 16
-    chunk_bytes: int = 1200
-    relay_proc_delay_s: float = 0.005
-    # Payload scale fed into the simulator; the packetization anchor keeps
-    # its own default so full-size payload math stays exact.
-    session_latent_bytes: int = 36_000
-    flow_min_grid_hops: int = 1
-
-    def __post_init__(self):
-        check_numeric_fields(self, ConfigError)
-        for name in ("slot_length_s", "episode_length_s"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be > 0")
-        for name in ("q_max_packets", "ttl_hops", "chunk_bytes"):
-            if not getattr(self, name) >= 1:
-                raise ConfigError(f"{name} must be >= 1")
-        for name in ("num_flows", "sessions_per_flow", "frame_interval_s",
-                     "relay_proc_delay_s", "session_latent_bytes", "flow_min_grid_hops"):
-            if not getattr(self, name) >= 0:
-                raise ConfigError(f"{name} must be >= 0")
+from .simcore import C0_KM_S, SimulationConfig
 
 
 @dataclass(frozen=True)
@@ -62,7 +28,7 @@ class ObjectiveConfig:
     delay_scale_s: float | None = None  # None -> derived worst-case bound
 
     def __post_init__(self):
-        check_numeric_fields(self, ConfigError)
+        check_numeric_fields(self)
         if self.lambda_delay < 0 or self.lambda_semantic < 0:
             raise ConfigError("objective weights must be >= 0")
         if abs(self.lambda_delay + self.lambda_semantic - 1.0) > 1e-9:
@@ -110,63 +76,26 @@ class ExperimentConfig:
         return self.simulation.ttl_hops * per_hop
 
 
-_SECTION_TYPES = {
-    "constellation": ConstellationConfig,
-    "channel": ChannelConfig,
-    "simulation": SimulationConfig,
-    "proxy": QualityProxyConfig,
-    "reward": RewardConfig,
-    "ppo": PpoSettings,
-    "objective": ObjectiveConfig,
-}
-
-
-def _is_finite_number(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
-def _checked(name: str, annotation: str, value):
-    """``value`` checked against the field annotation; raises ``ValueError``
-    naming the field.  ``budget_gain`` keys given as strings become ints."""
-    if value is None and annotation.endswith("| None"):
-        return value
-    kind = annotation.split("|")[0].strip()
-    if kind == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    elif kind == "float":
-        if not _is_finite_number(value):
-            raise ValueError(f"{name} must be a finite number, got {value!r}")
-    elif kind == "str":
-        if not isinstance(value, str):
-            raise ValueError(f"{name} must be a string, got {value!r}")
-    elif kind == "dict[int, float]":
-        if not isinstance(value, dict):
-            raise ValueError(f"{name} must be a mapping, got {value!r}")
-        out = {}
-        for key, gain in value.items():
-            if isinstance(key, str) and key.strip().isdecimal():
-                key = int(key)
-            _checked(f"{name} key", "int", key)
-            out[key] = _checked(f"{name}[{key}]", "float", gain)
-        return out
-    return value
+# Section name -> its dataclass, read off ``ExperimentConfig``'s fields.
+_SECTION_TYPES = {f.name: f.default_factory for f in fields(ExperimentConfig)
+                  if f.default_factory is not dataclasses.MISSING}
 
 
 def _build_section(cls, data: dict, path: str):
-    known = {f.name: f.type for f in fields(cls)}
-    unknown = set(data) - set(known)
+    """The section ``cls`` built from ``data``; the section's own check
+    rejects a bad value, and the error gains the section's name."""
+    known = {f.name for f in fields(cls)}
+    unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown field(s) at {path}: {sorted(unknown, key=str)}; "
                           f"expected a subset of {sorted(known)}")
+    gains = data.get("budget_gain")
+    if isinstance(gains, dict):  # YAML may write a budget as a string key
+        data = {**data, "budget_gain": {
+            int(k) if isinstance(k, str) and k.strip().isdecimal() else k: v
+            for k, v in gains.items()}}
     try:
-        return cls(**{name: _checked(name, known[name], value)
-                      for name, value in data.items()})
+        return cls(**data)
     except (TypeError, ValueError, OSError) as exc:
         raise ConfigError(f"invalid section {path}: {exc}") from exc
 

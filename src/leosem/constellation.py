@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fields import check_numeric_fields
+from ._fields import ConfigError, check_numeric_fields
 from .channel import SLOT_BLOCK
 
 MU_EARTH_KM3_S2 = 398600.4418
@@ -42,13 +42,13 @@ class ConstellationConfig:
     def __post_init__(self):
         check_numeric_fields(self)
         if self.num_planes < 1:
-            raise ValueError("num_planes must be >= 1")
+            raise ConfigError("num_planes must be >= 1")
         if self.sats_per_plane < 1:
-            raise ValueError("sats_per_plane must be >= 1")
+            raise ConfigError("sats_per_plane must be >= 1")
         if self.altitude_km <= 0:
-            raise ValueError("altitude_km must be > 0")
+            raise ConfigError("altitude_km must be > 0")
         if not 0.0 <= self.inclination_deg <= 180.0:
-            raise ValueError("inclination_deg must be in [0, 180]")
+            raise ConfigError("inclination_deg must be in [0, 180]")
 
     @property
     def num_sats(self) -> int:

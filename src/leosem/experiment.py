@@ -110,15 +110,8 @@ def run_episode(cfg: ExperimentConfig, episode: int, controller, hooks,
     channel = ChannelModel(cfg.channel, constellation.edge_index,
                            cfg.simulation.slot_length_s,
                            seed=derive_seed(cfg.seed, _STREAM_CHANNEL, episode))
-    engine = Engine(
-        constellation, channel, controller, cfg.proxy,
-        slot_length_s=cfg.simulation.slot_length_s,
-        chunk_bytes=cfg.simulation.chunk_bytes,
-        q_max=cfg.simulation.q_max_packets,
-        ttl_hops=cfg.simulation.ttl_hops,
-        relay_proc_delay_s=cfg.simulation.relay_proc_delay_s,
-        hooks=hooks, trace=trace,
-    )
+    engine = Engine(constellation, channel, controller, cfg.proxy, cfg.simulation,
+                    hooks=hooks, trace=trace)
     flow_rng = stream_rng(cfg.seed, _STREAM_FLOWS, episode)
     for flow_id, (src, dst) in enumerate(sample_flows(cfg, flow_rng)):
         for k in range(cfg.simulation.sessions_per_flow):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fields import check_numeric_fields
+from ._fields import ConfigError, check_numeric_fields, check_real
 
 BUDGET_SET = (64, 96, 128)
 BUDGET_MAX = 128
@@ -141,34 +141,27 @@ class QualityProxyConfig:
     def __post_init__(self):
         check_numeric_fields(self)
         if not isinstance(self.budget_gain, dict):
-            raise ValueError(f"budget_gain must be a mapping from budget to gain, "
-                             f"got {self.budget_gain!r}")
+            raise ConfigError(f"budget_gain must be a mapping from budget to gain, "
+                              f"got {self.budget_gain!r}")
         for key in self.budget_gain:
-            if key not in BUDGET_SET:
-                raise ValueError(f"budget_gain key {key!r} is not a budget; "
-                                 f"keys must be exactly {list(BUDGET_SET)}")
+            # ``64.0 in BUDGET_SET`` holds, but a budget is an int.
+            if not isinstance(key, int) or key not in BUDGET_SET:
+                raise ConfigError(f"budget_gain key {key!r} is not a budget; "
+                                  f"keys must be exactly {list(BUDGET_SET)}")
         for c in BUDGET_SET:
             if c not in self.budget_gain:
-                raise ValueError(f"budget_gain has no gain for budget {c}; "
-                                 f"keys must be exactly {list(BUDGET_SET)}")
+                raise ConfigError(f"budget_gain has no gain for budget {c}; "
+                                  f"keys must be exactly {list(BUDGET_SET)}")
         gains = [self.budget_gain[c] for c in BUDGET_SET]
         for c, gain in zip(BUDGET_SET, gains):
-            not_real = f"budget_gain[{c}] must be a real number, got {gain!r}"
-            if isinstance(gain, (bool, np.bool_)):  # math.isfinite takes True as 1
-                raise ValueError(not_real)
-            try:
-                finite = math.isfinite(gain)
-            except TypeError:
-                raise ValueError(not_real) from None
-            if not finite:
-                raise ValueError(f"budget_gain[{c}] must be finite, got {gain!r}")
+            check_real(f"budget_gain[{c}]", gain)
         if any(b - a < 0 for a, b in zip(gains, gains[1:])):
-            raise ValueError("budget_gain must be nondecreasing in C")
+            raise ConfigError("budget_gain must be nondecreasing in C")
         if self.per_hop_distortion < 0:
-            raise ValueError("per_hop_distortion must be >= 0")
+            raise ConfigError("per_hop_distortion must be >= 0")
         for name in ("requant_penalty", "relay_recovery"):
             if not 0 <= getattr(self, name) <= 1:
-                raise ValueError(f"{name} must be in [0, 1]")
+                raise ConfigError(f"{name} must be in [0, 1]")
         table = None
         if self.calibration_table is not None:
             table = CalibrationTable.from_csv(self.calibration_table)

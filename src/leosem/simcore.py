@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import semantic
+from ._fields import ConfigError, check_numeric_fields
 from .constellation import Constellation, GraphSnapshot, NUM_PORTS
 from .channel import ChannelModel
 from .policy import JointAction
@@ -50,6 +51,39 @@ _EV_OTHER = 1
 _HOPS = range(NUM_PORTS)
 _BUDGET_IDXS = range(len(semantic.BUDGET_SET))
 _RELAYS = range(2)
+
+
+@dataclass(frozen=True)
+class SimulationConfig:
+    """Episode and forwarding settings; the ``simulation`` section of an
+    experiment config.  ``Engine`` reads the slot, queue, TTL, chunk and
+    relay values."""
+    slot_length_s: float = 0.1
+    episode_length_s: float = 60.0
+    num_flows: int = 2
+    sessions_per_flow: int = 1
+    frame_interval_s: float = 6.0
+    q_max_packets: int = 600
+    ttl_hops: int = 16
+    chunk_bytes: int = semantic.DEFAULT_CHUNK_BYTES
+    relay_proc_delay_s: float = 0.005
+    # Payload scale fed into the simulator; the packetization anchor keeps
+    # its own default so full-size payload math stays exact.
+    session_latent_bytes: int = 36_000
+    flow_min_grid_hops: int = 1
+
+    def __post_init__(self):
+        check_numeric_fields(self)
+        for name in ("slot_length_s", "episode_length_s"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be > 0")
+        for name in ("q_max_packets", "ttl_hops", "chunk_bytes"):
+            if not getattr(self, name) >= 1:
+                raise ConfigError(f"{name} must be >= 1")
+        for name in ("num_flows", "sessions_per_flow", "frame_interval_s",
+                     "relay_proc_delay_s", "session_latent_bytes", "flow_min_grid_hops"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name} must be >= 0")
 
 
 def step_queue(q_len: int, departures: int, arrivals: int, q_max: int) -> int:
@@ -80,11 +114,16 @@ class HopDelayRecord:
     total_s: float
 
     def __post_init__(self):
-        # One comparison unless a part is bad.  ``not >=`` keeps a NaN from
-        # hiding a negative part: a NaN first makes ``min`` NaN.
-        if not min(self.prop_s, self.tx_s, self.queue_s, self.proc_s) >= -1e-12:
+        # Two comparisons unless a part is bad.  ``min`` may skip a NaN that
+        # is not first, but the sum of the parts is NaN or inf whenever a
+        # part is.
+        p, t, q, r = self.prop_s, self.tx_s, self.queue_s, self.proc_s
+        if not (min(p, t, q, r) >= -1e-12 and p + t + q + r < math.inf):
             for name in ("prop_s", "tx_s", "queue_s", "proc_s"):
-                if getattr(self, name) < -1e-12:
+                value = getattr(self, name)
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value!r}")
+                if value < -1e-12:
                     raise ValueError(f"{name} must be >= 0")
 
     @classmethod
@@ -201,20 +240,18 @@ class Engine:
 
     def __init__(self, constellation: Constellation, channel: ChannelModel,
                  controller, proxy_cfg: QualityProxyConfig,
-                 slot_length_s: float = 0.1, q_max: int = 600, ttl_hops: int = 16,
-                 relay_proc_delay_s: float = 0.005,
-                 chunk_bytes: int = semantic.DEFAULT_CHUNK_BYTES,
-                 hooks: list[SimHooks] | None = None,
-                 trace=None):
+                 sim: SimulationConfig = SimulationConfig(),
+                 hooks: list[SimHooks] | None = None, trace=None):
         self.constellation = constellation
         self.channel = channel
         self.controller = controller
         self.proxy_cfg = proxy_cfg
-        self.slot_length_s = slot_length_s
-        self.q_max = q_max
-        self.ttl_hops = ttl_hops
-        self.relay_proc_delay_s = relay_proc_delay_s
-        self.chunk_bytes = chunk_bytes
+        # Copies of the values the per-event code reads, one lookup each.
+        self.slot_length_s = sim.slot_length_s
+        self.q_max = sim.q_max_packets
+        self.ttl_hops = sim.ttl_hops
+        self.relay_proc_delay_s = sim.relay_proc_delay_s
+        self.chunk_bytes = sim.chunk_bytes
         self.hooks = hooks or []
         self.trace = trace
 
@@ -529,7 +566,7 @@ class Engine:
         tx_s = max(self.now_s - prop_s - burst.service_start_s, 0.0)
         queue_s = max(burst.service_start_s - burst.enqueue_s, 0.0)
         if not min(prop_s, tx_s, queue_s, proc_s) >= -1e-12:
-            HopDelayRecord.build(prop_s, tx_s, queue_s, proc_s)  # names a negative part
+            HopDelayRecord.build(prop_s, tx_s, queue_s, proc_s)  # names the bad part
         session.hop_delays.extend((prop_s, tx_s, queue_s, proc_s))
         session.sem = semantic.record_hop(session.sem, burst.frozen_snr_db, self.proxy_cfg)
         session.ttl_remaining -= 1

@@ -25,7 +25,7 @@ from leosem.gat import SubgraphInput, init_gat_params
 from leosem.policy import JointAction, PolicyConfig, init_policy_params
 from leosem.semantic import (BUDGET_SET, DEFAULT_CHUNK_BYTES, QualityProxyConfig,
                              SemanticState, packetize, quality)
-from leosem.simcore import Engine, step_queue
+from leosem.simcore import Engine, SimulationConfig, step_queue
 from queue_log import occupancy, queue_log
 
 
@@ -48,7 +48,7 @@ def _chaos_engine(seed, trace=None, q_max=40, sessions=10, latent=12_000):
     con = build_constellation(ConstellationConfig(num_planes=3, sats_per_plane=3))
     ch = ChannelModel(ChannelConfig(failure_rate=0.08), con.edge_index, 0.1, seed=seed)
     engine = Engine(con, ch, _RandomCtl(seed + 1), QualityProxyConfig(),
-                    q_max=q_max, ttl_hops=8, trace=trace)
+                    SimulationConfig(q_max_packets=q_max, ttl_hops=8), trace=trace)
     rng = np.random.default_rng(seed + 2)
     for k in range(sessions):
         src = int(rng.integers(9))

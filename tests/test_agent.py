@@ -16,7 +16,7 @@ from leosem.constellation import ConstellationConfig, build_constellation
 from leosem.gat import SubgraphInput
 from leosem.policy import JointAction, PolicyConfig, init_policy_params
 from leosem.semantic import QualityProxyConfig, SemanticState
-from leosem.simcore import ActiveSession, Engine, HopMeasurements
+from leosem.simcore import ActiveSession, Engine, HopMeasurements, SimulationConfig
 
 
 class ViewCapture:
@@ -47,7 +47,7 @@ def capture_view(failure_rate=0.0, seed=2, fill_chunks=0):
                                     failure_rate=failure_rate),
                       con.edge_index, 0.1, seed=seed)
     ctl = ViewCapture()
-    engine = Engine(con, ch, ctl, QualityProxyConfig(), ttl_hops=8)
+    engine = Engine(con, ch, ctl, QualityProxyConfig(), SimulationConfig(ttl_hops=8))
     if fill_chunks:
         engine.add_session(0, 4, spawn_s=0.0, latent_bytes=engine.chunk_bytes * fill_chunks)
     engine.add_session(0, 4, spawn_s=0.0, latent_bytes=6000)
@@ -369,7 +369,7 @@ def test_policy_controller_closes_trajectories():
 
     con = build_constellation(ConstellationConfig(num_planes=3, sats_per_plane=3))
     ch = ChannelModel(ChannelConfig(), con.edge_index, 0.1, seed=8)
-    engine = Engine(con, ch, controller, QualityProxyConfig(), ttl_hops=8,
+    engine = Engine(con, ch, controller, QualityProxyConfig(), SimulationConfig(ttl_hops=8),
                     hooks=[tracker])
     for k in range(4):
         engine.add_session(k % 9, (k + 4) % 9, spawn_s=0.2 * k, latent_bytes=4800,

@@ -78,9 +78,7 @@ def run_checked(cfg: ExperimentConfig, episode: int = 0) -> OracleController:
     oracle = OracleController(
         PolicyController(params, rng=np.random.default_rng(cfg.seed + 1)), con, channel)
     sim = cfg.simulation
-    engine = Engine(con, channel, oracle, cfg.proxy, slot_length_s=sim.slot_length_s,
-                    q_max=sim.q_max_packets, ttl_hops=sim.ttl_hops,
-                    relay_proc_delay_s=sim.relay_proc_delay_s, chunk_bytes=sim.chunk_bytes)
+    engine = Engine(con, channel, oracle, cfg.proxy, sim)
     flows = experiment.sample_flows(cfg, experiment.stream_rng(cfg.seed, episode))
     for flow_id, (src, dst) in enumerate(flows):
         for k in range(sim.sessions_per_flow):

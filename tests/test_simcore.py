@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -8,13 +9,14 @@ from hypothesis import strategies as st
 from leosem import experiment
 from leosem.baselines import BaselineSpec, ShortestPathController
 from leosem.channel import ChannelConfig, ChannelModel
-from leosem.config import tiny_config
+from leosem.config import ConfigError, tiny_config
 from leosem.constellation import (NUM_PORTS, Constellation, ConstellationConfig,
                                   build_constellation)
 from leosem.policy import JointAction
 from leosem.semantic import QualityProxyConfig
 from leosem.simcore import (DROP_NO_LINK, DROP_PRUNED, DROP_TTL, Engine, HopDelayRecord,
-                            SimHooks, propagation_delay, step_queue, transmission_delay)
+                            SimHooks, SimulationConfig, propagation_delay, step_queue,
+                            transmission_delay)
 from queue_log import occupancy, queue_log
 
 
@@ -62,9 +64,9 @@ def build_engine(planes, sats, controller, channel_cfg=None, hooks=None,
                  q_max=600, ttl=16, slot=0.1, proc=0.005, trace=None, seed=0):
     con = build_constellation(ConstellationConfig(num_planes=planes, sats_per_plane=sats))
     ch = ChannelModel(channel_cfg or quiet_channel_cfg(), con.edge_index, slot, seed=seed)
-    return Engine(con, ch, controller, QualityProxyConfig(),
-                  slot_length_s=slot, q_max=q_max, ttl_hops=ttl,
-                  relay_proc_delay_s=proc, hooks=hooks, trace=trace)
+    sim = SimulationConfig(slot_length_s=slot, q_max_packets=q_max, ttl_hops=ttl,
+                           relay_proc_delay_s=proc)
+    return Engine(con, ch, controller, QualityProxyConfig(), sim, hooks=hooks, trace=trace)
 
 
 # ---------------------------------------------------------------- pure ops
@@ -132,16 +134,43 @@ def test_hop_record_total_is_component_sum():
         HopDelayRecord.build(-1e-3, 0, 0, 0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["prop_s", "tx_s", "queue_s", "proc_s"])
+def test_hop_record_rejects_a_nonfinite_part_by_name(name, value):
+    # ``min`` skips a NaN that is not first, and +inf passes a lower bound.
+    parts = {"prop_s": 1.5e-3, "tx_s": 2.5e-4, "queue_s": 0.1, "proc_s": 0.005, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        HopDelayRecord.build(*parts.values())
+
+
 def test_arrival_rejects_a_negative_part_before_storing_it():
     # A negative relay processing delay reaches the arrival of the hop after
     # the relay, which names the part and stores none of that hop's delays.
+    # ``SimulationConfig`` rejects one, so it is set on the built engine.
     ctl = ScriptedController(port=0, budget_idx=2, relay_at_decision=1)
-    engine = build_engine(1, 5, ctl, ttl=8, proc=-0.005)
+    engine = build_engine(1, 5, ctl, ttl=8)
+    engine.relay_proc_delay_s = -0.005
     engine.add_session(0, 3, spawn_s=0.0, latent_bytes=1200)
     with pytest.raises(ValueError, match="proc_s must be >= 0"):
         engine.run(30.0)
     session = engine.sessions[0]
     assert len(session.hop_delays) == 4 and session.hop_records[0].proc_s == 0.0
+
+
+@pytest.mark.parametrize("name", ["q_max_packets", "ttl_hops"])
+def test_engine_takes_no_empty_queue_and_no_zero_ttl(name):
+    # The engine reads its queue capacity and TTL from its section, which
+    # rejects 0: an empty queue would divide by zero in the occupancy
+    # fraction, and a zero TTL would end every session after one hop.
+    con = build_constellation(ConstellationConfig(num_planes=1, sats_per_plane=4))
+    ch = ChannelModel(quiet_channel_cfg(), con.edge_index, 0.1, seed=0)
+    with pytest.raises(ConfigError, match=f"{name} must be >= 1"):
+        Engine(con, ch, ScriptedController(), QualityProxyConfig(),
+               SimulationConfig(**{name: 0}))
+    with pytest.raises(ConfigError, match=f"{name} must be >= 1"):
+        dataclasses.replace(SimulationConfig(), **{name: 0})
+    with pytest.raises(TypeError):  # no per-value keywords beside the section
+        Engine(con, ch, ScriptedController(), QualityProxyConfig(), q_max=0, ttl_hops=0)
 
 
 # ---------------------------------------------------------------- send queues
