@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import fields
 
 import numpy as np
@@ -16,10 +15,10 @@ def check_numeric_fields(obj) -> None:
     """Check each ``int``, ``float`` and ``str`` field of the dataclass
     ``obj`` against its annotation; raise ``ConfigError`` naming the field.
 
-    An ``int`` field takes an integer and a ``float`` field a finite real
-    number; neither takes a bool, which would pass as 1 everywhere else,
-    ``math.isfinite`` included.  A ``str`` field takes a string, and a
-    ``... | None`` field may be None.
+    An ``int`` field takes an ``int`` and a ``float`` field a finite ``int``
+    or ``float``, the types YAML reads and writes; neither takes a bool,
+    which would pass as 1 everywhere else, ``math.isfinite`` included.  A
+    ``str`` field takes a string, and a ``... | None`` field may be None.
     """
     for f in fields(obj):
         kind = f.type.split("|")[0].strip()
@@ -35,7 +34,7 @@ def check_numeric_fields(obj) -> None:
         if isinstance(value, (bool, np.bool_)):
             raise ConfigError(f"{f.name} must be a number, not a bool, got {value!r}")
         if kind == "int":
-            if not isinstance(value, numbers.Integral):
+            if not isinstance(value, int):
                 raise ConfigError(f"{f.name} must be an integer, got {value!r}")
             continue
         check_real(f.name, value)
@@ -43,8 +42,8 @@ def check_numeric_fields(obj) -> None:
 
 def check_real(name: str, value) -> None:
     """Raise ``ConfigError`` naming ``name`` unless ``value`` is a finite
-    real number other than a bool."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+    ``int`` or ``float`` other than a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a real number, got {value!r}")
     try:
         finite = math.isfinite(value)
