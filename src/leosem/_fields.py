@@ -15,10 +15,11 @@ def check_numeric_fields(obj) -> None:
     """Check each ``int``, ``float`` and ``str`` field of the dataclass
     ``obj`` against its annotation; raise ``ConfigError`` naming the field.
 
-    An ``int`` field takes an ``int`` and a ``float`` field a finite ``int``
-    or ``float``, the types YAML reads and writes; neither takes a bool,
-    which would pass as 1 everywhere else, ``math.isfinite`` included.  A
-    ``str`` field takes a string, and a ``... | None`` field may be None.
+    An ``int`` field takes an ``int`` and a ``float`` field an ``int`` or
+    ``float``, the types YAML reads and writes, within the float range (the
+    code computes with both as floats); neither takes a bool, which would
+    pass as 1 everywhere else, ``math.isfinite`` included.  A ``str`` field
+    takes a string, and a ``... | None`` field may be None.
     """
     for f in fields(obj):
         kind = f.type.split("|")[0].strip()
@@ -33,10 +34,8 @@ def check_numeric_fields(obj) -> None:
             continue
         if isinstance(value, (bool, np.bool_)):
             raise ConfigError(f"{f.name} must be a number, not a bool, got {value!r}")
-        if kind == "int":
-            if not isinstance(value, int):
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-            continue
+        if kind == "int" and not isinstance(value, int):
+            raise ConfigError(f"{f.name} must be an integer, got {value!r}")
         check_real(f.name, value)
 
 

@@ -70,11 +70,6 @@ class ChannelModel:
     ``available`` are the cursor slot's rows.  Querying an earlier slot
     than the current one is an error, querying the current slot is
     idempotent.
-
-    ``release_rows`` drops the drawn rows and keeps what they were drawn
-    from: the generator state at the block's start and the jitter row of
-    the slot before it.  The next ``advance_to_slot`` draws the block again
-    from there, to the same bits, before it moves on.
     """
 
     def __init__(self, cfg: ChannelConfig, edges, slot_length_s: float = 0.1,
@@ -96,24 +91,16 @@ class ChannelModel:
         self._next_block()
 
     def _next_block(self) -> None:
-        """Draw the ``SLOT_BLOCK`` slots after the drawn ones, saving the
-        generator state and jitter row they start from."""
-        # A copy: a view would keep the whole previous block alive.
-        prev = None if self._normal is None else self._normal[-1, 0].copy()
-        self.first += SLOT_BLOCK
-        self._block_start = (self._rng.bit_generator.state, prev)
-        self._draw_block(prev)
-
-    def _draw_block(self, prev: np.ndarray | None) -> None:
-        """Draw the rows of the block at ``first`` from the generator's
-        current state; ``prev`` is the jitter row of the slot before it
-        (None before slot 0).
+        """Draw the ``SLOT_BLOCK`` slots after the drawn ones.
 
         Each slot takes one standard-normal draw for its jitter innovation
         and fast term together, then one uniform draw for its failure
         flags: the generator's sequence of slot-by-slot ``normal``,
         ``normal``, ``random`` calls.
         """
+        # The jitter row of the slot before the block (None before slot 0).
+        prev = None if self._normal is None else self._normal[-1, 0].copy()
+        self.first += SLOT_BLOCK
         k_max, n, rng = SLOT_BLOCK, self.num_links, self._rng
         normal = np.empty((k_max, 2, n))  # per slot: jitter, fast
         uniform = np.empty((k_max, n))
@@ -140,10 +127,6 @@ class ChannelModel:
         self._normal = normal
         self._available = uniform >= self.cfg.failure_rate
 
-    def release_rows(self) -> None:
-        """Drop the drawn rows; the next ``advance_to_slot`` draws them again."""
-        self._normal = self._available = None
-
     def slot_of(self, time_s: float) -> int:
         return int(math.floor(time_s / self.slot_length_s + 1e-9))
 
@@ -151,10 +134,6 @@ class ChannelModel:
         if slot < self.slot:
             raise ValueError(f"channel already at slot {self.slot}, cannot rewind to {slot}")
         self.slot = slot
-        if self._normal is None:
-            state, prev = self._block_start
-            self._rng.bit_generator.state = state
-            self._draw_block(prev)
         while slot >= self.first + SLOT_BLOCK:
             self._next_block()
 

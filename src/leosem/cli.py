@@ -24,6 +24,13 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _numbers(text: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",") if v.strip() != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be comma-separated numbers, got {text!r}") from None
+
+
 def _add_common(sub, needs_out=True):
     sub.add_argument("--config", help="experiment config YAML (defaults otherwise)")
     sub.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -55,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_sweep)
     p_sweep.add_argument("--checkpoint", required=True)
     p_sweep.add_argument("--axis", required=True, choices=["snr", "load"])
-    p_sweep.add_argument("--values", required=True,
+    p_sweep.add_argument("--values", required=True, type=_numbers,
                          help="comma-separated axis values, e.g. -5,0,5,10,15")
     p_sweep.add_argument("--episodes", type=_non_negative_int, default=20)
 
@@ -85,8 +92,7 @@ def main(argv=None) -> int:
         print(f"eval: delivery_rate={b.delivery_rate} mean_delay_s={b.mean_delay_s} "
               f"mean_quality={b.mean_quality} objective={b.objective}")
     elif args.command == "sweep":
-        values = [float(v) for v in args.values.split(",") if v.strip() != ""]
-        rows = cmd_sweep(cfg, args.axis, values, args.checkpoint, args.out,
+        rows = cmd_sweep(cfg, args.axis, args.values, args.checkpoint, args.out,
                          episodes=args.episodes)
         for row in rows:
             print(f"{args.axis}={row['value']}: delivery={row['delivery_rate']} "

@@ -55,6 +55,14 @@ class ExperimentConfig:
                 f"at least 2 satellites for distinct flow endpoints, but section "
                 f"constellation has num_planes x sats_per_plane = "
                 f"{self.constellation.num_sats}")
+        try:
+            self.delay_scale_s()
+        except OverflowError as exc:  # 10 ** (snr / 10) beyond the float range
+            ch = self.channel
+            raise ConfigError(
+                f"invalid section channel: base_snr_db = {ch.base_snr_db}, pathloss_exponent = "
+                f"{ch.pathloss_exponent} and reference_distance_km = {ch.reference_distance_km} "
+                f"put the longest link's SNR beyond the float range") from exc
 
     def delay_scale_s(self) -> float:
         """Objective normalizer: a TTL-bound worst-case delay estimate.
@@ -118,10 +126,18 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return ExperimentConfig(seed=seed, **kwargs)
 
 
+def _plain(value):
+    """``value`` with each float subclass in it (``numpy.float64``) made
+    the ``float`` it equals, which YAML can write."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return float(value) if isinstance(value, float) else value
+
+
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     out = {}
     for name in _SECTION_TYPES:
-        out[name] = dataclasses.asdict(getattr(cfg, name))
+        out[name] = _plain(dataclasses.asdict(getattr(cfg, name)))
     out["seed"] = cfg.seed
     return out
 

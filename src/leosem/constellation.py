@@ -269,10 +269,9 @@ class Constellation:
 
         On the slot grid (``time_s == slot * slot_length_s``) the first read
         of a block the channel has drawn computes the slot state of all its
-        ``SLOT_BLOCK`` slots, kept until a read from another block or
-        ``release_slot_state``; the snapshot's arrays are views of its slot's
-        row.  An off-grid or channel-less snapshot is the one-row case of
-        the same computation.
+        ``SLOT_BLOCK`` slots, kept until a read from another block; the
+        snapshot's arrays are views of its slot's row.  An off-grid or
+        channel-less snapshot is the one-row case of the same computation.
         """
         if time_s < 0:
             raise ValueError("time_s must be >= 0")
@@ -290,11 +289,6 @@ class Constellation:
                 np.arange(first, first + SLOT_BLOCK) * channel.slot_length_s, channel)
             self._block_of = (channel, first)
         return self._row_snapshot(self._block, k, time_s, slot)
-
-    def release_slot_state(self) -> None:
-        """Drop the kept block of slot state; the next snapshot rebuilds it
-        from the channel's drawn rows."""
-        self._block = self._block_of = None
 
     def _row_snapshot(self, state: tuple, k: int, time_s: float, slot: int) -> GraphSnapshot:
         positions, table, avail = state

@@ -576,6 +576,10 @@ def load_checkpoint(path) -> tuple[PolicyParams, dict]:
         archive = np.load(path)
     except zipfile.BadZipFile as exc:
         raise ValueError(f"checkpoint {path} is not a readable .npz archive: {exc}") from exc
+    except (ValueError, EOFError) as exc:  # numpy would unpickle it, or it is empty
+        raise ValueError(f"{path} is not a checkpoint: not an .npz archive") from exc
+    if not isinstance(archive, np.lib.npyio.NpzFile):  # a lone .npy array
+        raise ValueError(f"{path} is not a checkpoint: not an .npz archive")
     with archive as data:
         meta, cfg = _read_meta(path, data)
         params = PolicyParams(cfg)

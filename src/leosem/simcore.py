@@ -317,9 +317,10 @@ class Engine:
     def unresolved_sessions(self) -> list[ActiveSession]:
         return [s for s in self.sessions.values() if not s.resolved]
 
-    def advance(self, until_s: float) -> None:
+    def run(self, until_s: float) -> None:
         """Process every event with timestamp <= until_s, stopping early
-        once every session has ended."""
+        once every session has ended.  A later call resumes where this one
+        stopped, until ``finish``."""
         heap, pop = self._heap, heapq.heappop
         if heap is None:
             raise RuntimeError("the episode has ended: a finished engine cannot run on")
@@ -345,28 +346,19 @@ class Engine:
         if not (n and self.sessions_resolved == n):
             self.now_s = max(self.now_s, until_s)
 
-    def run(self, horizon_s: float) -> None:
-        """Advance until the horizon, then release the slot state."""
-        self.advance(horizon_s)
-        # A finished run keeps no slot state and no drawn channel rows: the
-        # engines an evaluation returns would each hold a block of both.  A
-        # resumed run or a later read draws the rows again from the saved
-        # generator state and rebuilds the block, to the same bits.
-        self._snapshot = None
-        self.constellation.release_slot_state()
-        self.channel.release_rows()
-
     def finish(self) -> None:
         """End the episode: keep its results, drop what only running needs.
 
-        ``outcomes``, ``counters``, ``sessions``, ``conservation_ok()`` and
-        ``snapshot`` still read as after ``run``.  The controller goes (a
-        policy's parameters, its actor and its rollout would otherwise stay
-        alive with every kept engine), and so do the hooks, the send queues
-        and the event heap; ``advance`` and ``run`` then refuse to go on.
+        ``outcomes``, ``counters``, ``sessions`` and ``conservation_ok()``
+        still read as after ``run``.  The controller goes (a policy's
+        parameters, its actor and its rollout would otherwise stay alive
+        with every kept engine), and so do the hooks, the send queues, the
+        event heap, the constellation with its block of slot state and the
+        channel with its drawn rows; ``run`` and ``snapshot`` then raise.
         """
         self.controller = self.hooks = None
         self.queues = self._busy = self._waiting = self._heap = None
+        self.constellation = self.channel = self._snapshot = None
 
     # ------------------------------------------------------------------
     # slot boundary
@@ -383,6 +375,8 @@ class Engine:
         holds the same values as one built alone at the slot boundary.
         """
         if self._snapshot is None:
+            if self.constellation is None:
+                raise RuntimeError("the episode has ended: a finished engine has no slot state")
             self._snapshot = self.constellation.snapshot(
                 self.slot * self.slot_length_s, self.channel)
         return self._snapshot
@@ -565,7 +559,9 @@ class Engine:
         prop_s = burst.frozen_prop_s
         tx_s = max(self.now_s - prop_s - burst.service_start_s, 0.0)
         queue_s = max(burst.service_start_s - burst.enqueue_s, 0.0)
-        if not min(prop_s, tx_s, queue_s, proc_s) >= -1e-12:
+        # NaN or inf whenever a part is; ``min`` may skip a NaN.
+        delay_s = prop_s + tx_s + queue_s + proc_s
+        if not (min(prop_s, tx_s, queue_s, proc_s) >= -1e-12 and delay_s < math.inf):
             HopDelayRecord.build(prop_s, tx_s, queue_s, proc_s)  # names the bad part
         session.hop_delays.extend((prop_s, tx_s, queue_s, proc_s))
         session.sem = semantic.record_hop(session.sem, burst.frozen_snr_db, self.proxy_cfg)
@@ -573,8 +569,8 @@ class Engine:
         session.node = node
         session.hop_trace.append(node)
         dist_km = self.snapshot.distance_km(node, session.dst)
-        m = HopMeasurements(decision_index, prev_dist_km, dist_km,
-                            prop_s + tx_s + queue_s + proc_s, queue_frac, revisited, True)
+        m = HopMeasurements(decision_index, prev_dist_km, dist_km, delay_s, queue_frac,
+                            revisited, True)
         if self.trace is not None:
             self._emit("arrival", session=session.session_id, node=node,
                        ttl=session.ttl_remaining)

@@ -89,7 +89,7 @@ def test_criterion_01_queue_law():
     t = 0.0
     while t < 40.0 and engine.sessions_resolved < len(engine.sessions):
         t += 0.1
-        engine.advance(t)
+        engine.run(t)
         rows = queue_log(events)
         assert np.array_equal(occupancy(rows, engine.slot, engine.occupancy.shape),
                               engine.occupancy)
@@ -128,7 +128,7 @@ def test_criterion_03_packet_conservation():
         t = 0.0
         while t < 30.0 and engine.sessions_resolved < len(engine.sessions):
             t += 0.1
-            engine.advance(t)
+            engine.run(t)
             # chunk-level identity; relay pruning counts under dropped
             assert engine.conservation_ok()
             checks += 1

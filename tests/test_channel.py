@@ -175,22 +175,3 @@ def test_block_draws_equal_slot_by_slot_draws(kwargs, links):
         pathloss = cfg.base_snr_db - 10.0 * cfg.pathloss_exponent * np.log10(
             d / cfg.reference_distance_km)
         assert ch.snr_now(d).tobytes() == (pathloss + want.jitter_db + want.fast_db).tobytes()
-
-
-@pytest.mark.parametrize("kwargs", [
-    dict(seed=3), dict(seed=5, jitter_amplitude_db=0.0), dict(seed=6, failure_rate=0.3),
-])
-@pytest.mark.parametrize("links", [0, 36, 280])
-def test_released_rows_are_drawn_again_to_the_same_bytes(kwargs, links):
-    ch, twin = make_channel([None] * links, **kwargs), make_channel([None] * links, **kwargs)
-    # Released within a block, on its last slot, before the next block's
-    # first and before a jump over several blocks; the twin never releases.
-    for slot in (0, 3, 3, 15, 16, 17, 40, 100, 101):
-        ch.release_rows()
-        assert ch._normal is None and ch._available is None
-        ch.advance_to_slot(slot)
-        twin.advance_to_slot(slot)
-        assert (ch.first, ch.slot) == (twin.first, twin.slot)
-        assert ch._normal.tobytes() == twin._normal.tobytes(), slot
-        assert ch._available.tobytes() == twin._available.tobytes(), slot
-        assert ch._rng.bit_generator.state == twin._rng.bit_generator.state

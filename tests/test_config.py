@@ -241,6 +241,32 @@ def test_config_dict_roundtrip():
     assert config_from_dict(config_to_dict(cfg)) == cfg
 
 
+def test_numpy_float_values_save_and_reload(tmp_path):
+    # A ``numpy.float64`` passes a ``float`` field's check; the saved YAML
+    # holds the same value as a plain float.
+    gains = {c: np.float64(g) for c, g in QualityProxyConfig().budget_gain.items()}
+    cfg = dataclasses.replace(
+        tiny_config(5),
+        simulation=dataclasses.replace(tiny_config(5).simulation,
+                                       slot_length_s=np.float64(0.1)),
+        proxy=QualityProxyConfig(budget_gain=gains))
+    save_config(cfg, tmp_path / "c.yaml")
+    assert load_config(tmp_path / "c.yaml") == cfg
+
+
+def test_snr_beyond_the_float_range_rejected_naming_base_snr_db():
+    # The objective's delay scale takes 10 ** (snr / 10) of the worst link.
+    with pytest.raises(ConfigError, match="invalid section channel: base_snr_db"):
+        ExperimentConfig(channel=ChannelConfig(base_snr_db=1e308))
+
+
+def test_int_beyond_the_float_range_rejected_by_name():
+    # The code computes with an int field as a float (``delay_scale_s``
+    # multiplies ``ttl_hops``), which would overflow.
+    with pytest.raises(ConfigError, match="ttl_hops must be finite"):
+        SimulationConfig(ttl_hops=10**400)
+
+
 def test_sections_are_the_domain_classes():
     cfg = default_config()
     assert type(cfg.proxy) is QualityProxyConfig
@@ -367,7 +393,11 @@ def _experiment(draw):
     return draw(st.builds(
         ExperimentConfig,
         constellation=st.just(shell),
-        channel=_section(ChannelConfig, failure_rate=_UNIT),
+        # The derived delay scale takes 10 ** (snr / 10) of the longest link:
+        # within these ranges its SNR stays below 2 500 dB, in float range.
+        channel=_section(ChannelConfig, failure_rate=_UNIT,
+                         base_snr_db=st.floats(-200.0, 200.0),
+                         pathloss_exponent=st.floats(0.0, 20.0)),
         simulation=_section(SimulationConfig,
                             num_flows=st.integers(0, max_flows),
                             frame_interval_s=st.floats(0.0, 1e3)),

@@ -184,7 +184,7 @@ def test_advance_with_no_work_just_moves_time():
     con = build_constellation(ConstellationConfig(num_planes=2, sats_per_plane=2))
     ch = ChannelModel(ChannelConfig(), con.edge_index, 0.1)
     engine = Engine(con, ch, controller=None, proxy_cfg=QualityProxyConfig())
-    engine.advance(0.35)
+    engine.run(0.35)
     assert engine.now_s == pytest.approx(0.35)
     assert engine.outcomes == []
 
@@ -277,6 +277,16 @@ def test_cli_rejects_negative_episodes(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_cli_rejects_non_numeric_sweep_values(tmp_path, capsys):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["sweep", "--out", str(out), "--checkpoint", "c.npz", "--axis", "snr",
+                  "--values", "a,b"])
+    assert exc.value.code == 2
+    assert "--values: must be comma-separated numbers, got 'a,b'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_refuses_a_fractional_load(tmp_path):
     cfg = fast_cfg(seed=22)
     cmd_train(cfg, tmp_path / "t", episodes=0)
@@ -290,6 +300,7 @@ def test_sweep_refuses_a_fractional_load(tmp_path):
     ("load", -1.0, "num_flows must be >= 0"),
     ("load", 2.5, "must be whole numbers"),
     ("snr", math.nan, "base_snr_db must be finite"),
+    ("snr", 1e308, "base_snr_db = 1e\\+308, pathloss_exponent"),
 ])
 def test_cmd_sweep_checks_every_value_before_writing(tmp_path, axis, value, error):
     cfg = fast_cfg(seed=23)

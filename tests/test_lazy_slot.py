@@ -46,14 +46,13 @@ class FullWalkEngine(simcore.Engine):
 
 
 class SteppedEngine(simcore.Engine):
-    """Steps through the first 3 s with ``advance``, one slot at a time,
-    then finishes with ``run``; the tiny and stress episodes both have
-    events left at 3 s."""
+    """Runs through the first 3 s one slot at a time, then on to the
+    horizon; the tiny and stress episodes both have events left at 3 s."""
 
-    def run(self, horizon_s: float) -> None:
+    def run(self, until_s: float) -> None:
         for k in range(1, 31):
-            self.advance(k * self.slot_length_s)
-        super().run(horizon_s)
+            super().run(k * self.slot_length_s)
+        super().run(until_s)
 
 
 def busy_config():

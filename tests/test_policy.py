@@ -8,6 +8,7 @@ import pytest
 import reference_policy
 
 from leosem import policy as pol
+from leosem.config import save_config, tiny_config
 from leosem.gat import SubgraphInput
 from leosem.policy import (Adam, JointAction, PolicyConfig, init_policy_params,
                            load_checkpoint, masked_log_softmax, save_checkpoint)
@@ -263,6 +264,25 @@ def test_truncated_checkpoint_rejected_naming_the_path(tmp_path):
     save_checkpoint(path, params)
     path.write_bytes(path.read_bytes()[:-100])
     with pytest.raises(ValueError, match=f"checkpoint {re.escape(str(path))} is not a"):
+        load_checkpoint(path)
+
+
+def _write_npy(path):
+    with open(path, "wb") as fh:  # ``np.save`` would add ".npy" to a path
+        np.save(fh, np.zeros(3))
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: save_config(tiny_config(0), path),
+    _write_npy,
+    lambda path: path.write_bytes(b""),
+], ids=["yaml_config", "npy_array", "empty"])
+def test_file_that_is_no_checkpoint_rejected_naming_the_path(tmp_path, write):
+    # numpy would unpickle a file it cannot read otherwise (and refuses),
+    # hands back a lone array, or finds no data; none is a checkpoint.
+    path = tmp_path / "ckpt.npz"
+    write(path)
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))} is not a checkpoint"):
         load_checkpoint(path)
 
 

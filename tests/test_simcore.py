@@ -157,6 +157,20 @@ def test_arrival_rejects_a_negative_part_before_storing_it():
     assert len(session.hop_delays) == 4 and session.hop_records[0].proc_s == 0.0
 
 
+def test_arrival_rejects_a_nan_part_before_storing_it():
+    # ``min`` skips a NaN that is not its first argument; the arrival's sum
+    # of the parts does not, so the NaN fails where it is produced.
+    ctl = ScriptedController(port=0, budget_idx=2, relay_at_decision=1)
+    engine = build_engine(1, 5, ctl, ttl=8)
+    engine.relay_proc_delay_s = math.nan
+    engine.add_session(0, 3, spawn_s=0.0, latent_bytes=1200)
+    with pytest.raises(ValueError, match="proc_s must be finite"):
+        engine.run(30.0)
+    session = engine.sessions[0]
+    assert not session.resolved and len(session.hop_delays) == 4
+    assert session.hop_records[0].proc_s == 0.0
+
+
 @pytest.mark.parametrize("name", ["q_max_packets", "ttl_hops"])
 def test_engine_takes_no_empty_queue_and_no_zero_ttl(name):
     # The engine reads its queue capacity and TTL from its section, which
@@ -201,10 +215,10 @@ def test_enqueue_contract_at_capacity():
 
 
 def test_finished_engine_keeps_results_and_refuses_to_run_on():
-    # ``finish`` drops the controller, the hooks, the send queues and the
-    # event heap.  What a caller reads of a finished episode still reads the
-    # same, in-flight chunks included, and running on raises instead of
-    # failing on a dropped queue.
+    # ``finish`` drops the controller, the hooks, the send queues, the event
+    # heap and the slot state.  What a caller reads of a finished episode
+    # still reads the same, in-flight chunks included, and running on or
+    # reading the slot's graph raises instead of failing on a dropped part.
     engine = build_engine(1, 2, ScriptedController(port=0), hooks=[SimHooks()])
     for latent_bytes in (599 * 1200, 2 * 1200):
         engine.add_session(0, 1, spawn_s=0.0, latent_bytes=latent_bytes)
@@ -215,11 +229,12 @@ def test_finished_engine_keeps_results_and_refuses_to_run_on():
     assert engine.controller is None and engine.hooks is None and engine.queues is None
     assert engine.outcomes == outcomes and engine.counters == counters
     assert engine.in_flight_chunks() == in_flight == 599 and engine.conservation_ok()
-    assert engine.snapshot.slot == engine.slot == 0
-    for go_on in (engine.advance, engine.run):
-        with pytest.raises(RuntimeError, match="the episode has ended"):
-            go_on(1.0)
-    assert engine.outcomes == outcomes and engine.now_s == 0.05
+    assert engine.constellation is None and engine.channel is None
+    with pytest.raises(RuntimeError, match="the episode has ended"):
+        engine.snapshot
+    with pytest.raises(RuntimeError, match="the episode has ended"):
+        engine.run(1.0)
+    assert engine.outcomes == outcomes and engine.now_s == 0.05 and engine.slot == 0
 
 
 def test_enqueue_unknown_port():
@@ -409,7 +424,7 @@ def test_conservation_after_every_slot_under_chaos():
     t = 0.0
     while t < 40.0 and engine.sessions_resolved < len(engine.sessions):
         t += 0.1
-        engine.advance(t)
+        engine.run(t)
         assert engine.conservation_ok()
         assert engine.occupancy.min() >= 0
         assert engine.occupancy.max() <= engine.q_max
@@ -429,7 +444,7 @@ def test_queue_law_holds_on_binned_rows():
     t = 0.0
     while t < 60.0 and engine.sessions_resolved < len(engine.sessions):
         t += 0.1
-        engine.advance(t)
+        engine.run(t)
         rows = queue_log(events)
         assert np.array_equal(occupancy(rows, engine.slot, engine.occupancy.shape),
                               engine.occupancy)

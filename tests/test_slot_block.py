@@ -1,6 +1,6 @@
 """Slot state a block of slots at a time: a block's row is the slot's state
 built alone, a run that stops and resumes across block boundaries replays
-the uninterrupted event log, and a finished run keeps no block, no drawn
+the uninterrupted event log, and a finished episode keeps no block, no drawn
 channel rows and little else besides its results."""
 import dataclasses
 import gc
@@ -9,6 +9,7 @@ import tracemalloc
 import weakref
 
 import numpy as np
+import pytest
 import reference_observe as ref
 
 from leosem import experiment, simcore
@@ -62,17 +63,15 @@ def test_block_rows_equal_one_row_builds_on_and_off_the_grid():
 
 def test_run_resumed_across_block_boundaries_replays_the_log(monkeypatch):
     # Stops mid-block, on a block's last slot, on a boundary and two blocks
-    # on; each stop drops the slot state and the channel's drawn rows, and
-    # the resumed run draws the rows again and rebuilds the state.
+    # on; each resumed run goes on from the kept block and drawn rows.
     stops = [1.05, 1.55, 1.6, 3.3, 3.35]
     assert SLOT_BLOCK * 0.1 == 1.6
     original = simcore.Engine.run
 
-    def stepped(engine, horizon_s):
+    def stepped(engine, until_s):
         for stop in stops:
             original(engine, stop)
-            assert engine.channel._normal is None and engine.channel._available is None
-        original(engine, horizon_s)
+        original(engine, until_s)
 
     for cfg in (tiny_config(0), busy_config()):
         for make in range(2):
@@ -93,42 +92,32 @@ def test_run_resumed_across_block_boundaries_replays_the_log(monkeypatch):
 def test_finished_run_keeps_no_slot_block(monkeypatch):
     # A block of slot state is about 140 KB on the 10x7 shell and a block of
     # drawn channel rows about 76 KB; an evaluation keeps every engine, so a
-    # block kept past ``run`` would add up.
+    # block kept past ``finish`` would add up.
     made, drawn = [], []
-    original_state, original_draw = Constellation._slot_state, ChannelModel._draw_block
+    original_state, original_draw = Constellation._slot_state, ChannelModel._next_block
 
     def tracked_state(con, *args, **kwargs):
         positions, table, avail = state = original_state(con, *args, **kwargs)
         made.append([weakref.ref(x) for x in (positions, table.base, avail.base)])
         return state
 
-    def tracked_draw(channel, prev):
-        original_draw(channel, prev)
+    def tracked_draw(channel):
+        original_draw(channel)
         drawn.append([weakref.ref(channel._normal), weakref.ref(channel._available)])
 
     monkeypatch.setattr(Constellation, "_slot_state", tracked_state)
-    monkeypatch.setattr(ChannelModel, "_draw_block", tracked_draw)
+    monkeypatch.setattr(ChannelModel, "_next_block", tracked_draw)
     for cfg in (tiny_config(1), busy_config()):
         for controller in controllers(cfg):
             made.clear()
             drawn.clear()
             engine = experiment.run_episode(cfg, 0, controller, hooks=[])
             gc.collect()
-            channel = engine.channel
             assert len(made) > 2 and len(drawn) > 2
-            assert channel._normal is None and channel._available is None
+            assert engine.constellation is None and engine.channel is None
             assert all(ref() is None for refs in made + drawn for ref in refs)
-            # A later read draws the last block of rows again, to the bytes
-            # of a channel that never released them, and builds its state.
-            built, redrawn = len(made), len(drawn)
-            assert engine.snapshot.slot == engine.slot
-            assert (len(made), len(drawn)) == (built + 1, redrawn + 1)
-            twin = ChannelModel(channel.cfg, engine.constellation.edge_index,
-                                channel.slot_length_s, seed=channel.seed)
-            twin.advance_to_slot(engine.slot)
-            assert channel.first == twin.first
-            assert channel._normal.tobytes() == twin._normal.tobytes()
-            assert channel._available.tobytes() == twin._available.tobytes()
+            with pytest.raises(RuntimeError, match="the episode has ended"):
+                engine.snapshot
 
 
 def retained_per_engine(cfg, params, baseline) -> float:
@@ -150,22 +139,25 @@ def retained_per_engine(cfg, params, baseline) -> float:
 def test_finished_busy_shortest_path_engine_retains_under_125_kib():
     # What an evaluation's engines keep once their episodes end: sessions,
     # their hop traces and delays, and counters.  An engine retains about
-    # 110 KiB here; about 140 KiB with its send queues, event heap and
-    # controller, about 205 KiB with, besides, a record object per hop, and
-    # about 500 KiB with an empty deque per port, its last block of slot
-    # state, its drawn channel rows and its own copy of the link list.
+    # 92 KiB here; about 110 KiB with its constellation and channel (their
+    # per-node and per-link arrays, a generator and its saved state and
+    # jitter row), about 140 KiB with, besides, its send queues, event heap
+    # and controller, about 205 KiB with, besides, a record object per hop,
+    # and about 500 KiB with an empty deque per port, its last block of
+    # slot state, its drawn channel rows and its own copy of the link list.
     retained = retained_per_engine(busy_config(), None, BaselineSpec(kind="shortest_path"))
-    assert retained < 125 * 1024, f"{retained / 1024:.0f} KiB"
+    assert retained < 105 * 1024, f"{retained / 1024:.0f} KiB"
 
 
 def test_finished_busy_greedy_policy_engine_retains_under_160_kib():
     # The benchmark's fixed checkpoint, evaluated greedily on the same shell:
     # its sessions make about 2.7 times the hops of shortest-path routing.
-    # An engine retains about 141 KiB here, about 182 KiB with its send
+    # An engine retains about 123 KiB here, about 141 KiB with its
+    # constellation and channel, about 182 KiB with, besides, its send
     # queues, event heap and controller (with the controller's actor), and
     # about 358 KiB with, besides, a record object per hop.
     cfg = busy_config()
     params, _ = load_checkpoint(CHECKPOINT)
     assert params.cfg == experiment.make_policy_config(cfg)
     retained = retained_per_engine(cfg, params, None)
-    assert retained < 160 * 1024, f"{retained / 1024:.0f} KiB"
+    assert retained < 140 * 1024, f"{retained / 1024:.0f} KiB"
