@@ -2,9 +2,14 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
+
+# A number in exponent form, which PyYAML (YAML 1.1) reads as a string
+# unless it has a dot and a signed exponent: '1e300', '5e-2', '1.0e300'.
+_YAML_1_1_STRING = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)[eE][-+]?\d+")
 
 
 class ConfigError(ValueError):
@@ -43,7 +48,11 @@ def check_real(name: str, value) -> None:
     """Raise ``ConfigError`` naming ``name`` unless ``value`` is a finite
     ``int`` or ``float`` other than a bool."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a real number, got {value!r}")
+        hint = ""
+        if isinstance(value, str) and _YAML_1_1_STRING.fullmatch(value):
+            hint = ("; YAML reads a number without a dot and a signed exponent as a "
+                    "string; write 1e300 as 1.0e+300")
+        raise ConfigError(f"{name} must be a real number, got {value!r}{hint}")
     try:
         finite = math.isfinite(value)
     except OverflowError:  # an int beyond the float range

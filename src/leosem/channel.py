@@ -79,7 +79,6 @@ class ChannelModel:
         self.cfg = cfg
         self.slot_length_s = slot_length_s
         self.num_links = len(edges)
-        self.seed = seed
         self._rng = np.random.default_rng(np.random.SeedSequence(seed))
         # AR(1): rho chosen so autocorrelation at the horizon lag is e^-1.
         self._rho = math.exp(-slot_length_s / cfg.correlation_horizon_s)

@@ -6,7 +6,7 @@ import dataclasses
 import sys
 
 from .baselines import BASELINE_KINDS
-from .config import default_config, load_config
+from .config import ConfigError, default_config, load_config
 from .experiment import cmd_eval, cmd_sweep, cmd_train
 
 
@@ -80,29 +80,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = _load(args)
-    if args.command == "train":
-        result = cmd_train(cfg, args.out, episodes=args.episodes, trace=args.trace)
-        b = result.bundle
-        print(f"trained: sessions={b.sessions} delivery_rate={b.delivery_rate} "
-              f"mean_return={b.mean_session_return}")
-    elif args.command == "eval":
-        b = cmd_eval(cfg, args.checkpoint, args.out, episodes=args.episodes,
-                     trace=args.trace)
-        print(f"eval: delivery_rate={b.delivery_rate} mean_delay_s={b.mean_delay_s} "
-              f"mean_quality={b.mean_quality} objective={b.objective}")
-    elif args.command == "sweep":
-        rows = cmd_sweep(cfg, args.axis, args.values, args.checkpoint, args.out,
-                         episodes=args.episodes)
-        for row in rows:
-            print(f"{args.axis}={row['value']}: delivery={row['delivery_rate']} "
-                  f"drop={row['drop_rate']} quality={row['mean_quality']}")
-    elif args.command == "baseline":
-        b = cmd_eval(cfg, args.checkpoint, args.out, episodes=args.episodes,
-                     baseline_kind=args.baseline_kind,
-                     fixed_budget=args.fixed_budget, trace=args.trace)
-        print(f"baseline {args.baseline_kind}: delivery_rate={b.delivery_rate} "
-              f"mean_delay_s={b.mean_delay_s} mean_quality={b.mean_quality}")
+    try:
+        cfg = _load(args)
+        if args.command == "train":
+            result = cmd_train(cfg, args.out, episodes=args.episodes, trace=args.trace)
+            b = result.bundle
+            print(f"trained: sessions={b.sessions} delivery_rate={b.delivery_rate} "
+                  f"mean_return={b.mean_session_return}")
+        elif args.command == "eval":
+            b = cmd_eval(cfg, args.checkpoint, args.out, episodes=args.episodes,
+                         trace=args.trace)
+            print(f"eval: delivery_rate={b.delivery_rate} mean_delay_s={b.mean_delay_s} "
+                  f"mean_quality={b.mean_quality} objective={b.objective}")
+        elif args.command == "sweep":
+            rows = cmd_sweep(cfg, args.axis, args.values, args.checkpoint, args.out,
+                             episodes=args.episodes)
+            for row in rows:
+                print(f"{args.axis}={row['value']}: delivery={row['delivery_rate']} "
+                      f"drop={row['drop_rate']} quality={row['mean_quality']}")
+        elif args.command == "baseline":
+            b = cmd_eval(cfg, args.checkpoint, args.out, episodes=args.episodes,
+                         baseline_kind=args.baseline_kind,
+                         fixed_budget=args.fixed_budget, trace=args.trace)
+            print(f"baseline {args.baseline_kind}: delivery_rate={b.delivery_rate} "
+                  f"mean_delay_s={b.mean_delay_s} mean_quality={b.mean_quality}")
+    except (ConfigError, OSError) as exc:
+        # A bad config or an unreadable file names itself, as a usage error
+        # does; any other failure keeps its traceback.
+        print(f"leosem: error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -8,6 +8,7 @@ controllers on exactly the same episodes.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -283,23 +284,25 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_run_info(out: pathlib.Path, cfg: ExperimentConfig, **extra) -> None:
-    info = {"seed": cfg.seed, **extra}
-    with open(out / "run.json", "w") as fh:
-        json.dump(info, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+@contextlib.contextmanager
+def _run_dir(cfg: ExperimentConfig, out_dir, command: str, trace: bool = False):
+    """Make ``out_dir``, write ``config.yaml`` and yield ``(out, info, trace_hook)``.
 
+    ``trace_hook`` writes one JSON line per event to ``trace.jsonl`` (None
+    unless ``trace``).  The block adds its options to ``info``, which is
+    written as ``run.json`` only when the block returns.
+    """
+    out = pathlib.Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    save_config(cfg, out / "config.yaml")
+    info = {"seed": cfg.seed, "command": command}
+    with open(out / "trace.jsonl", "w") if trace else contextlib.nullcontext() as fh:
+        def trace_hook(event: dict) -> None:
+            fh.write(json.dumps(event, sort_keys=True))
+            fh.write("\n")
 
-def _open_trace(out: pathlib.Path, enabled: bool):
-    if not enabled:
-        return None, None
-    fh = open(out / "trace.jsonl", "w")
-
-    def write(event: dict) -> None:
-        fh.write(json.dumps(event, sort_keys=True))
-        fh.write("\n")
-
-    return write, fh
+        yield out, info, trace_hook if trace else None
+    metrics.write_json(out / "run.json", info)
 
 
 def load_policy(cfg: ExperimentConfig, checkpoint) -> PolicyParams:
@@ -315,25 +318,18 @@ def load_policy(cfg: ExperimentConfig, checkpoint) -> PolicyParams:
 
 def cmd_train(cfg: ExperimentConfig, out_dir, episodes: int | None = None,
               trace: bool = False) -> TrainResult:
-    _check_episodes(cfg.ppo.episodes if episodes is None else episodes)
-    out = pathlib.Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_config(cfg, out / "config.yaml")
-    trace_write, trace_fh = _open_trace(out, trace)
-    try:
-        result = train(cfg, episodes=episodes, trace=trace_write)
-    finally:
-        if trace_fh:
-            trace_fh.close()
-    ckpt = out / "checkpoint.npz"
-    pol.save_checkpoint(ckpt, result.params,
-                        hyper=dataclasses.asdict(cfg.ppo), seed=cfg.seed)
-    metrics.write_rows_csv(out / "curve.csv", CURVE_COLUMNS, result.curve)
-    metrics.write_sessions_csv(out / "sessions.csv", result.records)
-    metrics.write_metrics_json(out / "metrics.json", result.bundle)
-    _write_run_info(out, cfg, command="train",
-                    episodes=episodes if episodes is not None else cfg.ppo.episodes,
-                    checkpoint_sha256=_sha256(ckpt))
+    episodes = cfg.ppo.episodes if episodes is None else episodes
+    _check_episodes(episodes)
+    with _run_dir(cfg, out_dir, "train", trace) as (out, info, trace_hook):
+        result = train(cfg, episodes=episodes, trace=trace_hook)
+        ckpt = out / "checkpoint.npz"
+        pol.save_checkpoint(ckpt, result.params,
+                            hyper=dataclasses.asdict(cfg.ppo), seed=cfg.seed)
+        metrics.write_rows_csv(out / "curve.csv", CURVE_COLUMNS, result.curve)
+        metrics.write_rows_csv(out / "sessions.csv", metrics.SESSION_CSV_COLUMNS,
+                               [dataclasses.asdict(r) for r in result.records])
+        metrics.write_json(out / "metrics.json", dataclasses.asdict(result.bundle))
+        info.update(episodes=episodes, checkpoint_sha256=_sha256(ckpt))
     return result
 
 
@@ -341,28 +337,19 @@ def cmd_eval(cfg: ExperimentConfig, checkpoint, out_dir, episodes: int,
              baseline_kind: str | None = None, fixed_budget: int | None = None,
              trace: bool = False) -> MetricsBundle:
     _check_episodes(episodes)
-    params = None
-    ckpt_hash = None
+    params = ckpt_hash = None
     if checkpoint is not None:
         params = load_policy(cfg, checkpoint)
         ckpt_hash = _sha256(checkpoint)
-    spec = None
-    if baseline_kind is not None:
-        spec = BaselineSpec(kind=baseline_kind, fixed_budget=fixed_budget)
-    out = pathlib.Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_config(cfg, out / "config.yaml")
-    trace_write, trace_fh = _open_trace(out, trace)
-    try:
-        bundle, records, _ = evaluate(cfg, params, episodes, baseline=spec,
-                                      trace=trace_write)
-    finally:
-        if trace_fh:
-            trace_fh.close()
-    metrics.write_sessions_csv(out / "sessions.csv", records)
-    metrics.write_metrics_json(out / "metrics.json", bundle)
-    _write_run_info(out, cfg, command="eval", episodes=episodes,
-                    baseline_kind=baseline_kind, checkpoint_sha256=ckpt_hash)
+    spec = (None if baseline_kind is None
+            else BaselineSpec(kind=baseline_kind, fixed_budget=fixed_budget))
+    with _run_dir(cfg, out_dir, "eval", trace) as (out, info, trace_hook):
+        bundle, records, _ = evaluate(cfg, params, episodes, baseline=spec, trace=trace_hook)
+        metrics.write_rows_csv(out / "sessions.csv", metrics.SESSION_CSV_COLUMNS,
+                               [dataclasses.asdict(r) for r in records])
+        metrics.write_json(out / "metrics.json", dataclasses.asdict(bundle))
+        info.update(episodes=episodes, baseline_kind=baseline_kind,
+                    checkpoint_sha256=ckpt_hash)
     return bundle
 
 
@@ -373,11 +360,9 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, values: list[float], checkpoint,
     _sweep_configs(cfg, axis, values)
     _check_episodes(episodes)
     params = load_policy(cfg, checkpoint)
-    out = pathlib.Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_config(cfg, out / "config.yaml")
-    rows = sweep(cfg, axis, values, params, episodes)
-    metrics.write_rows_csv(out / "sweep.csv", SWEEP_COLUMNS, rows)
-    _write_run_info(out, cfg, command="sweep", axis=axis, values=list(values),
-                    episodes=episodes, checkpoint_sha256=_sha256(checkpoint))
+    with _run_dir(cfg, out_dir, "sweep") as (out, info, _):
+        info.update(axis=axis, values=list(values), episodes=episodes,
+                    checkpoint_sha256=_sha256(checkpoint))
+        rows = sweep(cfg, axis, values, params, episodes)
+        metrics.write_rows_csv(out / "sweep.csv", SWEEP_COLUMNS, rows)
     return rows

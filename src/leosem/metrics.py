@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from .simcore import DROP_NO_LINK, DROP_OVERFLOW, DROP_TTL, ActiveSession
 
@@ -87,9 +87,6 @@ class MetricsBundle:
     episodes: int = 0
     extra: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def objective_value(mean_delay_s: float | None, mean_quality: float | None,
                     delay_scale_s: float, lambda_delay: float,
@@ -144,23 +141,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_sessions_csv(path, records: list[SessionRecord]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SESSION_CSV_COLUMNS)
-        for r in records:
-            row = asdict(r)
-            writer.writerow([_fmt(row[c]) for c in SESSION_CSV_COLUMNS])
-
-
 def read_sessions_csv(path) -> list[dict]:
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
 
 
-def write_metrics_json(path, bundle: MetricsBundle) -> None:
+def write_json(path, data: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(bundle.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

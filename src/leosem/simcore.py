@@ -189,7 +189,6 @@ class HopMeasurements:
     delay_s: float
     queue_frac: float
     revisited: bool
-    hop_completed: bool
 
 
 @dataclass(slots=True)
@@ -495,7 +494,7 @@ class Engine:
             m = HopMeasurements(
                 decision_index=decision_index, prev_dist_km=prev_dist_km,
                 new_dist_km=None, delay_s=0.0, queue_frac=queue_frac,
-                revisited=revisited, hop_completed=False,
+                revisited=revisited,
             )
             if self.trace is not None:
                 node, port = divmod(cell, NUM_PORTS)
@@ -570,7 +569,7 @@ class Engine:
         session.hop_trace.append(node)
         dist_km = self.snapshot.distance_km(node, session.dst)
         m = HopMeasurements(decision_index, prev_dist_km, dist_km, delay_s, queue_frac,
-                            revisited, True)
+                            revisited)
         if self.trace is not None:
             self._emit("arrival", session=session.session_id, node=node,
                        ttl=session.ttl_remaining)

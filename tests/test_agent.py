@@ -432,7 +432,7 @@ def test_rollout_adds_rewards_credited_to_one_decision():
                             latent_bytes=1200, ttl_remaining=8,
                             sem=SemanticState(session_id=0), initial_dist_km=3000.0)
     m = HopMeasurements(decision_index=0, prev_dist_km=3000.0, new_dist_km=2000.0,
-                        delay_s=0.05, queue_frac=0.1, revisited=False, hop_completed=True)
+                        delay_s=0.05, queue_frac=0.1, revisited=False)
     tracker.on_hop(session, m)
     hop_reward = rollout.rewards[0]
     assert rollout.open == {0: [0]}

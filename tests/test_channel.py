@@ -162,7 +162,7 @@ class SlotBySlotChannel:
 @pytest.mark.parametrize("links", [0, 4, 36, 280])
 def test_block_draws_equal_slot_by_slot_draws(kwargs, links):
     ch = make_channel([None] * links, **kwargs)
-    cfg, want = ch.cfg, SlotBySlotChannel(ch.cfg, links, 0.1, ch.seed)
+    cfg, want = ch.cfg, SlotBySlotChannel(ch.cfg, links, 0.1, kwargs["seed"])
     d = np.linspace(400.0, 5000.0, links)
     # Within a block, on its last slot and the next block's first, and
     # jumps over several blocks at once.

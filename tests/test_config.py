@@ -322,6 +322,17 @@ def test_bad_value_fails_at_load_naming_section_and_field(request, tmp_path, sec
         load_config(path)
 
 
+def test_yaml_exponent_without_a_dot_is_named_with_the_spelling_that_loads(tmp_path):
+    # PyYAML (YAML 1.1) reads 1e300 as the string '1e300' and 1.0e+300 as a float.
+    path = tmp_path / "bad.yaml"
+    path.write_text("simulation: {episode_length_s: 1e300}\n")
+    with pytest.raises(ConfigError, match=r"episode_length_s must be a real number, "
+                                          r"got '1e300'; .*write 1e300 as 1\.0e\+300"):
+        load_config(path)
+    path.write_text("simulation: {episode_length_s: 1.0e+3}\n")
+    assert load_config(path).simulation.episode_length_s == 1000.0
+
+
 def test_one_satellite_shell_loads_without_flows_and_names_both_sections():
     shell = {"num_planes": 1, "sats_per_plane": 1}
     with pytest.raises(ConfigError, match="num_flows = 2 .*section constellation.* = 1"):

@@ -287,6 +287,42 @@ def test_cli_rejects_non_numeric_sweep_values(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_names_a_bad_config_field_without_a_traceback(tmp_path, capsys):
+    cfg_path = tmp_path / "bad.yaml"
+    cfg_path.write_text("simulation: {ttl_hops: 0}\n")
+    out = tmp_path / "o"
+    assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("leosem: error: ") and "ttl_hops" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_names_a_missing_file_without_a_traceback(tmp_path, capsys):
+    missing = tmp_path / "no_such_checkpoint.npz"
+    out = tmp_path / "o"
+    assert cli_main(["eval", "--checkpoint", str(missing), "--out", str(out),
+                     "--episodes", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("leosem: error: ") and str(missing) in err
+    assert not out.exists()
+    assert cli_main(["train", "--config", str(tmp_path / "no.yaml"), "--out", str(out)]) == 2
+    assert "no.yaml" in capsys.readouterr().err
+
+
+def test_cli_keeps_the_traceback_of_a_failing_run(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("episode failed")
+
+    monkeypatch.setattr(experiment, "run_episode", fail)
+    out = tmp_path / "o"
+    with pytest.raises(RuntimeError, match="episode failed"):
+        cli_main(["baseline", "--baseline-kind", "shortest_path", "--out", str(out),
+                  "--episodes", "1", "--trace"])
+    # config.yaml is written first; a run that raises writes no run.json.
+    assert sorted(p.name for p in out.iterdir()) == ["config.yaml", "trace.jsonl"]
+
+
 def test_sweep_refuses_a_fractional_load(tmp_path):
     cfg = fast_cfg(seed=22)
     cmd_train(cfg, tmp_path / "t", episodes=0)

@@ -1,4 +1,4 @@
-"""``tools/run_digests.py`` on a shortened run set: every run writes its files,
+"""``tools/run_digests.py`` on a shortened run set: every run and sweep writes its files,
 the digests repeat from run to run, and the stress scene reaches every way
 a session can fail."""
 import importlib.util
@@ -26,6 +26,8 @@ def test_digests_cover_every_run_and_repeat(tmp_path):
         assert match, line
         files.setdefault(match[1], set()).add(match[2])
     assert files.pop("train") == EVAL_FILES | {"checkpoint.npz", "curve.csv"}
+    assert files.pop("sweep_snr") == files.pop("sweep_load") == {
+        "config.yaml", "run.json", "sweep.csv"}
     assert files == {f"eval_{scene}_{kind}": EVAL_FILES for scene in ("tiny", "busy", "stress")
                      for kind in ("policy", "shortest_path")}
     assert lines[0] == sorted(lines[0])

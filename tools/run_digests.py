@@ -6,9 +6,14 @@ Trains ``tiny_config(0)`` for 5 traced episodes, then evaluates that
 checkpoint for 2 traced episodes on the tiny config, on a busy 10x7
 config (20 flows x 5 sessions, 2 s frames) and on a lossy, crowded 3x3
 stress config, under the greedy policy and under every baseline in
-``BASELINE_KINDS``.  Prints one ``run/file sha256`` line per file, sorted.  Every run is seeded, so two trees whose output
-differs wrote different bytes somewhere: diff the output of two checkouts
-to check that a refactor leaves run files and traces byte-identical.
+``BASELINE_KINDS``.  Sweeps the checkpoint over two SNR offsets on the
+tiny config and two flow counts on the stress config, 2 episodes each.
+Prints one ``run/file sha256`` line per file, sorted.  Every run is
+seeded, so two trees whose output differs wrote different bytes
+somewhere: diff the output of two checkouts to check that a refactor
+leaves run files and traces byte-identical.  Run both under the same
+``OPENBLAS_NUM_THREADS``: the training checkpoint's bytes, and so every
+``run.json`` that hashes it, depend on the number of BLAS threads.
 """
 from __future__ import annotations
 
@@ -54,7 +59,7 @@ def stress_config(seed: int) -> ExperimentConfig:
 
 def run_all(out: pathlib.Path, train_episodes: int = 5, eval_episodes: int = 2,
             kinds=BASELINE_KINDS) -> None:
-    """Write the training run and every evaluation run under ``out``."""
+    """Write the training run, every evaluation run and both sweeps under ``out``."""
     experiment.cmd_train(tiny_config(0), out / "train", episodes=train_episodes, trace=True)
     checkpoint = out / "train" / "checkpoint.npz"
     for scene, cfg in (("tiny", tiny_config(0)), ("busy", busy_config(0)),
@@ -62,6 +67,10 @@ def run_all(out: pathlib.Path, train_episodes: int = 5, eval_episodes: int = 2,
         for kind in (None, *kinds):
             experiment.cmd_eval(cfg, checkpoint, out / f"eval_{scene}_{kind or 'policy'}",
                                 eval_episodes, baseline_kind=kind, trace=True)
+    experiment.cmd_sweep(tiny_config(0), "snr", [-5.0, 5.0], checkpoint, out / "sweep_snr",
+                         eval_episodes)
+    experiment.cmd_sweep(stress_config(0), "load", [1.0, 3.0], checkpoint,
+                         out / "sweep_load", eval_episodes)
 
 
 def digests(out: pathlib.Path) -> list[str]:
