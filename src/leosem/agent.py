@@ -28,9 +28,11 @@ or [-1, 1]:
 Ports that are absent or currently unavailable contribute zeroed link
 features plus a zero mask bit.
 
-The session-independent part of every node's row ([4:13] and the unit
-position vectors) is built once per snapshot and cached on it; a decision
-gathers its members' rows and fills in the live part.
+The session-independent part of every node's row ([4:13], a contiguous
+copy of the normalized-SNR columns and the unit position vectors) is built
+once per snapshot and cached on it; a decision gathers its members' rows
+with ``take`` and fills in the live part, each computed on a contiguous
+temporary and then copied into its columns.
 """
 from __future__ import annotations
 
@@ -86,6 +88,7 @@ def _wrap_pairs(n_p: int, n_s: int) -> np.ndarray:
 class _SlotRows:
     """The session-independent observation of every node for one snapshot."""
     rows: np.ndarray              # (N, FEATURE_DIM): [4:13] filled, zeros elsewhere
+    snr: np.ndarray               # (N, NUM_PORTS) contiguous copy of rows[:, 8:12]
     unit: np.ndarray              # (N, 3) unit position vectors
 
 
@@ -96,11 +99,13 @@ def _slot_rows(view: DecisionView) -> _SlotRows:
         avail = snap.avail
         rows = np.zeros((len(avail), FEATURE_DIM))
         rows[:, NUM_PORTS:2 * NUM_PORTS] = avail
-        rows[:, 2 * NUM_PORTS:3 * NUM_PORTS] = np.where(avail, _snr_norm(snap.snr_db), 0.0)
+        snr = np.where(avail, _snr_norm(snap.snr_db), 0.0)
+        rows[:, 2 * NUM_PORTS:3 * NUM_PORTS] = snr
         rows[:, 3 * NUM_PORTS] = avail.sum(axis=1) / NUM_PORTS
         pos = snap.positions
         snap.obs_rows = _SlotRows(
             rows=rows,
+            snr=snr,
             # sqrt of vecdot rounds exactly like a per-vector np.linalg.norm.
             unit=pos / np.sqrt(np.vecdot(pos, pos))[:, None],
         )
@@ -116,30 +121,36 @@ def _feature_rows(view: DecisionView, base: _SlotRows, members: list[int]) -> np
     """
     session = view.session
     sem = session.sem
+    # ``take`` gathers the same rows as fancy indexing at a third of the
+    # call cost; the live blocks are computed on contiguous (M, 4)
+    # temporaries, since a ufunc writing through a strided column view
+    # costs several times more than the copy.
     idx = np.array(members)
-    out = base.rows[idx]
+    out = base.rows.take(idx, axis=0)
     # Absent ports have no queue, so their occupancy stays 0.
-    occ = np.divide(view.occupancy[idx], view.q_max, out=out[:, 0:NUM_PORTS])
+    occ = view.occupancy.take(idx, axis=0) / view.q_max
+    out[:, 0:NUM_PORTS] = occ
     out[:, NET_BLOCK_DIM + 4:NET_BLOCK_DIM + 8] = occ
     # Index -1 (an absent port) reads the False past the last node.
     snap = view.snapshot
     visited = np.zeros(len(snap.dst) + 1, dtype=bool)
     visited[session.hop_trace] = True
-    out[:, NET_BLOCK_DIM + 8:NET_BLOCK_DIM + 12] = visited[snap.dst[idx]]
+    out[:, NET_BLOCK_DIM + 8:NET_BLOCK_DIM + 12] = visited.take(snap.dst.take(idx, axis=0))
     # The normalisation is monotone, so the bottleneck's norm is the minimum
     # of the two norms; unavailable ports stay 0.  ``_snr_norm`` on floats:
     # max and min keep a NaN first argument, as np.maximum/np.minimum do.
     sem_at = NET_BLOCK_DIM + PKT_BLOCK_DIM
     norm = (sem.min_link_snr_db - SNR_NORM_LO_DB) / (SNR_NORM_HI_DB - SNR_NORM_LO_DB)
-    np.minimum(out[:, 2 * NUM_PORTS:3 * NUM_PORTS], min(max(norm, 0.0), 1.0),
-               out=out[:, sem_at:sem_at + NUM_PORTS])
+    out[:, sem_at:sem_at + NUM_PORTS] = np.minimum(base.snr.take(idx, axis=0),
+                                                   min(max(norm, 0.0), 1.0))
 
     offset = []
-    for cos in np.vecdot(base.unit[idx], base.unit[session.dst]).tolist():
+    for cos in np.vecdot(base.unit.take(idx, axis=0), base.unit[session.dst]).tolist():
         offset.append(math.acos(min(max(cos, -1.0), 1.0)) / math.pi)
     out[:, 13] = offset
     shell = view.constellation.cfg
-    out[:, 14:16] = _wrap_pairs(shell.num_planes, shell.sats_per_plane)[session.dst, idx]
+    wrap = _wrap_pairs(shell.num_planes, shell.sats_per_plane)[session.dst]
+    out[:, 14:16] = wrap.take(idx, axis=0)
     out[:, 16] = session.ttl_remaining / view.ttl_max
     out[:, 29:32] = (sem.budget_c / 128.0, 1.0 - math.exp(-sem.accum_distortion),
                      min(1.0, sem.hops_since_process / view.ttl_max))

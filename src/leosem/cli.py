@@ -8,6 +8,7 @@ import sys
 from .baselines import BASELINE_KINDS
 from .config import ConfigError, default_config, load_config
 from .experiment import cmd_eval, cmd_sweep, cmd_train
+from .policy import CheckpointError
 
 
 def _load(args):
@@ -104,9 +105,9 @@ def main(argv=None) -> int:
                          fixed_budget=args.fixed_budget, trace=args.trace)
             print(f"baseline {args.baseline_kind}: delivery_rate={b.delivery_rate} "
                   f"mean_delay_s={b.mean_delay_s} mean_quality={b.mean_quality}")
-    except (ConfigError, OSError) as exc:
-        # A bad config or an unreadable file names itself, as a usage error
-        # does; any other failure keeps its traceback.
+    except (ConfigError, CheckpointError, OSError) as exc:
+        # A bad config, a bad checkpoint or an unreadable file names itself,
+        # as a usage error does; any other failure keeps its traceback.
         print(f"leosem: error: {exc}", file=sys.stderr)
         return 2
     return 0

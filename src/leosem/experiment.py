@@ -306,12 +306,15 @@ def _run_dir(cfg: ExperimentConfig, out_dir, command: str, trace: bool = False):
 
 
 def load_policy(cfg: ExperimentConfig, checkpoint) -> PolicyParams:
-    """Load a checkpoint and check that ``cfg`` implies its network shape."""
+    """Load a checkpoint and check that ``cfg`` implies its network shape.
+
+    A bad file or a shape mismatch raises ``policy.CheckpointError``.
+    """
     params, _ = pol.load_checkpoint(checkpoint)
     expect = make_policy_config(cfg)
     if params.cfg != expect:
-        raise ValueError(
-            f"checkpoint/config mismatch: checkpoint built for {params.cfg}, "
+        raise pol.CheckpointError(
+            f"checkpoint/config mismatch: checkpoint {checkpoint} built for {params.cfg}, "
             f"config implies {expect}")
     return params
 

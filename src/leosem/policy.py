@@ -299,7 +299,8 @@ def act(actor: Actor, subgraph: SubgraphInput, mask: np.ndarray,
     """Pick a joint action; returns (action, per-head log-probs, value).
 
     The one-state case of ``forward``, in the same bits.  The products are
-    the same BLAS calls and every exp, log, tanh and expm1 is the same numpy
+    the same BLAS calls (``ndarray.dot``, which costs less per call than
+    ``@`` or ``np.dot``) and every exp, log, tanh and expm1 is the same numpy
     call on a contiguous array; the softmaxes' other steps run on Python
     floats, summing in numpy's order.  Sampling mode needs an rng; greedy
     mode takes the argmax of each head (ties resolved to the lowest index).
@@ -308,8 +309,8 @@ def act(actor: Actor, subgraph: SubgraphInput, mask: np.ndarray,
     if rng is None and not greedy:
         raise ValueError("sampling mode requires an rng")
     # Graph attention over the (M, F) subgraph, center in row 0.
-    z = subgraph.features @ actor.gat_w
-    za = (z @ actor.attn2).tolist()
+    z = subgraph.features.dot(actor.gat_w)
+    za = z.dot(actor.attn2).tolist()
     center, slope = za[0][0], actor.leaky_slope
     scores = []
     for _, a in za:
@@ -322,18 +323,18 @@ def act(actor: Actor, subgraph: SubgraphInput, mask: np.ndarray,
     total = 0.0
     for weight in exp.tolist():
         total += weight
-    agg = (exp / total) @ z
+    agg = (exp / total).dot(z)
     # Trunk input [center row || ELU(agg)], written into the actor's row.
     actor.obs_part[...] = subgraph.features[0]
     neg = np.minimum(agg, 0.0)
     np.maximum(agg, np.expm1(neg, out=neg), out=actor.emb_part)
-    t1 = np.tanh(np.dot(actor.state, actor.w1) + actor.b1)
-    t2 = np.tanh(np.dot(t1, actor.w2) + actor.b2)
+    t1 = np.tanh(actor.state.dot(actor.w1) + actor.b1)
+    t2 = np.tanh(t1.dot(actor.w2) + actor.b2)
     # Every head and the value in one product, then each head's log-softmax
     # as ``masked_log_softmax`` computes it, spelled out for heads of 4, 3
     # and 2 entries.  A NaN may hide from max(); it then reaches its head's
     # sum, which turns the whole head to NaN.
-    out = (np.dot(t2, actor.w_head) + actor.b_head)[0].tolist()
+    out = (t2.dot(actor.w_head) + actor.b_head)[0].tolist()
     up0, up1, up2, up3 = mask.tolist()
     hop = [out[0] if up0 else _NEG_INF, out[1] if up1 else _NEG_INF,
            out[2] if up2 else _NEG_INF, out[3] if up3 else _NEG_INF]
@@ -490,6 +491,10 @@ class Adam:
         return PolicyParams(params.cfg, params.flat - mhat)
 
 
+class CheckpointError(ValueError):
+    """A checkpoint file that cannot be loaded, or that does not fit the config."""
+
+
 def save_checkpoint(path, params: PolicyParams, hyper: dict | None = None,
                     seed: int | None = None) -> None:
     meta = {
@@ -518,31 +523,31 @@ def _read_meta(path, data) -> tuple[dict, PolicyConfig]:
     """A checkpoint's metadata and the ``PolicyConfig`` it describes.
 
     Missing or unreadable metadata, an unsupported format, and a missing or
-    non-numeric field each raise ``ValueError`` naming the path.
+    non-numeric field each raise ``CheckpointError`` naming the path.
     """
     if "meta" not in data.files:
-        raise ValueError(f"checkpoint {path} has no 'meta' member")
+        raise CheckpointError(f"checkpoint {path} has no 'meta' member")
     raw = _read_member(path, data, "meta")
     try:
         meta = json.loads(raw.tobytes().decode())
     except ValueError as exc:  # not UTF-8, or not JSON
-        raise ValueError(f"checkpoint {path} has unreadable metadata: {exc}") from exc
+        raise CheckpointError(f"checkpoint {path} has unreadable metadata: {exc}") from exc
     if not isinstance(meta, dict):
-        raise ValueError(f"checkpoint {path} metadata is not a JSON object")
+        raise CheckpointError(f"checkpoint {path} metadata is not a JSON object")
     if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(
+        raise CheckpointError(
             f"checkpoint {path} has unsupported format {meta.get('format_version')!r}, "
             f"expected {CHECKPOINT_FORMAT_VERSION}"
         )
     values = {}
     for name, kind in _META_FIELDS.items():
         if name not in meta:
-            raise ValueError(f"checkpoint {path} metadata has no field {name!r}")
+            raise CheckpointError(f"checkpoint {path} metadata has no field {name!r}")
         try:
             values[name] = kind(meta[name])
         except (TypeError, ValueError):
-            raise ValueError(f"checkpoint {path} metadata field {name!r} is {meta[name]!r}, "
-                             f"expected {kind.__name__}") from None
+            raise CheckpointError(f"checkpoint {path} metadata field {name!r} is "
+                                  f"{meta[name]!r}, expected {kind.__name__}") from None
     return meta, PolicyConfig(**values)
 
 
@@ -550,16 +555,16 @@ def _read_member(path, data, name: str) -> np.ndarray:
     """One array of an open checkpoint archive.
 
     A corrupt member (bad CRC, broken compressed stream, cut short, or a
-    bad ``.npy`` header) raises ``ValueError`` naming the path and the array.
+    bad ``.npy`` header) raises ``CheckpointError`` naming the path and the array.
     """
     try:
         arr = data[name]
     except (zipfile.BadZipFile, zlib.error, EOFError, ValueError) as exc:
-        raise ValueError(f"checkpoint {path} array {name!r} is unreadable: "
-                         f"{type(exc).__name__}: {exc}") from exc
+        raise CheckpointError(f"checkpoint {path} array {name!r} is unreadable: "
+                              f"{type(exc).__name__}: {exc}") from exc
     # np.load hands over a member without the .npy magic string as raw bytes.
     if not isinstance(arr, np.ndarray):
-        raise ValueError(f"checkpoint {path} array {name!r} is unreadable: no .npy header")
+        raise CheckpointError(f"checkpoint {path} array {name!r} is unreadable: no .npy header")
     return arr
 
 
@@ -568,30 +573,30 @@ def load_checkpoint(path) -> tuple[PolicyParams, dict]:
 
     The shapes must be those of the ``PolicyConfig`` the metadata describes;
     a missing, unreadable or misshapen array, or one holding a non-finite
-    value, raises ``ValueError`` naming the path and the array.  So do a file
-    that is not a readable archive and missing or bad metadata, naming the
-    path.
+    value, raises ``CheckpointError`` naming the path and the array.  So do a
+    file that is not a readable archive and missing or bad metadata, naming
+    the path.
     """
     try:
         archive = np.load(path)
     except zipfile.BadZipFile as exc:
-        raise ValueError(f"checkpoint {path} is not a readable .npz archive: {exc}") from exc
+        raise CheckpointError(f"checkpoint {path} is not a readable .npz archive: {exc}") from exc
     except (ValueError, EOFError) as exc:  # numpy would unpickle it, or it is empty
-        raise ValueError(f"{path} is not a checkpoint: not an .npz archive") from exc
+        raise CheckpointError(f"{path} is not a checkpoint: not an .npz archive") from exc
     if not isinstance(archive, np.lib.npyio.NpzFile):  # a lone .npy array
-        raise ValueError(f"{path} is not a checkpoint: not an .npz archive")
+        raise CheckpointError(f"{path} is not a checkpoint: not an .npz archive")
     with archive as data:
         meta, cfg = _read_meta(path, data)
         params = PolicyParams(cfg)
         for name, view in params.arrays.items():
             if name not in data.files:
-                raise ValueError(f"checkpoint {path} has no array {name!r}")
+                raise CheckpointError(f"checkpoint {path} has no array {name!r}")
             arr = _read_member(path, data, name)
             if arr.shape != view.shape:
-                raise ValueError(f"checkpoint {path} array {name!r} has shape {arr.shape}, "
-                                 f"expected {view.shape} for {cfg}")
+                raise CheckpointError(f"checkpoint {path} array {name!r} has shape "
+                                      f"{arr.shape}, expected {view.shape} for {cfg}")
             view[...] = arr
     bad = params.nonfinite_block()
     if bad is not None:
-        raise ValueError(f"checkpoint {path} array {bad!r} holds a non-finite value")
+        raise CheckpointError(f"checkpoint {path} array {bad!r} holds a non-finite value")
     return params, meta

@@ -1,13 +1,15 @@
 """Random small scenarios under every kind of controller: chunks are
 conserved and each delivered session's hop records add up to its delay,
-and every bounded shortest-path search agrees with the full search."""
+every bounded shortest-path search agrees with the full search, and every
+observation and action agrees with its reference bit for bit."""
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leosem import experiment
+from leosem import experiment, policy as pol
 from leosem.agent import FEATURE_DIM, PolicyController
 from leosem.baselines import BaselineSpec, make_baseline_controller
 from leosem.channel import ChannelConfig
@@ -15,6 +17,8 @@ from leosem.config import ExperimentConfig, SimulationConfig
 from leosem.constellation import ConstellationConfig
 from leosem.policy import PolicyConfig, init_policy_params
 from search_oracle import EarlyExitChecker
+from test_act_oracle import CheckedAct
+from test_observe_oracle import run_checked
 
 CONTROLLERS = ("random", "greedy_queue", "shortest_path", "policy")
 
@@ -73,6 +77,19 @@ def test_conservation_and_delay_composition(cfg, kind):
 def test_bounded_search_matches_full_search_at_every_decision(cfg):
     engine = experiment.run_episode(cfg, 0, EarlyExitChecker(), hooks=[])
     assert engine.conservation_ok()
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(cfg=scenarios(), greedy=st.booleans())
+def test_observe_and_act_match_their_references_at_every_decision(cfg, greedy):
+    """``agent.observe`` against ``reference_observe.observe`` (with the
+    snapshot and Dijkstra) and ``policy.act`` against
+    ``reference_policy.act``, byte for byte, on drawn shells."""
+    checked = CheckedAct()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pol, "act", checked)
+        oracle = run_checked(cfg, greedy=greedy)
+    assert checked.calls == oracle.decisions
 
 
 def test_scenarios_cover_overflow_prune_and_ttl():

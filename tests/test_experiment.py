@@ -11,7 +11,7 @@ import pytest
 from leosem import experiment, policy as pol
 from leosem.baselines import BaselineSpec
 from leosem.cli import main as cli_main
-from leosem.config import SimulationConfig, load_config, tiny_config
+from leosem.config import SimulationConfig, default_config, load_config, tiny_config
 from leosem.constellation import ConstellationConfig
 from leosem.experiment import (cmd_eval, cmd_sweep, cmd_train, evaluate,
                                run_episode, sample_flows, stream_rng, sweep, train)
@@ -308,6 +308,38 @@ def test_cli_names_a_missing_file_without_a_traceback(tmp_path, capsys):
     assert not out.exists()
     assert cli_main(["train", "--config", str(tmp_path / "no.yaml"), "--out", str(out)]) == 2
     assert "no.yaml" in capsys.readouterr().err
+
+
+def test_cli_names_a_file_that_is_no_checkpoint_without_a_traceback(tmp_path, capsys):
+    not_a_checkpoint = tmp_path / "cfg.yaml"
+    from leosem.config import save_config
+    save_config(fast_cfg(seed=23), not_a_checkpoint)
+    out = tmp_path / "o"
+    assert cli_main(["eval", "--checkpoint", str(not_a_checkpoint), "--out", str(out),
+                     "--episodes", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("leosem: error: ") and str(not_a_checkpoint) in err
+    assert "not a checkpoint" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_names_a_checkpoint_config_mismatch_without_a_traceback(tmp_path, capsys):
+    # A tiny-shell checkpoint with a small network, evaluated under the
+    # default config, whose network is wider.
+    cfg = fast_cfg(seed=24)
+    cfg = dataclasses.replace(cfg, ppo=dataclasses.replace(cfg.ppo, trunk_width=16,
+                                                           gat_hidden=8))
+    cmd_train(cfg, tmp_path / "t", episodes=0)
+    ckpt = tmp_path / "t" / "checkpoint.npz"
+    out = tmp_path / "o"
+    assert cli_main(["eval", "--checkpoint", str(ckpt), "--out", str(out),
+                     "--episodes", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("leosem: error: checkpoint/config mismatch") and str(ckpt) in err
+    assert "trunk_width=16" in err and "Traceback" not in err
+    assert not out.exists()
+    with pytest.raises(pol.CheckpointError):
+        experiment.load_policy(default_config(), ckpt)
 
 
 def test_cli_keeps_the_traceback_of_a_failing_run(tmp_path, monkeypatch):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from leosem import policy
+from leosem.agent import FEATURE_DIM
 from leosem.constellation import NUM_PORTS, ConstellationConfig, build_constellation
 
 
@@ -182,3 +183,65 @@ def test_block_times_equal_the_engines_slot_times(slot_length_s):
         times = (np.arange(first, first + 16) * slot_length_s).tolist()
         assert times == [slot * slot_length_s for slot in range(first, first + 16)], \
             f"np.arange({first}, {first + 16}) * {slot_length_s} differs from slot * slot_length_s"
+
+
+@pytest.mark.parametrize("features, hidden", [(FEATURE_DIM, 64), (FEATURE_DIM, 8), (6, 4)])
+def test_ndarray_dot_gives_the_bits_of_matmul_at_the_actors_shapes(features, hidden):
+    # policy.act calls ndarray.dot for the attention products, where it
+    # used @ (and gat.forward still does): (M, F) x (F, H), (M, H) x the
+    # actor's (H, 2) transposed view of the attention vector, and
+    # (M,) x (M, H), for the M = 1..5 members of a subgraph.  The trunk's
+    # (1, S) x (S, D) rows used np.dot, as policy.forward does.
+    rng = np.random.default_rng(43)
+    for _ in range(60):
+        w = spread_rows(rng, features, hidden)
+        attn2 = spread_rows(rng, 1, 2 * hidden).reshape(2, hidden).T
+        trunk = spread_rows(rng, features + hidden, 16)
+        for m in range(1, NUM_PORTS + 2):
+            x = spread_rows(rng, m, features)
+            z = x.dot(w)
+            assert z.tobytes() == (x @ w).tobytes(), \
+                f"({m}, {features}).dot(({features}, {hidden})) differs from @"
+            assert z.dot(attn2).tobytes() == (z @ attn2).tobytes(), \
+                f"({m}, {hidden}).dot(({hidden}, 2) transposed view) differs from @"
+            weights = rng.random(m)
+            assert weights.dot(z).tobytes() == (weights @ z).tobytes(), \
+                f"({m},).dot(({m}, {hidden})) differs from @"
+        state = spread_rows(rng, 1, features + hidden)
+        assert state.dot(trunk).tobytes() == np.dot(state, trunk).tobytes(), \
+            "ndarray.dot differs from np.dot"
+
+
+def test_take_with_index_minus_one_reads_the_last_entry_as_fancy_indexing_does():
+    # agent._feature_rows gathers each member's neighbours with take and
+    # reads the revisit flag of an absent port (index -1) from the False
+    # sentinel past the last node.
+    con = build_constellation(ConstellationConfig(num_planes=3, sats_per_plane=4))
+    dst = con.snapshot(0.0).dst.copy()
+    dst[np.random.default_rng(47).random(dst.shape) < 0.3] = -1
+    assert (dst == -1).any()
+    visited = np.zeros(len(dst) + 1, dtype=bool)
+    visited[[0, 5, 7]] = True
+    for idx in ([0], [3, 1, 2], [11, 0, 4, 8, 9], [2, 2]):
+        rows = dst.take(np.array(idx), axis=0)
+        assert rows.tobytes() == dst[np.array(idx)].tobytes(), "take(axis=0) differs from dst[idx]"
+        assert visited.take(rows).tobytes() == visited[rows].tobytes(), \
+            "take with a -1 index differs from fancy indexing"
+    assert not visited.take(np.array([-1]))[0]
+
+
+@pytest.mark.parametrize("q_max", [1, 3, 12, 600, 7919])
+def test_int_division_on_a_temporary_equals_division_into_a_strided_view(q_max):
+    # agent._feature_rows divides the (M, 4) int64 occupancy by the int
+    # q_max on a contiguous temporary and copies the result into its
+    # columns; it used to divide straight into a strided column view.
+    rng = np.random.default_rng(53)
+    occupancy = rng.integers(0, q_max + 1, (70, NUM_PORTS), dtype=np.int64)
+    for m in range(1, NUM_PORTS + 2):
+        idx = rng.integers(0, len(occupancy), m)
+        out = np.zeros((m, FEATURE_DIM))
+        strided = np.divide(occupancy[idx], q_max, out=out[:, 0:NUM_PORTS])
+        temporary = occupancy.take(idx, axis=0) / q_max
+        assert temporary.flags.c_contiguous and np.shares_memory(strided, out)
+        assert temporary.tobytes() == np.ascontiguousarray(strided).tobytes(), \
+            f"int64 ({m}, 4) / {q_max} on a temporary differs from division into a strided view"

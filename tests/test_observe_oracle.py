@@ -68,15 +68,17 @@ class OracleController:
         return self.inner.decide(view)
 
 
-def run_checked(cfg: ExperimentConfig, episode: int = 0) -> OracleController:
-    """One episode of ``cfg`` under a sampling policy, every decision checked."""
+def run_checked(cfg: ExperimentConfig, episode: int = 0, greedy: bool = False) -> OracleController:
+    """One episode of ``cfg`` under a sampling (or greedy) policy, every
+    decision checked."""
     con = build_constellation(cfg.constellation)
     channel = ChannelModel(cfg.channel, con.edge_index, cfg.simulation.slot_length_s,
                            seed=cfg.seed + episode)
     params = init_policy_params(np.random.default_rng(cfg.seed), PolicyConfig(
         obs_dim=FEATURE_DIM, gat_hidden=8, trunk_width=16))
     oracle = OracleController(
-        PolicyController(params, rng=np.random.default_rng(cfg.seed + 1)), con, channel)
+        PolicyController(params, rng=np.random.default_rng(cfg.seed + 1), greedy=greedy),
+        con, channel)
     sim = cfg.simulation
     engine = Engine(con, channel, oracle, cfg.proxy, sim)
     flows = experiment.sample_flows(cfg, experiment.stream_rng(cfg.seed, episode))
