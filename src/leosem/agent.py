@@ -32,7 +32,8 @@ The session-independent part of every node's row ([4:13], a contiguous
 copy of the normalized-SNR columns and the unit position vectors) is built
 once per snapshot and cached on it; a decision gathers its members' rows
 with ``take`` and fills in the live part, each computed on a contiguous
-temporary and then copied into its columns.
+temporary and then copied into its columns.  ``observe`` returns the rows
+as one (M, FEATURE_DIM) array, the deciding node's first.
 """
 from __future__ import annotations
 
@@ -45,7 +46,6 @@ import numpy as np
 from . import gat, policy as pol
 from ._fields import ConfigError, check_numeric_fields
 from .constellation import NUM_PORTS
-from .gat import SubgraphInput
 from .policy import JointAction, PolicyParams
 from .simcore import ActiveSession, DecisionView, HopMeasurements, SimHooks
 
@@ -157,22 +157,17 @@ def _feature_rows(view: DecisionView, base: _SlotRows, members: list[int]) -> np
     return out
 
 
-def observe(view: DecisionView) -> tuple[SubgraphInput, np.ndarray]:
-    """Attention subgraph (the center's row first) and hop mask for one decision.
-
-    The mask is ``view.mask`` itself, the engine's copy of the node's row.
-    """
-    if view.session.node != view.node:
-        raise ValueError("session is not held at the observed node")
-    node = view.node
+def observe(view: DecisionView) -> np.ndarray:
+    """The (M, FEATURE_DIM) attention-subgraph rows of one decision: the
+    session's node first, then one row per open port in port order.  The hop
+    mask that goes with them is ``view.mask``."""
+    node = view.session.node
     cell = node * NUM_PORTS
     members = [node]
     for d, up in zip(view.snapshot.dst_cells[cell:cell + NUM_PORTS], view.mask.tolist()):
         if up:
             members.append(d)
-    features = _feature_rows(view, _slot_rows(view), members)
-    subgraph = SubgraphInput(features=features, members=tuple(members))
-    return subgraph, view.mask
+    return _feature_rows(view, _slot_rows(view), members)
 
 
 # ----------------------------------------------------------------------
@@ -242,7 +237,7 @@ class Rollout:
 
     def clear(self) -> None:
         """Forget every row, open sessions' rows included."""
-        self.subgraphs: list[SubgraphInput] = []
+        self.features: list[np.ndarray] = []          # (M, FEATURE_DIM) per decision
         self.masks: list[np.ndarray] = []
         self.actions: list[tuple[int, int, int]] = []  # hop, budget index, relay
         self.logp: list[float] = []                   # joint behaviour log-prob
@@ -256,11 +251,12 @@ class Rollout:
         """Rows of the closed segments; open sessions' rows do not count."""
         return sum(len(rows) for rows, _ in self.segments)
 
-    def add(self, sid: int, subgraph: SubgraphInput, mask: np.ndarray,
+    def add(self, sid: int, features: np.ndarray, mask: np.ndarray,
             action: JointAction, logps: np.ndarray, value: float) -> None:
-        """Store a decision of session ``sid``, given its per-head log-probs."""
+        """Store a decision of session ``sid``, given its subgraph rows and
+        per-head log-probs."""
         self.open.setdefault(sid, []).append(len(self.values))
-        self.subgraphs.append(subgraph)
+        self.features.append(features)
         self.masks.append(mask)
         self.actions.append((action.hop, action.budget_idx, action.relay))
         l_hop, l_budget, l_relay = logps.tolist()
@@ -411,7 +407,7 @@ def stack_buffer(rollout: Rollout, hyper: PpoSettings) -> RolloutBatch:
     mean, std = float(adv.mean()), float(adv.std())
     scale = std if std > 1e-8 else 1.0
 
-    features, member_mask = gat.pad_subgraphs([rollout.subgraphs[r] for r in order])
+    features, member_mask = gat.pad_subgraphs([rollout.features[r] for r in order])
     states = pol.StateBatch(features=features, member_mask=member_mask,
                             hop_mask=np.stack([rollout.masks[r] for r in order]))
     actions = np.array([rollout.actions[r] for r in order])
@@ -606,29 +602,27 @@ class RewardTracker(SimHooks):
 
 
 class PolicyController:
-    """Drives the engine with the policy.
+    """Drives the engine with the policy of one parameter set.
 
-    With a rollout attached every decision becomes a row of it, and the
-    rollout's ``reward`` method, given to a RewardTracker as its sink,
-    credits the rows.  Without one (greedy evaluation, baseline variants)
-    no decision is kept.
+    With an rng it samples each head; without one it acts greedily and keeps
+    no per-episode state.  With a rollout attached every decision becomes a
+    row of it, and the rollout's ``reward`` method, given to a RewardTracker
+    as its sink, credits the rows.  Without one (greedy evaluation, baseline
+    variants) no decision is kept.
     """
 
     def __init__(self, params: PolicyParams, rng: np.random.Generator | None = None,
-                 greedy: bool = False, rollout: Rollout | None = None):
-        self.params = params
+                 rollout: Rollout | None = None):
         self.actor = pol.Actor(params)
         self.rng = rng
-        self.greedy = greedy
         self.rollout = rollout
 
     def decide(self, view: DecisionView) -> JointAction:
-        subgraph, mask = observe(view)
-        action, logps, value = pol.act(
-            self.actor, subgraph, mask, rng=self.rng, greedy=self.greedy)
+        features = observe(view)
+        action, logps, value = pol.act(self.actor, features, view.mask, rng=self.rng)
         action = self.adjust_action(view, action)
         if self.rollout is not None:
-            self.rollout.add(view.session.session_id, subgraph, mask, action, logps, value)
+            self.rollout.add(view.session.session_id, features, view.mask, action, logps, value)
         return action
 
     def adjust_action(self, view: DecisionView, action: JointAction) -> JointAction:

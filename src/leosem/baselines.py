@@ -147,7 +147,7 @@ class _FixedSemantics:
 
 class ShortestPathController(_FixedSemantics):
     def decide(self, view: DecisionView) -> JointAction:
-        port = shortest_path_next_hop(view.snapshot, view.node, view.session.dst)
+        port = shortest_path_next_hop(view.snapshot, view.session.node, view.session.dst)
         if port is None:
             # Destination unreachable on this snapshot; fall back to any
             # open port rather than inventing a drop the engine cannot see.
@@ -163,7 +163,7 @@ class GreedyQueueController(_FixedSemantics):
     """
 
     def decide(self, view: DecisionView) -> JointAction:
-        snap, node, dst = view.snapshot, view.node, view.session.dst
+        snap, node, dst = view.snapshot, view.session.node, view.session.dst
         here = snap.distance_km(node, dst)
         visited = set(view.session.hop_trace)
         best: tuple[float, int, int] | None = None
@@ -199,7 +199,7 @@ class NoSourceCPolicyController(PolicyController):
     """Learned policy with the source budget pinned to the maximum."""
 
     def adjust_action(self, view: DecisionView, action: JointAction) -> JointAction:
-        if view.is_source:
+        if view.session.decision_count == 0:
             return JointAction(hop=action.hop, budget_idx=BUDGET_SET.index(128),
                                relay=action.relay)
         return action
@@ -217,7 +217,7 @@ class NoRelayPolicyController(PolicyController):
 
     def adjust_action(self, view: DecisionView, action: JointAction) -> JointAction:
         budget_idx = action.budget_idx
-        if view.is_source and self._budget_idx is not None:
+        if view.session.decision_count == 0 and self._budget_idx is not None:
             budget_idx = self._budget_idx
         return JointAction(hop=action.hop, budget_idx=budget_idx, relay=MODE_FORWARD)
 
@@ -227,7 +227,7 @@ def make_baseline_controller(spec: BaselineSpec, rng: np.random.Generator,
     """Instantiate the controller for a baseline spec.
 
     Policy-derived variants act greedily and need checkpoint parameters;
-    the heuristic kinds ignore them.
+    the heuristic kinds ignore them.  Only the random kind draws from ``rng``.
     """
     if spec.kind == "shortest_path":
         return ShortestPathController(spec)
@@ -238,8 +238,7 @@ def make_baseline_controller(spec: BaselineSpec, rng: np.random.Generator,
     if params is None:
         raise ValueError(f"baseline {spec.kind} requires policy parameters")
     if spec.kind == "policy_no_source_c":
-        return NoSourceCPolicyController(params, rng=rng, greedy=True)
+        return NoSourceCPolicyController(params)
     if spec.kind == "policy_no_relay":
-        return NoRelayPolicyController(params, rng=rng, greedy=True,
-                                       fixed_budget=spec.fixed_budget)
+        return NoRelayPolicyController(params, fixed_budget=spec.fixed_budget)
     raise ValueError(f"unhandled baseline kind {spec.kind}")

@@ -45,8 +45,9 @@ class ConstellationConfig:
             raise ConfigError("num_planes must be >= 1")
         if self.sats_per_plane < 1:
             raise ConfigError("sats_per_plane must be >= 1")
-        if self.altitude_km <= 0:
-            raise ConfigError("altitude_km must be > 0")
+        for name in ("altitude_km", "earth_radius_km", "mu_km3_s2"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be > 0")
         if not 0.0 <= self.inclination_deg <= 180.0:
             raise ConfigError("inclination_deg must be in [0, 180]")
 

@@ -163,8 +163,9 @@ def train(cfg: ExperimentConfig, episodes: int | None = None,
     last_stats = None
     delay_scale = cfg.delay_scale_s()
 
+    # One controller, and so one Actor, per parameter set.
+    controller = PolicyController(params, rng=action_rng, rollout=rollout)
     for ep in range(episodes):
-        controller = PolicyController(params, rng=action_rng, greedy=False, rollout=rollout)
         tracker = RewardTracker(cfg.reward, cfg.simulation.slot_length_s, sink=rollout.reward)
         engine = run_episode(cfg, ep, controller, [tracker], trace=trace)
         rollout.truncate()
@@ -175,6 +176,7 @@ def train(cfg: ExperimentConfig, episodes: int | None = None,
         if len(rollout) >= cfg.ppo.horizon:
             params, last_stats = ppo_update(rollout, params, optimizer, cfg.ppo, shuffle_rng)
             updates += 1
+            controller = PolicyController(params, rng=action_rng, rollout=rollout)
 
         ep_bundle = aggregate(records, delay_scale, cfg.objective.lambda_delay,
                               cfg.objective.lambda_semantic, episodes=1)
@@ -206,16 +208,19 @@ def train(cfg: ExperimentConfig, episodes: int | None = None,
 def evaluate(cfg: ExperimentConfig, params: PolicyParams | None, episodes: int,
              baseline: BaselineSpec | None = None, trace=None
              ) -> tuple[MetricsBundle, list[SessionRecord], list[Engine]]:
-    """Greedy evaluation (or a baseline run) over paired seeded episodes."""
+    """Greedy evaluation (or a baseline run) over paired seeded episodes.
+
+    One greedy controller serves every episode; a baseline's is built per
+    episode from its own stream."""
     _check_episodes(episodes)
+    if baseline is None:
+        if params is None:
+            raise ValueError("evaluation without a baseline needs parameters")
+        controller = PolicyController(params)
     records: list[SessionRecord] = []
     engines: list[Engine] = []
     for ep in range(episodes):
-        if baseline is None:
-            if params is None:
-                raise ValueError("evaluation without a baseline needs parameters")
-            controller = PolicyController(params, greedy=True)
-        else:
+        if baseline is not None:
             controller = make_baseline_controller(
                 baseline, stream_rng(cfg.seed, _STREAM_BASELINE, ep), params=params)
         tracker = RewardTracker(cfg.reward, cfg.simulation.slot_length_s)

@@ -48,30 +48,18 @@ class GatGrads:
     attn: np.ndarray
 
 
-@dataclass(frozen=True)
-class SubgraphInput:
-    """Feature matrix for the center (row 0) and its one-hop neighbors."""
-    features: np.ndarray          # (M, F)
-    members: tuple[int, ...] = ()  # node ids, row-aligned; optional
-
-    def __post_init__(self):
-        if self.features.ndim != 2 or self.features.shape[0] < 1:
-            raise ValueError("features must be (M, F) with M >= 1")
-        if self.members and len(self.members) != self.features.shape[0]:
-            raise ValueError("members must align with feature rows")
-
-
-def pad_subgraphs(subgraphs) -> tuple[np.ndarray, np.ndarray | None]:
-    """Stack subgraphs into (B, M, F) zero-padded features and a (B, M) mask.
+def pad_subgraphs(subgraphs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray | None]:
+    """Stack (M_i, F) subgraph feature arrays, center row first, into (B, M, F)
+    zero-padded features and a (B, M) mask.
 
     M is the largest member count in the batch; the mask is None when no
     subgraph needed padding.
     """
-    counts = np.array([s.features.shape[0] for s in subgraphs])
+    counts = np.array([len(s) for s in subgraphs])
     width = int(counts.max())
-    feats = np.zeros((len(subgraphs), width, subgraphs[0].features.shape[1]))
+    feats = np.zeros((len(subgraphs), width, subgraphs[0].shape[1]))
     for row, s in zip(feats, subgraphs):
-        row[:s.features.shape[0]] = s.features
+        row[:len(s)] = s
     if np.all(counts == width):
         return feats, None
     return feats, np.arange(width) < counts[:, None]

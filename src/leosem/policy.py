@@ -11,8 +11,8 @@ finite differences.
 ``forward`` and ``backward`` work on a batch of B states whose attention
 subgraphs are zero-padded to a common member count; the PPO update uses
 them.  Acting at decision time is ``act``: the same operations on one state,
-computed directly from an ``Actor`` built once per episode, with none of the
-batch scaffolding.  Parameters and gradients live in one flat vector.
+computed directly from an ``Actor`` built once per parameter set, with none
+of the batch scaffolding.  Parameters and gradients live in one flat vector.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import gat
 from .constellation import NUM_PORTS
-from .gat import GatCache, GatGrads, GatParams, SubgraphInput
+from .gat import GatCache, GatGrads, GatParams
 from .semantic import BUDGET_SET
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -265,7 +265,7 @@ def sample_categorical(rng: np.random.Generator, probs) -> int:
 
 
 class Actor:
-    """What ``act`` reads of one parameter set, prepared once per episode.
+    """What ``act`` reads of one parameter set, prepared once for it.
 
     Holds the four head matrices side by side (hop | budget | relay | value)
     and their biases, the attention vector as an (H, 2) view whose columns
@@ -293,23 +293,22 @@ class Actor:
 _NEG_INF = -math.inf
 
 
-def act(actor: Actor, subgraph: SubgraphInput, mask: np.ndarray,
-        rng: np.random.Generator | None = None,
-        greedy: bool = False) -> tuple[JointAction, np.ndarray, float]:
+def act(actor: Actor, features: np.ndarray, mask: np.ndarray,
+        rng: np.random.Generator | None = None) -> tuple[JointAction, np.ndarray, float]:
     """Pick a joint action; returns (action, per-head log-probs, value).
 
-    The one-state case of ``forward``, in the same bits.  The products are
-    the same BLAS calls (``ndarray.dot``, which costs less per call than
-    ``@`` or ``np.dot``) and every exp, log, tanh and expm1 is the same numpy
-    call on a contiguous array; the softmaxes' other steps run on Python
-    floats, summing in numpy's order.  Sampling mode needs an rng; greedy
-    mode takes the argmax of each head (ties resolved to the lowest index).
-    Non-finite probabilities raise ``FloatingPointError`` before any choice.
+    ``features`` holds the (M, F) subgraph rows, the center's first, and
+    ``mask`` the open ports.  The one-state case of ``forward``, in the same
+    bits.  The products are the same BLAS calls (``ndarray.dot``, which
+    costs less per call than ``@`` or ``np.dot``) and every exp, log, tanh
+    and expm1 is the same numpy call on a contiguous array; the softmaxes'
+    other steps run on Python floats, summing in numpy's order.  The rng
+    picks the mode: with one each head is sampled, without one each head's
+    argmax is taken (ties resolved to the lowest index).  Non-finite
+    probabilities raise ``FloatingPointError`` before any choice.
     """
-    if rng is None and not greedy:
-        raise ValueError("sampling mode requires an rng")
-    # Graph attention over the (M, F) subgraph, center in row 0.
-    z = subgraph.features.dot(actor.gat_w)
+    # Graph attention over the subgraph, center in row 0.
+    z = features.dot(actor.gat_w)
     za = z.dot(actor.attn2).tolist()
     center, slope = za[0][0], actor.leaky_slope
     scores = []
@@ -325,7 +324,7 @@ def act(actor: Actor, subgraph: SubgraphInput, mask: np.ndarray,
         total += weight
     agg = (exp / total).dot(z)
     # Trunk input [center row || ELU(agg)], written into the actor's row.
-    actor.obs_part[...] = subgraph.features[0]
+    actor.obs_part[...] = features[0]
     neg = np.minimum(agg, 0.0)
     np.maximum(agg, np.expm1(neg, out=neg), out=actor.emb_part)
     t1 = np.tanh(actor.state.dot(actor.w1) + actor.b1)
@@ -360,7 +359,7 @@ def act(actor: Actor, subgraph: SubgraphInput, mask: np.ndarray,
         raise FloatingPointError(
             f"non-finite action probabilities {row}; check the parameters and observation")
     p_hop, p_bud, p_rel = row[:4], row[4:7], row[7:]
-    if greedy:
+    if rng is None:
         # list.index finds the first of equal maxima: ties go to the lowest index.
         choice = (p_hop.index(max(p_hop)), p_bud.index(max(p_bud)), p_rel.index(max(p_rel)))
     else:

@@ -193,7 +193,8 @@ class HopMeasurements:
 
 @dataclass(slots=True)
 class DecisionView:
-    node: int
+    """One hop decision at ``session.node``; the engine counts it in
+    ``session.decision_count`` only after ``decide`` returns, so 0 means the source."""
     session: ActiveSession
     snapshot: GraphSnapshot
     mask: np.ndarray
@@ -201,7 +202,6 @@ class DecisionView:
     q_max: int
     ttl_max: int
     constellation: Constellation
-    is_source: bool
 
 
 class SimHooks:
@@ -417,9 +417,8 @@ class Engine:
                        measurements=None)
             return
         decision_index = session.decision_count
-        is_source = decision_index == 0
-        view = DecisionView(node, session, snap, mask, self.occupancy, self.q_max,
-                            self.ttl_hops, self.constellation, is_source)
+        view = DecisionView(session, snap, mask, self.occupancy, self.q_max,
+                            self.ttl_hops, self.constellation)
         action: JointAction = self.controller.decide(view)
         # A negative index would wrap: a port into another node's cell, a
         # budget index into the largest budget.
@@ -439,7 +438,8 @@ class Engine:
         session.decision_count += 1
 
         proc_s = 0.0
-        if is_source:
+        at_source = decision_index == 0
+        if at_source:
             session.sem = semantic.SemanticState(
                 session_id=session.session_id, budget_c=action.budget_c)
             plan = semantic.packetize(
@@ -457,7 +457,7 @@ class Engine:
         if self.trace is not None:
             self._emit("decision", session=session.session_id, node=node, port=port,
                        next=next_node, budget=action.budget_c, relay=int(action.relay),
-                       source=is_source)
+                       source=at_source)
 
         # ``item``: a numpy scalar would flow on into the rewards.
         session.pending = (decision_index, next_node, dist_km,

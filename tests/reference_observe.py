@@ -118,11 +118,12 @@ def node_features(view, snap: RefSnapshot, node):
 
 def observe(view, snap: RefSnapshot):
     """Center row, subgraph rows with member ids, and the hop mask."""
-    center = node_features(view, snap, view.node)
-    rows, members = [center], [view.node]
+    node = view.session.node
+    center = node_features(view, snap, node)
+    rows, members = [center], [node]
     mask = np.zeros(NUM_PORTS, dtype=bool)
     for p in range(NUM_PORTS):
-        edge = snap.edge(view.node, p)
+        edge = snap.edge(node, p)
         if edge is not None and edge.available:
             mask[p] = True
             rows.append(node_features(view, snap, edge.dst))

@@ -144,16 +144,15 @@ def loss_and_grads(params, batch, hyper):
     return float(np.mean(losses)), np.mean(grads, axis=0)
 
 
-def act(params, subgraph, mask, rng=None, greedy=False):
-    """(action, per-head log-probs, value) through ``policy.forward`` on one state."""
-    if rng is None and not greedy:
-        raise ValueError("sampling mode requires an rng")
-    fwd = pol.forward(params, pol.StateBatch(subgraph.features[None], None, mask[None]))
+def act(params, features, mask, rng=None):
+    """(action, per-head log-probs, value) through ``policy.forward`` on one
+    state: sampled with an rng, greedy without one."""
+    fwd = pol.forward(params, pol.StateBatch(features[None], None, mask[None]))
     row = fwd.probs[0].tolist()
     if not math.isfinite(sum(row)):
         raise FloatingPointError(f"non-finite action probabilities {row}")
     columns = pol.HEAD_COLUMNS.values()
-    if greedy:
+    if rng is None:
         choice = [row[c].index(max(row[c])) for c in columns]
     else:
         choice = [pol.sample_categorical(rng, row[c]) for c in columns]

@@ -21,7 +21,7 @@ class EarlyExitChecker(ShortestPathController):
         self.partial = 0  # decisions whose search left a reachable target unsettled
 
     def decide(self, view):
-        snap, node, dst = view.snapshot, view.node, view.session.dst
+        snap, node, dst = view.snapshot, view.session.node, view.session.dst
         full = dijkstra_to(snap, dst)
         row = [(p, int(snap.dst[node, p]), float(snap.dist_km[node, p]))
                for p in range(len(view.mask)) if snap.avail[node, p]]

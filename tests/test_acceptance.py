@@ -21,7 +21,7 @@ from leosem.channel import ChannelConfig, ChannelModel
 from leosem.config import tiny_config
 from leosem.constellation import ConstellationConfig, build_constellation
 from leosem.experiment import cmd_eval, cmd_train, evaluate, sweep, train
-from leosem.gat import SubgraphInput, init_gat_params
+from leosem.gat import init_gat_params
 from leosem.policy import JointAction, PolicyConfig, init_policy_params
 from leosem.semantic import (BUDGET_SET, DEFAULT_CHUNK_BYTES, QualityProxyConfig,
                              SemanticState, packetize, quality)
@@ -141,9 +141,9 @@ def test_criterion_04_gat_correctness():
     rng = np.random.default_rng(4)
 
     def oracle(inp, params):
-        m = inp.features.shape[0]
+        m = inp.shape[0]
         h = params.hidden_dim
-        z = inp.features @ params.w
+        z = inp @ params.w
         e = np.empty(m)
         for j in range(m):
             s = float(params.attn[:h] @ z[0] + params.attn[h:] @ z[j])
@@ -155,7 +155,7 @@ def test_criterion_04_gat_correctness():
 
     def fd_grads(inp, params, g, h=1e-5):
         def loss(p):
-            return float(g @ gat.forward(p, inp.features[None])[0][0])
+            return float(g @ gat.forward(p, inp[None])[0][0])
 
         dw = np.zeros_like(params.w)
         for idx in np.ndindex(params.w.shape):
@@ -175,8 +175,8 @@ def test_criterion_04_gat_correctness():
     while checked < 100:
         m = int(rng.integers(1, 6))
         params = init_gat_params(rng, 5, 6)
-        inp = SubgraphInput(features=rng.normal(size=(m, 5)))
-        _, cache = gat.forward(params, inp.features[None])
+        inp = rng.normal(size=(m, 5))
+        _, cache = gat.forward(params, inp[None])
         if np.any(np.abs(cache.scores) < 1e-3):
             continue  # keep finite differences away from the LeakyReLU kink
         checked += 1
@@ -204,8 +204,7 @@ def _policy_rollout_buffer(params, cfg, rng, n, seg_len):
     from leosem.agent import Rollout
     rollout = Rollout()
     for i in range(n):
-        sub = SubgraphInput(features=rng.normal(size=(int(rng.integers(1, 5)),
-                                                      cfg.obs_dim)))
+        sub = rng.normal(size=(int(rng.integers(1, 5)), cfg.obs_dim))
         mask = np.zeros(4, dtype=bool)
         mask[rng.integers(4)] = True
         mask |= rng.random(4) < 0.7

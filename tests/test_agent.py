@@ -13,7 +13,6 @@ from leosem.agent import (FEATURE_DIM, PolicyController, PpoSettings, RewardConf
                           total_reward)
 from leosem.channel import ChannelConfig, ChannelModel
 from leosem.constellation import ConstellationConfig, build_constellation
-from leosem.gat import SubgraphInput
 from leosem.policy import JointAction, PolicyConfig, init_policy_params
 from leosem.semantic import QualityProxyConfig, SemanticState
 from leosem.simcore import ActiveSession, Engine, HopMeasurements, SimulationConfig
@@ -31,7 +30,10 @@ class ViewCapture:
         # observe twice against the same live state: must be identical
         self.last = observe(view)
         self.last_again = observe(view)
-        subgraph, mask = self.last
+        # The row of the deciding node alone, to compare with row 0.
+        self.node = view.session.node
+        self.center = agent._feature_rows(view, agent._slot_rows(view), [self.node])[0]
+        mask = view.mask
         port = self.port if mask[self.port] else int(np.flatnonzero(mask)[0])
         return JointAction(hop=port, budget_idx=2, relay=0)
 
@@ -62,8 +64,7 @@ def capture_view(failure_rate=0.0, seed=2, fill_chunks=0):
 
 def test_empty_queues_zero_queue_features():
     ctl, _ = capture_view()
-    subgraph, _ = ctl.last
-    obs = subgraph.features[0]
+    obs = ctl.last[0]
     assert np.all(obs[0:4] == 0.0)
     assert np.all(obs[17:21] == 0.0)
     assert obs.shape == (FEATURE_DIM,)
@@ -71,31 +72,28 @@ def test_empty_queues_zero_queue_features():
 
 def test_full_queue_feature_is_one():
     ctl, _ = capture_view(fill_chunks=600)
-    obs = ctl.last[0].features[0]
+    obs = ctl.last[0]
     assert obs[0] == pytest.approx(1.0)
     assert obs[17] == pytest.approx(1.0)
 
 
 def test_observation_deterministic():
     ctl, _ = capture_view()
-    (sub1, m1), (sub2, m2) = ctl.last, ctl.last_again
-    assert np.array_equal(sub1.features, sub2.features)
-    assert sub1.members == sub2.members
-    assert np.array_equal(m1, m2)
+    assert ctl.last.tobytes() == ctl.last_again.tobytes()
 
 
 def test_observation_layout_fields():
-    ctl, _ = capture_view()
-    subgraph, mask = ctl.last
-    obs = subgraph.features[0]
+    ctl, view = capture_view()
+    features, mask = ctl.last, view.mask
+    obs = features[0]
     assert obs[16] == pytest.approx(1.0)           # full TTL at the source
     assert np.all(obs[21:25] == 0.0)               # nothing visited yet
     assert obs[29] == pytest.approx(1.0)           # default budget 128
     assert obs[30] == pytest.approx(0.0)           # no distortion yet
     assert obs[12] == pytest.approx(mask.sum() / 4.0)
     # members: center plus one per available port
-    assert subgraph.features.shape[0] == 1 + int(mask.sum())
-    assert subgraph.members[0] == 0
+    assert features.shape[0] == 1 + int(mask.sum())
+    assert ctl.node == 0 and obs.tobytes() == ctl.center.tobytes()  # the source's row first
     assert np.all((obs >= -1.0) & (obs <= 1.0))
 
 
@@ -111,20 +109,11 @@ def test_unavailable_ports_zeroed_and_masked():
             break
     else:
         pytest.skip("no partial-failure seed found")
-    subgraph, obs_mask = ctl.last
-    feats = subgraph.features[0]
+    feats = ctl.last[0]
     for p in range(4):
         if not mask[p]:
             assert feats[4 + p] == 0.0 and feats[8 + p] == 0.0 and feats[25 + p] == 0.0
-    assert np.array_equal(obs_mask, mask)
-    assert subgraph.features.shape[0] == 1 + int(mask.sum())
-
-
-def test_observe_rejects_wrong_holder():
-    _, view = capture_view()
-    view.node = 5
-    with pytest.raises(ValueError):
-        observe(view)
+    assert ctl.last.shape[0] == 1 + int(mask.sum())
 
 
 def test_revisit_flags_mark_trace_neighbors():
@@ -133,7 +122,7 @@ def test_revisit_flags_mark_trace_neighbors():
     dst = view.snapshot.dst
     back = int(dst[0, 0])
     view.session.hop_trace.append(back)
-    feats = observe(view)[0].features[0]
+    feats = observe(view)[0]
     assert feats[21] == 1.0
     others = [feats[21 + p] for p in range(1, 4)
               if dst[0, p] >= 0 and dst[0, p] not in view.session.hop_trace]
@@ -234,7 +223,7 @@ def synth_buffer(params, rng, n=14, seg_len=7):
     rollout = Rollout()
     for i in range(n):
         members = int(rng.integers(1, 5))
-        sub = SubgraphInput(features=rng.normal(size=(members, params.cfg.obs_dim)))
+        sub = rng.normal(size=(members, params.cfg.obs_dim))
         mask = np.zeros(4, dtype=bool)
         mask[rng.integers(4)] = True
         mask |= rng.random(4) < 0.7
@@ -388,7 +377,7 @@ def test_policy_controller_closes_trajectories():
 
 def add_rows(rollout, sid, values):
     """Store one decision of session ``sid`` per value."""
-    sub = SubgraphInput(features=np.zeros((1, S_CFG.obs_dim)))
+    sub = np.zeros((1, S_CFG.obs_dim))
     for value in values:
         rollout.add(sid, sub, np.ones(4, dtype=bool), JointAction(hop=0, budget_idx=0, relay=0),
                     np.array([-0.5, -0.25, -0.125]), value)
@@ -484,7 +473,7 @@ def test_numpy_sums_three_columns_left_to_right():
     assert np.array_equal(x.sum(axis=1), left), "(N, 3).sum(axis=1) is not left to right"
     assert not np.array_equal(x[:, 0] + (x[:, 1] + x[:, 2]), left)  # the order matters
     rollout = Rollout()
-    sub = SubgraphInput(features=np.zeros((1, S_CFG.obs_dim)))
+    sub = np.zeros((1, S_CFG.obs_dim))
     for row in x[:1000]:
         rollout.add(0, sub, np.ones(4, dtype=bool), JointAction(0, 0, 0), row, 0.0)
     assert np.array(rollout.logp).tobytes() == x[:1000].sum(axis=1).tobytes()
@@ -494,7 +483,7 @@ def mixed_rollouts(params, rng, n=40):
     """Rollout whose subgraphs have 1-5 members and whose hop masks vary."""
     rollout = Rollout()
     for i in range(n):
-        sub = SubgraphInput(features=rng.normal(size=(1 + i % 5, S_CFG.obs_dim)))
+        sub = rng.normal(size=(1 + i % 5, S_CFG.obs_dim))
         mask = rng.random(4) < 0.5
         mask[rng.integers(4)] = True
         action, logps, value = pol.act(pol.Actor(params), sub, mask, rng=rng)

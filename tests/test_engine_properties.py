@@ -55,7 +55,7 @@ def make_controller(kind: str, seed: int):
     return make_baseline_controller(BaselineSpec(kind=kind), rng)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, derandomize=True, deadline=None)
 @given(cfg=scenarios(), kind=st.sampled_from(CONTROLLERS))
 def test_conservation_and_delay_composition(cfg, kind):
     engine = experiment.run_episode(cfg, 0, make_controller(kind, cfg.seed), hooks=[])

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from leosem import gat
-from leosem.gat import GatParams, SubgraphInput, init_gat_params
+from leosem.gat import GatParams, init_gat_params
 
 
 def forward1(inp, params):
     """One subgraph through the batched forward (B=1, no padding)."""
-    out, cache = gat.forward(params, inp.features[None])
+    out, cache = gat.forward(params, inp[None])
     return out[0], cache
 
 
@@ -30,22 +30,21 @@ def rand_instance(rng, members=4, f=6, h=8, avoid_kinks=True):
     kink so finite differences stay meaningful."""
     for _ in range(50):
         params = init_gat_params(rng, f, h)
-        x = rng.normal(size=(members, f))
-        inp = SubgraphInput(features=x)
+        inp = rng.normal(size=(members, f))
         _, cache = forward1(inp, params)
         if not avoid_kinks or np.all(np.abs(cache.scores) > 1e-3):
             return inp, params
     raise AssertionError("could not sample a kink-free instance")
 
 
-def oracle_forward(inp: SubgraphInput, params: GatParams):
+def oracle_forward(inp: np.ndarray, params: GatParams):
     """Element-by-element recomputation with explicit loops."""
-    m, f = inp.features.shape
+    m, f = inp.shape
     h = params.hidden_dim
     z = np.zeros((m, h))
     for i in range(m):
         for j in range(h):
-            z[i, j] = sum(inp.features[i, k] * params.w[k, j] for k in range(f))
+            z[i, j] = sum(inp[i, k] * params.w[k, j] for k in range(f))
     e = np.zeros(m)
     for j in range(m):
         s = sum(params.attn[k] * z[0, k] for k in range(h)) \
@@ -65,7 +64,7 @@ def oracle_forward(inp: SubgraphInput, params: GatParams):
 def test_isolated_center_attention_is_one():
     rng = np.random.default_rng(0)
     params = init_gat_params(rng, 5, 4)
-    inp = SubgraphInput(features=rng.normal(size=(1, 5)))
+    inp = rng.normal(size=(1, 5))
     alpha = attention(inp, params)
     assert alpha.shape == (1,)
     assert alpha[0] == pytest.approx(1.0, abs=1e-15)
@@ -75,7 +74,7 @@ def test_identical_members_share_attention():
     rng = np.random.default_rng(1)
     params = init_gat_params(rng, 5, 4)
     row = rng.normal(size=5)
-    inp = SubgraphInput(features=np.stack([row, row, row]))
+    inp = np.stack([row, row, row])
     alpha = attention(inp, params)
     assert np.allclose(alpha, 1.0 / 3.0, atol=1e-12)
 
@@ -101,7 +100,7 @@ def test_embedding_matches_dense_oracle():
 def test_zero_features_zero_embedding():
     rng = np.random.default_rng(4)
     params = init_gat_params(rng, 6, 8)
-    inp = SubgraphInput(features=np.zeros((3, 6)))
+    inp = np.zeros((3, 6))
     assert np.allclose(embed(inp, params), 0.0, atol=1e-15)
 
 
@@ -129,7 +128,7 @@ def test_neighbor_permutation_invariance():
     inp, params = rand_instance(rng, members=5, avoid_kinks=False)
     out = embed(inp, params)
     perm = [0, 3, 1, 4, 2]
-    out_p = embed(SubgraphInput(features=inp.features[perm]), params)
+    out_p = embed(inp[perm], params)
     assert np.max(np.abs(out - out_p)) < 1e-12
 
 
@@ -149,12 +148,12 @@ def test_symmetric_neighbors_get_equal_treatment():
     params = init_gat_params(rng, 6, 8)
     center = rng.normal(size=6)
     nb = rng.normal(size=6)
-    inp = SubgraphInput(features=np.stack([center, nb, nb.copy()]))
+    inp = np.stack([center, nb, nb.copy()])
     g = rng.normal(size=8)
     _, cache = forward1(inp, params)
     grads = backward1(params, cache, g)
     assert cache.alpha[0, 1] == pytest.approx(cache.alpha[0, 2], abs=1e-15)
-    swapped = SubgraphInput(features=inp.features[[0, 2, 1]])
+    swapped = inp[[0, 2, 1]]
     _, cache_s = forward1(swapped, params)
     grads_s = backward1(params, cache_s, g)
     assert np.allclose(grads.w, grads_s.w, atol=1e-14)
@@ -200,7 +199,7 @@ def test_dimension_mismatch_rejected():
     rng = np.random.default_rng(11)
     params = init_gat_params(rng, 6, 8)
     with pytest.raises(ValueError):
-        embed(SubgraphInput(features=rng.normal(size=(2, 5))), params)
+        embed(rng.normal(size=(2, 5)), params)
 
 
 def test_padded_batch_matches_subgraphs_one_at_a_time():
@@ -209,7 +208,7 @@ def test_padded_batch_matches_subgraphs_one_at_a_time():
     # the batch gradient is the sum of the per-subgraph gradients.
     rng = np.random.default_rng(12)
     params = init_gat_params(rng, 6, 8)
-    subs = [SubgraphInput(features=rng.normal(size=(m, 6))) for m in (3, 1, 5, 2, 4)]
+    subs = [rng.normal(size=(m, 6)) for m in (3, 1, 5, 2, 4)]
     feats, mask = gat.pad_subgraphs(subs)
     assert feats.shape == (5, 5, 6)
     assert mask.sum(axis=1).tolist() == [3, 1, 5, 2, 4]

@@ -56,11 +56,12 @@ class OracleController:
     def decide(self, view):
         reference = self.reference(view.snapshot)
         center, rows, members, mask = ref.observe(view, reference)
-        subgraph, hop_mask = agent.observe(view)
-        assert subgraph.features[0].tobytes() == center.tobytes()
-        assert subgraph.features.tobytes() == rows.tobytes()
-        assert subgraph.members == members
-        assert hop_mask.tobytes() == mask.tobytes() == view.mask.tobytes()
+        features = agent.observe(view)
+        # One row per member, the center's first, each the reference's bytes.
+        assert features.shape == (len(members), FEATURE_DIM)
+        assert features[0].tobytes() == center.tobytes()
+        assert features.tobytes() == rows.tobytes()
+        assert mask.tobytes() == view.mask.tobytes()
         dst = view.session.dst
         got = baselines.dijkstra_to(view.snapshot, dst)
         assert list(got.items()) == list(ref.dijkstra_to(reference, dst).items())
@@ -69,15 +70,15 @@ class OracleController:
 
 
 def run_checked(cfg: ExperimentConfig, episode: int = 0, greedy: bool = False) -> OracleController:
-    """One episode of ``cfg`` under a sampling (or greedy) policy, every
-    decision checked."""
+    """One episode of ``cfg`` under a sampling (or, without an rng, greedy)
+    policy, every decision checked."""
     con = build_constellation(cfg.constellation)
     channel = ChannelModel(cfg.channel, con.edge_index, cfg.simulation.slot_length_s,
                            seed=cfg.seed + episode)
     params = init_policy_params(np.random.default_rng(cfg.seed), PolicyConfig(
         obs_dim=FEATURE_DIM, gat_hidden=8, trunk_width=16))
     oracle = OracleController(
-        PolicyController(params, rng=np.random.default_rng(cfg.seed + 1), greedy=greedy),
+        PolicyController(params, rng=None if greedy else np.random.default_rng(cfg.seed + 1)),
         con, channel)
     sim = cfg.simulation
     engine = Engine(con, channel, oracle, cfg.proxy, sim)

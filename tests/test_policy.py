@@ -9,7 +9,6 @@ import reference_policy
 
 from leosem import policy as pol
 from leosem.config import save_config, tiny_config
-from leosem.gat import SubgraphInput
 from leosem.policy import (Adam, JointAction, PolicyConfig, init_policy_params,
                            load_checkpoint, masked_log_softmax, save_checkpoint)
 
@@ -17,14 +16,14 @@ CFG = PolicyConfig(obs_dim=10, gat_hidden=6, trunk_width=12)
 
 
 def rand_state(rng, members=3):
-    """A random subgraph (its center row is the observation) and a hop mask."""
-    sub = SubgraphInput(features=rng.normal(size=(members, CFG.obs_dim)))
+    """Random subgraph rows (the center row is the observation) and a hop mask."""
+    sub = rng.normal(size=(members, CFG.obs_dim))
     mask = np.array([True, True, False, True])
     return sub, mask
 
 
 def one_state(sub, mask):
-    return pol.StateBatch(sub.features[None], None, mask[None])
+    return pol.StateBatch(sub[None], None, mask[None])
 
 
 def test_masked_probs_sum_to_one_and_masked_zero():
@@ -80,16 +79,8 @@ def test_greedy_mode_needs_no_rng_and_breaks_ties_low():
     params.w_hop[...] = 0.0
     params.b_hop[...] = 0.0
     sub, mask = rand_state(rng)
-    action, _, _ = pol.act(pol.Actor(params), sub, mask, greedy=True)
+    action, _, _ = pol.act(pol.Actor(params), sub, mask)
     assert action.hop == int(np.flatnonzero(mask)[0])
-
-
-def test_sampling_mode_requires_rng():
-    rng = np.random.default_rng(4)
-    params = init_policy_params(rng, CFG)
-    sub, mask = rand_state(rng)
-    with pytest.raises(ValueError):
-        pol.act(pol.Actor(params), sub, mask)
 
 
 def test_joint_log_prob_is_head_sum():
@@ -222,15 +213,14 @@ def test_act_matches_per_sample_reference():
         sub, _ = rand_state(rng, members=1 + i % 5)
         mask = rng.random(4) < 0.5
         mask[i % 4] = True
-        ref = reference_policy.policy_forward(params, sub.features[0], sub.features, mask)
-        for greedy in (True, False):
-            action, logps, value = pol.act(pol.Actor(params), sub, mask,
-                                           rng=np.random.default_rng(i), greedy=greedy)
+        ref = reference_policy.policy_forward(params, sub[0], sub, mask)
+        for rng in (None, np.random.default_rng(i)):
+            action, logps, value = pol.act(pol.Actor(params), sub, mask, rng=rng)
             chosen = (action.hop, action.budget_idx, action.relay)
             expect = [ref["log_probs"][head][a] for head, a in zip(pol.HEADS, chosen)]
             assert np.max(np.abs(logps - expect)) <= 1e-12
             assert abs(value - ref["value"]) <= 1e-12
-            if greedy:
+            if rng is None:
                 assert chosen == tuple(int(np.argmax(ref["probs"][head])) for head in pol.HEADS)
 
 
@@ -376,18 +366,23 @@ def test_act_rejects_nonfinite_probabilities_before_choosing():
     params = init_policy_params(rng, CFG)
     params.w1[0, 0] = math.nan
     sub, mask = rand_state(rng)
-    for greedy in (True, False):
-        action_rng = np.random.default_rng(0)
-        state = action_rng.bit_generator.state
-        with pytest.raises(FloatingPointError, match="non-finite action probabilities"):
-            pol.act(pol.Actor(params), sub, mask, rng=action_rng, greedy=greedy)
-        assert action_rng.bit_generator.state == state
+    with pytest.raises(FloatingPointError, match="non-finite action probabilities"):
+        pol.act(pol.Actor(params), sub, mask)
+    action_rng = np.random.default_rng(0)
+    state = action_rng.bit_generator.state
+    with pytest.raises(FloatingPointError, match="non-finite action probabilities"):
+        pol.act(pol.Actor(params), sub, mask, rng=action_rng)
+    assert action_rng.bit_generator.state == state
 
 
 def batched_act(params, *args, **kwargs):
     # Unlike act, which computes it on floats, the batched path warns on inf - inf.
     with np.errstate(invalid="ignore"):
         return reference_policy.act(params, *args, **kwargs)
+
+
+def rng_state(rng):
+    return None if rng is None else rng.bit_generator.state
 
 
 def act_outcomes(params, sub, mask):
@@ -398,18 +393,18 @@ def act_outcomes(params, sub, mask):
     generator must end in the same state; an error must leave it untouched.
     """
     outcomes = []
-    for greedy in (True, False):
+    for sampling in (False, True):
         sides = []
         for run, arg in ((pol.act, pol.Actor(params)), (batched_act, params)):
-            rng = np.random.default_rng(0)
-            state = rng.bit_generator.state
+            rng = np.random.default_rng(0) if sampling else None
+            state = rng_state(rng)
             try:
-                action, logps, value = run(arg, sub, mask, rng=rng, greedy=greedy)
+                action, logps, value = run(arg, sub, mask, rng=rng)
                 got = (action, logps.tobytes(), float(value).hex())
             except (ValueError, FloatingPointError) as exc:
                 got = type(exc)
-                assert rng.bit_generator.state == state
-            sides.append((got, rng.bit_generator.state))
+                assert rng_state(rng) == state
+            sides.append((got, rng_state(rng)))
         assert sides[0] == sides[1]
         outcomes.append(sides[0][0])
     return outcomes

@@ -82,7 +82,7 @@ def test_step_queue_rejects_negative():
         step_queue(-1, 0, 0, 10)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, derandomize=True, deadline=None)
 @given(q=st.integers(0, 700), o=st.integers(0, 700), z=st.integers(0, 700),
        qmax=st.integers(0, 700))
 def test_step_queue_matches_formula(q, o, z, qmax):
@@ -399,7 +399,7 @@ def test_revisit_flag_reported():
     # Bounce between two nodes until TTL death.
     class Bouncer:
         def decide(self, view):
-            port = 0 if view.node == 0 else 1
+            port = 0 if view.session.node == 0 else 1
             return JointAction(hop=port, budget_idx=2, relay=0)
 
     engine = build_engine(1, 4, Bouncer(), ttl=4, hooks=[Recorder()])

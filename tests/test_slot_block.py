@@ -136,7 +136,7 @@ def retained_per_engine(cfg, params, baseline) -> float:
     return retained / len(engines)
 
 
-def test_finished_busy_shortest_path_engine_retains_under_125_kib():
+def test_finished_busy_shortest_path_engine_retains_under_105_kib():
     # What an evaluation's engines keep once their episodes end: sessions,
     # their hop traces and delays, and counters.  An engine retains about
     # 92 KiB here; about 110 KiB with its constellation and channel (their
@@ -149,7 +149,7 @@ def test_finished_busy_shortest_path_engine_retains_under_125_kib():
     assert retained < 105 * 1024, f"{retained / 1024:.0f} KiB"
 
 
-def test_finished_busy_greedy_policy_engine_retains_under_160_kib():
+def test_finished_busy_greedy_policy_engine_retains_under_140_kib():
     # The benchmark's fixed checkpoint, evaluated greedily on the same shell:
     # its sessions make about 2.7 times the hops of shortest-path routing.
     # An engine retains about 123 KiB here, about 141 KiB with its
