@@ -11,8 +11,8 @@ import numpy as np
 
 from .agent import PolicyController
 from .constellation import NUM_PORTS, GraphSnapshot
-from .policy import JointAction, PolicyParams
-from .semantic import BUDGET_SET, MODE_FORWARD
+from .policy import JOINT_ACTIONS, JointAction, PolicyParams
+from .semantic import BUDGET_MAX, BUDGET_SET, MODE_FORWARD
 from .simcore import DecisionView
 
 BASELINE_KINDS = (
@@ -135,14 +135,11 @@ class _FixedSemantics:
 
     def __init__(self, spec: BaselineSpec):
         self.spec = spec
-        budget = spec.fixed_budget if spec.fixed_budget is not None else 128
-        budget_idx = BUDGET_SET.index(budget)
-        # One immutable action per port, shared by every decision.
-        self._actions = [JointAction(hop=p, budget_idx=budget_idx, relay=MODE_FORWARD)
-                         for p in range(NUM_PORTS)]
+        budget = spec.fixed_budget if spec.fixed_budget is not None else BUDGET_MAX
+        self._budget_idx = BUDGET_SET.index(budget)
 
     def _joint(self, hop: int) -> JointAction:
-        return self._actions[hop]
+        return JOINT_ACTIONS[hop][self._budget_idx][MODE_FORWARD]
 
 
 class ShortestPathController(_FixedSemantics):
@@ -195,13 +192,15 @@ class RandomController(_FixedSemantics):
         return self._joint(port)
 
 
+_BUDGET_MAX_IDX = BUDGET_SET.index(BUDGET_MAX)
+
+
 class NoSourceCPolicyController(PolicyController):
     """Learned policy with the source budget pinned to the maximum."""
 
     def adjust_action(self, view: DecisionView, action: JointAction) -> JointAction:
         if view.session.decision_count == 0:
-            return JointAction(hop=action.hop, budget_idx=BUDGET_SET.index(128),
-                               relay=action.relay)
+            return JOINT_ACTIONS[action.hop][_BUDGET_MAX_IDX][action.relay]
         return action
 
 
@@ -219,21 +218,24 @@ class NoRelayPolicyController(PolicyController):
         budget_idx = action.budget_idx
         if view.session.decision_count == 0 and self._budget_idx is not None:
             budget_idx = self._budget_idx
-        return JointAction(hop=action.hop, budget_idx=budget_idx, relay=MODE_FORWARD)
+        return JOINT_ACTIONS[action.hop][budget_idx][MODE_FORWARD]
 
 
-def make_baseline_controller(spec: BaselineSpec, rng: np.random.Generator,
+def make_baseline_controller(spec: BaselineSpec, rng: np.random.Generator | None = None,
                              params: PolicyParams | None = None):
     """Instantiate the controller for a baseline spec.
 
     Policy-derived variants act greedily and need checkpoint parameters;
-    the heuristic kinds ignore them.  Only the random kind draws from ``rng``.
+    the heuristic kinds ignore them.  Only the random kind draws from
+    ``rng``, and needs one; every other kind keeps no per-episode state.
     """
     if spec.kind == "shortest_path":
         return ShortestPathController(spec)
     if spec.kind == "greedy_queue":
         return GreedyQueueController(spec)
     if spec.kind == "random":
+        if rng is None:
+            raise ValueError("baseline random requires an rng")
         return RandomController(spec, rng)
     if params is None:
         raise ValueError(f"baseline {spec.kind} requires policy parameters")

@@ -210,17 +210,20 @@ def evaluate(cfg: ExperimentConfig, params: PolicyParams | None, episodes: int,
              ) -> tuple[MetricsBundle, list[SessionRecord], list[Engine]]:
     """Greedy evaluation (or a baseline run) over paired seeded episodes.
 
-    One greedy controller serves every episode; a baseline's is built per
-    episode from its own stream."""
+    One controller serves every episode, except the random baseline's,
+    which is built per episode from that episode's own stream."""
     _check_episodes(episodes)
+    per_episode = baseline is not None and baseline.kind == "random"
     if baseline is None:
         if params is None:
             raise ValueError("evaluation without a baseline needs parameters")
         controller = PolicyController(params)
+    elif not per_episode:
+        controller = make_baseline_controller(baseline, params=params)
     records: list[SessionRecord] = []
     engines: list[Engine] = []
     for ep in range(episodes):
-        if baseline is not None:
+        if per_episode:
             controller = make_baseline_controller(
                 baseline, stream_rng(cfg.seed, _STREAM_BASELINE, ep), params=params)
         tracker = RewardTracker(cfg.reward, cfg.simulation.slot_length_s)

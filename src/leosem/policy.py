@@ -57,6 +57,13 @@ class JointAction:
         return BUDGET_SET[self.budget_idx]
 
 
+# Every joint action, built once and shared: JOINT_ACTIONS[hop][budget_idx][relay].
+JOINT_ACTIONS = tuple(
+    tuple(tuple(JointAction(hop, budget_idx, relay) for relay in range(NUM_RELAY))
+          for budget_idx in range(NUM_BUDGETS))
+    for hop in range(NUM_PORTS))
+
+
 @dataclass(frozen=True)
 class PolicyConfig:
     obs_dim: int
@@ -265,29 +272,49 @@ def sample_categorical(rng: np.random.Generator, probs) -> int:
 
 
 class Actor:
-    """What ``act`` reads of one parameter set, prepared once for it.
+    """What ``act`` reads of one parameter set, prepared once for it, and
+    the workspace ``act`` writes into.
 
     Holds the four head matrices side by side (hop | budget | relay | value)
-    and their biases, the attention vector as an (H, 2) view whose columns
-    score the center and the member, and a (1, state_dim) trunk input row
-    into which ``act`` writes the center row and the embedding on every
-    call.  The projection and the trunk are references to ``params``, not
-    copies, so the parameters must not change while an ``Actor`` is in use;
-    ``Adam.step`` returns new ones.
+    and their biases, and the attention vector as an (H, 2) view whose
+    columns score the center and the member.  The projection and the trunk
+    are references to ``params``, not copies, so the parameters must not
+    change while an ``Actor`` is in use; ``Adam.step`` returns new ones.
+
+    The workspace: per member count M = 1..NUM_PORTS + 1 an (M, H)
+    projection and an (M, 2) score buffer, the (H,) attention aggregate, a
+    (1, state_dim) trunk input row (center row || embedding), the two
+    (1, trunk_width) trunk rows and the (1, 10) head row.  ``act`` overwrites
+    them on every call, so an ``Actor`` is not re-entrant: one per
+    controller, never shared by engines running at the same time.  Batches
+    of states go through ``forward``.
     """
 
     def __init__(self, params: PolicyParams):
+        cfg = params.cfg
         self.params = params
         self.gat_w = params.gat.w
         self.attn2 = params.gat.attn.reshape(2, params.gat.hidden_dim).T
         self.leaky_slope = params.gat.leaky_slope
-        self.w1, self.b1, self.w2, self.b2 = params.w1, params.b1, params.w2, params.b2
+        # The biases as (1, n) rows: adding one to a (1, n) row then needs
+        # no broadcasting, which costs more than the addition.
+        self.w1, self.b1 = params.w1, params.b1.reshape(1, -1)
+        self.w2, self.b2 = params.w2, params.b2.reshape(1, -1)
         self.w_head = np.concatenate([params.w_hop, params.w_bud, params.w_rel, params.w_val],
                                      axis=1)
-        self.b_head = np.concatenate([params.b_hop, params.b_bud, params.b_rel, params.b_val])
-        self.state = np.empty((1, params.cfg.state_dim))
-        self.obs_part = self.state[0, :params.cfg.obs_dim]
-        self.emb_part = self.state[0, params.cfg.obs_dim:]
+        self.b_head = np.concatenate(
+            [params.b_hop, params.b_bud, params.b_rel, params.b_val]).reshape(1, -1)
+        h = cfg.gat_hidden
+        self.attention = {m: (np.empty((m, h)), np.empty((m, 2)))
+                          for m in range(1, NUM_PORTS + 2)}
+        self.agg = np.empty(h)
+        self.zeros = np.zeros(h)
+        self.state = np.empty((1, cfg.state_dim))
+        self.obs_part = self.state[0, :cfg.obs_dim]
+        self.emb_part = self.state[0, cfg.obs_dim:]
+        self.t1 = np.empty((1, cfg.trunk_width))
+        self.t2 = np.empty((1, cfg.trunk_width))
+        self.head = np.empty_like(self.b_head)
 
 
 _NEG_INF = -math.inf
@@ -297,22 +324,28 @@ def act(actor: Actor, features: np.ndarray, mask: np.ndarray,
         rng: np.random.Generator | None = None) -> tuple[JointAction, np.ndarray, float]:
     """Pick a joint action; returns (action, per-head log-probs, value).
 
-    ``features`` holds the (M, F) subgraph rows, the center's first, and
-    ``mask`` the open ports.  The one-state case of ``forward``, in the same
-    bits.  The products are the same BLAS calls (``ndarray.dot``, which
-    costs less per call than ``@`` or ``np.dot``) and every exp, log, tanh
-    and expm1 is the same numpy call on a contiguous array; the softmaxes'
-    other steps run on Python floats, summing in numpy's order.  The rng
-    picks the mode: with one each head is sampled, without one each head's
-    argmax is taken (ties resolved to the lowest index).  Non-finite
+    ``features`` holds the (M, F) float64 subgraph rows, the center's first,
+    and ``mask`` the open ports.  The one-state case of ``forward``, in the
+    same bits.  The products are the same BLAS calls (``ndarray.dot``, which
+    costs less per call than ``@`` or ``np.dot``), written into the actor's
+    buffers, and every exp, log, tanh and expm1 is the same numpy call on a
+    contiguous array; the softmaxes' other steps run on Python floats,
+    summing in numpy's order.  The action is an entry of ``JOINT_ACTIONS``.
+    The rng picks the mode: with one each head is sampled, without one each
+    head's argmax is taken (ties resolved to the lowest index).  Non-finite
     probabilities raise ``FloatingPointError`` before any choice.
     """
     # Graph attention over the subgraph, center in row 0.
-    z = features.dot(actor.gat_w)
-    za = z.dot(actor.attn2).tolist()
-    center, slope = za[0][0], actor.leaky_slope
+    try:
+        z, za = actor.attention[len(features)]
+    except KeyError:
+        raise ValueError(f"a subgraph has 1 to {len(actor.attention)} members, "
+                         f"got {len(features)}") from None
+    features.dot(actor.gat_w, out=z)
+    scores_by_member = z.dot(actor.attn2, out=za).tolist()
+    center, slope = scores_by_member[0][0], actor.leaky_slope
     scores = []
-    for _, a in za:
+    for _, a in scores_by_member:
         score = center + a
         scores.append(max(score, slope * score))  # LeakyReLU, slope <= 1
     top = max(scores)
@@ -322,18 +355,26 @@ def act(actor: Actor, features: np.ndarray, mask: np.ndarray,
     total = 0.0
     for weight in exp.tolist():
         total += weight
-    agg = (exp / total).dot(z)
-    # Trunk input [center row || ELU(agg)], written into the actor's row.
+    agg = (exp / total).dot(z, out=actor.agg)
+    # Trunk input [center row || ELU(agg)], written into the actor's row;
+    # the embedding's slot holds min(agg, 0) and then its expm1 on the way.
     actor.obs_part[...] = features[0]
-    neg = np.minimum(agg, 0.0)
-    np.maximum(agg, np.expm1(neg, out=neg), out=actor.emb_part)
-    t1 = np.tanh(actor.state.dot(actor.w1) + actor.b1)
-    t2 = np.tanh(t1.dot(actor.w2) + actor.b2)
+    emb = actor.emb_part
+    np.minimum(agg, actor.zeros, out=emb)
+    np.maximum(agg, np.expm1(emb, out=emb), out=emb)
+    t1 = actor.state.dot(actor.w1, out=actor.t1)
+    t1 += actor.b1
+    np.tanh(t1, out=t1)
+    t2 = t1.dot(actor.w2, out=actor.t2)
+    t2 += actor.b2
+    np.tanh(t2, out=t2)
     # Every head and the value in one product, then each head's log-softmax
     # as ``masked_log_softmax`` computes it, spelled out for heads of 4, 3
     # and 2 entries.  A NaN may hide from max(); it then reaches its head's
     # sum, which turns the whole head to NaN.
-    out = (t2.dot(actor.w_head) + actor.b_head)[0].tolist()
+    head = t2.dot(actor.w_head, out=actor.head)
+    head += actor.b_head
+    out = head.tolist()[0]
     up0, up1, up2, up3 = mask.tolist()
     hop = [out[0] if up0 else _NEG_INF, out[1] if up1 else _NEG_INF,
            out[2] if up2 else _NEG_INF, out[3] if up3 else _NEG_INF]
@@ -365,9 +406,9 @@ def act(actor: Actor, features: np.ndarray, mask: np.ndarray,
     else:
         choice = (sample_categorical(rng, p_hop), sample_categorical(rng, p_bud),
                   sample_categorical(rng, p_rel))
-    logps = np.array([log_probs[choice[0]], log_probs[4 + choice[1]],
-                      log_probs[7 + choice[2]]])
-    return JointAction(*choice), logps, out[9]
+    hop_idx, budget_idx, relay = choice
+    logps = np.array([log_probs[hop_idx], log_probs[4 + budget_idx], log_probs[7 + relay]])
+    return JOINT_ACTIONS[hop_idx][budget_idx][relay], logps, out[9]
 
 
 def action_log_prob(fwd: PolicyForward, actions: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ SNR/budget factors via a CSV calibration table.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -175,6 +176,10 @@ class PayloadPlan:
     num_chunks: int
 
 
+# A pure function of three ints returning a frozen plan: each distinct call
+# is computed once.  ``typed`` keeps 128 and 128.0 apart, and a call that
+# raises is not cached.
+@functools.lru_cache(maxsize=256, typed=True)
 def packetize(latent_bytes: int, budget_c: int, chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> PayloadPlan:
     """Scale the latent to the budget and split it into fixed-size chunks.
 
@@ -226,13 +231,14 @@ def relay_process(state: SemanticState, mode: int, budget_c: int, cfg: QualityPr
         raise ValueError(f"budget_c must be one of {BUDGET_SET}")
     if mode == MODE_FORWARD:
         return state
+    # Positional, as in record_hop.
     return SemanticState(
-        session_id=state.session_id,
-        budget_c=min(budget_c, state.budget_c),
-        hops_since_process=0,
-        accum_distortion=state.accum_distortion * cfg.relay_recovery,
-        quant_penalties=state.quant_penalties + 1,
-        min_link_snr_db=state.min_link_snr_db,
+        state.session_id,
+        min(budget_c, state.budget_c),
+        0,
+        state.accum_distortion * cfg.relay_recovery,
+        state.quant_penalties + 1,
+        state.min_link_snr_db,
     )
 
 

@@ -208,6 +208,12 @@ def test_policy_variants_require_params():
                                  np.random.default_rng(0))
 
 
+def test_random_requires_an_rng():
+    # The other kinds keep no per-episode state and are built without one.
+    with pytest.raises(ValueError, match="baseline random requires an rng"):
+        make_baseline_controller(BaselineSpec(kind="random"))
+
+
 def test_random_worse_than_shortest_path_paired_seeds():
     cfg = tiny_config(seed=5)
     sp, _, _ = evaluate(cfg, None, episodes=6, baseline=BaselineSpec(kind="shortest_path"))

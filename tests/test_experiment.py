@@ -95,6 +95,30 @@ def test_evaluate_requires_params_or_baseline():
         evaluate(fast_cfg(), None, episodes=1)
 
 
+@pytest.mark.parametrize("kind, controllers, actors", [
+    ("policy_no_relay", 1, 1), ("policy_no_source_c", 1, 1), ("shortest_path", 1, 0),
+    ("random", 3, 0)])
+def test_only_the_random_baseline_is_built_per_episode(monkeypatch, kind, controllers, actors):
+    # The random baseline draws from each episode's own stream; every other
+    # kind keeps no per-episode state, so one controller, and for the policy
+    # variants one Actor, serves all three episodes.
+    built = []
+    make, actor = experiment.make_baseline_controller, pol.Actor
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            built.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(experiment, "make_baseline_controller", counted("controller", make))
+    monkeypatch.setattr(pol, "Actor", counted("Actor", actor))
+    cfg = fast_cfg(seed=26)
+    params = pol.init_policy_params(np.random.default_rng(0), experiment.make_policy_config(cfg))
+    evaluate(cfg, params, 3, baseline=BaselineSpec(kind=kind))
+    assert (built.count("controller"), built.count("Actor")) == (controllers, actors)
+
+
 def test_paired_seeds_share_scenarios():
     cfg = fast_cfg(seed=14)
     _, rec_a, _ = evaluate(cfg, None, 2, baseline=BaselineSpec(kind="shortest_path"))

@@ -191,25 +191,65 @@ def test_ndarray_dot_gives_the_bits_of_matmul_at_the_actors_shapes(features, hid
     # used @ (and gat.forward still does): (M, F) x (F, H), (M, H) x the
     # actor's (H, 2) transposed view of the attention vector, and
     # (M,) x (M, H), for the M = 1..5 members of a subgraph.  The trunk's
-    # (1, S) x (S, D) rows used np.dot, as policy.forward does.
+    # (1, S) x (S, D) and (1, D) x (D, D) rows and the (1, D) x (D, 10) head
+    # row used np.dot, as policy.forward does.  act writes each product into
+    # a buffer of the Actor's with out=, adds each bias with +=, applies
+    # tanh in place and writes the ELU into the trunk row; each must give
+    # the bits of the allocating form.
     rng = np.random.default_rng(43)
+    # The default network: H = 64, trunk width 128, head row of 10.
+    trunk, heads = 2 * hidden, sum(policy.HEAD_SIZES) + 1
     for _ in range(60):
         w = spread_rows(rng, features, hidden)
         attn2 = spread_rows(rng, 1, 2 * hidden).reshape(2, hidden).T
-        trunk = spread_rows(rng, features + hidden, 16)
         for m in range(1, NUM_PORTS + 2):
             x = spread_rows(rng, m, features)
             z = x.dot(w)
             assert z.tobytes() == (x @ w).tobytes(), \
                 f"({m}, {features}).dot(({features}, {hidden})) differs from @"
-            assert z.dot(attn2).tobytes() == (z @ attn2).tobytes(), \
+            assert x.dot(w, out=np.empty((m, hidden))).tobytes() == z.tobytes(), \
+                f"({m}, {features}).dot(({features}, {hidden}), out=) differs from dot"
+            scores = z.dot(attn2)
+            assert scores.tobytes() == (z @ attn2).tobytes(), \
                 f"({m}, {hidden}).dot(({hidden}, 2) transposed view) differs from @"
+            assert z.dot(attn2, out=np.empty((m, 2))).tobytes() == scores.tobytes(), \
+                f"({m}, {hidden}).dot(({hidden}, 2) transposed view, out=) differs from dot"
             weights = rng.random(m)
             assert weights.dot(z).tobytes() == (weights @ z).tobytes(), \
                 f"({m},).dot(({m}, {hidden})) differs from @"
-        state = spread_rows(rng, 1, features + hidden)
-        assert state.dot(trunk).tobytes() == np.dot(state, trunk).tobytes(), \
-            "ndarray.dot differs from np.dot"
+            assert weights.dot(z, out=np.empty(hidden)).tobytes() == (weights @ z).tobytes(), \
+                f"({m},).dot(({m}, {hidden}), out=) differs from @"
+        # The ELU's min(agg, 0) takes an array of zeros in place of 0.0;
+        # signed zeros and NaNs must come out as they did.
+        agg = spread_rows(rng, 1, hidden)[0]
+        agg[rng.random(hidden) < 0.1] = -0.0
+        agg[rng.random(hidden) < 0.1] = np.nan
+        assert np.minimum(agg, np.zeros(hidden), out=np.empty(hidden)).tobytes() \
+            == np.minimum(agg, 0.0).tobytes(), "np.minimum with zeros differs from with 0.0"
+        row = spread_rows(rng, 1, features + hidden)
+        for width in (trunk, trunk, heads):
+            mat, bias = spread_rows(rng, row.shape[1], width), spread_rows(rng, 1, width)
+            plain = row.dot(mat)
+            assert plain.tobytes() == np.dot(row, mat).tobytes(), "ndarray.dot differs from np.dot"
+            into = row.dot(mat, out=np.empty((1, width)))
+            assert into.tobytes() == plain.tobytes(), \
+                f"(1, {row.shape[1]}).dot(({row.shape[1]}, {width}), out=) differs from dot"
+            # The parameters hold each bias as a vector; the Actor adds a
+            # (1, n) view of it, which needs no broadcasting.
+            biased = plain + bias[0]
+            into += bias
+            assert into.tobytes() == biased.tobytes(), \
+                f"(1, {width}) += (1, {width}) bias differs from + ({width},) bias"
+            if width == heads:
+                break
+            # Spread values mostly saturate tanh; a trunk's pre-activations
+            # lie within a few units of zero.
+            moderate = rng.normal(size=(1, width)) * 3.0
+            for pre in (into, moderate):
+                activated = np.tanh(pre)
+                assert np.tanh(pre, out=pre).tobytes() == activated.tobytes(), \
+                    f"np.tanh in place on (1, {width}) differs from np.tanh"
+            row = into
 
 
 def test_take_with_index_minus_one_reads_the_last_entry_as_fancy_indexing_does():

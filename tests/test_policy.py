@@ -83,6 +83,24 @@ def test_greedy_mode_needs_no_rng_and_breaks_ties_low():
     assert action.hop == int(np.flatnonzero(mask)[0])
 
 
+def test_act_reuses_its_actors_buffers_and_hands_out_shared_actions():
+    rng = np.random.default_rng(4)
+    params = init_policy_params(rng, CFG)
+    actor = pol.Actor(params)
+    states = [rand_state(rng, members) for members in (1, 2, 3, 4, 5, 3, 1)]
+    for sub, mask in states:
+        for draw in (None, 7):
+            got, fresh = (pol.act(a, sub, mask, rng=None if draw is None
+                                  else np.random.default_rng(draw))
+                          for a in (actor, pol.Actor(params)))
+            action = got[0]
+            assert action is fresh[0] \
+                is pol.JOINT_ACTIONS[action.hop][action.budget_idx][action.relay]
+            assert got[1].tobytes() == fresh[1].tobytes() and got[2] == fresh[2]
+    with pytest.raises(ValueError, match="1 to 5 members, got 6"):
+        pol.act(actor, rand_state(rng, 6)[0], states[0][1])
+
+
 def test_joint_log_prob_is_head_sum():
     rng = np.random.default_rng(5)
     params = init_policy_params(rng, CFG)

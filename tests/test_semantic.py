@@ -51,6 +51,19 @@ def test_packetize_invalid_budget():
         packetize(1000, 100)
 
 
+@pytest.mark.parametrize("args", [(1000, 100), (-1, 128), (1000, 128, 0)])
+def test_packetize_raises_on_every_bad_call_and_shares_good_plans(args):
+    # packetize is memoised: a call that raised must raise again, and a
+    # repeated good call hands back the same frozen plan.
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            packetize(*args)
+    assert packetize(1000, 64) is packetize(1000, 64)
+    # 128 and 128.0 are equal keys to a plain cache; each keeps its own result.
+    assert type(packetize(1000, 128.0).payload_bytes) is float
+    assert type(packetize(1000, 128).payload_bytes) is int
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(latent=st.integers(0, 3_000_000), c=st.sampled_from(BUDGET_SET))
 def test_packetize_proportionality_property(latent, c):
