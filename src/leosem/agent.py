@@ -604,15 +604,18 @@ class RewardTracker(SimHooks):
 class PolicyController:
     """Drives the engine with the policy of one parameter set.
 
-    With an rng it samples each head; without one it acts greedily and keeps
-    no per-episode state.  With a rollout attached every decision becomes a
-    row of it, and the rollout's ``reward`` method, given to a RewardTracker
-    as its sink, credits the rows.  Without one (greedy evaluation, baseline
-    variants) no decision is kept.
+    With an rng it samples each head; without one it takes each head's
+    logit argmax, gets no log-probs and keeps no per-episode state.  With a
+    rollout attached every decision becomes a row of it, and the rollout's
+    ``reward`` method, given to a RewardTracker as its sink, credits the
+    rows; a rollout needs the log-probs, so it needs an rng.  Without one
+    (greedy evaluation, baseline variants) no decision is kept.
     """
 
     def __init__(self, params: PolicyParams, rng: np.random.Generator | None = None,
                  rollout: Rollout | None = None):
+        if rollout is not None and rng is None:
+            raise ValueError("a rollout needs an rng: greedy acting records no log-probs")
         self.actor = pol.Actor(params)
         self.rng = rng
         self.rollout = rollout

@@ -210,8 +210,10 @@ def evaluate(cfg: ExperimentConfig, params: PolicyParams | None, episodes: int,
              ) -> tuple[MetricsBundle, list[SessionRecord], list[Engine]]:
     """Greedy evaluation (or a baseline run) over paired seeded episodes.
 
-    One controller serves every episode, except the random baseline's,
-    which is built per episode from that episode's own stream."""
+    Greedy acting takes each head's logit argmax and computes no log-probs;
+    the policy-derived baselines act the same way.  One controller serves
+    every episode, except the random baseline's, which is built per episode
+    from that episode's own stream."""
     _check_episodes(episodes)
     per_episode = baseline is not None and baseline.kind == "random"
     if baseline is None:

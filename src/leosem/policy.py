@@ -12,7 +12,10 @@ finite differences.
 subgraphs are zero-padded to a common member count; the PPO update uses
 them.  Acting at decision time is ``act``: the same operations on one state,
 computed directly from an ``Actor`` built once per parameter set, with none
-of the batch scaffolding.  Parameters and gradients live in one flat vector.
+of the batch scaffolding.  Sampling (training) runs through the softmaxes to
+the chosen entries' log-probs; greedy acting stops at the logits and takes
+each head's argmax, which softmax, being monotone, leaves in place.
+Parameters and gradients live in one flat vector.
 """
 from __future__ import annotations
 
@@ -284,10 +287,11 @@ class Actor:
     The workspace: per member count M = 1..NUM_PORTS + 1 an (M, H)
     projection and an (M, 2) score buffer, the (H,) attention aggregate, a
     (1, state_dim) trunk input row (center row || embedding), the two
-    (1, trunk_width) trunk rows and the (1, 10) head row.  ``act`` overwrites
-    them on every call, so an ``Actor`` is not re-entrant: one per
-    controller, never shared by engines running at the same time.  Batches
-    of states go through ``forward``.
+    (1, trunk_width) trunk rows and the (1, 10) head row, which after a call
+    holds that state's nine logits and its value.  ``act`` overwrites them
+    on every call, so an ``Actor`` is not re-entrant: one per controller,
+    never shared by engines running at the same time.  Batches of states go
+    through ``forward``.
     """
 
     def __init__(self, params: PolicyParams):
@@ -317,11 +321,13 @@ class Actor:
         self.head = np.empty_like(self.b_head)
 
 
+_INF = math.inf
 _NEG_INF = -math.inf
 
 
 def act(actor: Actor, features: np.ndarray, mask: np.ndarray,
-        rng: np.random.Generator | None = None) -> tuple[JointAction, np.ndarray, float]:
+        rng: np.random.Generator | None = None
+        ) -> tuple[JointAction, np.ndarray | None, float]:
     """Pick a joint action; returns (action, per-head log-probs, value).
 
     ``features`` holds the (M, F) float64 subgraph rows, the center's first,
@@ -331,9 +337,14 @@ def act(actor: Actor, features: np.ndarray, mask: np.ndarray,
     buffers, and every exp, log, tanh and expm1 is the same numpy call on a
     contiguous array; the softmaxes' other steps run on Python floats,
     summing in numpy's order.  The action is an entry of ``JOINT_ACTIONS``.
-    The rng picks the mode: with one each head is sampled, without one each
-    head's argmax is taken (ties resolved to the lowest index).  Non-finite
-    probabilities raise ``FloatingPointError`` before any choice.
+
+    The rng picks the mode.  With one each head is sampled from its softmax
+    and the chosen entries' log-probs are returned.  Without one each head's
+    argmax over its open logits is taken, ties going to the lowest index, and
+    the log-probs are ``None``: softmax is monotone, so that is the
+    probability argmax unless rounding merges two probabilities.  A head
+    with no open entry raises ``ValueError``; a NaN or +inf among the open
+    logits raises ``FloatingPointError`` in either mode, before any choice.
     """
     # Graph attention over the subgraph, center in row 0.
     try:
@@ -368,10 +379,7 @@ def act(actor: Actor, features: np.ndarray, mask: np.ndarray,
     t2 = t1.dot(actor.w2, out=actor.t2)
     t2 += actor.b2
     np.tanh(t2, out=t2)
-    # Every head and the value in one product, then each head's log-softmax
-    # as ``masked_log_softmax`` computes it, spelled out for heads of 4, 3
-    # and 2 entries.  A NaN may hide from max(); it then reaches its head's
-    # sum, which turns the whole head to NaN.
+    # Every head and the value in one product.
     head = t2.dot(actor.w_head, out=actor.head)
     head += actor.b_head
     out = head.tolist()[0]
@@ -381,6 +389,20 @@ def act(actor: Actor, features: np.ndarray, mask: np.ndarray,
     bud, rel = out[4:7], out[7:9]
     if hop.count(_NEG_INF) == 4 or bud.count(_NEG_INF) == 3 or rel.count(_NEG_INF) == 2:
         raise ValueError("at least one action must be unmasked")
+    if rng is None:
+        # ``not x < inf`` holds for NaN and +inf alone; max() may skip a NaN.
+        logits = hop + bud + rel
+        for x in logits:
+            if not x < _INF:
+                raise FloatingPointError(
+                    f"non-finite action probabilities from logits {logits}; "
+                    "check the parameters and observation")
+        # list.index finds the first of equal maxima: ties go to the lowest index.
+        return (JOINT_ACTIONS[hop.index(max(hop))][bud.index(max(bud))][rel.index(max(rel))],
+                None, out[9])
+    # Each head's log-softmax as ``masked_log_softmax`` computes it, spelled
+    # out for heads of 4, 3 and 2 entries.  A NaN may hide from max(); it
+    # then reaches its head's sum, which turns the whole head to NaN.
     m_hop, m_bud, m_rel = max(hop), max(bud), max(rel)
     e = np.exp([hop[0] - m_hop, hop[1] - m_hop, hop[2] - m_hop, hop[3] - m_hop,
                 bud[0] - m_bud, bud[1] - m_bud, bud[2] - m_bud,
@@ -399,14 +421,9 @@ def act(actor: Actor, features: np.ndarray, mask: np.ndarray,
     if not math.isfinite(sum(row)):
         raise FloatingPointError(
             f"non-finite action probabilities {row}; check the parameters and observation")
-    p_hop, p_bud, p_rel = row[:4], row[4:7], row[7:]
-    if rng is None:
-        # list.index finds the first of equal maxima: ties go to the lowest index.
-        choice = (p_hop.index(max(p_hop)), p_bud.index(max(p_bud)), p_rel.index(max(p_rel)))
-    else:
-        choice = (sample_categorical(rng, p_hop), sample_categorical(rng, p_bud),
-                  sample_categorical(rng, p_rel))
-    hop_idx, budget_idx, relay = choice
+    hop_idx = sample_categorical(rng, row[:4])
+    budget_idx = sample_categorical(rng, row[4:7])
+    relay = sample_categorical(rng, row[7:])
     logps = np.array([log_probs[hop_idx], log_probs[4 + budget_idx], log_probs[7 + relay]])
     return JOINT_ACTIONS[hop_idx][budget_idx][relay], logps, out[9]
 

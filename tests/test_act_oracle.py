@@ -1,6 +1,7 @@
 """The one-state ``policy.act`` against the B=1 batched path it replaced
 (``reference_policy.act``): at every decision of real episodes, the same
-action, log-prob bytes, value and generator state afterwards."""
+action, value and generator state afterwards, and in sampling mode the same
+log-prob bytes (greedy ``act`` returns none)."""
 import collections
 import dataclasses
 import pathlib
@@ -11,6 +12,7 @@ import reference_policy as ref
 
 from leosem import experiment, policy as pol
 from leosem.agent import PpoSettings
+from leosem.baselines import BaselineSpec
 from leosem.channel import ChannelConfig
 from leosem.config import ExperimentConfig, SimulationConfig, default_config, tiny_config
 from leosem.constellation import ConstellationConfig
@@ -19,8 +21,22 @@ CHECKPOINT = (pathlib.Path(__file__).resolve().parent.parent
               / "perfbench" / "data" / "eval_busy_policy.npz")
 
 
+def top_two_gap(logits) -> float:
+    """(top - second) / max(|top|, |second|) of two or more logits; 0 on a tie."""
+    second, top = sorted(logits)[-2:]
+    scale = max(abs(top), abs(second))
+    return (top - second) / scale if scale else 0.0
+
+
 class CheckedAct:
-    """Stands in for ``policy.act``: runs both paths and compares them."""
+    """Stands in for ``policy.act``: runs both paths and compares them.
+
+    The reference takes each head's probability argmax, greedy ``act`` its
+    logit argmax; they can differ only where rounding merges two
+    probabilities.  So every greedy call also records, per head, the
+    smallest relative gap between the two largest open logits (read from
+    the actor's head row) and the decision it came from.
+    """
 
     def __init__(self):
         self.act = pol.act
@@ -28,6 +44,7 @@ class CheckedAct:
         self.actors = {}  # by id, kept alive so that no id is reused
         self.members = collections.Counter()     # subgraph sizes seen
         self.open_ports = collections.Counter()  # open hop entries seen
+        self.min_gap = {}  # head -> (gap, description of the decision)
 
     def __call__(self, actor, features, mask, rng=None):
         ref_rng = None
@@ -37,15 +54,29 @@ class CheckedAct:
         expect = ref.act(actor.params, features, mask, rng=ref_rng)
         got = self.act(actor, features, mask, rng=rng)
         assert got[0] == expect[0]
-        assert got[1].tobytes() == expect[1].tobytes()
-        assert got[2].hex() == expect[2].hex()
-        if rng is not None:
+        if rng is None:
+            assert got[1] is None
+            self.record_gaps(actor.head[0].tolist(), mask)
+        else:
+            assert got[1].tobytes() == expect[1].tobytes()
             assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert got[2].hex() == expect[2].hex()
         self.calls += 1
         self.actors[id(actor)] = actor
         self.members[len(features)] += 1
         self.open_ports[int(mask.sum())] += 1
         return got
+
+    def record_gaps(self, row, mask):
+        for head, cols in pol.HEAD_COLUMNS.items():
+            logits = row[cols]
+            if head == "hop":
+                logits = [x for x, up in zip(logits, mask.tolist()) if up]
+            if len(logits) < 2:
+                continue
+            gap = top_two_gap(logits)
+            if head not in self.min_gap or gap < self.min_gap[head][0]:
+                self.min_gap[head] = (gap, f"call {self.calls}, {head} logits {logits}")
 
 
 @pytest.fixture
@@ -55,15 +86,35 @@ def checked_act(monkeypatch):
     return checked
 
 
+def busy_config(seed):
+    """The default 10x7 shell with 20 flows x 5 sessions and 2 s frames."""
+    cfg = default_config()
+    return dataclasses.replace(cfg, seed=seed, simulation=dataclasses.replace(
+        cfg.simulation, num_flows=20, sessions_per_flow=5, frame_interval_s=2.0))
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_every_greedy_decision_of_a_busy_episode_matches(checked_act, seed):
-    cfg = default_config()
-    cfg = dataclasses.replace(cfg, seed=seed, simulation=dataclasses.replace(
-        cfg.simulation, num_flows=20, sessions_per_flow=5, frame_interval_s=2.0))
+    cfg = busy_config(seed)
     params, _ = pol.load_checkpoint(CHECKPOINT)
     assert params.cfg == experiment.make_policy_config(cfg)
     experiment.evaluate(cfg, params, episodes=1)
     assert checked_act.calls > 1000
+    # A rounding tie between the top two logits of a head would let the
+    # logit and the probability argmax part; the pinned checkpoint has none.
+    assert checked_act.min_gap.keys() == set(pol.HEADS)
+    for head, (gap, decision) in checked_act.min_gap.items():
+        assert gap > 1e-9, f"near tie at {decision}: relative gap {gap:.3g}"
+
+
+@pytest.mark.parametrize("baseline", [BaselineSpec("policy_no_source_c"),
+                                      BaselineSpec("policy_no_relay"),
+                                      BaselineSpec("policy_no_relay", fixed_budget=64)],
+                         ids=["no_source_c", "no_relay", "no_relay_c64"])
+def test_every_decision_of_a_policy_derived_baseline_matches(checked_act, baseline):
+    params, _ = pol.load_checkpoint(CHECKPOINT)
+    experiment.evaluate(busy_config(1), params, episodes=1, baseline=baseline)
+    assert checked_act.calls > 1000 and len(checked_act.actors) == 1
 
 
 @pytest.mark.parametrize("seed", [0, 1])

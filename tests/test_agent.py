@@ -375,6 +375,13 @@ def test_policy_controller_closes_trajectories():
         | {s.session_id for s in engine.unresolved_sessions()}
 
 
+def test_greedy_policy_controller_refuses_a_rollout():
+    params = init_policy_params(np.random.default_rng(6), S_CFG)
+    with pytest.raises(ValueError, match="greedy acting records no log-probs"):
+        PolicyController(params, rollout=Rollout())
+    assert PolicyController(params).rollout is None
+
+
 def add_rows(rollout, sid, values):
     """Store one decision of session ``sid`` per value."""
     sub = np.zeros((1, S_CFG.obs_dim))

@@ -72,15 +72,27 @@ def test_sampling_reproducible_under_seed():
     assert np.array_equal(a1[1], a2[1])
 
 
-def test_greedy_mode_needs_no_rng_and_breaks_ties_low():
+@pytest.mark.parametrize("head, weights, bias", [("hop", "w_hop", "b_hop"),
+                                                  ("budget", "w_bud", "b_bud"),
+                                                  ("relay", "w_rel", "b_rel")], ids=pol.HEADS)
+def test_greedy_mode_needs_no_rng_and_breaks_ties_low(head, weights, bias):
     rng = np.random.default_rng(3)
     params = init_policy_params(rng, CFG)
-    # zero head weights -> all logits equal -> argmax picks index 0 of the mask
-    params.w_hop[...] = 0.0
-    params.b_hop[...] = 0.0
+    # zero head weights and bias -> the head's logits all equal -> argmax
+    # picks its lowest open index
+    getattr(params, weights)[...] = 0.0
+    getattr(params, bias)[...] = 0.0
     sub, mask = rand_state(rng)
-    action, _, _ = pol.act(pol.Actor(params), sub, mask)
-    assert action.hop == int(np.flatnonzero(mask)[0])
+    masks = [mask]
+    if head == "hop":
+        masks += [np.array(m) for m in ([False, True, False, True], [False, False, True, True],
+                                        [False, False, False, True])]
+    for mask in masks:
+        action, logps, _ = pol.act(pol.Actor(params), sub, mask)
+        assert logps is None
+        chosen = (action.hop, action.budget_idx, action.relay)[pol.HEADS.index(head)]
+        assert chosen == (int(np.flatnonzero(mask)[0]) if head == "hop" else 0)
+        assert action == reference_policy.act(params, sub, mask)[0]
 
 
 def test_act_reuses_its_actors_buffers_and_hands_out_shared_actions():
@@ -96,7 +108,13 @@ def test_act_reuses_its_actors_buffers_and_hands_out_shared_actions():
             action = got[0]
             assert action is fresh[0] \
                 is pol.JOINT_ACTIONS[action.hop][action.budget_idx][action.relay]
-            assert got[1].tobytes() == fresh[1].tobytes() and got[2] == fresh[2]
+            assert got[2] == fresh[2]
+            if draw is None:
+                expect = reference_policy.act(params, sub, mask)
+                assert got[1] is None and fresh[1] is None
+                assert action == expect[0] and got[2].hex() == expect[2].hex()
+            else:
+                assert got[1].tobytes() == fresh[1].tobytes()
     with pytest.raises(ValueError, match="1 to 5 members, got 6"):
         pol.act(actor, rand_state(rng, 6)[0], states[0][1])
 
@@ -235,11 +253,13 @@ def test_act_matches_per_sample_reference():
         for rng in (None, np.random.default_rng(i)):
             action, logps, value = pol.act(pol.Actor(params), sub, mask, rng=rng)
             chosen = (action.hop, action.budget_idx, action.relay)
-            expect = [ref["log_probs"][head][a] for head, a in zip(pol.HEADS, chosen)]
-            assert np.max(np.abs(logps - expect)) <= 1e-12
             assert abs(value - ref["value"]) <= 1e-12
             if rng is None:
+                assert logps is None
                 assert chosen == tuple(int(np.argmax(ref["probs"][head])) for head in pol.HEADS)
+            else:
+                expect = [ref["log_probs"][head][a] for head, a in zip(pol.HEADS, chosen)]
+                assert np.max(np.abs(logps - expect)) <= 1e-12
 
 
 def test_checkpoint_with_reshaped_array_rejected(tmp_path):
@@ -405,7 +425,7 @@ def rng_state(rng):
 
 def act_outcomes(params, sub, mask):
     """``act``'s outcome in greedy and in sampling mode: an action, log-probs
-    and value, or the type of the error raised.
+    (``None`` in greedy mode) and value, or the type of the error raised.
 
     Each must be the batched B=1 path's (``reference_policy.act``), and the
     generator must end in the same state; an error must leave it untouched.
@@ -418,7 +438,13 @@ def act_outcomes(params, sub, mask):
             state = rng_state(rng)
             try:
                 action, logps, value = run(arg, sub, mask, rng=rng)
-                got = (action, logps.tobytes(), float(value).hex())
+                if sampling:
+                    logps = logps.tobytes()
+                elif run is pol.act:
+                    assert logps is None
+                else:
+                    logps = None  # the reference returns them in both modes
+                got = (action, logps, float(value).hex())
             except (ValueError, FloatingPointError) as exc:
                 got = type(exc)
                 assert rng_state(rng) == state

@@ -1,6 +1,6 @@
 """``tools/run_digests.py`` on a shortened run set: every run and sweep writes its files,
-the digests repeat from run to run, and the stress scene reaches every way
-a session can fail."""
+the digests repeat from run to run, the stress scene reaches every way
+a session can fail, and ``--base`` reports the lines of only one side."""
 import importlib.util
 import json
 import pathlib
@@ -39,3 +39,14 @@ def test_digests_cover_every_run_and_repeat(tmp_path):
         missing = {"enqueue_overflow", "queue_overflow", "no_link", "ttl_expired",
                    "deliver"} - seen
         assert not missing, (kind, missing)
+
+
+def test_differing_lines_name_each_side_by_path():
+    base = ["eval_busy_policy/metrics.json aa", "train/checkpoint.npz bb", "train/curve.csv cc"]
+    change = ["eval_busy_policy/metrics.json aa", "sweep_snr/run.json dd",
+              "train/checkpoint.npz ee", "train/curve.csv cc"]
+    assert run_digests.differing_lines(base, base) == []
+    assert run_digests.differing_lines(base, change) == [
+        "+ sweep_snr/run.json dd", "- train/checkpoint.npz bb", "+ train/checkpoint.npz ee"]
+    assert run_digests.differing_lines(change, base) == [
+        "- sweep_snr/run.json dd", "- train/checkpoint.npz ee", "+ train/checkpoint.npz bb"]

@@ -1,6 +1,7 @@
 """SHA-256 of every file a fixed set of traced runs writes.
 
     python3 tools/run_digests.py
+    python3 tools/run_digests.py --base <rev>
 
 Trains ``tiny_config(0)`` for 5 traced episodes, then evaluates that
 checkpoint for 2 traced episodes on the tiny config, on a busy 10x7
@@ -14,12 +15,23 @@ somewhere: diff the output of two checkouts to check that a refactor
 leaves run files and traces byte-identical.  Run both under the same
 ``OPENBLAS_NUM_THREADS``: the training checkpoint's bytes, and so every
 ``run.json`` that hashes it, depend on the number of BLAS threads.
+
+With ``--base REV`` it does that diff itself: it exports REV with ``git
+archive`` into a temporary directory, runs that tree's ``run_digests.py`` in
+a subprocess (its own ``src``, ``PYTHONPATH`` cleared, the rest of the
+environment, ``OPENBLAS_NUM_THREADS`` and ``PYTHONHASHSEED`` included,
+inherited), and prints each line found in only one of the two outputs,
+``-`` for REV's and ``+`` for the working tree's, then their count.  It
+exits 1 if any line differs.
 """
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
+import os
 import pathlib
+import subprocess
 import sys
 import tempfile
 
@@ -80,13 +92,50 @@ def digests(out: pathlib.Path) -> list[str]:
             for path in sorted(out.rglob("*")) if path.is_file()]
 
 
-def main() -> None:
+def tree_digests() -> list[str]:
+    """The digest lines of this tree's run set."""
     with tempfile.TemporaryDirectory() as tmp:
         out = pathlib.Path(tmp)
         run_all(out)
-        for line in digests(out):
+        return digests(out)
+
+
+def base_digests(rev: str) -> list[str]:
+    """The digest lines REV's own ``run_digests.py`` prints, in a fresh process."""
+    from bench_pairs import export  # tools/ is on sys.path when run as a script
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = pathlib.Path(tmp)
+        export(rev, tree)
+        return subprocess.run([sys.executable, "tools/run_digests.py"], cwd=tree, env=env,
+                              check=True, stdout=subprocess.PIPE, text=True).stdout.splitlines()
+
+
+def differing_lines(base: list[str], change: list[str]) -> list[str]:
+    """The lines of only one side, ``- `` for base and ``+ `` for change,
+    ordered by path, a path's base line first."""
+    base_set, change_set = set(base), set(change)
+    base_only = [f"- {line}" for line in base if line not in change_set]
+    change_only = [f"+ {line}" for line in change if line not in base_set]
+    return sorted(base_only + change_only, key=lambda line: line.split()[1])
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--base", metavar="REV",
+                   help="print only the lines that differ from REV's digests")
+    args = p.parse_args(argv)
+    lines = tree_digests()
+    if args.base is None:
+        for line in lines:
             print(line)
+        return 0
+    diff = differing_lines(base_digests(args.base), lines)
+    for line in diff:
+        print(line)
+    print(f"{len(diff)} lines differ from {args.base}")
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
